@@ -842,7 +842,7 @@ let map_cmd =
           finish_progress ();
           write_observability ();
           flight_dump
-            (match e with Mapper.Timeout -> "timeout" | _ -> "failure");
+            (match e with Mapper.Timeout _ -> "timeout" | _ -> "failure");
           Format.eprintf "mapping failed: %a@." Mapper.pp_failure e;
           exit 1
     end

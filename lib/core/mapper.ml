@@ -38,9 +38,9 @@ type options = {
   cubes : bool;
 }
 
-let candidates_pruned = lazy (Metrics.counter "mapper.candidates_pruned")
-let ladder_reuse_hits = lazy (Metrics.counter "mapper.ladder_reuse_hits")
-let cubes_pruned_total = lazy (Metrics.counter "mapper.cubes_pruned")
+let candidates_pruned = Metrics.counter "mapper.candidates_pruned"
+let ladder_reuse_hits = Metrics.counter "mapper.ladder_reuse_hits"
+let cubes_pruned_total = Metrics.counter "mapper.cubes_pruned"
 
 (* [QXM_JOBS] lets a whole process (most usefully: the test suite under
    CI) opt into parallel candidate fan-out without touching call sites. *)
@@ -131,15 +131,15 @@ type progress = {
 
 type failure =
   | Too_many_logical of { logical : int; physical : int }
-  | Unmappable
-  | Timeout
+  | Unmappable of Solver.stats
+  | Timeout of Solver.stats
 
 let pp_failure fmt = function
   | Too_many_logical { logical; physical } ->
       Format.fprintf fmt "circuit needs %d qubits, device has %d" logical
         physical
-  | Unmappable -> Format.fprintf fmt "no valid mapping under this strategy"
-  | Timeout -> Format.fprintf fmt "time budget exhausted before any solution"
+  | Unmappable _ -> Format.fprintf fmt "no valid mapping under this strategy"
+  | Timeout _ -> Format.fprintf fmt "time budget exhausted before any solution"
 
 (* -- reconstruction ------------------------------------------------------ *)
 
@@ -397,7 +397,7 @@ let solve_instance ~(options : options) ~obs ~cancel ~deadline ~bound ?session
     | Some (Some sl) ->
         (* resumed rung — the clause-reuse fast path: re-attach the
            per-call hooks, keep solver and encoding *)
-        Metrics.incr (Lazy.force ladder_reuse_hits);
+        Metrics.incr ladder_reuse_hits;
         obs.obs_solver sl.sl_solver;
         Solver.set_stop sl.sl_solver (Option.map Cancel.flag cancel);
         sl
@@ -656,7 +656,7 @@ let solve_instance_cubes ~(options : options) ~obs ~cancel ~deadline ~bound
              chunk_ids)
     | _ -> List.map run_chunk chunk_ids
   in
-  if !pruned > 0 then Metrics.add (Lazy.force cubes_pruned_total) !pruned;
+  if !pruned > 0 then Metrics.add cubes_pruned_total !pruned;
   let stats =
     List.fold_left
       (fun acc r -> Solver.add_stats acc r.cc_stats)
@@ -951,7 +951,9 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
             if not d.optimal then all_optimal := false)
       results;
     match Incumbent.get incumbent with
-    | None -> if !any_budget then Error Timeout else Error Unmappable
+    | None ->
+        if !any_budget then Error (Timeout !sat_stats)
+        else Error (Unmappable !sat_stats)
     | Some (best_cost, best_index) ->
         let s, sub_arch, back =
           match (List.nth results best_index, List.nth candidates best_index)
@@ -1089,6 +1091,6 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
             witness;
           }
         in
-        if !pruned > 0 then Metrics.add (Lazy.force candidates_pruned) !pruned;
+        if !pruned > 0 then Metrics.add candidates_pruned !pruned;
         Ok report
   end

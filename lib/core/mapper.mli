@@ -236,8 +236,12 @@ type progress = {
 
 type failure =
   | Too_many_logical of { logical : int; physical : int }
-  | Unmappable  (** no valid mapping under the chosen strategy *)
-  | Timeout  (** budget exhausted before any model was found *)
+  | Unmappable of Qxm_sat.Solver.stats
+      (** no valid mapping under the chosen strategy; carries the solver
+          work spent finding that out, as {!report.sat_stats} would *)
+  | Timeout of Qxm_sat.Solver.stats
+      (** budget exhausted before any model was found; carries the solver
+          work spent until then *)
 
 val pp_failure : Format.formatter -> failure -> unit
 

@@ -10,10 +10,9 @@ module Trace = Qxm_obs.Trace
 module Metrics = Qxm_obs.Metrics
 module Timeseries = Qxm_obs.Timeseries
 
-let lane_cancellations = lazy (Metrics.counter "portfolio.lane_cancellations")
+let lane_cancellations = Metrics.counter "portfolio.lane_cancellations"
 
-let ladder_budget =
-  lazy (Metrics.histogram "portfolio.ladder_conflict_budget")
+let ladder_budget = Metrics.histogram "portfolio.ladder_conflict_budget"
 
 type provenance = Exact_optimal | Exact_incumbent | Heuristic of string
 
@@ -214,7 +213,7 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
     | None -> ());
     let cancel_lane ~lane ~cause token =
       if not (Cancel.cancelled token) then begin
-        Metrics.incr (Lazy.force lane_cancellations);
+        Metrics.incr lane_cancellations;
         Trace.instant
           ~args:[ ("lane", Trace.Str lane); ("cause", Trace.Str cause) ]
           "portfolio.cancel"
@@ -249,7 +248,7 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
       @@ fun () ->
       (* telemetry: samples taken during this stage carry its name *)
       Timeseries.with_label ("stage=" ^ stage) @@ fun () ->
-      Metrics.observe (Lazy.force ladder_budget) conflict_limit;
+      Metrics.observe ladder_budget conflict_limit;
       let deadline_spent () =
         match exact_time_left () with Some l -> l <= 0.0 | None -> false
       in
@@ -302,10 +301,12 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
                 (Printf.sprintf "%s F=%d"
                    (if r.optimal then "optimal" else "incumbent")
                    r.f_cost)
-          | Error Mapper.Timeout ->
+          | Error (Mapper.Timeout st) ->
+              note_stats st;
               if deadline_spent () then deadline_hit := true;
               record ~stage ~t0 ~stage_solves:0 "budget exhausted"
-          | Error Mapper.Unmappable ->
+          | Error (Mapper.Unmappable st) ->
+              note_stats st;
               (* With a seeded bound, UNSAT only means "nothing cheaper
                  than the incumbent", which proves the incumbent optimal
                  when this rung had no other budget pressure. *)

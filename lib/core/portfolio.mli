@@ -118,8 +118,10 @@ type report = {
   solves : int;  (** SAT solver calls across all stages *)
   stages : stage list;  (** telemetry, in execution order *)
   sat_stats : Qxm_sat.Solver.stats;
-      (** Field-wise sum of {!Mapper.report.sat_stats} over every exact
-          stage that produced a report (probe and ladder rungs alike);
+      (** Field-wise sum of the solver work of every exact stage (probe
+          and ladder rungs alike): {!Mapper.report.sat_stats} of the
+          stages that produced a report, and the stats carried by the
+          [Timeout] and [Unmappable] failures of those that did not;
           heuristic stages contribute nothing.  See
           [doc/PERFORMANCE.md] for how to read the counters. *)
   seed : int;

@@ -1,77 +1,107 @@
 module Lit = Qxm_sat.Lit
 
-(* A node is the ascending association list of attainable partial sums of
-   the literals below it, each with an indicator literal. *)
-type node = (int * Lit.t) list
+(* A node holds the attainable partial sums of the literals below it,
+   strictly ascending in [sums], with the indicator literal of [sums.(i)]
+   at [lits.(i)]. *)
+type node = { sums : int array; lits : Lit.t array }
 
 type t = { root : node; total : int }
 
-module IntMap = Map.Make (Int)
+let empty = { sums = [||]; lits = [||] }
 
-let merge cnf (a : node) (b : node) : node =
-  (* Attainable sums of the union: values of a, of b, and pairwise sums. *)
-  let add_value acc v = if IntMap.mem v acc then acc else IntMap.add v () acc in
-  let values = IntMap.empty in
-  let values = List.fold_left (fun m (v, _) -> add_value m v) values a in
-  let values = List.fold_left (fun m (v, _) -> add_value m v) values b in
-  let values =
-    List.fold_left
-      (fun m (va, _) ->
-        List.fold_left (fun m (vb, _) -> add_value m (va + vb)) m b)
-      values a
-  in
-  let out =
-    IntMap.fold (fun v () acc -> (v, Cnf.fresh cnf) :: acc) values []
-    |> List.sort (fun (v1, _) (v2, _) -> compare v1 v2)
-  in
-  let lit_for v = List.assoc v out in
-  List.iter (fun (v, l) -> Cnf.implies cnf l (lit_for v)) a;
-  List.iter (fun (v, l) -> Cnf.implies cnf l (lit_for v)) b;
-  List.iter
-    (fun (va, la) ->
-      List.iter
-        (fun (vb, lb) ->
-          Cnf.add3 cnf (Lit.negate la) (Lit.negate lb) (lit_for (va + vb)))
-        b)
-    a;
-  out
+(* Number of entries of the ascending array [a] that are [<= b]. *)
+let count_le (a : int array) b =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) <= b then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Index of [v] in the ascending array [a]; [v] must be present. *)
+let index_of a v =
+  let i = count_le a v - 1 in
+  assert (i >= 0 && a.(i) = v);
+  i
+
+module Sums = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+(* The attainable sums of the union, ascending and without duplicates:
+   the sums of [a], of [b], and every pairwise sum.  The dedup table holds
+   one entry per distinct sum, so memory is bounded by the number of
+   outputs, never by the magnitude of the weights. *)
+let union_sums a b =
+  let seen = Sums.create (Array.length a + Array.length b) in
+  let add v = Sums.replace seen v () in
+  Array.iter add a;
+  Array.iter add b;
+  Array.iter (fun va -> Array.iter (fun vb -> add (va + vb)) b) a;
+  let sums = Array.of_seq (Sums.to_seq_keys seen) in
+  Array.sort Int.compare sums;
+  sums
+
+(* Clause order: fresh outputs in ascending value order, then the
+   implications from [a], then those from [b], then the [a × b] ternary
+   clauses row by row. *)
+let merge cnf a b =
+  let sums = union_sums a.sums b.sums in
+  let lits = Array.map (fun _ -> Cnf.fresh cnf) sums in
+  let lit_for v = lits.(index_of sums v) in
+  Array.iteri (fun i l -> Cnf.implies cnf l (lit_for a.sums.(i))) a.lits;
+  Array.iteri (fun i l -> Cnf.implies cnf l (lit_for b.sums.(i))) b.lits;
+  Array.iteri
+    (fun i la ->
+      let va = a.sums.(i) in
+      Array.iteri
+        (fun j lb ->
+          Cnf.add3 cnf (Lit.negate la) (Lit.negate lb)
+            (lit_for (va + b.sums.(j))))
+        b.lits)
+    a.lits;
+  { sums; lits }
 
 let build cnf terms =
   List.iter
     (fun (w, _) ->
       if w <= 0 then invalid_arg "Pb.build: non-positive weight")
     terms;
-  let rec go = function
-    | [] -> []
-    | [ (w, l) ] -> [ (w, l) ]
-    | ls ->
-        let n = List.length ls in
-        let rec split i acc = function
-          | rest when i = 0 -> (List.rev acc, rest)
-          | x :: rest -> split (i - 1) (x :: acc) rest
-          | [] -> (List.rev acc, [])
-        in
-        let left, right = split (n / 2) [] ls in
-        merge cnf (go left) (go right)
+  let terms = Array.of_list terms in
+  (* The root of terms.(lo .. lo + n - 1); the left half takes n / 2. *)
+  let rec go lo n =
+    if n = 0 then empty
+    else if n = 1 then
+      let w, l = terms.(lo) in
+      { sums = [| w |]; lits = [| l |] }
+    else
+      let h = n / 2 in
+      merge cnf (go lo h) (go (lo + h) (n - h))
   in
-  let root = go terms in
-  { root; total = List.fold_left (fun acc (w, _) -> acc + w) 0 terms }
+  let root = go 0 (Array.length terms) in
+  { root; total = Array.fold_left (fun acc (w, _) -> acc + w) 0 terms }
 
-let values t = List.map fst t.root
+let values t = Array.to_list t.root.sums
 let max_value t = t.total
 
 let tighten t b =
-  List.fold_left (fun acc v -> if v <= b then max acc v else acc) 0 (values t)
+  let k = count_le t.root.sums b in
+  if k = 0 then 0 else t.root.sums.(k - 1)
 
 let next_above t b =
-  List.fold_left
-    (fun acc v -> if v > b then (match acc with Some a -> Some (min a v) | None -> Some v) else acc)
-    None (values t)
+  let k = count_le t.root.sums b in
+  if k = Array.length t.root.sums then None else Some t.root.sums.(k)
 
-let outputs_above t b = List.filter (fun (v, _) -> v > b) t.root
+(* The indicator literals of every sum strictly above [b], ascending. *)
+let outputs_above t b =
+  let k = count_le t.root.sums b in
+  Array.sub t.root.lits k (Array.length t.root.lits - k)
 
 let enforce_at_most cnf t b =
-  List.iter (fun (_, l) -> Cnf.add cnf [ Lit.negate l ]) (outputs_above t b)
+  Array.iter (fun l -> Cnf.add cnf [ Lit.negate l ]) (outputs_above t b)
 
 let assume_at_most t b =
-  List.map (fun (_, l) -> Lit.negate l) (outputs_above t b)
+  Array.to_list (Array.map Lit.negate (outputs_above t b))

@@ -1,5 +1,5 @@
-let dumps_total = lazy (Metrics.counter "obs.flight_dumps")
-let dump_errors = lazy (Metrics.counter "obs.flight_dump_errors")
+let dumps_total = Metrics.counter "obs.flight_dumps"
+let dump_errors = Metrics.counter "obs.flight_dump_errors"
 
 type ring = {
   data : Trace.event array;
@@ -110,9 +110,9 @@ let dump ~reason () =
               Buffer.add_char buf '\n')
             all;
           write_atomic path (Buffer.contents buf);
-          Metrics.incr (Lazy.force dumps_total);
+          Metrics.incr dumps_total;
           Some path
         with _ ->
-          Metrics.incr (Lazy.force dump_errors);
+          Metrics.incr dump_errors;
           None)
   end

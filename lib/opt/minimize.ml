@@ -52,7 +52,7 @@ let new_session () =
     s_finished = None;
   }
 
-let step_conflicts = lazy (Metrics.histogram "minimize.step_conflicts")
+let step_conflicts = Metrics.histogram "minimize.step_conflicts"
 
 let cost_of_model objective model =
   List.fold_left
@@ -154,7 +154,7 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
               | None -> []))
             run
         in
-        Metrics.observe (Lazy.force step_conflicts)
+        Metrics.observe step_conflicts
           ((Solver.stats solver).Solver.conflicts - before);
         r
       in

@@ -1,7 +1,7 @@
 module Trace = Qxm_obs.Trace
 module Metrics = Qxm_obs.Metrics
 
-let updates = lazy (Metrics.counter "par.incumbent_updates")
+let updates = Metrics.counter "par.incumbent_updates"
 
 type t = { cell : (int * int) option Atomic.t }
 
@@ -22,7 +22,7 @@ let rec offer_loop t ~cost ~index =
 let offer t ~cost ~index =
   let installed = offer_loop t ~cost ~index in
   if installed then begin
-    Metrics.incr (Lazy.force updates);
+    Metrics.incr updates;
     Trace.instant
       ~args:[ ("cost", Trace.Int cost); ("index", Trace.Int index) ]
       "incumbent.update"

@@ -9,8 +9,8 @@
 module Trace = Qxm_obs.Trace
 module Metrics = Qxm_obs.Metrics
 
-let queue_depth = lazy (Metrics.gauge "par.pool_queue_depth")
-let tasks_submitted = lazy (Metrics.counter "par.pool_tasks")
+let queue_depth = Metrics.gauge "par.pool_queue_depth"
+let tasks_submitted = Metrics.counter "par.pool_tasks"
 
 type task = unit -> unit
 
@@ -95,7 +95,7 @@ let run_to_state fn =
   | exception e -> Failed (e, Printexc.get_raw_backtrace ())
 
 let submit ?(label = "pool.task") pool fn =
-  Metrics.incr (Lazy.force tasks_submitted);
+  Metrics.incr tasks_submitted;
   (* The span opens on whichever domain actually runs the task — a
      worker, or a helper blocked in [await] — so traces show true
      placement, keyed by the executing domain's id. *)
@@ -119,7 +119,7 @@ let submit ?(label = "pool.task") pool fn =
       invalid_arg "Pool.submit: pool is shut down"
     end;
     Queue.add task pool.queue;
-    Metrics.max_gauge (Lazy.force queue_depth)
+    Metrics.max_gauge queue_depth
       (float_of_int (Queue.length pool.queue));
     Condition.broadcast pool.work;
     Mutex.unlock pool.lock;

@@ -415,14 +415,13 @@ let current_stats s =
     scopes_retired = s.scopes_retired;
   }
 
-(* One registry counter per stat field, registered once per process. *)
+(* One registry counter per stat field, registered at start-up. *)
 let registry_counters =
-  lazy
-    (List.map
-       (fun (name, _) -> Metrics.counter ("solver." ^ name))
-       (stats_counters zero_stats))
+  List.map
+    (fun (name, _) -> Metrics.counter ("solver." ^ name))
+    (stats_counters zero_stats)
 
-let arena_gauge = lazy (Metrics.gauge "solver.arena_words")
+let arena_gauge = Metrics.gauge "solver.arena_words"
 
 (* Publish the delta since the last flush into the metrics registry.
    The watermark (rather than per-[solve] entry/exit deltas) also
@@ -434,9 +433,9 @@ let flush_metrics s =
   List.iter2
     (fun ctr ((_, now), (_, seen)) ->
       if now > seen then Metrics.add ctr (now - seen))
-    (Lazy.force registry_counters)
+    registry_counters
     (List.combine (stats_counters cur) (stats_counters s.last_flushed));
-  Metrics.set_gauge (Lazy.force arena_gauge) (float_of_int (Arena.top s.arena));
+  Metrics.set_gauge arena_gauge (float_of_int (Arena.top s.arena));
   s.last_flushed <- cur;
   cur
 

@@ -1,9 +1,9 @@
 module Metrics = Qxm_obs.Metrics
 
-let sheds_total = lazy (Metrics.counter "svc.sheds")
-let depth_gauge = lazy (Metrics.gauge "svc.queue_depth")
-let depth_hwm = lazy (Metrics.gauge "svc.queue_depth_hwm")
-let imbalance = lazy (Metrics.counter "svc.admission_imbalance")
+let sheds_total = Metrics.counter "svc.sheds"
+let depth_gauge = Metrics.gauge "svc.queue_depth"
+let depth_hwm = Metrics.gauge "svc.queue_depth_hwm"
+let imbalance = Metrics.counter "svc.admission_imbalance"
 
 type t = {
   lock : Mutex.t;
@@ -27,15 +27,15 @@ let create ?(retry_after = 0.1) ~watermark () =
   }
 
 let publish t =
-  Metrics.set_gauge (Lazy.force depth_gauge) (float_of_int t.in_flight);
-  Metrics.max_gauge (Lazy.force depth_hwm) (float_of_int t.in_flight)
+  Metrics.set_gauge depth_gauge (float_of_int t.in_flight);
+  Metrics.max_gauge depth_hwm (float_of_int t.in_flight)
 
 let try_admit t =
   Mutex.lock t.lock;
   let verdict =
     if t.in_flight >= t.watermark then begin
       t.shed_count <- t.shed_count + 1;
-      Metrics.incr (Lazy.force sheds_total);
+      Metrics.incr sheds_total;
       (* The deeper past the watermark the cluster of rejected arrivals
          is, the longer the hint: spreads the retry herd out. *)
       let over = t.in_flight - t.watermark + 1 in
@@ -56,7 +56,7 @@ let try_admit t =
 
 let release t =
   Mutex.lock t.lock;
-  if t.in_flight <= 0 then Metrics.incr (Lazy.force imbalance)
+  if t.in_flight <= 0 then Metrics.incr imbalance
   else t.in_flight <- t.in_flight - 1;
   publish t;
   Mutex.unlock t.lock

@@ -1,12 +1,12 @@
 module Metrics = Qxm_obs.Metrics
 
-let hits_mem = lazy (Metrics.counter "svc.cache_hits_mem")
-let hits_disk = lazy (Metrics.counter "svc.cache_hits_disk")
-let misses = lazy (Metrics.counter "svc.cache_misses")
-let stores = lazy (Metrics.counter "svc.cache_stores")
-let store_errors = lazy (Metrics.counter "svc.cache_store_errors")
-let evictions = lazy (Metrics.counter "svc.cache_evictions")
-let quarantined = lazy (Metrics.counter "svc.cache_quarantined")
+let hits_mem = Metrics.counter "svc.cache_hits_mem"
+let hits_disk = Metrics.counter "svc.cache_hits_disk"
+let misses = Metrics.counter "svc.cache_misses"
+let stores = Metrics.counter "svc.cache_stores"
+let store_errors = Metrics.counter "svc.cache_store_errors"
+let evictions = Metrics.counter "svc.cache_evictions"
+let quarantined = Metrics.counter "svc.cache_quarantined"
 
 let magic = "QXMCACHE1"
 
@@ -78,7 +78,7 @@ let quarantine_file t ~dir path =
   in
   (try Sys.rename path dest
    with Sys_error _ -> ( try Sys.remove path with Sys_error _ -> ()));
-  Metrics.incr (Lazy.force quarantined)
+  Metrics.incr quarantined
 
 (* -- recovery scan -------------------------------------------------------- *)
 
@@ -167,7 +167,7 @@ let mem_insert t key payload =
     match !victim with
     | Some (k, _) ->
         Hashtbl.remove t.mem k;
-        Metrics.incr (Lazy.force evictions)
+        Metrics.incr evictions
     | None -> ()
   done
 
@@ -197,7 +197,7 @@ let disk_write t key payload =
             if written <> String.length bytes then failwith "short write";
             Unix.fsync fd);
         Sys.rename tmp final
-      with _ -> Metrics.incr (Lazy.force store_errors))
+      with _ -> Metrics.incr store_errors)
 
 let disk_read t key =
   match t.dir with
@@ -221,16 +221,16 @@ let find t ~key =
     match Hashtbl.find_opt t.mem key with
     | Some (payload, tick_ref) ->
         touch t tick_ref;
-        Metrics.incr (Lazy.force hits_mem);
+        Metrics.incr hits_mem;
         Some payload
     | None -> (
         match disk_read t key with
         | Some payload ->
             mem_insert t key payload;
-            Metrics.incr (Lazy.force hits_disk);
+            Metrics.incr hits_disk;
             Some payload
         | None ->
-            Metrics.incr (Lazy.force misses);
+            Metrics.incr misses;
             None)
   in
   Mutex.unlock t.lock;
@@ -240,7 +240,7 @@ let store t ~key payload =
   Mutex.lock t.lock;
   mem_insert t key payload;
   disk_write t key payload;
-  Metrics.incr (Lazy.force stores);
+  Metrics.incr stores;
   Mutex.unlock t.lock
 
 let invalidate t ~key =

@@ -13,17 +13,17 @@ module Metrics = Qxm_obs.Metrics
 module Trace = Qxm_obs.Trace
 module Flight = Qxm_obs.Flight
 
-let requests_total = lazy (Metrics.counter "svc.requests")
-let done_total = lazy (Metrics.counter "svc.done")
-let failed_total = lazy (Metrics.counter "svc.failed")
-let rejected_total = lazy (Metrics.counter "svc.rejected")
-let retries_total = lazy (Metrics.counter "svc.retries")
-let deadline_expiries = lazy (Metrics.counter "svc.deadline_expiries")
-let watchdog_cancels = lazy (Metrics.counter "svc.watchdog_cancels")
-let verify_rejects = lazy (Metrics.counter "svc.cache_verify_rejects")
-let hits_served = lazy (Metrics.counter "svc.cache_hits_served")
-let certs_emitted = lazy (Metrics.counter "svc.certificates_emitted")
-let cert_failures = lazy (Metrics.counter "svc.certificate_failures")
+let requests_total = Metrics.counter "svc.requests"
+let done_total = Metrics.counter "svc.done"
+let failed_total = Metrics.counter "svc.failed"
+let rejected_total = Metrics.counter "svc.rejected"
+let retries_total = Metrics.counter "svc.retries"
+let deadline_expiries = Metrics.counter "svc.deadline_expiries"
+let watchdog_cancels = Metrics.counter "svc.watchdog_cancels"
+let verify_rejects = Metrics.counter "svc.cache_verify_rejects"
+let hits_served = Metrics.counter "svc.cache_hits_served"
+let certs_emitted = Metrics.counter "svc.certificates_emitted"
+let cert_failures = Metrics.counter "svc.certificate_failures"
 
 type config = {
   jobs : int;
@@ -123,7 +123,7 @@ let watchdog_scan t =
   Mutex.unlock t.inflight_lock;
   List.iter
     (fun (id, token) ->
-      Metrics.incr (Lazy.force watchdog_cancels);
+      Metrics.incr watchdog_cancels;
       Trace.instant ~args:[ ("request", Trace.Str id) ] "svc.watchdog_cancel";
       (* Snapshot the flight ring before firing the token: the recent
          spans and solver samples explain *why* this request blew its
@@ -296,8 +296,8 @@ let store_certificate t (req : request) ~key (r : Portfolio.report) =
                 Out_channel.output_string oc
                   (Qxm_audit.Certificate.to_string cert));
             Sys.rename tmp path;
-            Metrics.incr (Lazy.force certs_emitted)
-        | Error _ | (exception _) -> Metrics.incr (Lazy.force cert_failures))
+            Metrics.incr certs_emitted
+        | Error _ | (exception _) -> Metrics.incr cert_failures)
 
 let audit_certificate t ~key =
   match certificate_path t ~key with
@@ -376,14 +376,14 @@ let solve t ?key (req : request) : response =
       match
         Backoff.retry ~sleep:t.config.sleep t.config.retry
           ~on_retry:(fun ~attempt:_ ~delay:_ ->
-            Metrics.incr (Lazy.force retries_total))
+            Metrics.incr retries_total)
           attempt
       with
       | Ok (r : Portfolio.report) ->
           if
             List.mem "deadline_expired" r.notes
             || List.mem "cancelled" r.notes
-          then Metrics.incr (Lazy.force deadline_expiries);
+          then Metrics.incr deadline_expiries;
           Option.iter (fun key -> store_certificate t req ~key r) key;
           Done
             {
@@ -403,7 +403,7 @@ let solve t ?key (req : request) : response =
       | exception e -> Failed (Printexc.to_string e))
 
 let handle t (req : request) : response =
-  Metrics.incr (Lazy.force requests_total);
+  Metrics.incr requests_total;
   Trace.with_span ~name:"svc.request"
     ~args:[ ("id", Trace.Str req.req_id) ]
   @@ fun () ->
@@ -417,11 +417,11 @@ let handle t (req : request) : response =
       | Some payload_str -> (
           match verified_hit ~req payload_str with
           | Ok p ->
-              Metrics.incr (Lazy.force hits_served);
+              Metrics.incr hits_served;
               Some p
           | Error _ ->
               (* quarantine, don't serve: fall through to a fresh solve *)
-              Metrics.incr (Lazy.force verify_rejects);
+              Metrics.incr verify_rejects;
               Cache.invalidate t.cache ~key;
               None)
   in
@@ -437,13 +437,13 @@ let handle t (req : request) : response =
         | resp -> resp)
   in
   (match response with
-  | Done _ -> Metrics.incr (Lazy.force done_total)
+  | Done _ -> Metrics.incr done_total
   | Failed _ ->
-      Metrics.incr (Lazy.force failed_total);
+      Metrics.incr failed_total;
       (* A faulted request is exactly when the recent history matters;
          dump the flight ring while it is still warm. *)
       ignore (Flight.dump ~reason:("request_failed " ^ req.req_id) ())
-  | Rejected _ | Shed _ -> Metrics.incr (Lazy.force rejected_total));
+  | Rejected _ | Shed _ -> Metrics.incr rejected_total);
   response
 
 let guarded t req =

@@ -320,6 +320,133 @@ let test_pb_tighten () =
   Alcotest.(check (option int)) "next_above 7" (Some 11) (Pb.next_above pb 7);
   Alcotest.(check (option int)) "next_above 11" None (Pb.next_above pb 11)
 
+(* The list-based generalized totalizer that [Pb] replaced, kept verbatim
+   as the reference for its clause stream: nodes are ascending
+   association lists and every output literal is found by [List.assoc]. *)
+module Pb_reference = struct
+  type node = (int * Lit.t) list
+
+  module IntMap = Map.Make (Int)
+
+  let merge cnf (a : node) (b : node) : node =
+    (* Attainable sums of the union: values of a, of b, and pairwise sums. *)
+    let add_value acc v = if IntMap.mem v acc then acc else IntMap.add v () acc in
+    let values = IntMap.empty in
+    let values = List.fold_left (fun m (v, _) -> add_value m v) values a in
+    let values = List.fold_left (fun m (v, _) -> add_value m v) values b in
+    let values =
+      List.fold_left
+        (fun m (va, _) ->
+          List.fold_left (fun m (vb, _) -> add_value m (va + vb)) m b)
+        values a
+    in
+    let out =
+      IntMap.fold (fun v () acc -> (v, Cnf.fresh cnf) :: acc) values []
+      |> List.sort (fun (v1, _) (v2, _) -> compare v1 v2)
+    in
+    let lit_for v = List.assoc v out in
+    List.iter (fun (v, l) -> Cnf.implies cnf l (lit_for v)) a;
+    List.iter (fun (v, l) -> Cnf.implies cnf l (lit_for v)) b;
+    List.iter
+      (fun (va, la) ->
+        List.iter
+          (fun (vb, lb) ->
+            Cnf.add3 cnf (Lit.negate la) (Lit.negate lb) (lit_for (va + vb)))
+          b)
+      a;
+    out
+
+  let build cnf terms : node =
+    let rec go = function
+      | [] -> []
+      | [ (w, l) ] -> [ (w, l) ]
+      | ls ->
+          let n = List.length ls in
+          let rec split i acc = function
+            | rest when i = 0 -> (List.rev acc, rest)
+            | x :: rest -> split (i - 1) (x :: acc) rest
+            | [] -> (List.rev acc, [])
+          in
+          let left, right = split (n / 2) [] ls in
+          merge cnf (go left) (go right)
+    in
+    go terms
+
+  let values root = List.map fst root
+
+  let tighten root b =
+    List.fold_left (fun acc v -> if v <= b then max acc v else acc) 0
+      (values root)
+
+  let next_above root b =
+    List.fold_left
+      (fun acc v ->
+        if v > b then
+          match acc with Some a -> Some (min a v) | None -> Some v
+        else acc)
+      None (values root)
+
+  let assume_at_most root b =
+    List.filter_map
+      (fun (v, l) -> if v > b then Some (Lit.negate l) else None)
+      root
+end
+
+(* Paper weights {4, 7} with a few random weights in 1..1000 mixed in.
+   Random weights are capped by the term count so that the number of
+   attainable sums — and with it the reference's quadratic lookups —
+   stays small enough for a quick test. *)
+let pb_terms_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 1 80 in
+  let* paper = list_repeat n (oneofl [ 4; 7 ]) in
+  let* r = int_range 0 (if n <= 12 then n else if n <= 40 then 3 else 1) in
+  let* random = list_repeat r (pair (int_range 0 (n - 1)) (int_range 1 1000)) in
+  return
+    (List.mapi
+       (fun i w -> Option.value (List.assoc_opt i random) ~default:w)
+       paper)
+
+(* Encode [weights] over fresh inputs on a new solver and record the
+   [Ev_fresh]/[Ev_clause] stream of [build] alone. *)
+let pb_stream build weights =
+  let cnf = Cnf.create (Solver.create ()) in
+  let terms = List.map (fun w -> (w, Cnf.fresh cnf)) weights in
+  let events = ref [] in
+  Cnf.set_tap cnf
+    (Some
+       (function
+       | (Cnf.Ev_fresh _ | Cnf.Ev_clause _) as ev -> events := ev :: !events
+       | _ -> ()));
+  let result = build cnf terms in
+  Cnf.set_tap cnf None;
+  (List.rev !events, result)
+
+let pb_matches_reference =
+  qtest ~count:25 "pb clause stream = list-based reference"
+    QCheck2.Gen.(pair pb_terms_gen (int_range (-5) 1000))
+    (fun (weights, probe) ->
+      let stream, pb = pb_stream Pb.build weights in
+      let ref_stream, root = pb_stream Pb_reference.build weights in
+      let values = Pb_reference.values root in
+      (* Probe around about 16 of the sums, evenly spread, and the ends. *)
+      let stride = max 1 (List.length values / 16) in
+      let bounds =
+        probe :: -1 :: 0 :: Pb.max_value pb + 1
+        :: List.concat
+             (List.filteri
+                (fun i _ -> i mod stride = 0)
+                (List.map (fun v -> [ v - 1; v; v + 1 ]) values))
+      in
+      stream = ref_stream
+      && Pb.values pb = values
+      && List.for_all
+           (fun b ->
+             Pb.tighten pb b = Pb_reference.tighten root b
+             && Pb.next_above pb b = Pb_reference.next_above root b
+             && Pb.assume_at_most pb b = Pb_reference.assume_at_most root b)
+           bounds)
+
 let test_pb_rejects_bad_weight () =
   let s = Solver.create () in
   let cnf = Cnf.create s in
@@ -361,6 +488,7 @@ let suite =
     ("totalizer assumptions", `Quick, test_totalizer_assumptions);
     pb_bound_sound;
     pb_values_are_subset_sums;
+    pb_matches_reference;
     ("pb tighten/values", `Quick, test_pb_tighten);
     ("pb rejects bad weight", `Quick, test_pb_rejects_bad_weight);
   ]

@@ -44,7 +44,7 @@ let test_upper_bound_below_optimum () =
   (* below the optimum the mapper must answer "nothing within bound" *)
   let options = { Mapper.default with upper_bound = Some 3 } in
   match Mapper.run ~options ~arch:Devices.qx4 Examples.fig1a with
-  | Error Mapper.Unmappable -> ()
+  | Error (Mapper.Unmappable _) -> ()
   | Ok r -> Alcotest.failf "unexpected success with F = %d" r.f_cost
   | Error e -> Alcotest.failf "unexpected failure: %a" Mapper.pp_failure e
 

@@ -15,8 +15,11 @@ module Lit = Qxm_sat.Lit
 module Cnf = Qxm_encode.Cnf
 module Minimize = Qxm_opt.Minimize
 module Mapper = Qxm_exact.Mapper
+module Portfolio = Qxm_exact.Portfolio
+module Strategy = Qxm_exact.Strategy
 module Devices = Qxm_arch.Devices
 module Examples = Qxm_benchmarks.Examples
+module Suite = Qxm_benchmarks.Suite
 
 (* -- stats monoid --------------------------------------------------------- *)
 
@@ -119,7 +122,67 @@ let registry_matches_aggregation =
         (fun (name, v) -> Metrics.count window ("solver." ^ name) = v)
         (Solver.stats_counters total))
 
+(* The portfolio's [sat_stats] covers every exact stage, including ladder
+   rungs that failed with [Timeout] or [Unmappable]: it equals the
+   [solver.*] registry delta of the whole call.  On alu-v1_28 both
+   conflict-limited rungs exhaust their budget. *)
+let test_portfolio_stats_match_registry () =
+  let e = Option.get (Suite.by_name "alu-v1_28") in
+  let options =
+    {
+      Portfolio.default with
+      exact = { Mapper.default with strategy = Strategy.Minimal; jobs = 1 };
+      ladder = [ 500; 2000 ];
+      jobs = 1;
+    }
+  in
+  let before = Metrics.snapshot () in
+  match Portfolio.run ~options ~arch:Devices.qx4 e.circuit with
+  | Error err -> Alcotest.failf "%a" Portfolio.pp_failure err
+  | Ok r ->
+      let window = Metrics.diff (Metrics.snapshot ()) before in
+      Alcotest.(check int) "conflicts = registry delta"
+        (Metrics.count window "solver.conflicts")
+        r.sat_stats.conflicts;
+      Alcotest.(check int) "propagations = registry delta"
+        (Metrics.count window "solver.propagations")
+        r.sat_stats.propagations
+
 (* -- metrics registry ----------------------------------------------------- *)
+
+(* Taken while this module initializes: the library modules are linked,
+   and so initialized, before any test module, and before any test runs. *)
+let startup_names = List.map fst (Metrics.snapshot ())
+
+(* Every handle the library registers.  They are registered eagerly at
+   module initialization: a handle first created on use could race
+   between domains. *)
+let library_handles =
+  List.map (fun (name, _) -> "solver." ^ name)
+    (Solver.stats_counters Solver.zero_stats)
+  @ [
+      "solver.arena_words"; "minimize.step_conflicts";
+      "mapper.candidates_pruned"; "mapper.ladder_reuse_hits";
+      "mapper.cubes_pruned"; "portfolio.lane_cancellations";
+      "portfolio.ladder_conflict_budget"; "par.incumbent_updates";
+      "par.pool_queue_depth"; "par.pool_tasks"; "obs.flight_dumps";
+      "obs.flight_dump_errors"; "svc.sheds"; "svc.queue_depth";
+      "svc.queue_depth_hwm"; "svc.admission_imbalance"; "svc.requests";
+      "svc.done"; "svc.failed"; "svc.rejected"; "svc.retries";
+      "svc.deadline_expiries"; "svc.watchdog_cancels";
+      "svc.cache_verify_rejects"; "svc.cache_hits_served";
+      "svc.certificates_emitted"; "svc.certificate_failures";
+      "svc.cache_hits_mem"; "svc.cache_hits_disk"; "svc.cache_misses";
+      "svc.cache_stores"; "svc.cache_store_errors"; "svc.cache_evictions";
+      "svc.cache_quarantined";
+    ]
+
+let test_handles_registered_at_startup () =
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " registered at start-up") true
+        (List.mem name startup_names))
+    library_handles
 
 let test_metrics_counter () =
   let c = Metrics.counter "test.obs_counter" in
@@ -780,6 +843,10 @@ let suite =
     Alcotest.test_case "stats_counters covers every field" `Quick
       test_stats_counters_shape;
     registry_matches_aggregation;
+    Alcotest.test_case "portfolio sat_stats = registry delta" `Slow
+      test_portfolio_stats_match_registry;
+    Alcotest.test_case "metrics: library handles registered at start-up"
+      `Quick test_handles_registered_at_startup;
     Alcotest.test_case "metrics: counter" `Quick test_metrics_counter;
     Alcotest.test_case "metrics: gauge high-water mark" `Quick
       test_metrics_gauge;

@@ -207,7 +207,7 @@ let test_cancelled_mapper () =
   let cancel = Cancel.create () in
   Cancel.cancel cancel;
   match Mapper.run ~cancel ~arch:Devices.qx4 Examples.fig1a with
-  | Error Mapper.Timeout -> ()
+  | Error (Mapper.Timeout _) -> ()
   | Ok _ -> Alcotest.fail "a cancelled run must not produce a mapping"
   | Error _ -> Alcotest.fail "expected Timeout from a cancelled run"
 

@@ -177,7 +177,7 @@ let test_fault_seeded_deterministic () =
 let test_mapper_all_unknown_times_out () =
   Fault.with_schedule Fault.Always_unknown (fun () ->
       match Mapper.run ~arch:Devices.qx4 Examples.fig1a with
-      | Error Mapper.Timeout -> ()
+      | Error (Mapper.Timeout _) -> ()
       | Ok _ -> Alcotest.fail "solves were forced Unknown, yet Ok?"
       | Error e -> Alcotest.failf "expected Timeout, got %a" Mapper.pp_failure e)
 
@@ -196,7 +196,7 @@ let test_mapper_incumbent_under_budget_cut () =
 let test_mapper_zero_timeout_times_out_cleanly () =
   let options = { Mapper.default with timeout = Some 0.0 } in
   match Mapper.run ~options ~arch:Devices.qx4 Examples.fig1a with
-  | Error Mapper.Timeout -> ()
+  | Error (Mapper.Timeout _) -> ()
   | Ok r ->
       (* a fast machine may still land a model inside the reserve *)
       Alcotest.(check bool) "then it must be a real model" true
@@ -342,7 +342,7 @@ let test_sanitized_mapping_sweep () =
         (fun (e : Suite.entry) ->
           let options = { Mapper.default with timeout = Some 1.0 } in
           match Mapper.run ~options ~arch:Devices.qx4 e.circuit with
-          | Ok _ | Error Mapper.Timeout -> ()
+          | Ok _ | Error (Mapper.Timeout _) -> ()
           | Error f ->
               Alcotest.failf "%s: mapping failed: %a" e.name
                 Mapper.pp_failure f
