@@ -99,11 +99,12 @@ let regenerate_table1_slice () =
      count.
    - "hard": the seven Table-1 rows the minimal strategy historically
      could not prove within generous budgets, 90 s per row with the
-     full incremental machinery (parallel workers, symmetry breaking,
-     cube-and-conquer).  Every record carries an explicit
-     "timed_out" boolean — true iff the budget expired before the
+     full incremental machinery (parallel workers, symmetry breaking).
+     Every record carries an explicit "timed_out" boolean — true iff the budget expired before the
      proof closed — so compare.ml can flag rows that newly finish
-     (improvement) or newly time out (regression). *)
+     (improvement) or newly time out (regression).  A row that timed
+     out before any mapping still records the solver counters it
+     spent. *)
 
 let verified_json = function
   | Some true -> "true"
@@ -118,20 +119,15 @@ let hard_names =
 
 let emit_json ~suite ?flight_prefix file =
   let jpar = max 2 (Domain.recommended_domain_count ()) in
-  let entries, budget, jobs_list, cubes =
+  let entries, budget, jobs_list =
     match suite with
-    | "hard" ->
-        ( List.filter_map Suite.by_name hard_names,
-          90.0,
-          [ jpar ],
-          true )
+    | "hard" -> (List.filter_map Suite.by_name hard_names, 90.0, [ jpar ])
     | _ ->
         ( List.filter
             (fun (e : Suite.entry) -> e.paper.cnots <= 14)
             (Suite.all ()),
           30.0,
-          [ 1; jpar ],
-          false )
+          [ 1; jpar ] )
   in
   let suite = if suite = "hard" then "hard" else "quick" in
   let records = ref [] in
@@ -145,7 +141,6 @@ let emit_json ~suite ?flight_prefix file =
               strategy = Strategy.Minimal;
               timeout = Some budget;
               jobs;
-              cubes = cubes && jobs > 1;
             }
           in
           (* Search telemetry rides along at its default cadence: the
@@ -227,6 +222,17 @@ let emit_json ~suite ?flight_prefix file =
                      st.Solver.glue_2 st.Solver.glue_3_4 st.Solver.glue_5_8
                      st.Solver.glue_9_plus),
                   not r.optimal )
+            | Error (Mapper.Timeout st) ->
+                ( common
+                    (Unix.gettimeofday () -. t0)
+                    (Printf.sprintf
+                       "\"failed\": true, \"timed_out\": true, \"conflicts\": \
+                        %d, \"propagations\": %d, \"binary_propagations\": \
+                        %d, \"minor_words\": %d, \"arena_collections\": %d"
+                       st.Solver.conflicts st.Solver.propagations
+                       st.Solver.binary_propagations st.Solver.minor_words
+                       st.Solver.arena_collections),
+                  true )
             | Error _ ->
                 ( common
                     (Unix.gettimeofday () -. t0)

@@ -233,6 +233,19 @@ let mapper_json ~input ~output (r : Mapper.report) =
      ]
     @ json_payload ~output r.elementary)
 
+let json_stages stages =
+  Json.arr
+    (List.map
+       (fun (s : Portfolio.stage) ->
+         Json.obj
+           [
+             ("stage", Json.str s.stage);
+             ("spent_s", Json.float s.spent);
+             ("solves", Json.int s.solves);
+             ("outcome", Json.str s.outcome);
+           ])
+       stages)
+
 let portfolio_json ~input ~output (r : Portfolio.report) =
   Json.obj
     ([
@@ -248,22 +261,23 @@ let portfolio_json ~input ~output (r : Portfolio.report) =
        ("verified", Json.opt Json.bool r.verified);
        ("runtime_s", Json.float r.runtime);
        ("solves", Json.int r.solves);
-       ( "stages",
-         Json.arr
-           (List.map
-              (fun (s : Portfolio.stage) ->
-                Json.obj
-                  [
-                    ("stage", Json.str s.stage);
-                    ("spent_s", Json.float s.spent);
-                    ("solves", Json.int s.solves);
-                    ("outcome", Json.str s.outcome);
-                  ])
-              r.stages) );
+       ("stages", json_stages r.stages);
        ("trajectory", json_trajectory r.trajectory);
        ("sat_stats", json_sat_stats r.sat_stats);
      ]
     @ json_payload ~output r.elementary)
+
+(* The --json report of a failed run: what was asked, why it failed, and
+   whatever the failure still carries (solver counters, stage list). *)
+let failure_json ~mode ~input ~strategy ~error extra =
+  Json.obj
+    ([
+       ("mode", Json.str mode);
+       ("input", Json.str input);
+       ("strategy", Json.str (Strategy.name strategy));
+       ("error", Json.str error);
+     ]
+    @ extra)
 
 (* -- live progress -------------------------------------------------------- *)
 
@@ -652,18 +666,6 @@ let map_cmd =
              the run to prove minimality; exits 1 otherwise.  See \
              doc/CERTIFICATES.md.")
   in
-  let cubes_arg =
-    Arg.(
-      value & flag
-      & info [ "cubes" ]
-          ~doc:
-            "Cube-and-conquer the exact search: split the top-level \
-             initial-layout choice of the most-used logical qubit into \
-             one cube per physical position and fan the cubes over the \
-             worker pool with shared-incumbent pruning.  With \
-             $(b,--portfolio) and $(b,-j)>1 the cube lane additionally \
-             races the incremental conflict ladder.")
-  in
   let no_symmetry_arg =
     Arg.(
       value & flag
@@ -683,13 +685,14 @@ let map_cmd =
              optimality, seed, strategy, per-stage telemetry, solver \
              counters, objective trajectory) instead of the QASM \
              stream.  The mapped circuit is embedded as a \"qasm\" \
-             field, or written to $(b,--output) when given.  All \
-             human-readable output stays on stderr, so piping into jq \
-             always works.")
+             field, or written to $(b,--output) when given.  A failed \
+             run prints one object with an \"error\" field instead \
+             (and still exits 1).  All human-readable output stays on \
+             stderr, so piping into jq always works.")
   in
   let run input device strategy subsets timeout portfolio stage_budget
       fallback inject lint sanitize solver_stats jobs trace events
-      metrics_out flight_record progress cubes no_symmetry certificate json
+      metrics_out flight_record progress no_symmetry certificate json
       output draw =
     let jobs = max 1 jobs in
     if sanitize then Solver.set_sanitize_all true;
@@ -761,7 +764,6 @@ let map_cmd =
               strategy;
               use_subsets = subsets;
               jobs;
-              cubes;
               symmetry = not no_symmetry;
               certificate = certificate <> None;
             };
@@ -801,6 +803,14 @@ let map_cmd =
           write_observability ();
           flight_dump "failure";
           Format.eprintf "mapping failed: %a@." Portfolio.pp_failure e;
+          if json then
+            print_endline
+              (failure_json ~mode:"portfolio" ~input ~strategy
+                 ~error:(Format.asprintf "%a" Portfolio.pp_failure e)
+                 (match e with
+                 | Portfolio.Exhausted stages ->
+                     [ ("stages", json_stages stages) ]
+                 | Portfolio.Too_many_logical _ -> []));
           exit 1
     end
     else begin
@@ -811,7 +821,6 @@ let map_cmd =
           use_subsets = subsets;
           timeout;
           jobs;
-          cubes;
           symmetry = not no_symmetry;
           certificate = certificate <> None;
         }
@@ -844,6 +853,19 @@ let map_cmd =
           flight_dump
             (match e with Mapper.Timeout _ -> "timeout" | _ -> "failure");
           Format.eprintf "mapping failed: %a@." Mapper.pp_failure e;
+          let stats =
+            match e with
+            | Mapper.Timeout st | Mapper.Unmappable st -> Some st
+            | Mapper.Too_many_logical _ -> None
+          in
+          if solver_stats then Option.iter print_sat_stats stats;
+          if json then
+            print_endline
+              (failure_json ~mode:"exact" ~input ~strategy
+                 ~error:(Format.asprintf "%a" Mapper.pp_failure e)
+                 (match stats with
+                 | Some st -> [ ("sat_stats", json_sat_stats st) ]
+                 | None -> []));
           exit 1
     end
   in
@@ -857,7 +879,7 @@ let map_cmd =
       $ timeout_arg $ portfolio_arg $ stage_budget_arg $ fallback_arg
       $ inject_arg $ lint_arg $ sanitize_arg $ solver_stats_arg $ jobs_arg
       $ trace_arg $ events_arg $ metrics_out_arg $ flight_record_arg
-      $ progress_arg $ cubes_arg $ no_symmetry_arg $ certificate_arg
+      $ progress_arg $ no_symmetry_arg $ certificate_arg
       $ json_arg $ output_arg $ draw_arg)
 
 let heuristic_cmd =

@@ -293,12 +293,6 @@ let objective b = b.objective
 let num_segments b = b.num_segments
 let symmetry b = b.symmetry
 
-let layout_lit b i j =
-  let block = b.x.(0) in
-  if i < 0 || i >= Array.length block || j < 0 || j >= Array.length block.(0)
-  then invalid_arg "Encoding.layout_lit";
-  block.(i).(j)
-
 let segment_of_gate b k =
   if k < 0 || k >= Array.length b.seg_of_gate then
     invalid_arg "Encoding.segment_of_gate";

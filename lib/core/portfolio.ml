@@ -174,7 +174,6 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
       List.iter
         (fun (t, c) -> raw_traj := (t0 +. t, c) :: !raw_traj)
         r.trajectory;
-      (* under the lock: the cube lane and the ladder lane both publish *)
       (match !best_exact with
       | Some prev when prev.f_cost <= r.f_cost -> ()
       | _ -> best_exact := Some r);
@@ -201,15 +200,13 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
     let deadline_hit = ref false in
     let exact_cancel = Cancel.create () in
     let heur_cancel = Cancel.create () in
-    let cube_cancel = Cancel.create () in
     (* The caller's supervisor token (a daemon watchdog, a batch driver)
        reaches every lane: cancelling it stops racing solves promptly
        through the lane tokens the solvers poll. *)
     (match cancel with
     | Some sup ->
         Cancel.attach ~parent:sup exact_cancel;
-        Cancel.attach ~parent:sup heur_cancel;
-        Cancel.attach ~parent:sup cube_cancel
+        Cancel.attach ~parent:sup heur_cancel
     | None -> ());
     let cancel_lane ~lane ~cause token =
       if not (Cancel.cancelled token) then begin
@@ -236,7 +233,7 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
     (* One exact stage: [strategy] is either the requested strategy (a
        ladder rung) or one of its relaxations (the probe), so the best
        incumbent's objective value is always a sound upper bound. *)
-    let run_exact ?pool ?cancel ?session ?cubes ~stage ~strategy
+    let run_exact ?pool ?cancel ?session ~stage ~strategy
         ~conflict_limit () =
       let t0 = Unix.gettimeofday () in
       Trace.with_span ~name:"portfolio.stage"
@@ -275,7 +272,6 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
               conflict_limit;
               timeout = left;
               upper_bound;
-              cubes = Option.value ~default:options.exact.cubes cubes;
             }
           in
           let seeded = upper_bound <> options.exact.upper_bound in
@@ -327,7 +323,7 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
        runs a different strategy and stays outside the session.
        [cancel] is the lane's own token — a raced lane that lost stops
        between rungs (and, through [Solver.set_stop], mid-solve). *)
-    let exact_lane ?pool ?cancel ~cubes () =
+    let exact_lane ?pool ?cancel () =
       Trace.with_span ~name:"portfolio.exact_lane" @@ fun () ->
       let lane_cancelled () =
         match cancel with Some c -> Cancel.cancelled c | None -> false
@@ -345,7 +341,7 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
              in
              if lane_cancelled () then lost_race := true
              else
-               run_exact ?pool ?cancel ~cubes:false
+               run_exact ?pool ?cancel
                  ~stage:("probe:" ^ Strategy.name relax)
                  ~strategy:relax ~conflict_limit:limit ());
       (* Stage 2: conflict-limit ladder on the requested strategy, one
@@ -356,7 +352,7 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
           if not !proved_optimal then
             if lane_cancelled () then lost_race := true
             else
-              run_exact ?pool ?cancel ~session:ladder_session ~cubes
+              run_exact ?pool ?cancel ~session:ladder_session
                 ~stage:
                   (Printf.sprintf "exact:%s"
                      (if limit < 0 then "unlimited" else string_of_int limit))
@@ -366,22 +362,8 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
         record ~stage:"exact" ~t0:(Unix.gettimeofday ()) ~stage_solves:0
           "cancelled"
     in
-    (* The cube lane (racing mode only): one unlimited cube-and-conquer
-       run on the requested strategy, racing the ladder for the
-       optimality proof while publishing into the same shared
-       incumbent. *)
-    let cube_lane ?pool ?cancel () =
-      Trace.with_span ~name:"portfolio.cube_lane" @@ fun () ->
-      if match cancel with Some c -> Cancel.cancelled c | None -> false then
-        record ~stage:"cubes" ~t0:(Unix.gettimeofday ()) ~stage_solves:0
-          "skipped: cancelled"
-      else
-        run_exact ?pool ?cancel ~cubes:true ~stage:"cubes"
-          ~strategy:options.exact.strategy ~conflict_limit:(-1) ()
-    in
-    (* Assemble (and gate) the exact side's best result — after every
-       exact lane has finished, so a late cube-lane incumbent is not
-       lost. *)
+    (* Assemble (and gate) the exact side's best result once the exact
+       lane has finished. *)
     let assemble_exact () =
       let exact_candidate =
         Option.map
@@ -493,10 +475,8 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
     let exact_candidate, heuristic_candidate =
       if jobs <= 1 then begin
         (* Sequential portfolio: exact stages first, heuristics only when
-           optimality is still open — exactly the pre-racing pipeline.
-           Cube-and-conquer, when requested, runs inside the ladder
-           rungs themselves. *)
-        exact_lane ~cancel:exact_cancel ~cubes:options.exact.cubes ();
+           optimality is still open — exactly the pre-racing pipeline. *)
+        exact_lane ~cancel:exact_cancel ();
         let e = assemble_exact () in
         let h =
           if !proved_optimal && e <> None then None
@@ -509,37 +489,16 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
            passes the pool down so the candidate fan-out and the lanes
            draw from the same workers; futures are joined in lane order,
            so the combination below is deterministic given each lane's
-           own result.  With cubes requested, a third lane races the
-           ladder for the proof: ladder and cube lane publish into the
-           same shared incumbent, and whichever proves optimality first
-           cancels the others. *)
-        let cube_race = options.exact.cubes in
+           own result. *)
         Pool.with_pool jobs (fun pool ->
             let e_fut =
               Pool.submit pool (fun () ->
-                  exact_lane ~pool ~cancel:exact_cancel ~cubes:false ();
-                  (* A proven optimum is final: the other lanes can only
-                     lose the comparison, so stop paying for them. *)
-                  if !proved_optimal && !best_exact <> None then begin
+                  exact_lane ~pool ~cancel:exact_cancel ();
+                  (* A proven optimum is final: the heuristic lane can
+                     only lose the comparison, so stop paying for it. *)
+                  if !proved_optimal && !best_exact <> None then
                     cancel_lane ~lane:"heuristic" ~cause:"exact proved optimal"
-                      heur_cancel;
-                    if cube_race then
-                      cancel_lane ~lane:"cubes" ~cause:"exact proved optimal"
-                        cube_cancel
-                  end)
-            in
-            let c_fut =
-              if cube_race then
-                Some
-                  (Pool.submit pool (fun () ->
-                       cube_lane ~pool ~cancel:cube_cancel ();
-                       if !proved_optimal && !best_exact <> None then begin
-                         cancel_lane ~lane:"heuristic"
-                           ~cause:"cubes proved optimal" heur_cancel;
-                         cancel_lane ~lane:"exact"
-                           ~cause:"cubes proved optimal" exact_cancel
-                       end))
-              else None
+                      heur_cancel)
             in
             let h_fut =
               Pool.submit pool (fun () ->
@@ -549,19 +508,13 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
                          latency mode (a wall-clock budget is set); an
                          unbudgeted run still wants the exact proof. *)
                       if options.budget <> None || options.exact_budget <> None
-                      then begin
+                      then
                         cancel_lane ~lane:"exact"
                           ~cause:"heuristic certified first (latency mode)"
-                          exact_cancel;
-                        if cube_race then
-                          cancel_lane ~lane:"cubes"
-                            ~cause:"heuristic certified first (latency mode)"
-                            cube_cancel
-                      end)
+                          exact_cancel)
                     ())
             in
             Pool.await e_fut;
-            Option.iter Pool.await c_fut;
             let h = Pool.await h_fut in
             (assemble_exact (), h))
     in

@@ -164,13 +164,6 @@ let or_ t = function
       equiv_or t y ls;
       y
 
-type group = Solver.scope
-
-let new_group t = Solver.new_scope t.solver
-let within_group t g f = Solver.with_scope t.solver g f
-let retire_group t g = Solver.retire_scope t.solver g
-let group_lit g = Solver.scope_lit g
-
 let xor_ t a b =
   let y = fresh t in
   add3 t (Lit.negate y) a b;

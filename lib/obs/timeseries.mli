@@ -6,7 +6,7 @@
     decision and propagation totals, trail depth, learnt-clause tiers,
     running mean LBD and arena words.  The optimisation layers above the
     solver annotate the stream with ambient context — the active
-    portfolio stage, mapper candidate, cube and minimisation rung, plus
+    portfolio stage, mapper candidate and minimisation rung, plus
     the objective bound currently being attempted — so a sample is
     attributable without joining against spans.
 
@@ -28,7 +28,7 @@
 (** One telemetry sample.  [ts_us] is on the {!Trace.now_us} timebase;
     [bound] is the objective bound being attempted ([-1] when none);
     [label] is the ambient context ([""] when none), e.g.
-    ["stage=ladder cand=0 rung=61 cube=3"]. *)
+    ["stage=ladder cand=0 rung=61"]. *)
 type sample = {
   ts_us : float;
   tid : int;

@@ -17,7 +17,6 @@ type outcome = {
   trajectory : (float * int) list;
   proof : Qxm_sat.Proof.t option;
   bounds : int list;
-  core : Qxm_sat.Lit.t list;
 }
 
 (* Persistent minimization state over one long-lived solver: the PB
@@ -25,10 +24,7 @@ type outcome = {
    bound (a watermark — bounds are only re-enforced when strictly
    tighter, so the cumulative [s_bounds] list reproduces the solver's
    exact input stream), the binary-search floor, and whether the descent
-   already concluded.  Conclusions ([s_finished], [s_lo]) are recorded
-   only from solves without open clause scopes: a scoped UNSAT is
-   conditional on the scope's clauses (e.g. a cube pin) and proves
-   nothing about the unconditional formula. *)
+   already concluded. *)
 type session = {
   mutable s_pb : Pb.t option;
   mutable s_best : (int * bool array) option;
@@ -67,10 +63,6 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
     ~objective () =
   let solver = Cnf.solver cnf in
   let sn = match session with Some sn -> sn | None -> new_session () in
-  (* Scoped solves (open activation-literal scopes, e.g. a cube pin) are
-     conditional: their UNSAT answers exhaust the scope, not the formula,
-     and their traces never end in the empty clause. *)
-  let scoped = Solver.open_scopes solver > 0 in
   match sn.s_finished with
   | Some `Unsat ->
       {
@@ -82,7 +74,6 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
         trajectory = [];
         proof = sn.s_proof;
         bounds = List.rev sn.s_bounds;
-        core = [];
       }
   | Some `Optimal ->
       let c, m = Option.get sn.s_best in
@@ -95,7 +86,6 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
         trajectory = [];
         proof = sn.s_proof;
         bounds = List.rev sn.s_bounds;
-        core = [];
       }
   | None -> (
       let rev_trajectory = ref [] in
@@ -203,12 +193,9 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
       in
       match initial with
       | Solver.Unsat ->
-          let core = Solver.unsat_core solver in
-          let proof = if scoped then None else Solver.proof solver in
-          if not scoped then begin
-            sn.s_finished <- Some `Unsat;
-            sn.s_proof <- proof
-          end;
+          let proof = Solver.proof solver in
+          sn.s_finished <- Some `Unsat;
+          sn.s_proof <- proof;
           {
             cost = None;
             model = None;
@@ -218,7 +205,6 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
             trajectory = [];
             proof;
             bounds = List.rev sn.s_bounds;
-            core;
           }
       | Solver.Unknown ->
           {
@@ -230,7 +216,6 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
             trajectory = [];
             proof = None;
             bounds = List.rev sn.s_bounds;
-            core = [];
           }
       | Solver.Sat ->
           let b0, m0 = Option.get sn.s_best in
@@ -238,7 +223,6 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
           let best_model = ref m0 in
           let optimal = ref false in
           let proof = ref None in
-          let core = ref [] in
           let record_sat () =
             best_model := Solver.model solver;
             best := cost_of_model objective !best_model;
@@ -263,15 +247,14 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
                       end
                   | Solver.Unsat ->
                       optimal := true;
-                      core := Solver.unsat_core solver;
-                      if not scoped then proof := Solver.proof solver;
+                      proof := Solver.proof solver;
                       stop := true
                   | Solver.Unknown -> stop := true
                 done
             | Binary_search ->
                 (* Invariant: a model of cost [hi] is known; no model of
-                   cost < [lo] exists (under the open scopes, if any). *)
-                let lo = ref (if scoped then 0 else min sn.s_lo !best)
+                   cost < [lo] exists. *)
+                let lo = ref (min sn.s_lo !best)
                 and hi = ref !best in
                 let stop = ref false in
                 while (not !stop) && !lo < !hi do
@@ -290,12 +273,10 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
                     | Solver.Sat ->
                         record_sat ();
                         hi := !best
-                    | Solver.Unsat ->
-                        core := Solver.unsat_core solver;
-                        lo := bound + 1
+                    | Solver.Unsat -> lo := bound + 1
                     | Solver.Unknown -> stop := true
                   end;
-                  if not scoped then sn.s_lo <- !lo
+                  sn.s_lo <- !lo
                 done;
                 if !lo >= !hi then begin
                   optimal := true;
@@ -306,10 +287,7 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
                      permanent bound enters [bounds] (so the auditor can
                      replay the input stream) and the UNSAT answer ends the
                      trace with the empty clause. *)
-                  if
-                    !best > 0 && (not scoped)
-                    && Solver.proof solver <> None
-                  then begin
+                  if !best > 0 && Solver.proof solver <> None then begin
                     let bound = Pb.tighten pb (!best - 1) in
                     enforce pb bound;
                     match solve ~bound () with
@@ -327,7 +305,7 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
                   end
                 end
           end;
-          if !optimal && not scoped then begin
+          if !optimal then begin
             sn.s_finished <- Some `Optimal;
             sn.s_proof <- !proof
           end;
@@ -340,5 +318,4 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
             trajectory = List.rev !rev_trajectory;
             proof = !proof;
             bounds = List.rev sn.s_bounds;
-            core = !core;
           })

@@ -14,7 +14,7 @@
     inside the window) with counter-sample gap attribution: each
     interval between consecutive ["solver.sample"] events on a worker
     is charged to the labels the closing sample carries ([stage=],
-    [cand=], [rung=], [cube=]), so a dump whose enclosing spans never
+    [cand=], [rung=]), so a dump whose enclosing spans never
     closed — the normal shape for a timeout — still yields a full
     breakdown.  See doc/OBSERVABILITY.md. *)
 
@@ -60,7 +60,7 @@ val span_quantile : span_stat -> float -> float option
     buckets (same interpolation as {!Qxm_obs.Metrics.quantile}). *)
 
 type dim = { d_name : string; d_slices : (string * float) list }
-(** One attribution dimension (phase, stage, cand, rung, cube); slices
+(** One attribution dimension (phase, stage, cand, rung); slices
     are [(value, microseconds)] sorted by descending time. *)
 
 type trajectory = {

@@ -47,7 +47,6 @@ type stats = {
   minor_words : int;
   arena_collections : int;
   arena_relocations : int;
-  scopes_retired : int;
 }
 
 let zero_stats =
@@ -70,7 +69,6 @@ let zero_stats =
     minor_words = 0;
     arena_collections = 0;
     arena_relocations = 0;
-    scopes_retired = 0;
   }
 
 let add_stats a b =
@@ -93,7 +91,6 @@ let add_stats a b =
     minor_words = a.minor_words + b.minor_words;
     arena_collections = a.arena_collections + b.arena_collections;
     arena_relocations = a.arena_relocations + b.arena_relocations;
-    scopes_retired = a.scopes_retired + b.scopes_retired;
   }
 
 let sub_stats a b =
@@ -116,7 +113,6 @@ let sub_stats a b =
     minor_words = a.minor_words - b.minor_words;
     arena_collections = a.arena_collections - b.arena_collections;
     arena_relocations = a.arena_relocations - b.arena_relocations;
-    scopes_retired = a.scopes_retired - b.scopes_retired;
   }
 
 (* Canonical (name, value) enumeration of the counters — the bridge
@@ -144,7 +140,6 @@ let stats_counters st =
     ("minor_words", st.minor_words);
     ("arena_collections", st.arena_collections);
     ("arena_relocations", st.arena_relocations);
-    ("scopes_retired", st.scopes_retired);
   ]
 
 type progress = {
@@ -194,15 +189,6 @@ type t = {
   mutable minor_words : int; (* minor-heap words allocated inside solve *)
   mutable arena_collections : int;
   mutable arena_relocations : int;
-  mutable scopes_retired : int;
-  (* Activation-literal clause scopes: [cur_scope] (-1 = none) is the
-     activation variable appended (negated) to every clause added while
-     the scope is current; [open_scope_vars] are the activation variables
-     [solve] must assume true; [retired_scope_vars] were killed by a
-     level-0 negative unit (their clauses are level-0 satisfied garbage). *)
-  mutable cur_scope : int;
-  mutable open_scope_vars : int list;
-  mutable retired_scope_vars : int list;
   mutable glue_hist : int array; (* buckets: 1, 2, 3-4, 5-8, >8 *)
   mutable lbd_sum : int; (* sum of learnt-clause LBDs, for the mean *)
   mutable num_core : int; (* learnt clauses exempt from deletion *)
@@ -325,10 +311,6 @@ let create ?(capacity = 0) () =
       minor_words = 0;
       arena_collections = 0;
       arena_relocations = 0;
-      scopes_retired = 0;
-      cur_scope = -1;
-      open_scope_vars = [];
-      retired_scope_vars = [];
       glue_hist = Array.make 5 0;
       lbd_sum = 0;
       num_core = 0;
@@ -412,7 +394,6 @@ let current_stats s =
     minor_words = s.minor_words;
     arena_collections = s.arena_collections;
     arena_relocations = s.arena_relocations;
-    scopes_retired = s.scopes_retired;
   }
 
 (* One registry counter per stat field, registered at start-up. *)
@@ -808,11 +789,6 @@ let propagate s =
 let add_clause_buf s v =
   if s.ok then begin
     assert (decision_level s = 0);
-    (* A current clause scope tags the clause with the negated activation
-       literal before anything else sees it: the stored clause, the DRUP
-       input log and the normalization below all agree that the clause IS
-       C ∨ ¬a. *)
-    if s.cur_scope >= 0 then Vec.Int.push v (Lit.neg_of s.cur_scope);
     if s.logging then s.proof_inputs <- Vec.Int.to_array v :: s.proof_inputs;
     let n = Vec.Int.size v in
     for i = 0 to n - 1 do
@@ -1056,9 +1032,7 @@ let analyze s confl =
 (* Which assumptions force the conflict when assumption [p] is already
    false: walk the implication graph rooted at p down to decisions.  The
    walk collects falsified literals; the stored core re-negates them so
-   [unsat_core] hands back the conflicting assumptions themselves (the
-   documented contract — cube-and-conquer compares them against
-   [scope_lit] to detect pin-free refutations). *)
+   [unsat_core] hands back the conflicting assumptions themselves. *)
 let analyze_final s p =
   let out = ref [ p ] in
   if decision_level s > 0 then begin
@@ -1164,46 +1138,6 @@ let remove_satisfied s db =
     end
   done;
   Vec.Int.shrink db !j
-
-(* -- activation-literal clause scopes ------------------------------------- *)
-
-type scope = int (* the activation variable *)
-
-let scope_lit sc = Lit.pos sc
-let open_scopes s = List.length s.open_scope_vars
-
-let new_scope s =
-  let v = new_var s in
-  s.open_scope_vars <- v :: s.open_scope_vars;
-  (* the activation literal is assumed true on every solve; a saved
-     negative phase would only fight the assumption *)
-  Bytes.unsafe_set s.polarity v '\001';
-  v
-
-let with_scope s sc f =
-  if not (List.mem sc s.open_scope_vars) then
-    invalid_arg "Solver.with_scope: not an open scope";
-  let prev = s.cur_scope in
-  s.cur_scope <- sc;
-  Fun.protect ~finally:(fun () -> s.cur_scope <- prev) f
-
-let retire_scope s sc =
-  if not (List.mem sc s.open_scope_vars) then
-    invalid_arg "Solver.retire_scope: not an open scope";
-  s.open_scope_vars <- List.filter (fun v -> v <> sc) s.open_scope_vars;
-  s.retired_scope_vars <- sc :: s.retired_scope_vars;
-  if s.cur_scope = sc then s.cur_scope <- -1;
-  s.scopes_retired <- s.scopes_retired + 1;
-  (* the level-0 unit ¬a satisfies every clause of the scope; sweep them
-     out of both databases (deletions of level-0-satisfied clauses are
-     never DRUP-logged, so a recorded trace stays replayable) and let the
-     arena reclaim the words *)
-  add_clause s [ Lit.neg_of sc ];
-  if s.ok && decision_level s = 0 then begin
-    remove_satisfied s s.clauses;
-    remove_satisfied s s.learnts;
-    maybe_gc s
-  end
 
 (* -- inprocessing --------------------------------------------------------- *)
 
@@ -1615,34 +1549,6 @@ let check_invariants s =
         issue "heap" "unassigned variable %d missing from the branching heap"
           v
     done;
-  (* activation-literal scope bookkeeping *)
-  List.iter
-    (fun v ->
-      if v < 0 || v >= s.nvars then
-        issue "scope" "open scope on unallocated variable %d" v;
-      if List.mem v s.retired_scope_vars then
-        issue "scope" "scope variable %d is both open and retired" v)
-    s.open_scope_vars;
-  let rec dup = function
-    | [] -> None
-    | v :: rest -> if List.mem v rest then Some v else dup rest
-  in
-  (match dup s.open_scope_vars with
-  | Some v -> issue "scope" "scope variable %d opened twice" v
-  | None -> ());
-  if s.ok then
-    List.iter
-      (fun v ->
-        if v < 0 || v >= s.nvars then
-          issue "scope" "retired scope on unallocated variable %d" v
-        else if not (var_value s v = -1 && s.level.(v) = 0) then
-          issue "scope"
-            "retired scope variable %d is not false at level 0 (its \
-             clauses may still fire)"
-            v)
-      s.retired_scope_vars;
-  if s.cur_scope >= 0 && not (List.mem s.cur_scope s.open_scope_vars) then
-    issue "scope" "current clause scope %d is not an open scope" s.cur_scope;
   List.rev !issues
 
 let sanitize_check s =
@@ -1848,13 +1754,6 @@ let solve_raw ?(assumptions = []) ?(conflict_limit = -1) ?(deadline = 0.0) s =
         s.last_clock_poll <- s.conflicts - 64;
         (* same rewind for the progress hook: fire once early in this call *)
         s.last_progress <- s.conflicts - 64;
-        (* open clause scopes are assumed active on every solve, oldest
-           first, ahead of the caller's own assumptions *)
-        let assumptions =
-          match s.open_scope_vars with
-          | [] -> assumptions
-          | vars -> List.rev_map Lit.pos vars @ assumptions
-        in
         s.assumptions <- Array.of_list assumptions;
         Array.iter
           (fun l ->
@@ -1985,13 +1884,6 @@ module Testing = struct
     else false
 
   let corrupt_arena s = Arena.corrupt_flags s.arena
-
-  let corrupt_scope s =
-    (* fabricate a retirement record without the level-0 killing unit:
-       the "scope" audit must notice the variable is not false *)
-    let v = new_var s in
-    s.retired_scope_vars <- v :: s.retired_scope_vars;
-    true
 
   let inprocess s =
     cancel_until s 0;

@@ -44,7 +44,6 @@ let stats_gen =
   let* minor_words = f in
   let* arena_collections = f in
   let* arena_relocations = f in
-  let* scopes_retired = f in
   return
     {
       Solver.conflicts;
@@ -65,7 +64,6 @@ let stats_gen =
       minor_words;
       arena_collections;
       arena_relocations;
-      scopes_retired;
     }
 
 let stats_eq a b = Solver.stats_counters a = Solver.stats_counters b
@@ -91,8 +89,8 @@ let add_stats_unit =
 let test_stats_counters_shape () =
   let counters = Solver.stats_counters Solver.zero_stats in
   let names = List.map fst counters in
-  Alcotest.(check int) "19 counter fields" 19 (List.length names);
-  Alcotest.(check int) "field names are unique" 19
+  Alcotest.(check int) "18 counter fields" 18 (List.length names);
+  Alcotest.(check int) "field names are unique" 18
     (List.length (List.sort_uniq compare names));
   List.iter
     (fun (name, v) -> Alcotest.(check int) (name ^ " is zero") 0 v)
@@ -163,7 +161,7 @@ let library_handles =
   @ [
       "solver.arena_words"; "minimize.step_conflicts";
       "mapper.candidates_pruned"; "mapper.ladder_reuse_hits";
-      "mapper.cubes_pruned"; "portfolio.lane_cancellations";
+      "portfolio.lane_cancellations";
       "portfolio.ladder_conflict_budget"; "par.incumbent_updates";
       "par.pool_queue_depth"; "par.pool_tasks"; "obs.flight_dumps";
       "obs.flight_dump_errors"; "svc.sheds"; "svc.queue_depth";

@@ -374,109 +374,6 @@ let sanitized_solver_agrees_with_brute_force =
           | Solver.Unsat -> not expected
           | Solver.Unknown -> false))
 
-(* -- activation-literal clause scopes --------------------------------- *)
-
-let test_scope_basic () =
-  let s = solver_with 2 in
-  Solver.add_clause s [ Lit.pos 0 ];
-  Alcotest.(check int) "no scopes yet" 0 (Solver.open_scopes s);
-  let sc = Solver.new_scope s in
-  Alcotest.(check int) "one open scope" 1 (Solver.open_scopes s);
-  Solver.with_scope s sc (fun () -> Solver.add_clause s [ Lit.neg_of 0 ]);
-  (* while open, the scoped clause behaves as permanent *)
-  Alcotest.(check bool) "unsat while open" true
-    (Solver.solve s = Solver.Unsat);
-  (* the refutation needed the scope, so its activation literal is in
-     the core *)
-  Alcotest.(check bool) "core names the scope" true
-    (List.mem (Solver.scope_lit sc) (Solver.unsat_core s));
-  Solver.retire_scope s sc;
-  Alcotest.(check int) "retired" 0 (Solver.open_scopes s);
-  Alcotest.(check int) "retirement counted" 1
-    (Solver.stats s).Solver.scopes_retired;
-  (* the group is gone: only the permanent clause remains *)
-  Alcotest.(check bool) "sat after retire" true (Solver.solve s = Solver.Sat);
-  Alcotest.(check bool) "x0 forced" true (Solver.value s (Lit.pos 0));
-  Alcotest.(check (list (pair string string))) "invariants clean" []
-    (Solver.check_invariants s)
-
-let test_scope_core_excludes_unused () =
-  (* a refutation that never touches the scoped clause must not name the
-     scope in its core — this is the signal cube-and-conquer uses to
-     kill sibling cubes *)
-  let s = solver_with 3 in
-  let sc = Solver.new_scope s in
-  Solver.with_scope s sc (fun () -> Solver.add_clause s [ Lit.pos 2 ]);
-  Solver.add_clause s [ Lit.pos 0 ];
-  Solver.add_clause s [ Lit.neg_of 0 ];
-  Alcotest.(check bool) "unsat" true (Solver.solve s = Solver.Unsat);
-  Alcotest.(check bool) "scope not in core" false
-    (List.mem (Solver.scope_lit sc) (Solver.unsat_core s));
-  Solver.retire_scope s sc
-
-let test_scope_nesting () =
-  let s = solver_with 2 in
-  let outer = Solver.new_scope s in
-  let inner = Solver.new_scope s in
-  Solver.with_scope s outer (fun () ->
-      Solver.add_clause s [ Lit.pos 0 ];
-      Solver.with_scope s inner (fun () ->
-          (* innermost scope wins: this clause belongs to [inner] *)
-          Solver.add_clause s [ Lit.neg_of 0 ]));
-  Alcotest.(check bool) "both active: unsat" true
-    (Solver.solve s = Solver.Unsat);
-  Solver.retire_scope s inner;
-  Alcotest.(check bool) "outer alone: sat" true (Solver.solve s = Solver.Sat);
-  Alcotest.(check bool) "outer clause still active" true
-    (Solver.value s (Lit.pos 0));
-  Solver.retire_scope s outer;
-  Alcotest.(check int) "both retired" 2
-    (Solver.stats s).Solver.scopes_retired
-
-(* The semantic contract of scopes, randomized: solving with a scoped
-   clause group open answers exactly like a fresh solver holding
-   permanent + scoped clauses; after retiring the group it answers like
-   a fresh solver holding only the permanent ones.  Retirement must
-   also leave the invariant audit clean. *)
-let scoped_solving_agrees_with_fresh =
-  qtest ~count:200 "scoped solving agrees with fresh solvers"
-    QCheck2.Gen.(
-      pair
-        (cnf_gen ~max_vars:7 ~max_clauses:20 ~max_len:3)
-        (cnf_gen ~max_vars:7 ~max_clauses:10 ~max_len:3))
-    (fun ((nv1, permanent), (nv2, scoped)) ->
-      let nvars = max nv1 nv2 in
-      let fresh clauses =
-        let s = solver_with nvars in
-        List.iter (Solver.add_clause s) clauses;
-        Solver.solve s
-      in
-      let s = solver_with nvars in
-      List.iter (Solver.add_clause s) permanent;
-      let sc = Solver.new_scope s in
-      Solver.with_scope s sc (fun () ->
-          List.iter (Solver.add_clause s) scoped);
-      let open_ok = Solver.solve s = fresh (permanent @ scoped) in
-      Solver.retire_scope s sc;
-      let retired_ok = Solver.solve s = fresh permanent in
-      open_ok && retired_ok && Solver.check_invariants s = [])
-
-let test_scope_sanitizer_mutation () =
-  (* the "scope" invariant area must catch fabricated retirement records;
-     a sanitized solve then refuses to run *)
-  let s = solver_with 4 in
-  Solver.add_clause s [ Lit.pos 0; Lit.pos 1 ];
-  Alcotest.(check bool) "sat" true (Solver.solve s = Solver.Sat);
-  Alcotest.(check bool) "corruptible" true (Solver.Testing.corrupt_scope s);
-  let areas = List.map fst (Solver.check_invariants s) in
-  Alcotest.(check bool) "scope area flagged" true (List.mem "scope" areas);
-  Solver.set_sanitize s true;
-  Alcotest.(check bool) "sanitized solve raises" true
-    (try
-       ignore (Solver.solve s);
-       false
-     with Solver.Invariant_violation _ -> true)
-
 (* -- Dimacs ---------------------------------------------------------- *)
 
 let test_dimacs_parse () =
@@ -539,11 +436,6 @@ let suite =
     ("sanitized dimacs corpus", `Quick, test_sanitized_dimacs_corpus);
     ("sanitized pigeonhole", `Quick, test_sanitized_pigeonhole);
     sanitized_solver_agrees_with_brute_force;
-    ("scope basics", `Quick, test_scope_basic);
-    ("scope core excludes unused", `Quick, test_scope_core_excludes_unused);
-    ("scope nesting", `Quick, test_scope_nesting);
-    scoped_solving_agrees_with_fresh;
-    ("scope sanitizer mutation", `Quick, test_scope_sanitizer_mutation);
     ("dimacs parse", `Quick, test_dimacs_parse);
     ("dimacs roundtrip", `Quick, test_dimacs_roundtrip);
     ("dimacs rejects junk", `Quick, test_dimacs_bad);
