@@ -11,6 +11,7 @@ module Strategy = Qxm_exact.Strategy
 module Suite = Qxm_benchmarks.Suite
 module Circuit = Qxm_circuit.Circuit
 module Stochastic = Qxm_heuristic.Stochastic_swap
+module Validate = Qxm_svc.Validate
 
 type cell = {
   cost : int option; (* total gates of mapped circuit; None = timeout *)
@@ -97,6 +98,18 @@ let pp_cost fmt (c, cmin, optimal) =
       Format.fprintf fmt "%4d (%+d)%s" c (c - m) (if optimal then " " else "~")
   | Some c, None -> Format.fprintf fmt "%4d ( ?)%s" c (if optimal then " " else "~")
 
+(* Numeric flags go through Qxm_svc.Validate, like qxmap's and qxmapd's:
+   a zero, negative or malformed value dies with one line (exit 2)
+   before the table header is printed. *)
+let checked parse r =
+  Arg.String
+    (fun s ->
+      match parse s with
+      | Ok v -> r := v
+      | Error e ->
+          prerr_endline e;
+          exit 2)
+
 let () =
   let timeout = ref 600.0 in
   let which = ref "all" in
@@ -109,15 +122,23 @@ let () =
   let sanitize = ref false in
   let spec =
     [
-      ("--timeout", Arg.Set_float timeout, "<s> per-configuration budget");
+      ("--timeout",
+       checked (Validate.parse_pos_float ~flag:"--timeout" ~unit:"seconds")
+         timeout,
+       "<s> per-configuration budget");
       ("--benchmarks", Arg.Set_string which,
        "all|small|<name,name,...> benchmark selection");
       ("--csv", Arg.String (fun f -> csv := Some f), "<file> also write CSV");
       ("--json", Arg.String (fun f -> json := Some f),
        "<file> also write per-benchmark JSON records");
       ("--device", Arg.Set_string device, "device name (default qx4)");
-      ("--heuristic-runs", Arg.Set_int times, "<n> heuristic repetitions");
-      ("-j", Arg.Set_int jobs,
+      ("--heuristic-runs",
+       checked
+         (Validate.parse_pos_int ~flag:"--heuristic-runs" ~unit:"repetitions")
+         times,
+       "<n> heuristic repetitions");
+      ("-j",
+       checked (Validate.parse_pos_int ~flag:"-j" ~unit:"worker domains") jobs,
        "<n> worker domains for the mapping engine (1 = sequential; \
         default: recommended domain count)");
       ("--certificates", Arg.String (fun d -> certdir := Some d),
@@ -201,15 +222,15 @@ let () =
         | None, None -> None
       in
       let ctri =
-        run_exact ~arch ~timeout:!timeout ~jobs:(max 1 !jobs) ~strategy:Strategy.Qubit_triangle
+        run_exact ~arch ~timeout:!timeout ~jobs:!jobs ~strategy:Strategy.Qubit_triangle
           ~use_subsets:true circuit
       in
       let codd =
-        run_exact ~arch ~timeout:!timeout ~jobs:(max 1 !jobs) ~strategy:Strategy.Odd_gates
+        run_exact ~arch ~timeout:!timeout ~jobs:!jobs ~strategy:Strategy.Odd_gates
           ~use_subsets:true circuit
       in
       let cdis =
-        run_exact ~arch ~timeout:!timeout ~jobs:(max 1 !jobs) ~strategy:Strategy.Disjoint_qubits
+        run_exact ~arch ~timeout:!timeout ~jobs:!jobs ~strategy:Strategy.Disjoint_qubits
           ~use_subsets:true
           ?upper_bound:(if n = m then Some ibm.f_cost else None)
           circuit
@@ -221,7 +242,7 @@ let () =
         if n = m then begin
           (* the Sec. 4.1 method degenerates to the full instance *)
           let c =
-            run_exact ~arch ~timeout:!timeout ~jobs:(max 1 !jobs) ~strategy:Strategy.Minimal
+            run_exact ~arch ~timeout:!timeout ~jobs:!jobs ~strategy:Strategy.Minimal
               ~use_subsets:false
               ?upper_bound:(min_bound (Some ibm.f_cost) strategy_bound)
               ?cert:(cert_for e.name "min") circuit
@@ -230,7 +251,7 @@ let () =
         end
         else begin
           let csub =
-            run_exact ~arch ~timeout:!timeout ~jobs:(max 1 !jobs) ~strategy:Strategy.Minimal
+            run_exact ~arch ~timeout:!timeout ~jobs:!jobs ~strategy:Strategy.Minimal
               ~use_subsets:true ?upper_bound:strategy_bound
               ?cert:(cert_for e.name "sub") circuit
           in
@@ -239,7 +260,7 @@ let () =
               (min_bound (Some ibm.f_cost) strategy_bound)
           in
           let cmin =
-            run_exact ~arch ~timeout:!timeout ~jobs:(max 1 !jobs) ~strategy:Strategy.Minimal
+            run_exact ~arch ~timeout:!timeout ~jobs:!jobs ~strategy:Strategy.Minimal
               ~use_subsets:false ?upper_bound:bound
               ?cert:(cert_for e.name "min") circuit
           in
@@ -303,7 +324,7 @@ let () =
             "  {\"benchmark\": \"%s\", \"device\": \"%s\", \"n\": %d, \
              \"original_gates\": %d, \"jobs\": %d, \"ibm_style_gates\": %d, \
              %s, %s, %s, %s, %s}"
-            e.name !device n orig (max 1 !jobs) ibm.total_gates
+            e.name !device n orig !jobs ibm.total_gates
             (json_cell "minimal" cmin)
             (json_cell "subset" csub)
             (json_cell "disjoint" cdis)

@@ -642,8 +642,11 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
     let trivial_work =
       ncand <= 1 || Array.length cnots * n * n <= 256
     in
+    (* A sequential race runs the same inline scan at every [jobs] value
+       (and every pool), so its winning model is already canonical. *)
+    let sequential = fault_armed || trivial_work in
     let width =
-      if fault_armed || trivial_work then 1
+      if sequential then 1
       else
         match pool with Some p -> Pool.size p | None -> max 1 options.jobs
     in
@@ -697,16 +700,18 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
           | C_kept s, (sub_arch, back) -> (s, sub_arch, back)
           | _ -> assert false
         in
-        (* Canonical model: with several candidates, the race model depends
-           on which pruning bounds were in force when the winner solved, so
-           re-derive it on a fresh solver with the winning cost as the only
-           bound.  That makes the returned model a function of the winner
-           alone — identical for every [jobs] value.  Budget-bound runs
-           fall back to the race model rather than lose it — and when the
-           deadline has already expired (or the caller cancelled), the
-           re-solve is skipped outright: a fresh encode + solve would burn
-           past the budget only to be cut mid-descent, and its partial
-           result must not overwrite the race's certified status. *)
+        (* Canonical model: when the race can fan out, the race model
+           depends on which pruning bounds were in force when the winner
+           solved, so re-derive it on a fresh solver with the winning cost
+           as the only bound.  That makes the returned model a function of
+           the winner alone — identical for every [jobs] value.  A
+           sequential race replays the same bounds at every [jobs], so it
+           keeps its race model.  Budget-bound runs fall back to the race
+           model rather than lose it — and when the deadline has already
+           expired (or the caller cancelled), the re-solve is skipped
+           outright: a fresh encode + solve would burn past the budget
+           only to be cut mid-descent, and its partial result must not
+           overwrite the race's certified status. *)
         let expired =
           (match deadline with
           | Some d -> Unix.gettimeofday () > d
@@ -714,7 +719,7 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
           || match cancel with Some c -> Cancel.cancelled c | None -> false
         in
         let s =
-          if ncand <= 1 || expired then s
+          if sequential || expired then s
           else
             match
               Trace.with_span ~name:"mapper.canonical_resolve" (fun () ->

@@ -48,12 +48,14 @@ type options = {
           sequential path; higher values race them on a
           [Qxm_par.Pool].  Whatever the interleaving, the report is
           deterministic: the shared incumbent breaks cost ties by
-          candidate index and the winner's model is re-derived
-          canonically (see [doc/PARALLEL.md]).  Ignored when a [?pool]
-          is supplied; clamped to 1 while a {!Qxm_sat.Fault} schedule
-          is armed, and when the instance is trivially small (a single
-          candidate, or an encoding cheap enough that domain spin-up
-          would dominate the solve). *)
+          candidate index and, when the race can fan out, the winner's
+          model is re-derived canonically (see [doc/PARALLEL.md]).
+          Ignored when a [?pool] is supplied; clamped to 1 while a
+          {!Qxm_sat.Fault} schedule is armed, and when the instance is
+          trivially small (a single candidate, or an encoding cheap
+          enough that domain spin-up would dominate the solve).  Such a
+          race is the same inline scan at every [jobs] value, so it
+          keeps its own winning model and skips the re-solve. *)
   incumbent_pruning : bool;
       (** Cap each candidate's search with the best cost published so
           far (on by default).  A capped UNSAT means "cannot beat the
@@ -189,9 +191,10 @@ type report = {
   sat_stats : Qxm_sat.Solver.stats;
       (** Field-wise sum of the solver statistics of every SAT search
           this call ran (all candidates, including pruned and dropped
-          ones, plus the canonical re-solve).  Exposes the clause-tier,
-          minimization, and inprocessing counters for `--stats` output
-          and the benchmark JSON; see [doc/PERFORMANCE.md]. *)
+          ones, plus the canonical re-solve when the race could fan
+          out).  Exposes the clause-tier, minimization, and inprocessing
+          counters for `--stats` output and the benchmark JSON; see
+          [doc/PERFORMANCE.md]. *)
   seed : int;
       (** The RNG seed in force for this run ([options.seed]; [0] means
           the solver's built-in default). *)

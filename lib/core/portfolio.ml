@@ -287,8 +287,9 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
               else if
                 (* A deadline-bearing unlimited rung can only come back
                    unproven because the clock cut it (possibly inside the
-                   canonical winner re-solve, which reserves a slice of
-                   the budget and stops slightly early). *)
+                   canonical winner re-solve of a race that could fan
+                   out, which reserves a slice of the budget and stops
+                   slightly early). *)
                 not r.optimal
                 && ((conflict_limit < 0 && exact_deadline <> None)
                    || deadline_spent ())

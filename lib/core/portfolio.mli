@@ -139,11 +139,11 @@ type report = {
       (** Provenance qualifiers. ["deadline_expired"]: the exact
           deadline cut the pipeline (a rung was skipped for spent
           budget, or came back unproven when the clock — possibly
-          during the canonical winner re-solve — ran out), so the
-          returned answer is the certified incumbent rather than a
-          finished proof.  ["cancelled"]: the caller's supervisor token
-          was cancelled during the run.  Empty for a run that finished
-          inside its budgets. *)
+          during the canonical winner re-solve of a race that could
+          fan out — ran out), so the returned answer is the certified
+          incumbent rather than a finished proof.  ["cancelled"]: the
+          caller's supervisor token was cancelled during the run.  Empty
+          for a run that finished inside its budgets. *)
   witness : Mapper.witness option;
       (** Raw optimality evidence from the winning exact stage, present
           iff the chosen answer came from the exact lane and

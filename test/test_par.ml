@@ -213,9 +213,10 @@ let test_cancelled_mapper () =
 
 (* -- parallel = sequential ------------------------------------------------ *)
 
-let check_jobs_equivalent ~arch circuit =
+let check_jobs_equivalent ?(strategy = Mapper.default.strategy)
+    ?(fans_out = false) ~arch circuit =
   let run jobs =
-    let options = { Mapper.default with jobs } in
+    let options = { Mapper.default with jobs; strategy } in
     match Mapper.run ~options ~arch circuit with
     | Ok r -> r
     | Error e -> Alcotest.failf "jobs=%d failed: %a" jobs Mapper.pp_failure e
@@ -235,8 +236,15 @@ let check_jobs_equivalent ~arch circuit =
       Alcotest.(check bool) "identical mapped gate list" true
         (Circuit.gates r1.mapped = Circuit.gates rj.mapped);
       Alcotest.(check bool) "worker count reported" true
-        (rj.workers >= 1 && rj.workers <= jobs))
+        (rj.workers >= 1 && rj.workers <= jobs);
+      if fans_out then
+        Alcotest.(check bool) "the race ran in parallel" true (rj.workers > 1))
     [ 2; 4 ]
+
+(* Above the inline threshold (cnots * n^2 = 272 > 256) with 4
+   candidate subsets on QX4: jobs 2 and 4 really fan out. *)
+let fan_out_circuit =
+  Generator.random_circuit ~seed:4 ~qubits:4 ~cnots:17 ~singles:2
 
 let test_jobs_equivalent_fig1a () =
   check_jobs_equivalent ~arch:Devices.qx4 Examples.fig1a
@@ -247,6 +255,10 @@ let test_jobs_equivalent_suite () =
 
 let test_jobs_equivalent_line5 () =
   check_jobs_equivalent ~arch:(Devices.line 5) Examples.fig1a
+
+let test_jobs_equivalent_fan_out () =
+  check_jobs_equivalent ~strategy:Strategy.Qubit_triangle ~fans_out:true
+    ~arch:Devices.qx4 fan_out_circuit
 
 (* Tracing must not perturb the parallel = sequential guarantee: the
    tracer's only shared state is per-domain append buffers, so enabling
@@ -263,6 +275,46 @@ let test_jobs_equivalent_traced () =
       check_jobs_equivalent ~arch:Devices.qx4 Examples.fig1a;
       Alcotest.(check bool) "the traced runs recorded events" true
         (Trace.events () <> []))
+
+(* The canonical re-solve runs only when the race can fan out.  A race
+   below the threshold is the same inline scan at every [jobs], so it
+   keeps its race model and its counters do not depend on [jobs]. *)
+let test_canonical_resolve_gated () =
+  let module Trace = Qxm_obs.Trace in
+  let resolves () =
+    List.length
+      (List.filter
+         (fun (e : Trace.event) ->
+           e.ph = `B && e.name = "mapper.canonical_resolve")
+         (Trace.events ()))
+  in
+  let run ?(strategy = Mapper.default.strategy) ~jobs circuit =
+    Trace.reset ();
+    let options = { Mapper.default with jobs; strategy } in
+    match Mapper.run ~options ~arch:Devices.qx4 circuit with
+    | Ok r -> (r, resolves ())
+    | Error e -> Alcotest.failf "jobs=%d failed: %a" jobs Mapper.pp_failure e
+  in
+  Trace.reset ();
+  Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ())
+    (fun () ->
+      let e = Option.get (Suite.by_name "3_17_13") in
+      let r1, n1 = run ~jobs:1 e.circuit in
+      let r4, n4 = run ~jobs:4 e.circuit in
+      Alcotest.(check int) "several candidates" 6 r1.subsets_tried;
+      Alcotest.(check int) "no re-solve at jobs=1" 0 n1;
+      Alcotest.(check int) "no re-solve at jobs=4" 0 n4;
+      Alcotest.(check int) "solves independent of jobs" r1.solves r4.solves;
+      Alcotest.(check int) "conflicts independent of jobs"
+        r1.sat_stats.conflicts r4.sat_stats.conflicts;
+      let _, nf =
+        run ~strategy:Strategy.Qubit_triangle ~jobs:1 fan_out_circuit
+      in
+      Alcotest.(check int) "a race that can fan out re-solves once" 1 nf)
 
 (* Property: incumbent pruning never changes the optimum — pruning off
    (sequential reference) and pruning on (any worker count) agree on
@@ -344,6 +396,10 @@ let suite =
       test_jobs_equivalent_line5;
     Alcotest.test_case "mapper: jobs equivalence with tracing on" `Quick
       test_jobs_equivalent_traced;
+    Alcotest.test_case "mapper: jobs equivalence (parallel race)" `Quick
+      test_jobs_equivalent_fan_out;
+    Alcotest.test_case "mapper: re-solve only when the race fans out" `Quick
+      test_canonical_resolve_gated;
     pruning_preserves_optimum;
     Alcotest.test_case "portfolio: race matches sequential" `Quick
       test_portfolio_race_matches_sequential;
