@@ -181,9 +181,16 @@ let run ?(max_steps = Proof.default_max_steps) ?(equiv_max_qubits = 10)
          (Encoding.var_count built);
      (* Replay the recorded bound ladder to reproduce the exact clause
         stream the producing solver saw. *)
+     (match cert.pb_cap with
+     | Some cap when List.exists (fun b -> b > cap) cert.bounds ->
+         error ~abort:true "QA-E002"
+           "pb_cap %d is below an enforced bound: the circuit cannot \
+            express it"
+           cap
+     | _ -> ());
      let pb =
        if cert.bounds <> [] || cert.claimed_cost > 0 then
-         Some (Pb.build cnf objective)
+         Some (Pb.build ?cap:cert.pb_cap cnf objective)
        else None
      in
      (match pb with

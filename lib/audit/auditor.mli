@@ -13,7 +13,8 @@
 
     - [QA-E001] — a bundled QASM program does not parse;
     - [QA-E002] — the instance is invalid (device, subset, strategy,
-      AMO scheme, cost model, or placement maps);
+      AMO scheme, cost model, placement maps, or a [pb_cap] below a
+      recorded bound);
     - [QA-E003] — the model is malformed or falsifies the re-derived
       encoding;
     - [QA-E004] — the claimed cost is inflated (the model witnesses a

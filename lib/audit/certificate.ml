@@ -15,6 +15,7 @@ type t = {
   claimed_cost : int;
   model : bool array;
   bounds : int list;
+  pb_cap : int option;
   proof_drup : string;
   init_full : int array;
   final_full : int array;
@@ -59,7 +60,7 @@ let to_json c =
   let int_list l = Sjson.List (List.map num l) in
   let int_array a = Sjson.List (Array.to_list a |> List.map num) in
   Sjson.Obj
-    [
+    ([
       ("format", Sjson.Str format_id);
       ( "device",
         Sjson.Obj
@@ -80,13 +81,16 @@ let to_json c =
       ("claimed_cost", num c.claimed_cost);
       ("model", Sjson.Str (model_to_string c.model));
       ("bounds", int_list c.bounds);
-      ("proof_drup", Sjson.Str c.proof_drup);
-      ("init_full", int_array c.init_full);
-      ("final_full", int_array c.final_full);
-      ("original_qasm", Sjson.Str c.original_qasm);
-      ("mapped_qasm", Sjson.Str c.mapped_qasm);
-      ("elementary_qasm", Sjson.Str c.elementary_qasm);
     ]
+    @ (match c.pb_cap with Some cap -> [ ("pb_cap", num cap) ] | None -> [])
+    @ [
+        ("proof_drup", Sjson.Str c.proof_drup);
+        ("init_full", int_array c.init_full);
+        ("final_full", int_array c.final_full);
+        ("original_qasm", Sjson.Str c.original_qasm);
+        ("mapped_qasm", Sjson.Str c.mapped_qasm);
+        ("elementary_qasm", Sjson.Str c.elementary_qasm);
+      ])
 
 (* Small applicative helpers: every accessor yields a [result] tagged
    with the offending field so parse failures are one-line precise. *)
@@ -174,6 +178,16 @@ let of_json j =
     let* model_s = str "model" j in
     let* model = model_of_string model_s in
     let* bounds = int_list "bounds" j in
+    (* Absent in certificates that predate capped objective circuits:
+       their producers built the circuit over every attainable sum. *)
+    let* pb_cap =
+      match Sjson.member "pb_cap" j with
+      | None -> Ok None
+      | Some v -> (
+          match Sjson.to_int_opt v with
+          | Some i -> Ok (Some i)
+          | None -> Error "field \"pb_cap\" must be an integer")
+    in
     let* proof_drup = str "proof_drup" j in
     let* init_full = int_array "init_full" j in
     let* final_full = int_array "final_full" j in
@@ -195,6 +209,7 @@ let of_json j =
         claimed_cost;
         model;
         bounds;
+        pb_cap;
         proof_drup;
         init_full;
         final_full;

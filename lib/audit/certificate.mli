@@ -40,6 +40,11 @@ type t = {
   bounds : int list;
       (** bounds permanently enforced on the PB circuit, in call order;
           replaying them reproduces the proof's input clauses *)
+  pb_cap : int option;
+      (** the cap the producer built the PB circuit with
+          ({!Qxm_encode.Pb.build}); the auditor rebuilds it with the same
+          cap before replaying [bounds].  Missing in certificates that
+          predate capped circuits → [None], an uncapped circuit. *)
   proof_drup : string;
       (** deletion-aware DRUP trace ({!Qxm_sat.Proof.to_drup}) of the
           final UNSAT rung; [""] iff [claimed_cost = 0] (a zero bound

@@ -13,21 +13,22 @@ module Portfolio = Qxm_exact.Portfolio
 let ( let* ) = Result.bind
 
 (* Re-prove "no model with F <= cost - 1" on a fresh logging solver,
-   returning the trace and the single bound it enforced.  Used when the
-   witness predates the final rung or the optimizer never produced an
+   returning the trace, the single bound it enforced and the cap its PB
+   circuit was built with (that same bound).  Used when the witness
+   predates the final rung or the optimizer never produced an
    assumption-free UNSAT trace itself. *)
 let prove_bound ?deadline ~amo ~costs ~symmetry ~instance ~cost () =
   let solver = Solver.create () in
   Solver.enable_proof solver;
   let cnf = Cnf.create solver in
   let built = Encoding.build ~amo ~costs ~symmetry cnf instance in
-  let pb = Pb.build cnf (Encoding.objective built) in
   let bound = cost - 1 in
+  let pb = Pb.build ~cap:bound cnf (Encoding.objective built) in
   Pb.enforce_at_most cnf pb bound;
   match Solver.solve ?deadline solver with
   | Solver.Unsat -> (
       match Solver.proof solver with
-      | Some proof -> Ok (proof.Proof.steps, [ bound ])
+      | Some proof -> Ok (proof.Proof.steps, [ bound ], bound)
       | None -> Error "solver produced no trace")
   | Solver.Sat ->
       Error
@@ -44,13 +45,14 @@ let prove_bound ?deadline ~amo ~costs ~symmetry ~instance ~cost () =
    reused.  A relaxation's permutation spots are a subset of the
    requested strategy's, so the probe's cost is attainable here too:
    enforcing F <= cost must come back Sat (the model) and F <= cost - 1
-   Unsat (the proof). *)
+   Unsat (the proof).  The PB circuit is capped at [cost], the first of
+   the two bounds. *)
 let derive_model_and_proof ?deadline ~amo ~costs ~symmetry ~instance ~cost () =
   let solver = Solver.create () in
   Solver.enable_proof solver;
   let cnf = Cnf.create solver in
   let built = Encoding.build ~amo ~costs ~symmetry cnf instance in
-  let pb = Pb.build cnf (Encoding.objective built) in
+  let pb = Pb.build ~cap:cost cnf (Encoding.objective built) in
   Pb.enforce_at_most cnf pb cost;
   match Solver.solve ?deadline solver with
   | Solver.Unsat ->
@@ -60,7 +62,7 @@ let derive_model_and_proof ?deadline ~amo ~costs ~symmetry ~instance ~cost () =
   | Solver.Unknown -> Error "re-derive budget exhausted"
   | Solver.Sat -> (
       let model = Array.copy (Solver.model solver) in
-      if cost = 0 then Ok (model, "", [ 0 ])
+      if cost = 0 then Ok (model, "", [ 0 ], cost)
       else begin
         Pb.enforce_at_most cnf pb (cost - 1);
         match Solver.solve ?deadline solver with
@@ -77,7 +79,8 @@ let derive_model_and_proof ?deadline ~amo ~costs ~symmetry ~instance ~cost () =
                 Ok
                   ( model,
                     Proof.to_drup { proof with Proof.inputs = [] },
-                    [ cost; cost - 1 ] )
+                    [ cost; cost - 1 ],
+                    cost )
             | None -> Error "solver produced no trace")
       end)
 
@@ -92,19 +95,19 @@ let build ?deadline ~device_name ~arch ~circuit ~strategy ~amo ~costs
       spots = Strategy.spots strategy cnot_list;
     }
   in
-  let* model, proof_drup, bounds, symmetry =
+  let* model, proof_drup, bounds, pb_cap, symmetry =
     if w.Mapper.w_strategy <> strategy then
       (* The witness's model and trace live over a different strategy's
          variable space; everything is re-derived here, on an
          unrestricted encoding, so the certificate records
          [symmetry = false] regardless of how the witness was found. *)
-      let* model, proof_drup, bounds =
+      let* model, proof_drup, bounds, cap =
         derive_model_and_proof ?deadline ~amo ~costs ~symmetry:false ~instance
           ~cost:w.Mapper.w_cost ()
       in
-      Ok (model, proof_drup, bounds, false)
+      Ok (model, proof_drup, bounds, Some cap, false)
     else if w.Mapper.w_cost = 0 then
-      Ok (w.Mapper.w_model, "", [], w.Mapper.w_symmetry)
+      Ok (w.Mapper.w_model, "", [], None, w.Mapper.w_symmetry)
     else
       match w.Mapper.w_proof with
       | Some proof ->
@@ -112,12 +115,13 @@ let build ?deadline ~device_name ~arch ~circuit ~strategy ~amo ~costs
             ( w.Mapper.w_model,
               Proof.to_drup { proof with Proof.inputs = [] },
               w.Mapper.w_bounds,
+              w.Mapper.w_pb_cap,
               w.Mapper.w_symmetry )
       | None ->
           (* Re-prove over the witness's own encoding flag: the recorded
              model must satisfy the clause stream the auditor re-derives,
              and the fresh proof's inputs must match it too. *)
-          let* steps, bounds =
+          let* steps, bounds, cap =
             prove_bound ?deadline ~amo ~costs ~symmetry:w.Mapper.w_symmetry
               ~instance ~cost:w.Mapper.w_cost ()
           in
@@ -125,6 +129,7 @@ let build ?deadline ~device_name ~arch ~circuit ~strategy ~amo ~costs
             ( w.Mapper.w_model,
               Proof.to_drup { Proof.inputs = []; steps },
               bounds,
+              Some cap,
               w.Mapper.w_symmetry )
   in
   Ok
@@ -142,6 +147,7 @@ let build ?deadline ~device_name ~arch ~circuit ~strategy ~amo ~costs
       claimed_cost = w.Mapper.w_cost;
       model;
       bounds;
+      pb_cap;
       proof_drup;
       init_full = w.Mapper.w_init_full;
       final_full = w.Mapper.w_final_full;

@@ -80,7 +80,7 @@ let optimality ?amo ?costs ?(deadline = 0.0) ~instance ~cost () =
        0 < cost, so no bounding clause is needed and the certificate can
        only come from the instance itself being unsatisfiable *)
     if objective <> [] then begin
-      let pb = Pb.build cnf objective in
+      let pb = Pb.build ~cap:(cost - 1) cnf objective in
       Pb.enforce_at_most cnf pb (cost - 1)
     end;
     match Solver.solve ~deadline solver with

@@ -91,6 +91,7 @@ type witness = {
   w_final_full : int array;
   w_proof : Qxm_sat.Proof.t option;  (* DRUP trace of the F*-1 UNSAT *)
   w_bounds : int list;  (* bounds enforced on the PB circuit, in order *)
+  w_pb_cap : int option;  (* the cap that PB circuit was built with *)
   w_symmetry : bool;  (* encoding carried lex-leader symmetry clauses *)
 }
 
@@ -219,6 +220,7 @@ type solved = {
   s_stats : Solver.stats;
   s_proof : Qxm_sat.Proof.t option;
   s_bounds : int list;
+  s_pb_cap : int option;
 }
 
 (* Route the candidate's CNOT skeleton with the deterministic SABRE
@@ -444,6 +446,7 @@ let solve_instance ~(options : options) ~obs ~cancel ~deadline ~bound ?session
           s_stats = stats;
           s_proof = proof;
           s_bounds = bounds;
+          s_pb_cap = outcome.pb_cap;
         }
   | _ -> `Budget stats
 
@@ -611,24 +614,30 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
           | Some u, None -> Some u
           | None, c -> c
         in
-        match
-          solve_instance ~options ~obs ~cancel ~deadline ~bound ?session
-            ~index (inst_of sub_arch)
-        with
-        | `Unsat stats ->
-            C_unsat
-              { via_incumbent = inc_cap <> None && bound = inc_cap; stats }
-        | `Budget stats -> C_budget stats
-        | `Model s ->
-            if Incumbent.offer incumbent ~cost:s.s_cost ~index then C_kept s
-            else
-              C_dropped
-                {
-                  cost = s.s_cost;
-                  optimal = s.s_optimal;
-                  solves = s.s_solves;
-                  stats = s.s_stats;
-                }
+        let via_incumbent = inc_cap <> None && bound = inc_cap in
+        match inc_cap with
+        | Some c when c < 0 ->
+            (* a lower-indexed candidate reached F = 0, which nothing
+               beats: skip the encode and the UNSAT solve outright *)
+            C_unsat { via_incumbent; stats = Solver.zero_stats }
+        | _ -> (
+            match
+              solve_instance ~options ~obs ~cancel ~deadline ~bound ?session
+                ~index (inst_of sub_arch)
+            with
+            | `Unsat stats -> C_unsat { via_incumbent; stats }
+            | `Budget stats -> C_budget stats
+            | `Model s ->
+                if Incumbent.offer incumbent ~cost:s.s_cost ~index then
+                  C_kept s
+                else
+                  C_dropped
+                    {
+                      cost = s.s_cost;
+                      optimal = s.s_optimal;
+                      solves = s.s_solves;
+                      stats = s.s_stats;
+                    })
       end
     in
     (* Fault schedules count solve calls, which is only deterministic when
@@ -789,6 +798,7 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
                 w_final_full = final_full;
                 w_proof = s.s_proof;
                 w_bounds = s.s_bounds;
+                w_pb_cap = s.s_pb_cap;
                 w_symmetry = Encoding.symmetry s.s_built;
               }
           else None

@@ -150,6 +150,10 @@ type witness = {
           cumulative over the whole minimization session when the
           winning solve resumed one, so replaying them reproduces the
           exact input stream of the long-lived solver *)
+  w_pb_cap : int option;
+      (** the cap the PB circuit was built with
+          ({!Qxm_opt.Minimize.outcome.pb_cap}); [w_bounds] replays only
+          on a circuit rebuilt with the same cap *)
   w_symmetry : bool;
       (** the winning encoding carried the lex-leader symmetry-breaking
           clauses; the auditor must re-derive the formula with the same
@@ -187,7 +191,8 @@ type report = {
       (** Candidates whose search came back UNSAT under a bound supplied
           by the shared incumbent — i.e. sub-instances the
           branch-and-bound race discharged without finding their own
-          optimum. *)
+          optimum.  Candidates after an F = 0 winner count here too:
+          they are discharged without being encoded. *)
   sat_stats : Qxm_sat.Solver.stats;
       (** Field-wise sum of the solver statistics of every SAT search
           this call ran (all candidates, including pruned and dropped

@@ -17,14 +17,15 @@ type outcome = {
   trajectory : (float * int) list;
   proof : Qxm_sat.Proof.t option;
   bounds : int list;
+  pb_cap : int option;
 }
 
 (* Persistent minimization state over one long-lived solver: the PB
-   circuit (built once), the best model, the lowest permanently enforced
-   bound (a watermark — bounds are only re-enforced when strictly
-   tighter, so the cumulative [s_bounds] list reproduces the solver's
-   exact input stream), the binary-search floor, and whether the descent
-   already concluded. *)
+   circuit (built once, capped at the first bound it is asked for), the
+   best model, the lowest permanently enforced bound (a watermark —
+   bounds are only re-enforced when strictly tighter, so the cumulative
+   [s_bounds] list reproduces the solver's exact input stream), the
+   binary-search floor, and whether the descent already concluded. *)
 type session = {
   mutable s_pb : Pb.t option;
   mutable s_best : (int * bool array) option;
@@ -49,6 +50,7 @@ let new_session () =
   }
 
 let step_conflicts = Metrics.histogram "minimize.step_conflicts"
+let session_cap sn = Option.bind sn.s_pb Pb.cap
 
 let cost_of_model objective model =
   List.fold_left
@@ -74,6 +76,7 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
         trajectory = [];
         proof = sn.s_proof;
         bounds = List.rev sn.s_bounds;
+        pb_cap = session_cap sn;
       }
   | Some `Optimal ->
       let c, m = Option.get sn.s_best in
@@ -86,6 +89,7 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
         trajectory = [];
         proof = sn.s_proof;
         bounds = List.rev sn.s_bounds;
+        pb_cap = session_cap sn;
       }
   | None -> (
       let rev_trajectory = ref [] in
@@ -164,16 +168,27 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
           Pb.enforce_at_most cnf pb b
         end
       in
-      let get_pb () =
+      (* The circuit is built on first use, capped at the bound that use
+         asks for: the seeded [upper_bound], or [best - 1] once a model is
+         in hand.  Every later bound is tighter (the watermark only
+         descends, the descent only asks below the incumbent), and
+         [Pb] rejects one that is not. *)
+      let get_pb cap =
         match sn.s_pb with
         | Some pb -> pb
         | None ->
-            let pb = Pb.build cnf objective in
+            let pb = Pb.build ~cap cnf objective in
             sn.s_pb <- Some pb;
             pb
       in
+      (* A seeded bound at or above a model already in hand prunes
+         nothing the descent still asks about. *)
+      let redundant b =
+        match sn.s_best with Some (c, _) -> b >= c | None -> false
+      in
       (match upper_bound with
-      | Some b when objective <> [] -> enforce (get_pb ()) b
+      | Some b when objective <> [] && not (redundant b) ->
+          enforce (get_pb b) b
       | _ -> ());
       let initial =
         match sn.s_best with
@@ -205,6 +220,7 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
             trajectory = [];
             proof;
             bounds = List.rev sn.s_bounds;
+            pb_cap = session_cap sn;
           }
       | Solver.Unknown ->
           {
@@ -216,6 +232,7 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
             trajectory = [];
             proof = None;
             bounds = List.rev sn.s_bounds;
+            pb_cap = session_cap sn;
           }
       | Solver.Sat ->
           let b0, m0 = Option.get sn.s_best in
@@ -231,7 +248,7 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
           in
           if !best = 0 then optimal := true
           else begin
-            let pb = get_pb () in
+            let pb = get_pb (!best - 1) in
             match strategy with
             | Linear_descent ->
                 let stop = ref false in
@@ -318,4 +335,5 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
             trajectory = List.rev !rev_trajectory;
             proof = !proof;
             bounds = List.rev sn.s_bounds;
+            pb_cap = session_cap sn;
           })

@@ -45,12 +45,19 @@ type outcome = {
           stream, which is how an offline auditor re-derives the proof's
           input clauses; a session's later rungs extend the same stream,
           so only the cumulative list replays correctly. *)
+  pb_cap : int option;
+      (** The cap the session's PB circuit was built with
+          ({!Qxm_encode.Pb.build}), [None] while no circuit exists.  It is
+          the first bound the session asked for: the seeded
+          [upper_bound], or the first model's cost − 1.  Replaying
+          [bounds] needs the circuit rebuilt with this same cap. *)
 }
 
 (** {2 Sessions}
 
     A {!session} threads minimization state across several [minimize]
-    calls on the {e same} solver: the PB circuit is built once, enforced
+    calls on the {e same} solver: the PB circuit is built once (capped
+    at the first bound asked of it, since later ones only tighten), enforced
     bounds accumulate behind a watermark (never re-enforced, never
     loosened), the best model and binary-search floor carry over, and a
     concluded session short-circuits.  This is what lets the mapper's

@@ -13,6 +13,7 @@ module Decompose = Qxm_circuit.Decompose
 module Certificate = Qxm_audit.Certificate
 module Auditor = Qxm_audit.Auditor
 module Emit = Qxm_audit.Emit
+module Minimize = Qxm_opt.Minimize
 module D = Qxm_lint.Diagnostic
 
 (* Fig. 1-style smoke circuit: 3 logical qubits, 4 CNOTs, F* = 4 on QX4
@@ -274,6 +275,90 @@ let test_symmetry_field_defaults_to_false () =
       Alcotest.(check bool) "other fields preserved" true
         (cert' = { cert with Certificate.symmetry = false })
 
+(* -- capped objective circuits ----------------------------------------- *)
+
+let check_green what cert =
+  let r = Auditor.run cert in
+  if not r.Auditor.ok then
+    Alcotest.failf "%s rejected: %s" what
+      (String.concat "; " (List.map D.to_string r.Auditor.diagnostics))
+
+let certify ~arch ~options qasm =
+  let circuit = Qasm.parse_string qasm in
+  match Mapper.run ~options ~arch circuit with
+  | Error f -> Alcotest.failf "mapper failed: %a" Mapper.pp_failure f
+  | Ok r -> (
+      match Emit.of_report ~device_name:"test" ~arch ~circuit ~options r with
+      | Error e -> Alcotest.failf "emit failed: %s" e
+      | Ok cert -> cert)
+
+let cap_of (cert : Certificate.t) =
+  match cert.pb_cap with
+  | Some c -> c
+  | None -> Alcotest.fail "certificate records no pb_cap"
+
+(* A 3-qubit, 5-CNOT circuit mapped onto the whole of QX4 with no
+   heuristic bound: the first model costs F = 4, and nothing lies between
+   0 and 4 under the paper's weights, so the producer builds its circuit
+   at 3 while the first (and only) bound it enforces is [tighten 3 = 0].
+   The cap cannot be read off [bounds]: a circuit rebuilt at 0 has its
+   overflow at 1 and fails the ladder check (QA-E014). *)
+let test_cap_above_first_bound () =
+  let options =
+    { options with Mapper.warm_start = false; use_subsets = false }
+  in
+  let circuit =
+    Qxm_benchmarks.Generator.random_circuit ~seed:3 ~qubits:3 ~cnots:5
+      ~singles:0
+  in
+  let cert = certify ~arch:Devices.qx4 ~options (Qasm.to_string circuit) in
+  Alcotest.(check int) "claimed F*" 4 cert.claimed_cost;
+  Alcotest.(check bool) "cap above the first enforced bound" true
+    (cap_of cert > List.hd cert.bounds);
+  check_green "certificate capped above its first bound" cert
+
+(* Binary search builds its circuit at the first model's cost - 1, before
+   any bound is enforced; its only permanent bound is the confirming
+   solve's. *)
+let test_binary_search_cert_audits_green () =
+  let options =
+    {
+      options with
+      Mapper.warm_start = false;
+      opt_strategy = Minimize.Binary_search;
+    }
+  in
+  let cert = certify ~arch:Devices.qx4 ~options smoke_qasm in
+  Alcotest.(check int) "claimed F*" 4 cert.claimed_cost;
+  Alcotest.(check bool) "cap above every enforced bound" true
+    (List.for_all (fun b -> cap_of cert > b) cert.bounds);
+  check_green "binary-search certificate" cert
+
+(* The certificate written for examples/fig1a.qasm before QXMCERT1 had a
+   pb_cap field: its producer built the circuit over every sum. *)
+let uncapped_fixture () =
+  match Certificate.of_string Fixtures.fig1a_uncapped with
+  | Ok cert -> cert
+  | Error e -> Alcotest.failf "fixture does not parse: %s" e
+
+let test_uncapped_fixture_audits_green () =
+  let cert = uncapped_fixture () in
+  Alcotest.(check (option int)) "no pb_cap" None cert.pb_cap;
+  check_green "pre-cap certificate" cert
+
+(* The same circuit mapped now: raising the recorded cap renumbers the
+   circuit's variables past it, so the producer's proof no longer replays;
+   lowering it below a recorded bound is an invalid instance. *)
+let test_edited_cap_rejected () =
+  let cert =
+    certify ~arch:Devices.qx4 ~options (uncapped_fixture ()).original_qasm
+  in
+  check_green "fresh fig1a certificate" cert;
+  let cap = cap_of cert in
+  check_rejected ~code:"QA-E007" { cert with pb_cap = Some (cap + 1) };
+  check_rejected ~code:"QA-E002"
+    { cert with pb_cap = Some (List.fold_left max min_int cert.bounds - 1) }
+
 let suite =
   [
     ("clean certificate audits green", `Quick, test_clean_cert_audits_green);
@@ -295,4 +380,11 @@ let suite =
      test_session_cert_dropped_tightest_bound);
     ("missing symmetry field defaults to false", `Quick,
      test_symmetry_field_defaults_to_false);
+    ("cap above the first bound audits green", `Quick,
+     test_cap_above_first_bound);
+    ("binary-search certificate audits green", `Quick,
+     test_binary_search_cert_audits_green);
+    ("uncapped certificate still audits", `Quick,
+     test_uncapped_fixture_audits_green);
+    ("edited pb_cap is rejected", `Quick, test_edited_cap_rejected);
   ]

@@ -447,6 +447,88 @@ let pb_matches_reference =
              && Pb.assume_at_most pb b = Pb_reference.assume_at_most root b)
            bounds)
 
+(* Capped circuits: a random weighted objective (at most 10 terms,
+   weights 1-9) with a fixed input pattern, a random cap >= -1 and a
+   bound b <= cap. *)
+let capped_gen =
+  let open QCheck2.Gen in
+  let* terms = list_size (int_range 1 10) (pair (int_range 1 9) bool) in
+  let total = List.fold_left (fun acc (w, _) -> acc + w) 0 terms in
+  let* cap = int_range (-1) (total + 2) in
+  let* b = int_range (-1) cap in
+  return (terms, cap, b)
+
+let pattern_sum terms =
+  List.fold_left (fun acc (w, v) -> if v then acc + w else acc) 0 terms
+
+(* A negative bound admits only the empty sum, as on the uncapped
+   circuit. *)
+let pb_capped_sound =
+  qtest ~count:300 "capped pb enforce_at_most forbids exactly sums > b"
+    capped_gen
+    (fun (terms, cap, bound) ->
+      let s = Solver.create () in
+      let cnf = Cnf.create s in
+      let weighted = List.map (fun (w, _) -> (w, Cnf.fresh cnf)) terms in
+      let pb = Pb.build ~cap cnf weighted in
+      Pb.enforce_at_most cnf pb bound;
+      List.iter2
+        (fun (_, l) (_, v) -> Cnf.add cnf [ (if v then l else Lit.negate l) ])
+        weighted terms;
+      Solver.solve s = Solver.Sat = (pattern_sum terms <= max bound 0))
+
+(* Up to its cap a capped circuit answers like the uncapped one over the
+   same inputs: the same [tighten], a [next_above] never past the true
+   one (and equal to it up to the cap), assumptions that admit the same
+   input patterns — and it never emits a longer stream. *)
+let pb_capped_agrees =
+  qtest ~count:200 "capped pb agrees with the uncapped circuit"
+    capped_gen
+    (fun (terms, cap, bound) ->
+      let s = Solver.create () in
+      let cnf = Cnf.create s in
+      let weighted = List.map (fun (w, _) -> (w, Cnf.fresh cnf)) terms in
+      let capped = Pb.build ~cap cnf weighted in
+      let exact = Pb.build cnf weighted in
+      let inputs =
+        List.map2
+          (fun (_, l) (_, v) -> if v then l else Lit.negate l)
+          weighted terms
+      in
+      let admits pb =
+        Solver.solve ~assumptions:(inputs @ Pb.assume_at_most pb bound) s
+        = Solver.Sat
+      in
+      let next_ok =
+        match (Pb.next_above capped bound, Pb.next_above exact bound) with
+        | None, None -> true
+        | Some v, Some v' -> if v' <= cap then v = v' else v <= v'
+        | _ -> false
+      in
+      let weights = List.map fst terms in
+      let stream, _ = pb_stream (fun cnf t -> Pb.build ~cap cnf t) weights in
+      let exact_stream, _ = pb_stream Pb.build weights in
+      Pb.tighten capped bound = Pb.tighten exact bound
+      && next_ok
+      && admits capped = admits exact
+      && List.length stream <= List.length exact_stream)
+
+let test_pb_capped () =
+  let s = Solver.create () in
+  let cnf = Cnf.create s in
+  let terms = [ (4, Cnf.fresh cnf); (7, Cnf.fresh cnf) ] in
+  let pb = Pb.build ~cap:5 cnf terms in
+  Alcotest.(check (option int)) "cap" (Some 5) (Pb.cap pb);
+  Alcotest.(check (list int)) "7 and 11 share the overflow" [ 4; 6 ]
+    (Pb.values pb);
+  Alcotest.(check int) "tighten 5" 4 (Pb.tighten pb 5);
+  Alcotest.(check (option int)) "next_above 4 is the overflow" (Some 6)
+    (Pb.next_above pb 4);
+  Alcotest.(check int) "max" 11 (Pb.max_value pb);
+  Alcotest.check_raises "bound above the cap"
+    (Invalid_argument "Pb: bound 6 is above the circuit's cap 5") (fun () ->
+      Pb.enforce_at_most cnf pb 6)
+
 let test_pb_rejects_bad_weight () =
   let s = Solver.create () in
   let cnf = Cnf.create s in
@@ -490,5 +572,8 @@ let suite =
     pb_values_are_subset_sums;
     pb_matches_reference;
     ("pb tighten/values", `Quick, test_pb_tighten);
+    pb_capped_sound;
+    pb_capped_agrees;
+    ("pb capped values", `Quick, test_pb_capped);
     ("pb rejects bad weight", `Quick, test_pb_rejects_bad_weight);
   ]

@@ -159,7 +159,8 @@ let library_handles =
   List.map (fun (name, _) -> "solver." ^ name)
     (Solver.stats_counters Solver.zero_stats)
   @ [
-      "solver.arena_words"; "minimize.step_conflicts";
+      "solver.arena_words"; "pb.outputs"; "pb.clauses";
+      "minimize.step_conflicts";
       "mapper.candidates_pruned"; "mapper.ladder_reuse_hits";
       "portfolio.lane_cancellations";
       "portfolio.ladder_conflict_budget"; "par.incumbent_updates";

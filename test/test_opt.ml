@@ -274,6 +274,44 @@ let test_session_bounds_never_loosen () =
   Alcotest.(check (option int)) "still the optimum" (Some 1) second.cost;
   Alcotest.(check bool) "optimal" true second.optimal
 
+(* The session circuit is capped at the first bound asked of it, and a
+   later call never asks above that cap.  A binary-search rung cut off
+   after its first model builds the circuit at that model's cost - 1
+   without enforcing anything; a resumed rung seeded with a bound above
+   the model must not try to enforce it. *)
+let test_session_cap () =
+  let clauses = [ [ Lit.pos 0; Lit.pos 1; Lit.pos 2 ] ] in
+  let objective = [ (4, Lit.pos 0); (2, Lit.pos 1); (1, Lit.pos 2) ] in
+  let fresh () =
+    let s = solver_with 3 in
+    let cnf = Cnf.create s in
+    List.iter (Cnf.add cnf) clauses;
+    cnf
+  in
+  let seeded =
+    Minimize.minimize ~cnf:(fresh ()) ~objective ~upper_bound:5 ()
+  in
+  Alcotest.(check (option int)) "capped at the seeded bound" (Some 5)
+    seeded.pb_cap;
+  let cnf = fresh () in
+  let session = Minimize.new_session () in
+  let first =
+    Fault.with_schedule (Fault.After_solves 1) (fun () ->
+        Minimize.minimize ~session ~strategy:Minimize.Binary_search ~cnf
+          ~objective ())
+  in
+  let c = Option.get first.cost in
+  Alcotest.(check (option int)) "capped at the first model's cost - 1"
+    (if c > 0 then Some (c - 1) else None)
+    first.pb_cap;
+  let second =
+    Minimize.minimize ~session ~strategy:Minimize.Binary_search ~cnf
+      ~objective ~upper_bound:(c + 3) ()
+  in
+  Alcotest.(check (option int)) "optimum" (Some 1) second.cost;
+  Alcotest.(check bool) "optimal" true second.optimal;
+  Alcotest.(check (option int)) "cap unchanged" first.pb_cap second.pb_cap
+
 (* Binary search bisects with assumptions, whose UNSAT answers carry no
    empty clause — the confirming assumption-free solve at convergence is
    what makes its outcome certifiable.  With proof logging on, an optimal
@@ -315,6 +353,7 @@ let suite =
     truncated_minimize_is_sound;
     ("session resumes descent", `Quick, test_session_resumes_descent);
     ("session bounds never loosen", `Quick, test_session_bounds_never_loosen);
+    ("session circuit capped at its first bound", `Quick, test_session_cap);
     ("binary search confirming proof", `Quick,
      test_binary_search_confirming_proof);
   ]

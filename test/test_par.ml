@@ -13,6 +13,7 @@ module Mapper = Qxm_exact.Mapper
 module Portfolio = Qxm_exact.Portfolio
 module Strategy = Qxm_exact.Strategy
 module Circuit = Qxm_circuit.Circuit
+module Gate = Qxm_circuit.Gate
 module Coupling = Qxm_arch.Coupling
 module Devices = Qxm_arch.Devices
 module Subsets = Qxm_arch.Subsets
@@ -316,6 +317,39 @@ let test_canonical_resolve_gated () =
       in
       Alcotest.(check int) "a race that can fan out re-solves once" 1 nf)
 
+(* Once a candidate reaches F = 0, nothing beats it and every later
+   candidate's cap is -1: those are pruned before encoding. *)
+let test_zero_cost_prunes_before_encoding () =
+  let module Trace = Qxm_obs.Trace in
+  let encodes () =
+    List.length
+      (List.filter
+         (fun (e : Trace.event) -> e.ph = `B && e.name = "mapper.encode")
+         (Trace.events ()))
+  in
+  (* 1 -> 0 and 2 -> 1 are QX4 edges: F = 0 on the first subset *)
+  let circuit =
+    Circuit.create 3 [ Gate.Cnot (1, 0); Gate.Cnot (2, 1); Gate.Cnot (2, 0) ]
+  in
+  Trace.reset ();
+  Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ())
+    (fun () ->
+      let options = { Mapper.default with jobs = 1 } in
+      match Mapper.run ~options ~arch:Devices.qx4 circuit with
+      | Error e -> Alcotest.failf "map failed: %a" Mapper.pp_failure e
+      | Ok r ->
+          Alcotest.(check int) "F = 0" 0 r.f_cost;
+          Alcotest.(check bool) "optimal" true r.optimal;
+          Alcotest.(check bool) "several candidates" true
+            (r.subsets_tried > 1);
+          Alcotest.(check int) "only the winner is encoded" 1 (encodes ());
+          Alcotest.(check int) "every other candidate pruned"
+            (r.subsets_tried - 1) r.pruned_by_incumbent)
+
 (* Property: incumbent pruning never changes the optimum — pruning off
    (sequential reference) and pruning on (any worker count) agree on
    cost and layouts. *)
@@ -400,6 +434,8 @@ let suite =
       test_jobs_equivalent_fan_out;
     Alcotest.test_case "mapper: re-solve only when the race fans out" `Quick
       test_canonical_resolve_gated;
+    Alcotest.test_case "mapper: F = 0 prunes before encoding" `Quick
+      test_zero_cost_prunes_before_encoding;
     pruning_preserves_optimum;
     Alcotest.test_case "portfolio: race matches sequential" `Quick
       test_portfolio_race_matches_sequential;
