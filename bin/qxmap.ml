@@ -595,10 +595,9 @@ let map_cmd =
           ~doc:
             "Worker domains for the parallel mapping engine (default: \
              the machine's recommended domain count).  Candidate \
-             sub-architectures race with shared incumbent pruning; with \
-             $(b,--portfolio), the exact and heuristic lanes race too.  \
+             sub-architectures race with shared incumbent pruning.  \
              $(b,-j1) runs the classic sequential path; every value of \
-             N produces the same mapping.")
+             N produces the same mapping on budget-free runs.")
   in
   let trace_arg =
     Arg.(

@@ -259,7 +259,7 @@ val run :
 
     [?pool] shares an existing worker pool instead of spinning up
     [options.jobs] fresh domains — the portfolio layer passes its own so
-    racing lanes and candidate fan-out draw from one set of workers.
+    every ladder rung's candidate fan-out draws from one set of workers.
     [?cancel] is polled between candidates and inside every SAT solve
     (via [Solver.set_stop]); once cancelled, the call winds down quickly
     and reports whatever it can ([Timeout] when nothing was found).

@@ -10,8 +10,6 @@ module Trace = Qxm_obs.Trace
 module Metrics = Qxm_obs.Metrics
 module Timeseries = Qxm_obs.Timeseries
 
-let lane_cancellations = Metrics.counter "portfolio.lane_cancellations"
-
 let ladder_budget = Metrics.histogram "portfolio.ladder_conflict_budget"
 
 type provenance = Exact_optimal | Exact_incumbent | Heuristic of string
@@ -123,25 +121,11 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
   let n = Circuit.num_qubits circuit in
   if n > m then Error (Too_many_logical { logical = n; physical = m })
   else begin
-    (* Fault schedules count solve calls; racing lanes would make that
-       order nondeterministic, so degradation tests always run the
-       sequential path. *)
-    let jobs =
-      if Qxm_sat.Fault.armed () <> None then 1 else max 1 options.jobs
-    in
-    let stage_lock = Mutex.create () in
     let stages = ref [] in
     let solves = ref 0 in
     let sat_stats = ref Solver.zero_stats in
-    let note_stats st =
-      Mutex.lock stage_lock;
-      sat_stats := Solver.add_stats !sat_stats st;
-      Mutex.unlock stage_lock
-    in
-    (* Telemetry order: per lane it is execution order; across racing
-       lanes it is completion order, which is the honest one. *)
+    let note_stats st = sat_stats := Solver.add_stats !sat_stats st in
     let record ~stage ~t0 ~stage_solves outcome =
-      Mutex.lock stage_lock;
       solves := !solves + stage_solves;
       stages :=
         {
@@ -150,8 +134,7 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
           solves = stage_solves;
           outcome;
         }
-        :: !stages;
-      Mutex.unlock stage_lock
+        :: !stages
     in
     let exact_deadline =
       match (options.exact_budget, options.budget) with
@@ -170,14 +153,12 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
        normalized to a monotone run-relative series in the report. *)
     let raw_traj : (float * int) list ref = ref [] in
     let note_exact ~t0 (r : Mapper.report) =
-      Mutex.lock stage_lock;
       List.iter
         (fun (t, c) -> raw_traj := (t0 +. t, c) :: !raw_traj)
         r.trajectory;
       (match !best_exact with
       | Some prev when prev.f_cost <= r.f_cost -> ()
-      | _ -> best_exact := Some r);
-      Mutex.unlock stage_lock
+      | _ -> best_exact := Some r)
     in
     let final_trajectory () =
       let pts =
@@ -198,24 +179,11 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
        report then carries a ["deadline_expired"] provenance note, so a
        degraded answer is distinguishable from a genuinely finished one. *)
     let deadline_hit = ref false in
-    let exact_cancel = Cancel.create () in
-    let heur_cancel = Cancel.create () in
     (* The caller's supervisor token (a daemon watchdog, a batch driver)
-       reaches every lane: cancelling it stops racing solves promptly
-       through the lane tokens the solvers poll. *)
-    (match cancel with
-    | Some sup ->
-        Cancel.attach ~parent:sup exact_cancel;
-        Cancel.attach ~parent:sup heur_cancel
-    | None -> ());
-    let cancel_lane ~lane ~cause token =
-      if not (Cancel.cancelled token) then begin
-        Metrics.incr lane_cancellations;
-        Trace.instant
-          ~args:[ ("lane", Trace.Str lane); ("cause", Trace.Str cause) ]
-          "portfolio.cancel"
-      end;
-      Cancel.cancel token
+       goes straight to every solve, which polls it through
+       [Solver.set_stop], and is checked again between stages. *)
+    let cancelled () =
+      match cancel with Some c -> Cancel.cancelled c | None -> false
     in
     (* Forward mapper progress under the portfolio stage's name, with
        elapsed time rebased to the portfolio's own start. *)
@@ -233,7 +201,7 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
     (* One exact stage: [strategy] is either the requested strategy (a
        ladder rung) or one of its relaxations (the probe), so the best
        incumbent's objective value is always a sound upper bound. *)
-    let run_exact ?pool ?cancel ?session ~stage ~strategy
+    let run_exact ?pool ?session ~stage ~strategy
         ~conflict_limit () =
       let t0 = Unix.gettimeofday () in
       Trace.with_span ~name:"portfolio.stage"
@@ -321,15 +289,12 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
        ladder.  The ladder rungs thread one {!Mapper.session}, so each
        rung resumes the previous rung's solvers (learnt clauses, phases,
        activity, enforced bounds) instead of re-encoding — the probe
-       runs a different strategy and stays outside the session.
-       [cancel] is the lane's own token — a raced lane that lost stops
-       between rungs (and, through [Solver.set_stop], mid-solve). *)
-    let exact_lane ?pool ?cancel () =
+       runs a different strategy and stays outside the session.  A
+       cancelled run stops between rungs (and, through [Solver.set_stop],
+       mid-solve). *)
+    let exact_lane ?pool () =
       Trace.with_span ~name:"portfolio.exact_lane" @@ fun () ->
-      let lane_cancelled () =
-        match cancel with Some c -> Cancel.cancelled c | None -> false
-      in
-      let lost_race = ref false in
+      let stopped = ref false in
       (* Stage 1: relaxed-strategy probe for a fast incumbent. *)
       (if options.probe && options.ladder <> [] then
          match Strategy.relaxations options.exact.strategy with
@@ -340,9 +305,9 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
                | l :: _ when l >= 0 -> l
                | _ -> 4000
              in
-             if lane_cancelled () then lost_race := true
+             if cancelled () then stopped := true
              else
-               run_exact ?pool ?cancel
+               run_exact ?pool
                  ~stage:("probe:" ^ Strategy.name relax)
                  ~strategy:relax ~conflict_limit:limit ());
       (* Stage 2: conflict-limit ladder on the requested strategy, one
@@ -351,15 +316,15 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
       List.iter
         (fun limit ->
           if not !proved_optimal then
-            if lane_cancelled () then lost_race := true
+            if cancelled () then stopped := true
             else
-              run_exact ?pool ?cancel ~session:ladder_session
+              run_exact ?pool ~session:ladder_session
                 ~stage:
                   (Printf.sprintf "exact:%s"
                      (if limit < 0 then "unlimited" else string_of_int limit))
                 ~strategy:options.exact.strategy ~conflict_limit:limit ())
         options.ladder;
-      if !lost_race then
+      if !stopped then
         record ~stage:"exact" ~t0:(Unix.gettimeofday ()) ~stage_solves:0
           "cancelled"
     in
@@ -395,9 +360,8 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
               None)
     in
     (* The heuristic lane: the cascade, stopping at the first certified
-       success.  [on_success] fires right after certification — the racing
-       path uses it to cancel the exact lane in latency mode. *)
-    let heuristic_lane ?cancel ~on_success () =
+       success. *)
+    let heuristic_lane () =
       Trace.with_span ~name:"portfolio.heuristic_lane" @@ fun () ->
       let verify = options.exact.verify in
       let rec cascade = function
@@ -405,8 +369,7 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
         | engine :: rest -> (
             let name = engine_name engine in
             let t0 = Unix.gettimeofday () in
-            if match cancel with Some c -> Cancel.cancelled c | None -> false
-            then begin
+            if cancelled () then begin
               record ~stage:name ~t0 ~stage_solves:0 "skipped: cancelled";
               None
             end
@@ -461,7 +424,6 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
                   | Ok c ->
                       record ~stage:name ~t0 ~stage_solves:0
                         (Printf.sprintf "ok F=%d" c.c_f_cost);
-                      on_success ();
                       Some c
                   | Error msg ->
                       record ~stage:name ~t0 ~stage_solves:0 msg;
@@ -473,51 +435,16 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
       in
       cascade options.cascade
     in
-    let exact_candidate, heuristic_candidate =
-      if jobs <= 1 then begin
-        (* Sequential portfolio: exact stages first, heuristics only when
-           optimality is still open — exactly the pre-racing pipeline. *)
-        exact_lane ~cancel:exact_cancel ();
-        let e = assemble_exact () in
-        let h =
-          if !proved_optimal && e <> None then None
-          else heuristic_lane ~cancel:heur_cancel ~on_success:ignore ()
-        in
-        (e, h)
-      end
-      else
-        (* Racing portfolio: the lanes share one pool.  The exact lane
-           passes the pool down so the candidate fan-out and the lanes
-           draw from the same workers; futures are joined in lane order,
-           so the combination below is deterministic given each lane's
-           own result. *)
-        Pool.with_pool jobs (fun pool ->
-            let e_fut =
-              Pool.submit pool (fun () ->
-                  exact_lane ~pool ~cancel:exact_cancel ();
-                  (* A proven optimum is final: the heuristic lane can
-                     only lose the comparison, so stop paying for it. *)
-                  if !proved_optimal && !best_exact <> None then
-                    cancel_lane ~lane:"heuristic" ~cause:"exact proved optimal"
-                      heur_cancel)
-            in
-            let h_fut =
-              Pool.submit pool (fun () ->
-                  heuristic_lane ~cancel:heur_cancel
-                    ~on_success:(fun () ->
-                      (* First certified heuristic ends the race only in
-                         latency mode (a wall-clock budget is set); an
-                         unbudgeted run still wants the exact proof. *)
-                      if options.budget <> None || options.exact_budget <> None
-                      then
-                        cancel_lane ~lane:"exact"
-                          ~cause:"heuristic certified first (latency mode)"
-                          exact_cancel)
-                    ())
-            in
-            Pool.await e_fut;
-            let h = Pool.await h_fut in
-            (assemble_exact (), h))
+    (* Exact stages first, heuristics only while optimality is still
+       open.  [jobs > 1] widens only the exact lane: every rung's
+       candidate fan-out draws from one shared pool. *)
+    if options.jobs > 1 then
+      Pool.with_pool options.jobs (fun pool -> exact_lane ~pool ())
+    else exact_lane ();
+    let exact_candidate = assemble_exact () in
+    let heuristic_candidate =
+      if !proved_optimal && exact_candidate <> None then None
+      else heuristic_lane ()
     in
     let chosen =
       match (exact_candidate, heuristic_candidate) with
@@ -552,8 +479,6 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
                  [ "deadline_expired" ]
                else [])
               @
-              (match cancel with
-              | Some sup when Cancel.cancelled sup -> [ "cancelled" ]
-              | _ -> []);
+              if cancelled () then [ "cancelled" ] else [];
           }
   end

@@ -88,17 +88,11 @@ type options = {
           passes certification wins. *)
   seed : int;  (** Seed for the stochastic fallback (determinism). *)
   jobs : int;
-      (** Worker domains for the portfolio (default 1 = the classic
-          sequential pipeline).  With [jobs > 1] the exact lane
-          (probe + ladder) and the heuristic cascade {e race} on one
-          shared [Qxm_par.Pool]: a proven exact optimum cancels the
-          cascade, and — when a wall-clock budget is set — the first
-          certified heuristic cancels the exact lane (latency mode;
-          unbudgeted runs let the exact proof finish).  The exact lane
-          passes the pool down to {!Mapper.run}, so sub-architecture
-          candidates fan out on the same workers.  Clamped to 1 while a
-          {!Qxm_sat.Fault} schedule is armed, keeping degradation tests
-          deterministic. *)
+      (** Worker domains for the exact stages (default 1).  With
+          [jobs > 1] the probe and every ladder rung run on one shared
+          [Qxm_par.Pool] of this width, handed to {!Mapper.run} for its
+          sub-architecture candidate fan-out.  The stages still run one
+          after another, so [jobs] never changes which stage runs. *)
 }
 
 val default : options
@@ -174,11 +168,11 @@ val run :
     on engine failures (they become [stages] telemetry); the input
     contract is the same as {!Mapper.run}'s (no SWAP gates).
 
-    [?cancel] is a supervisor token (e.g. a daemon watchdog's): it is
-    attached above both lanes' own tokens, so cancelling it stops
-    queued rungs at the next stage boundary and racing solves promptly
-    via [Solver.set_stop].  The run then returns the best certified
-    candidate found so far (with a ["cancelled"] note), or
+    [?cancel] is a supervisor token (e.g. a daemon watchdog's): every
+    exact solve polls it via [Solver.set_stop], and the pipeline checks
+    it between stages, so cancelling it stops a running solve promptly
+    and skips the remaining stages.  The run then returns the best
+    certified candidate found so far (with a ["cancelled"] note), or
     [Exhausted] when nothing was certified yet.
 
     [?on_progress] receives the exact stages' live progress samples with

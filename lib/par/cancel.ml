@@ -1,29 +1,6 @@
-type t = {
-  flag : bool Atomic.t;
-  lock : Mutex.t;
-  mutable children : t list;
-}
+type t = bool Atomic.t
 
-let create () =
-  { flag = Atomic.make false; lock = Mutex.create (); children = [] }
-
-let rec cancel t =
-  Atomic.set t.flag true;
-  (* Grab the child list under the lock, but propagate outside it:
-     attach never takes two locks at once, so parent->child ordering
-     cannot deadlock, and cancellation of a deep tree stays lock-light. *)
-  Mutex.lock t.lock;
-  let children = t.children in
-  t.children <- [];
-  Mutex.unlock t.lock;
-  List.iter cancel children
-
-let cancelled t = Atomic.get t.flag
-let flag t = t.flag
-
-let attach ~parent child =
-  Mutex.lock parent.lock;
-  let already = Atomic.get parent.flag in
-  if not already then parent.children <- child :: parent.children;
-  Mutex.unlock parent.lock;
-  if already then cancel child
+let create () = Atomic.make false
+let cancel t = Atomic.set t true
+let cancelled t = Atomic.get t
+let flag t = t

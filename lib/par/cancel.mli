@@ -1,10 +1,11 @@
 (** Cooperative cancellation token.
 
-    A single atomic flag shared between racing lanes: the winner (or a
-    supervisor) calls {!cancel}; losers poll {!cancelled} at their own
-    safe points, and long-running SAT solves observe the same flag
-    through [Qxm_sat.Solver.set_stop], which turns it into a prompt
-    [Unknown] instead of running out the conflict budget. *)
+    A single atomic flag: a supervisor (a daemon request's deadline
+    watchdog, a batch driver) calls {!cancel}; the mapping pipeline polls
+    {!cancelled} at its own safe points, and long-running SAT solves
+    observe the same flag through [Qxm_sat.Solver.set_stop], which turns
+    it into a prompt [Unknown] instead of running out the conflict
+    budget. *)
 
 type t
 
@@ -16,11 +17,3 @@ val cancelled : t -> bool
 
 val flag : t -> bool Atomic.t
 (** The underlying atomic, for [Qxm_sat.Solver.set_stop]. *)
-
-val attach : parent:t -> t -> unit
-(** Link [child] so that cancelling [parent] also cancels it (the
-    reverse does not hold: a child can be cancelled alone).  Attaching
-    to an already-cancelled parent cancels the child immediately.  This
-    is how a supervisor token — a daemon request's deadline watchdog —
-    reaches the per-lane tokens that the solvers actually poll through
-    [Solver.set_stop], which needs a single atomic per solver. *)

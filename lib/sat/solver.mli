@@ -188,7 +188,7 @@ val set_stop : t -> bool Atomic.t option -> unit
 (** Install (or clear, with [None]) an external stop flag.  The flag is
     read on every budget check; once it is [true] the current and any
     subsequent [solve] call returns [Unknown] promptly.  This is the
-    cooperative-cancellation hook used by racing portfolio lanes — the
+    cooperative-cancellation hook used by a supervisor's token — the
     flag is shared via [Qxm_par.Cancel]. *)
 
 val set_random_seed : t -> int -> unit

@@ -2,7 +2,7 @@
     jitter.
 
     A request that fails on a {e transient} fault (an injected solver
-    fault, a racing lane that lost every engine) is retried on a
+    fault, a portfolio whose every engine failed) is retried on a
     geometric delay schedule.  The jitter that decorrelates a thundering
     herd is derived from a seeded hash of [(seed, attempt)] rather than
     a global RNG, so a given policy always produces the same delay

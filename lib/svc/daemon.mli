@@ -59,7 +59,7 @@ type config = {
       (** seconds past a request's deadline before the watchdog
           force-cancels it (the portfolio is expected to return by the
           deadline on its own; the watchdog is the backstop for stuck
-          lanes) *)
+          solves) *)
   portfolio : Qxm_exact.Portfolio.options;
       (** base portfolio options; [budget], [jobs] and the strategy are
           overridden per request *)

@@ -162,7 +162,6 @@ let library_handles =
       "solver.arena_words"; "pb.outputs"; "pb.clauses";
       "minimize.step_conflicts";
       "mapper.candidates_pruned"; "mapper.ladder_reuse_hits";
-      "portfolio.lane_cancellations";
       "portfolio.ladder_conflict_budget"; "par.incumbent_updates";
       "par.pool_queue_depth"; "par.pool_tasks"; "obs.flight_dumps";
       "obs.flight_dump_errors"; "svc.sheds"; "svc.queue_depth";

@@ -11,6 +11,7 @@ module Solver = Qxm_sat.Solver
 module Lit = Qxm_sat.Lit
 module Mapper = Qxm_exact.Mapper
 module Portfolio = Qxm_exact.Portfolio
+module Certify = Qxm_exact.Certify
 module Strategy = Qxm_exact.Strategy
 module Circuit = Qxm_circuit.Circuit
 module Gate = Qxm_circuit.Gate
@@ -372,33 +373,57 @@ let pruning_preserves_optimum =
       run ~jobs:1 ~incumbent_pruning:false
       = run ~jobs ~incumbent_pruning:true)
 
-(* -- racing portfolio ----------------------------------------------------- *)
+(* -- portfolio ------------------------------------------------------------ *)
 
-let test_portfolio_race_matches_sequential () =
+(* [jobs] only widens the exact stages' candidate race, so a run at
+   [jobs = 2] matches the sequential one — with or without a wall-clock
+   budget. *)
+let check_portfolio_jobs_equivalent ~budget =
   let run jobs =
-    let options = { Portfolio.default with jobs } in
+    let options = { Portfolio.default with jobs; budget } in
     match Portfolio.run ~options ~arch:Devices.qx4 Examples.fig1a with
     | Ok r -> r
     | Error _ -> Alcotest.failf "portfolio jobs=%d failed" jobs
   in
   let seq = run 1 and par = run 2 in
   Alcotest.(check int) "f_cost" seq.f_cost par.f_cost;
+  Alcotest.(check string) "provenance"
+    (Portfolio.provenance_string seq.provenance)
+    (Portfolio.provenance_string par.provenance);
   Alcotest.(check bool) "both prove optimality" true
     (seq.optimal && par.optimal);
-  Alcotest.(check bool) "exact provenance" true
-    (par.provenance = Portfolio.Exact_optimal);
   Alcotest.(check bool) "verified" true (par.verified = Some true)
 
+let test_portfolio_race_matches_sequential () =
+  check_portfolio_jobs_equivalent ~budget:None
+
 let test_portfolio_race_budgeted () =
-  (* latency mode: with a wall-clock budget the lanes genuinely race and
-     the first certified result may cancel the exact lane — whatever
-     wins must still be a certified mapping *)
-  let options = { Portfolio.default with jobs = 2; budget = Some 60.0 } in
-  match Portfolio.run ~options ~arch:Devices.qx4 Examples.fig1a with
+  check_portfolio_jobs_equivalent ~budget:(Some 60.0)
+
+(* The caller's supervisor token reaches the solvers directly: cancelling
+   it mid-ladder on an instance whose unlimited rung would run for a long
+   time ends the run promptly, with the probe's certified incumbent. *)
+let test_portfolio_supervisor_cancel () =
+  let e = Option.get (Suite.by_name "qe_qft_4") in
+  let cancel = Cancel.create () in
+  let on_progress (p : Mapper.progress) =
+    if String.starts_with ~prefix:"exact:" p.p_phase then Cancel.cancel cancel
+  in
+  let t0 = Unix.gettimeofday () in
+  match Portfolio.run ~cancel ~on_progress ~arch:Devices.qx4 e.circuit with
   | Ok r ->
-      Alcotest.(check bool) "F at least the optimum" true (r.f_cost >= 4);
-      Alcotest.(check bool) "never invalid" true (r.verified <> Some false)
-  | Error _ -> Alcotest.fail "budgeted race produced nothing"
+      Alcotest.(check bool) "returns promptly" true
+        (Unix.gettimeofday () -. t0 < 10.0);
+      Alcotest.(check bool) "the token was cancelled" true
+        (Cancel.cancelled cancel);
+      Alcotest.(check bool) "carries the cancelled note" true
+        (List.mem "cancelled" r.notes);
+      Alcotest.(check bool) "certified answer" true
+        (Certify.compliance ~arch:Devices.qx4 r.elementary = Ok ()
+        && r.verified <> Some false)
+  | Error e ->
+      Alcotest.failf "cancelled run returned nothing: %a" Portfolio.pp_failure
+        e
 
 let suite =
   [
@@ -441,4 +466,6 @@ let suite =
       test_portfolio_race_matches_sequential;
     Alcotest.test_case "portfolio: budgeted race stays certified" `Quick
       test_portfolio_race_budgeted;
+    Alcotest.test_case "portfolio: supervisor cancel stops the run" `Quick
+      test_portfolio_supervisor_cancel;
   ]

@@ -15,7 +15,6 @@ module Backoff = Qxm_svc.Backoff
 module Admission = Qxm_svc.Admission
 module Cache = Qxm_svc.Cache
 module Daemon = Qxm_svc.Daemon
-module Cancel = Qxm_par.Cancel
 module Fault = Qxm_sat.Fault
 module Portfolio = Qxm_exact.Portfolio
 module Certify = Qxm_exact.Certify
@@ -274,28 +273,6 @@ let test_admission_invalid_watermark () =
   Alcotest.check_raises "zero watermark"
     (Invalid_argument "Admission.create: watermark must be positive")
     (fun () -> ignore (Admission.create ~watermark:0 ()))
-
-(* -- cancellation trees -------------------------------------------------- *)
-
-let test_cancel_attach_propagates () =
-  let parent = Cancel.create () in
-  let child = Cancel.create () in
-  let grandchild = Cancel.create () in
-  Cancel.attach ~parent child;
-  Cancel.attach ~parent:child grandchild;
-  Alcotest.(check bool) "quiescent" false (Cancel.cancelled grandchild);
-  Cancel.cancel parent;
-  Alcotest.(check bool) "child cancelled" true (Cancel.cancelled child);
-  Alcotest.(check bool) "grandchild cancelled" true
-    (Cancel.cancelled grandchild)
-
-let test_cancel_attach_after_cancel () =
-  let parent = Cancel.create () in
-  Cancel.cancel parent;
-  let late = Cancel.create () in
-  Cancel.attach ~parent late;
-  Alcotest.(check bool) "late child cancelled immediately" true
-    (Cancel.cancelled late)
 
 (* -- cache: memory tier -------------------------------------------------- *)
 
@@ -813,9 +790,6 @@ let suite =
     ("admission: watermark and release", `Quick, test_admission_watermark);
     ("admission: burst shed", `Quick, test_admission_burst_shed);
     ("admission: invalid watermark", `Quick, test_admission_invalid_watermark);
-    ("cancel: parent propagates to tree", `Quick,
-     test_cancel_attach_propagates);
-    ("cancel: attach after cancel", `Quick, test_cancel_attach_after_cancel);
     ("cache: LRU eviction", `Quick, test_cache_lru_eviction);
     ("cache: disk round trip across restart", `Quick,
      test_cache_disk_roundtrip);
