@@ -51,6 +51,7 @@ type built = {
   num_segments : int;
   x : Lit.t array array array; (* x.(s).(i).(j) *)
   z : Lit.t array;
+  ladders : Lit.t array array; (* ladders.(s - 1): cost ladder of spot s *)
   objective : (int * Lit.t) list;
   symmetry : bool;
 }
@@ -213,7 +214,9 @@ let constrain_spot_general cnf table x_prev x_next m n steps =
    layout vector — row-major over (physical, logical) — to be
    lexicographically ≤ its π-relabelling for each enumerated π keeps the
    lex-least member of every solution orbit while cutting its siblings:
-   model-restricting, optimum-preserving.
+   model-restricting, optimum-preserving.  [lex_leader] states the
+   predicate on a concrete layout, [constrain_symmetry] encodes it; both
+   compare over the same automorphisms in the same position order.
 
    Per vector position k with sides b_k = x0(i,j), c_k = x0(π i, j) and
    prefix-equality chain variable a_k ("positions < k agree"):
@@ -221,6 +224,26 @@ let constrain_spot_general cnf table x_prev x_next m n steps =
      ¬a_k ∨ ¬b_k ∨ a_{k+1}    (given the ≤ clause, a_k ∧ b_k forces c_k)
      ¬a_k ∨  c_k ∨ a_{k+1}    (given the ≤ clause, a_k ∧ ¬c_k forces ¬b_k)
    Positions with π i = i compare a literal to itself and are skipped. *)
+let symmetry_group arch = Qxm_arch.Automorphism.all arch
+
+let lex_leader arch ~num_logical =
+  let group = symmetry_group arch in
+  let m = Coupling.num_qubits arch in
+  fun place ->
+    List.for_all
+      (fun pi ->
+        (* the first position where the two vectors differ must hold
+           0 on the layout's side and 1 on the relabelled side *)
+        let rec from i j =
+          if i = m then true
+          else if j = num_logical || pi.(i) = i then from (i + 1) 0
+          else
+            let b = place.(j) = i and c = place.(j) = pi.(i) in
+            if b = c then from i (j + 1) else c
+        in
+        from 0 0)
+      group
+
 let constrain_symmetry cnf arch x0 m n =
   List.iter
     (fun pi ->
@@ -242,7 +265,7 @@ let constrain_symmetry cnf arch x0 m n =
             chain := Some a'
           done
       done)
-    (Qxm_arch.Automorphism.all arch)
+    (symmetry_group arch)
 
 let build ?(amo = Amo.default) ?(costs = paper_costs) ?(symmetry = false) cnf
     inst =
@@ -264,12 +287,14 @@ let build ?(amo = Amo.default) ?(costs = paper_costs) ?(symmetry = false) cnf
   if symmetry then constrain_symmetry cnf inst.arch x.(0) m n;
   let max_sw = Swap_count.max_swaps table in
   let objective = ref [] in
+  let ladders = Array.make (num_segments - 1) [||] in
   if costs.flip_weight > 0 then
     Array.iter
       (fun zk -> objective := (costs.flip_weight, zk) :: !objective)
       z;
   for s = 1 to num_segments - 1 do
     let steps = make_ladder cnf max_sw in
+    ladders.(s - 1) <- steps;
     (if n = m then constrain_spot_square cnf table x.(s - 1) x.(s) m steps
      else constrain_spot_general cnf table x.(s - 1) x.(s) m n steps);
     if costs.swap_weight > 0 then
@@ -285,6 +310,7 @@ let build ?(amo = Amo.default) ?(costs = paper_costs) ?(symmetry = false) cnf
     num_segments;
     x;
     z;
+    ladders;
     objective = List.rev !objective;
     symmetry;
   }
@@ -353,35 +379,42 @@ let permutation_at_spot b model s =
   | Some (pi, _) -> pi
   | None -> invalid_arg "Encoding: no consistent permutation (disconnected?)"
 
-(* Phase hints for warm-starting the solver from a heuristic mapping:
-   x^s_ij true where the heuristic placed logical j on physical i during
-   segment s, z^k true where it ran CNOT k against the edge direction.
-   Everything else (ladder steps, permutation selectors, AMO aux) stays
-   false, which biases the search toward the cheapest completion. *)
-let phase_hints b ~maps ~flips =
-  let nv = Solver.nvars (Cnf.solver b.cnf) in
-  let hints = Array.make nv false in
-  let set l v =
-    let var = Lit.var l in
-    if var < nv then hints.(var) <- (if Lit.sign l then v else not v)
-  in
+(* A routing pins the whole objective: its placements fix every x
+   block, its flips every z, and the physical movement between two
+   consecutive layouts fixes how many ladder steps of that spot are
+   true.  Assuming all three makes a consistent routing's model cost
+   exactly the routing's cost. *)
+let routing_assumptions b ~layouts ~flips =
   let m = Coupling.num_qubits b.instance.arch in
   let n = b.instance.num_logical in
-  Array.iteri
-    (fun s block ->
-      if s < Array.length maps then begin
-        let place = maps.(s) in
-        for i = 0 to m - 1 do
-          for j = 0 to n - 1 do
-            set block.(i).(j) (j < Array.length place && place.(j) = i)
-          done
-        done
-      end)
-    b.x;
-  Array.iteri
-    (fun k zk -> if k < Array.length flips then set zk flips.(k))
-    b.z;
-  hints
+  if
+    Array.length layouts <> b.num_segments
+    || Array.length flips <> Array.length b.z
+    || Array.exists (fun place -> Array.length place <> m) layouts
+  then invalid_arg "Encoding.routing_assumptions: routing shape";
+  let xs =
+    List.concat
+      (List.mapi
+         (fun s place -> List.init n (fun j -> b.x.(s).(place.(j)).(j)))
+         (Array.to_list layouts))
+  in
+  let zs =
+    Array.to_list
+      (Array.mapi (fun k zk -> if flips.(k) then zk else Lit.negate zk) b.z)
+  in
+  let steps =
+    List.concat
+      (List.mapi
+         (fun i ladder ->
+           let prev = layouts.(i) and next = layouts.(i + 1) in
+           let pi = Array.make (Array.length prev) 0 in
+           Array.iteri (fun j p -> pi.(p) <- next.(j)) prev;
+           let swaps = Swap_count.swaps b.table pi in
+           List.init (Array.length ladder) (fun t ->
+               if t < swaps then ladder.(t) else Lit.negate ladder.(t)))
+         (Array.to_list b.ladders))
+  in
+  xs @ zs @ steps
 
 let var_count b = Solver.nvars (Cnf.solver b.cnf)
 let clause_count b = Solver.nclauses (Cnf.solver b.cnf)

@@ -103,14 +103,31 @@ val permutation_at_spot :
     reachable permutation consistent with the movement of occupied
     positions between segments [s-1] and [s] (unique when n = m). *)
 
-val phase_hints :
-  built -> maps:int array array -> flips:bool array -> bool array
-(** Dummy-free phase-seeding model for {!Qxm_opt.Minimize.minimize}'s
-    [warm_start]: [phase_hints b ~maps ~flips] sets x^s_ij true where
-    [maps.(s).(j) = i] and z^k true where [flips.(k)], everything else
-    false.  [maps] is indexed like the built segments; missing trailing
-    segments or gates are left at the cost-0 bias.  Hints never affect
-    soundness — they only steer the solver's branching phases. *)
+val routing_assumptions :
+  built -> layouts:int array array -> flips:bool array -> Qxm_sat.Lit.t list
+(** The literals that pin the encoding to one concrete routing, for use
+    as solver assumptions (the warm-start seed of
+    {!Qxm_opt.Minimize.minimize}).  [layouts.(s)] is segment [s]'s full
+    layout: [layouts.(s).(j)] is the physical qubit of logical [j] for
+    [j < m], where logicals [n .. m-1] are idle dummies that fix which
+    physical movement each spot performs.  [flips.(k)] says CNOT [k]
+    runs against the edge direction.  The list holds x^s_ij for every
+    placed logical qubit, z^k or its negation for every gate, and every
+    cost-ladder step of spot [s] set to whether the movement from
+    [layouts.(s-1)] to [layouts.(s)] needs more SWAPs than its index.
+    When the routing is feasible under the encoding's constraints
+    (including its symmetry clauses) the assumptions are satisfiable and
+    every model has exactly the routing's Eq. (5) cost; otherwise they
+    are refuted, which costs only that solve.
+    @raise Invalid_argument on a routing of the wrong shape. *)
+
+val lex_leader : Qxm_arch.Coupling.t -> num_logical:int -> int array -> bool
+(** [lex_leader arch ~num_logical place] is the predicate that [build]'s
+    symmetry clauses impose on the initial layout, evaluated on a
+    concrete layout ([place.(j)] = physical qubit of logical [j]): the
+    layout passes iff it is lexicographically ≤ its relabelling under
+    every automorphism the clauses enumerate.  Partial application
+    computes the automorphisms once. *)
 
 val var_count : built -> int
 val clause_count : built -> int

@@ -14,7 +14,6 @@ module Permutation = Qxm_arch.Permutation
 module Pool = Qxm_par.Pool
 module Incumbent = Qxm_par.Incumbent
 module Cancel = Qxm_par.Cancel
-module Sabre = Qxm_heuristic.Sabre
 module Trace = Qxm_obs.Trace
 module Metrics = Qxm_obs.Metrics
 module Timeseries = Qxm_obs.Timeseries
@@ -223,71 +222,21 @@ type solved = {
   s_pb_cap : int option;
 }
 
-(* Route the candidate's CNOT skeleton with the deterministic SABRE
-   heuristic and turn the result into branching-phase hints (always
-   sound) plus — under the [Minimal] strategy, where every CNOT has a
-   permutation spot before it, so any heuristic routing is a feasible
-   point of the exact encoding — an objective upper bound in the units of
-   [options.costs].  Other strategies restrict the spots, so the
-   heuristic's per-gate placements need not be encodable and only the
-   phase bias survives. *)
-let heuristic_warmth ~options ~built inst =
-  let skeleton =
-    Circuit.create inst.Encoding.num_logical
-      (List.map (fun (c, t) -> Gate.Cnot (c, t))
-         (Array.to_list inst.Encoding.cnots))
-  in
-  match Sabre.run ~verify:false ~arch:inst.Encoding.arch skeleton with
-  | exception _ -> None
-  | r ->
-      let arch = inst.Encoding.arch in
-      let g = Array.length inst.Encoding.cnots in
-      let nseg = Encoding.num_segments built in
-      let place = Array.copy r.Sabre.initial in
-      let maps = Array.make nseg [||] in
-      let flips = Array.make g false in
-      let nswaps = ref 0 and nflips = ref 0 in
-      let k = ref 0 in
-      List.iter
-        (fun gate ->
-          match gate with
-          | Gate.Swap (a, b) ->
-              incr nswaps;
-              Array.iteri
-                (fun j p ->
-                  if p = a then place.(j) <- b
-                  else if p = b then place.(j) <- a)
-                place
-          | Gate.Cnot (pc, pt) when !k < g ->
-              let s = Encoding.segment_of_gate built !k in
-              if Array.length maps.(s) = 0 then maps.(s) <- Array.copy place;
-              if not (Coupling.allows arch pc pt) then begin
-                flips.(!k) <- true;
-                incr nflips
-              end;
-              incr k
-          | _ -> ())
-        (Circuit.gates r.Sabre.mapped);
-      if !k <> g then None
-      else begin
-        (* segments with no CNOT (possible only in degenerate instances)
-           inherit the preceding placement *)
-        let prev = ref r.Sabre.initial in
-        Array.iteri
-          (fun s p ->
-            if Array.length p = 0 then maps.(s) <- Array.copy !prev
-            else prev := p)
-          maps;
-        let hints = Encoding.phase_hints built ~maps ~flips in
-        let bound =
-          if options.strategy = Strategy.Minimal then
-            Some
-              ((options.costs.Encoding.swap_weight * !nswaps)
-              + (options.costs.Encoding.flip_weight * !nflips))
-          else None
-        in
-        Some (hints, bound)
-      end
+(* The warm-start seed: the DP's optimal routing of the candidate, as
+   assumptions pinning the encoding to it, with its cost.  Relaxed
+   strategies and n < m instances are routed over the same spots and
+   dummies the encoding uses, so the routing is always encodable; under
+   symmetry the DP keeps to lex-leader initial layouts, so the clauses
+   cannot refute it. *)
+let dp_seed ~(options : options) ~built inst =
+  if not (Dp_exact.tractable inst) then None
+  else
+    Dp_exact.solve ~costs:options.costs ~symmetry:(effective_symmetry options)
+      inst
+    |> Option.map (fun (r : Dp_exact.routing) ->
+           ( r.cost,
+             Encoding.routing_assumptions built ~layouts:r.layouts
+               ~flips:r.flips ))
 
 (* Observation hooks threaded from [run] into each candidate solve:
    [obs_phase] times (and spans) a pipeline stage under its name,
@@ -304,7 +253,7 @@ type obs = {
 (* -- ladder sessions ----------------------------------------------------- *)
 
 (* Per-candidate incremental state for the portfolio's conflict-limit
-   ladder: solver, encoding, heuristic warmth and minimization session
+   ladder: solver, encoding, warm-start seed and minimization session
    survive between [run] calls, so a later rung resumes the previous
    descent — learnt clauses, saved phases and VSIDS activity intact —
    instead of re-encoding from scratch.  [sl_reported] is a stats
@@ -315,7 +264,7 @@ type slot = {
   sl_solver : Solver.t;
   sl_cnf : Cnf.t;
   sl_built : Encoding.built;
-  sl_warmth : (bool array * int option) option;
+  sl_seed : (int * Lit.t list) option;
   sl_min : Minimize.session;
   mutable sl_reported : Solver.stats;
 }
@@ -376,17 +325,16 @@ let solve_instance ~(options : options) ~obs ~cancel ~deadline ~bound ?session
           Encoding.build ~amo:options.amo ~costs:options.costs
             ~symmetry:(effective_symmetry options) cnf inst)
     in
-    let warmth =
+    let seed =
       if options.warm_start then
-        obs.obs_phase "warm_start" (fun () ->
-            heuristic_warmth ~options ~built inst)
+        obs.obs_phase "warm_start" (fun () -> dp_seed ~options ~built inst)
       else None
     in
     {
       sl_solver = solver;
       sl_cnf = cnf;
       sl_built = built;
-      sl_warmth = warmth;
+      sl_seed = seed;
       sl_min = Minimize.new_session ();
       sl_reported = Solver.zero_stats;
     }
@@ -411,18 +359,18 @@ let solve_instance ~(options : options) ~obs ~cancel ~deadline ~bound ?session
         sl
     | None -> fresh ()
   in
-  let bound =
-    match (bound, Option.bind sl.sl_warmth snd) with
-    | Some a, Some b -> Some (min a b)
-    | (Some _ as x), None | None, (Some _ as x) -> x
-    | None, None -> None
+  (* A seed costlier than the enforced bound would only be refuted. *)
+  let warm_start =
+    match (sl.sl_seed, bound) with
+    | Some (cost, _), Some b when cost > b -> None
+    | seed, _ -> Option.map snd seed
   in
   let outcome =
     obs.obs_phase "solve" (fun () ->
         Minimize.minimize ~session:sl.sl_min ~strategy:options.opt_strategy
           ?deadline:(Option.map Fun.id deadline)
           ~conflict_limit:options.conflict_limit ?upper_bound:bound
-          ?warm_start:(Option.map fst sl.sl_warmth)
+          ?warm_start
           ~on_incumbent:obs.obs_incumbent ~cnf:sl.sl_cnf
           ~objective:(Encoding.objective sl.sl_built) ())
   in

@@ -63,14 +63,17 @@ type options = {
           switching this off exists for the property test proving
           exactly that, and to measure the pruning's effect. *)
   warm_start : bool;
-      (** Seed each candidate's SAT search from a SABRE routing of its
-          CNOT skeleton (on by default): the heuristic's placements and
-          direction switches become branching-phase hints, and — under
-          the [Minimal] strategy, whose spot set makes any routing
-          encodable — its cost becomes an extra [upper_bound].  Phase
-          hints never affect which cost is optimal, only how fast the
-          solver gets there; turning this off recovers the cold solver
-          for measurement. *)
+      (** Seed each candidate's SAT search with its optimal routing
+          from the permutation DP ({!Dp_exact}; on by default).  When the
+          DP cost fits the bound the candidate already runs under, the
+          routing's literals ({!Encoding.routing_assumptions}) are the
+          assumptions of the first solve, which then finds the
+          candidate's optimum at almost no search cost, leaving the
+          descent one refutation.  A refuted seed falls back to the
+          plain solve.  The DP's cost is never enforced as a bound, so
+          every [optimal] claim and certificate rests on the SAT proof
+          alone; turning this off recovers the cold solver for
+          measurement. *)
   seed : int;
       (** RNG seed for the SAT solver's random tie-breaking.  [0] (the
           default) leaves each solver's built-in deterministic seed
@@ -106,8 +109,8 @@ val default : options
 
 (** {2 Ladder sessions}
 
-    A {!session} carries each candidate's solver, encoding, heuristic
-    warmth and minimization state across several {!run} calls, so a
+    A {!session} carries each candidate's solver, encoding, warm-start
+    seed and minimization state across several {!run} calls, so a
     conflict-limit ladder (the portfolio's escalation rungs) resumes
     the previous rung's descent — learnt clauses, saved phases and
     VSIDS activity intact — instead of re-encoding from scratch.

@@ -50,6 +50,7 @@ let new_session () =
   }
 
 let step_conflicts = Metrics.histogram "minimize.step_conflicts"
+let seed_rejected = Metrics.counter "minimize.seed_rejected"
 let session_cap sn = Option.bind sn.s_pb Pb.cap
 
 let cost_of_model objective model =
@@ -97,20 +98,18 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
         rev_trajectory := (Unix.gettimeofday (), cost) :: !rev_trajectory;
         match on_incumbent with Some cb -> cb cost | None -> ()
       in
-      (* Phase seeding: bias the search toward the heuristic solution when
-         one is supplied, and toward cost 0 on the objective literals either
-         way.  Phases steer branching order only, so this cannot change
-         which costs are reachable — only how fast the descent starts.
-         Done once per session: on a resumed solver the saved phases of the
-         previous descent are worth more than the cold seed. *)
-      if not sn.s_seeded then begin
+      (* Phase seeding: bias the search toward cost 0 on the objective
+         literals.  Phases steer branching order only, so this cannot
+         change which costs are reachable — only how fast the descent
+         starts.  Done once per session, like the warm-start seed: on a
+         resumed solver the saved phases of the previous descent are worth
+         more than either. *)
+      let first_call = not sn.s_seeded in
+      if first_call then begin
         List.iter
           (fun (_, l) ->
             Solver.set_phase solver (Lit.var l) (not (Lit.sign l)))
           objective;
-        (match warm_start with
-        | Some model -> Solver.suggest_model solver model
-        | None -> ());
         sn.s_seeded <- true
       end;
       let solves = ref 0 in
@@ -196,8 +195,23 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
         | None -> (
             (* The initial solve runs under whatever bound is already
                permanently enforced (a seeded upper bound): carry it as
-               the rung so a long UNSAT grind here is attributable. *)
-            match solve ?bound:sn.s_enforced () with
+               the rung so a long UNSAT grind here is attributable.  A
+               warm-start seed is tried first, as assumptions; when they
+               are refuted (or run out of budget) the plain solve runs
+               as if no seed had been given. *)
+            let seeded =
+              match warm_start with
+              | Some (_ :: _ as assumptions) when first_call -> (
+                  match solve ~assumptions ?bound:sn.s_enforced () with
+                  | Solver.Sat -> true
+                  | Solver.Unsat | Solver.Unknown ->
+                      Metrics.incr seed_rejected;
+                      false)
+              | _ -> false
+            in
+            match
+              if seeded then Solver.Sat else solve ?bound:sn.s_enforced ()
+            with
             | Solver.Sat ->
                 let m = Solver.model solver in
                 let c = cost_of_model objective m in

@@ -78,7 +78,7 @@ val minimize :
   ?deadline:float ->
   ?conflict_limit:int ->
   ?upper_bound:int ->
-  ?warm_start:bool array ->
+  ?warm_start:Qxm_sat.Lit.t list ->
   ?on_incumbent:(int -> unit) ->
   cnf:Qxm_encode.Cnf.t ->
   objective:(int * Qxm_sat.Lit.t) list ->
@@ -99,11 +99,16 @@ val minimize :
     bound below the true optimum, the outcome reports [unsatisfiable];
     the caller is responsible for interpreting that correctly.
 
-    [warm_start] seeds the solver's saved phases from a (partial) model,
-    indexed by variable ({!Qxm_sat.Solver.suggest_model}): the first
-    descent then starts at — or near — the heuristic solution instead of
-    a cold phase assignment.  Unlike [upper_bound] this is only a hint;
-    it cannot change the optimum or make the problem unsatisfiable.
+    [warm_start] is a seed: literals describing one known solution (the
+    mapper passes a DP-optimal routing, [Encoding.routing_assumptions]).
+    The session's first solve runs under them as assumptions, so it
+    lands on that solution at almost no search cost and the descent
+    continues from its cost.  If the seed is refuted or that solve runs
+    out of budget, the [minimize.seed_rejected] counter is bumped and the
+    plain solve runs as though no seed had been given.  Unlike
+    [upper_bound] a seed is never enforced: it cannot change the optimum
+    or make the problem unsatisfiable, and it adds nothing to [bounds].
+    Later calls of a session ignore it.
     Objective literals are always phase-seeded toward cost 0.
 
     [on_incumbent] fires synchronously each time a new best-cost model

@@ -1390,9 +1390,6 @@ let set_phase s v b =
   if v >= 0 && v < s.nvars then
     Bytes.unsafe_set s.polarity v (if b then '\001' else '\000')
 
-let suggest_model s m =
-  Array.iteri (fun v b -> if v < s.nvars then set_phase s v b) m
-
 (* -- invariant sanitizer -------------------------------------------------- *)
 
 (* Audit the solver's core data-structure invariants: trail/level

@@ -179,11 +179,6 @@ val set_phase : t -> int -> bool -> unit
     are ignored.  Phases only steer the search order — they never affect
     soundness or completeness. *)
 
-val suggest_model : t -> bool array -> unit
-(** Seed every variable's phase from a (partial) model, indexed by
-    variable — the warm-start hook: hand the search a heuristic solution
-    and it will descend towards it first.  Extra entries are ignored. *)
-
 val set_stop : t -> bool Atomic.t option -> unit
 (** Install (or clear, with [None]) an external stop flag.  The flag is
     read on every budget check; once it is [true] the current and any

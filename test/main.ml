@@ -10,6 +10,7 @@ let () =
       ("arch", Test_arch.suite);
       ("benchmarks", Test_benchmarks.suite);
       ("exact", Test_exact.suite);
+      ("dp", Test_dp.suite);
       ("heuristic", Test_heuristic.suite);
       ("extensions", Test_extensions.suite);
       ("integration", Test_integration.suite);

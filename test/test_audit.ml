@@ -191,9 +191,16 @@ let test_non_induced_subset () =
    off almost immediately, the second resumes the same solvers and
    concludes.  The emitted certificate's [bounds] are cumulative over the
    whole session — replaying only the final rung's enforcements would not
-   reproduce the clause stream the proof was logged against. *)
+   reproduce the clause stream the proof was logged against.  The warm
+   start is off: seeded with the DP's optimal routing, the descent would
+   reach F* in one rung and leave no ladder to cut. *)
 let session_options =
-  { Mapper.default with certificate = true; conflict_limit = -1 }
+  {
+    Mapper.default with
+    certificate = true;
+    conflict_limit = -1;
+    warm_start = false;
+  }
 
 let session_cert =
   lazy

@@ -160,7 +160,7 @@ let library_handles =
     (Solver.stats_counters Solver.zero_stats)
   @ [
       "solver.arena_words"; "pb.outputs"; "pb.clauses";
-      "minimize.step_conflicts";
+      "minimize.step_conflicts"; "minimize.seed_rejected";
       "mapper.candidates_pruned"; "mapper.ladder_reuse_hits";
       "portfolio.ladder_conflict_budget"; "par.incumbent_updates";
       "par.pool_queue_depth"; "par.pool_tasks"; "obs.flight_dumps";

@@ -1,11 +1,11 @@
 (* Tests for the solver-core performance layer: clause-tier management,
    learned-clause minimization, inprocessing (backward subsumption +
-   vivification), and heuristic warm starts.
+   vivification), and warm-start seeds.
 
    The properties here are about *preservation*: none of the machinery
    that deletes, shortens, or reorders clauses may change which formulas
    are satisfiable or which models are acceptable, and none of the
-   phase-seeding hooks may change which cost is optimal. *)
+   phase or seed hooks may change which cost is optimal. *)
 
 open Test_util
 module Lit = Qxm_sat.Lit
@@ -83,16 +83,17 @@ let test_inprocess_incremental =
       | _ -> false)
 
 (* Phase seeding must never change the answer, only the search path:
-   seeding with a brute-forced model (when one exists) or with
-   adversarially flipped phases still yields the brute-force verdict. *)
+   seeding every phase one way, with one variable flipped, still yields
+   the brute-force verdict. *)
 let test_phases_preserve_answer =
-  qtest ~count:300 "suggest_model/set_phase preserve the answer"
+  qtest ~count:300 "set_phase preserves the answer"
     QCheck2.Gen.(pair (cnf_gen ~max_vars:8 ~max_clauses:30 ~max_len:4) bool)
     (fun ((nvars, clauses), invert) ->
       let s = solver_with nvars in
       add_all s clauses;
-      let seed = Array.make nvars invert in
-      Solver.suggest_model s seed;
+      for v = 0 to nvars - 1 do
+        Solver.set_phase s v invert
+      done;
       Solver.set_phase s 0 (not invert);
       let expected = brute_sat nvars clauses in
       match Solver.solve s with
@@ -183,9 +184,52 @@ let warm_objective_gen =
     let objective = List.mapi (fun v w -> (w, Lit.pos v)) weights in
     return (nvars, clauses, objective))
 
-(* Seeding the optimizer with an optimal model (phases + upper bound, as
-   the mapper's SABRE warm start does) must reach the same optimum and
-   never take more solver calls than the cold run. *)
+let seed_rejections () =
+  Qxm_obs.Metrics.count (Qxm_obs.Metrics.snapshot ()) "minimize.seed_rejected"
+
+(* The brute-force model that the warm-start cases seed with: the first
+   one, in binary counting order, achieving the optimum. *)
+let optimal_witness nvars clauses objective expected =
+  let witness = ref None in
+  let assign = Array.make nvars false in
+  let rec go i =
+    if !witness <> None then ()
+    else if i = nvars then begin
+      if
+        eval_clauses clauses (fun v -> assign.(v))
+        && Minimize.cost_of_model objective assign = expected
+      then witness := Some (Array.copy assign)
+    end
+    else begin
+      assign.(i) <- false;
+      go (i + 1);
+      assign.(i) <- true;
+      go (i + 1)
+    end
+  in
+  go 0;
+  Option.get !witness
+
+let minimize_fresh ?warm_start nvars clauses objective =
+  let s = solver_with nvars in
+  let cnf = Cnf.create s in
+  List.iter (Cnf.add cnf) clauses;
+  Minimize.minimize ~cnf ~objective ?warm_start ()
+
+let reaches expected (o : Minimize.outcome) clauses objective =
+  o.optimal
+  && o.cost = Some expected
+  &&
+  match o.model with
+  | Some m ->
+      eval_clauses clauses (fun v -> m.(v))
+      && Minimize.cost_of_model objective m = expected
+  | None -> false
+
+(* Seeding the optimizer with an optimal model (as assumption literals,
+   the way the mapper seeds the DP's routing) must reach the same
+   optimum, never take more solver calls than the cold run, and never
+   count as a rejected seed. *)
 let test_warm_start_optimum =
   qtest ~count:200 "warm start: same optimum, no more solves"
     warm_objective_gen
@@ -193,49 +237,35 @@ let test_warm_start_optimum =
       match brute_min nvars clauses objective with
       | None -> true (* unsat instances carry no warm start *)
       | Some expected ->
-          (* brute-force one witness achieving the optimum *)
-          let witness = ref None in
-          let assign = Array.make nvars false in
-          let rec go i =
-            if !witness <> None then ()
-            else if i = nvars then begin
-              if
-                eval_clauses clauses (fun v -> assign.(v))
-                && Minimize.cost_of_model objective assign = expected
-              then witness := Some (Array.copy assign)
-            end
-            else begin
-              assign.(i) <- false;
-              go (i + 1);
-              assign.(i) <- true;
-              go (i + 1)
-            end
-          in
-          go 0;
-          let witness = Option.get !witness in
-          let cold =
-            let s = solver_with nvars in
-            let cnf = Cnf.create s in
-            List.iter (Cnf.add cnf) clauses;
-            Minimize.minimize ~cnf ~objective ()
-          in
+          let witness = optimal_witness nvars clauses objective expected in
+          let cold = minimize_fresh nvars clauses objective in
+          let rejected = seed_rejections () in
           let warm =
-            let s = solver_with nvars in
-            let cnf = Cnf.create s in
-            List.iter (Cnf.add cnf) clauses;
-            Minimize.minimize ~cnf ~objective ~upper_bound:expected
-              ~warm_start:witness ()
+            minimize_fresh nvars clauses objective
+              ~warm_start:(List.init nvars (fun v -> Lit.make v witness.(v)))
           in
-          warm.optimal
-          && warm.cost = Some expected
-          && cold.cost = Some expected
+          reaches expected warm clauses objective
+          && reaches expected cold clauses objective
           && warm.solves <= cold.solves
-          &&
-          match warm.model with
-          | Some m ->
-              eval_clauses clauses (fun v -> m.(v))
-              && Minimize.cost_of_model objective m = expected
-          | None -> false)
+          && seed_rejections () = rejected)
+
+(* A seed that falsifies a clause is refuted by its assumption solve; the
+   plain solve that follows must still reach the brute-force optimum,
+   and the rejection is counted. *)
+let test_infeasible_seed_falls_back =
+  qtest ~count:200 "warm start: infeasible seed falls back"
+    warm_objective_gen
+    (fun (nvars, clauses, objective) ->
+      match (brute_min nvars clauses objective, clauses) with
+      | None, _ | _, [] -> true
+      | Some expected, clause :: _ ->
+          let rejected = seed_rejections () in
+          let warm =
+            minimize_fresh nvars clauses objective
+              ~warm_start:(List.map Lit.negate clause)
+          in
+          reaches expected warm clauses objective
+          && seed_rejections () = rejected + 1)
 
 let suite =
   [
@@ -250,4 +280,5 @@ let suite =
       test_allocation_free_hot_loop;
     Alcotest.test_case "stats: zero/add algebra" `Quick test_stats_sum;
     test_warm_start_optimum;
+    test_infeasible_seed_falls_back;
   ]
