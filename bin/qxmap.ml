@@ -534,7 +534,7 @@ let map_cmd =
       & info [ "stage-budget" ] ~docv:"SECONDS"
           ~doc:
             "Portfolio mode: wall-clock budget for the exact stages \
-             (probe + conflict ladder).  Defaults to 70% of --timeout; \
+             (the conflict ladder).  Defaults to 70% of --timeout; \
              the rest is the reserve for fallback and verification.")
   in
   let fallback_arg =

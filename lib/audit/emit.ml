@@ -37,53 +37,6 @@ let prove_bound ?deadline ~amo ~costs ~symmetry ~instance ~cost () =
            cost)
   | Solver.Unknown -> Error "re-prove budget exhausted"
 
-(* Full re-derivation: model *and* proof over the requested strategy's
-   own encoding.  The portfolio's winning witness can come from a
-   relaxed-strategy probe whose optimality a later no-improvement rung
-   proved — its model then lives over a different variable space than
-   the certificate records, so neither the model nor the trace can be
-   reused.  A relaxation's permutation spots are a subset of the
-   requested strategy's, so the probe's cost is attainable here too:
-   enforcing F <= cost must come back Sat (the model) and F <= cost - 1
-   Unsat (the proof).  The PB circuit is capped at [cost], the first of
-   the two bounds. *)
-let derive_model_and_proof ?deadline ~amo ~costs ~symmetry ~instance ~cost () =
-  let solver = Solver.create () in
-  Solver.enable_proof solver;
-  let cnf = Cnf.create solver in
-  let built = Encoding.build ~amo ~costs ~symmetry cnf instance in
-  let pb = Pb.build ~cap:cost cnf (Encoding.objective built) in
-  Pb.enforce_at_most cnf pb cost;
-  match Solver.solve ?deadline solver with
-  | Solver.Unsat ->
-      Error
-        (Printf.sprintf
-           "claimed cost %d is unattainable under the requested strategy" cost)
-  | Solver.Unknown -> Error "re-derive budget exhausted"
-  | Solver.Sat -> (
-      let model = Array.copy (Solver.model solver) in
-      if cost = 0 then Ok (model, "", [ 0 ], cost)
-      else begin
-        Pb.enforce_at_most cnf pb (cost - 1);
-        match Solver.solve ?deadline solver with
-        | Solver.Sat ->
-            Error
-              (Printf.sprintf
-                 "cost %d is not optimal for this instance: a cheaper model \
-                  exists"
-                 cost)
-        | Solver.Unknown -> Error "re-derive budget exhausted"
-        | Solver.Unsat -> (
-            match Solver.proof solver with
-            | Some proof ->
-                Ok
-                  ( model,
-                    Proof.to_drup { proof with Proof.inputs = [] },
-                    [ cost; cost - 1 ],
-                    cost )
-            | None -> Error "solver produced no trace")
-      end)
-
 let build ?deadline ~device_name ~arch ~circuit ~strategy ~amo ~costs
     ~(elementary : Circuit.t) (w : Mapper.witness) =
   let cnot_list = Circuit.cnots circuit in
@@ -95,28 +48,15 @@ let build ?deadline ~device_name ~arch ~circuit ~strategy ~amo ~costs
       spots = Strategy.spots strategy cnot_list;
     }
   in
-  let* model, proof_drup, bounds, pb_cap, symmetry =
-    if w.Mapper.w_strategy <> strategy then
-      (* The witness's model and trace live over a different strategy's
-         variable space; everything is re-derived here, on an
-         unrestricted encoding, so the certificate records
-         [symmetry = false] regardless of how the witness was found. *)
-      let* model, proof_drup, bounds, cap =
-        derive_model_and_proof ?deadline ~amo ~costs ~symmetry:false ~instance
-          ~cost:w.Mapper.w_cost ()
-      in
-      Ok (model, proof_drup, bounds, Some cap, false)
-    else if w.Mapper.w_cost = 0 then
-      Ok (w.Mapper.w_model, "", [], None, w.Mapper.w_symmetry)
+  let* proof_drup, bounds, pb_cap =
+    if w.Mapper.w_cost = 0 then Ok ("", [], None)
     else
       match w.Mapper.w_proof with
       | Some proof ->
           Ok
-            ( w.Mapper.w_model,
-              Proof.to_drup { proof with Proof.inputs = [] },
+            ( Proof.to_drup { proof with Proof.inputs = [] },
               w.Mapper.w_bounds,
-              w.Mapper.w_pb_cap,
-              w.Mapper.w_symmetry )
+              w.Mapper.w_pb_cap )
       | None ->
           (* Re-prove over the witness's own encoding flag: the recorded
              model must satisfy the clause stream the auditor re-derives,
@@ -125,12 +65,7 @@ let build ?deadline ~device_name ~arch ~circuit ~strategy ~amo ~costs
             prove_bound ?deadline ~amo ~costs ~symmetry:w.Mapper.w_symmetry
               ~instance ~cost:w.Mapper.w_cost ()
           in
-          Ok
-            ( w.Mapper.w_model,
-              Proof.to_drup { Proof.inputs = []; steps },
-              bounds,
-              Some cap,
-              w.Mapper.w_symmetry )
+          Ok (Proof.to_drup { Proof.inputs = []; steps }, bounds, Some cap)
   in
   Ok
     {
@@ -143,9 +78,9 @@ let build ?deadline ~device_name ~arch ~circuit ~strategy ~amo ~costs
       amo = Certificate.amo_name amo;
       swap_weight = costs.Encoding.swap_weight;
       flip_weight = costs.Encoding.flip_weight;
-      symmetry;
+      symmetry = w.Mapper.w_symmetry;
       claimed_cost = w.Mapper.w_cost;
-      model;
+      model = w.Mapper.w_model;
       bounds;
       pb_cap;
       proof_drup;

@@ -80,7 +80,6 @@ let effective_symmetry (options : options) =
    Everything an offline auditor needs that the polished [report] fields
    no longer expose. *)
 type witness = {
-  w_strategy : Strategy.t;  (* strategy whose encoding [w_model] satisfies *)
   w_sub_arch : Coupling.t;  (* winning candidate sub-architecture *)
   w_back : int array;  (* instance position -> device qubit, ascending *)
   w_model : bool array;  (* satisfying model over the instance encoding *)
@@ -736,7 +735,6 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
           if options.certificate then
             Some
               {
-                w_strategy = options.strategy;
                 w_sub_arch = sub_arch;
                 w_back = back;
                 w_model = s.s_model;

@@ -131,10 +131,6 @@ val new_session : unit -> session
     Positions refer to the winning candidate sub-architecture
     ([w_sub_arch]); [w_back] maps them to device qubits. *)
 type witness = {
-  w_strategy : Strategy.t;
-      (** the strategy whose encoding [w_model] and [w_proof] live over —
-          under {!Qxm_exact.Portfolio} this can be a relaxed probe
-          strategy rather than the one the caller requested *)
   w_sub_arch : Qxm_arch.Coupling.t;
   w_back : int array;  (** instance position → device qubit, ascending *)
   w_model : bool array;  (** satisfying model over the instance encoding *)

@@ -34,15 +34,17 @@ let engine_of_string = function
   | "stochastic" | "swap" -> Some Stochastic
   | _ -> None
 
+(* Share of [budget] the exact stages get when [exact_budget] is unset;
+   the rest is the reserve for fallback, reconstruction and verification. *)
+let exact_fraction = 0.7
+
 type stage = { stage : string; spent : float; solves : int; outcome : string }
 
 type options = {
   exact : Mapper.options;
   budget : float option;
   exact_budget : float option;
-  exact_share : float;
   ladder : int list;
-  probe : bool;
   cascade : engine list;
   seed : int;
   jobs : int;
@@ -53,9 +55,7 @@ let default =
     exact = Mapper.default;
     budget = None;
     exact_budget = None;
-    exact_share = 0.7;
     ladder = [ 4000; -1 ];
-    probe = true;
     cascade = [ Sabre; Astar; Stochastic ];
     seed = 0;
     jobs = 1;
@@ -139,7 +139,7 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
     let exact_deadline =
       match (options.exact_budget, options.budget) with
       | Some e, _ -> Some (start +. e)
-      | None, Some b -> Some (start +. (options.exact_share *. b))
+      | None, Some b -> Some (start +. (exact_fraction *. b))
       | None, None -> None
     in
     let exact_time_left () =
@@ -198,11 +198,8 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
             })
         on_progress
     in
-    (* One exact stage: [strategy] is either the requested strategy (a
-       ladder rung) or one of its relaxations (the probe), so the best
-       incumbent's objective value is always a sound upper bound. *)
-    let run_exact ?pool ?session ~stage ~strategy
-        ~conflict_limit () =
+    (* One ladder rung, seeded with the best incumbent's objective value. *)
+    let run_exact ?pool ?session ~stage ~conflict_limit () =
       let t0 = Unix.gettimeofday () in
       Trace.with_span ~name:"portfolio.stage"
         ~args:
@@ -236,7 +233,6 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
           let opts =
             {
               options.exact with
-              strategy;
               conflict_limit;
               timeout = left;
               upper_bound;
@@ -250,8 +246,7 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
           | Ok r ->
               note_stats r.sat_stats;
               note_exact ~t0 r;
-              if r.optimal && strategy = options.exact.strategy then
-                proved_optimal := true
+              if r.optimal then proved_optimal := true
               else if
                 (* A deadline-bearing unlimited rung can only come back
                    unproven because the clock cut it (possibly inside the
@@ -275,8 +270,7 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
               (* With a seeded bound, UNSAT only means "nothing cheaper
                  than the incumbent", which proves the incumbent optimal
                  when this rung had no other budget pressure. *)
-              if seeded && conflict_limit < 0 && strategy = options.exact.strategy
-              then proved_optimal := true;
+              if seeded && conflict_limit < 0 then proved_optimal := true;
               record ~stage ~t0 ~stage_solves:0
                 (if seeded then "no improvement on incumbent" else "unsat")
           | Error (Mapper.Too_many_logical _) ->
@@ -285,33 +279,16 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
               record ~stage ~t0 ~stage_solves:0
                 ("failed: " ^ Printexc.to_string e))
     in
-    (* The exact lane: relaxed-strategy probe, then the conflict-limit
-       ladder.  The ladder rungs thread one {!Mapper.session}, so each
-       rung resumes the previous rung's solvers (learnt clauses, phases,
-       activity, enforced bounds) instead of re-encoding — the probe
-       runs a different strategy and stays outside the session.  A
-       cancelled run stops between rungs (and, through [Solver.set_stop],
-       mid-solve). *)
+    (* The exact lane: the conflict-limit ladder on the requested
+       strategy.  The rungs thread one {!Mapper.session}, so each rung
+       resumes the previous rung's solvers (learnt clauses, phases,
+       activity, enforced bounds) instead of re-encoding; every solve
+       starts at the permutation DP's optimal routing where that is
+       tractable.  A cancelled run stops between rungs (and, through
+       [Solver.set_stop], mid-solve). *)
     let exact_lane ?pool () =
       Trace.with_span ~name:"portfolio.exact_lane" @@ fun () ->
       let stopped = ref false in
-      (* Stage 1: relaxed-strategy probe for a fast incumbent. *)
-      (if options.probe && options.ladder <> [] then
-         match Strategy.relaxations options.exact.strategy with
-         | [] -> ()
-         | relax :: _ ->
-             let limit =
-               match options.ladder with
-               | l :: _ when l >= 0 -> l
-               | _ -> 4000
-             in
-             if cancelled () then stopped := true
-             else
-               run_exact ?pool
-                 ~stage:("probe:" ^ Strategy.name relax)
-                 ~strategy:relax ~conflict_limit:limit ());
-      (* Stage 2: conflict-limit ladder on the requested strategy, one
-         shared incremental session across the rungs. *)
       let ladder_session = Mapper.new_session () in
       List.iter
         (fun limit ->
@@ -322,7 +299,7 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
                 ~stage:
                   (Printf.sprintf "exact:%s"
                      (if limit < 0 then "unlimited" else string_of_int limit))
-                ~strategy:options.exact.strategy ~conflict_limit:limit ())
+                ~conflict_limit:limit ())
         options.ladder;
       if !stopped then
         record ~stage:"exact" ~t0:(Unix.gettimeofday ()) ~stage_solves:0

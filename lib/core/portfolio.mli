@@ -8,13 +8,12 @@
     produce *some* valid mapping fast.  This module turns the exact
     pipeline into the first stage of a budgeted portfolio:
 
-    + an optional {e probe} solves the instance under a relaxed
-      permutation strategy ({!Strategy.relaxations}) with a small
-      conflict budget, grabbing a cheap incumbent whose objective value
-      warm-starts everything after it;
     + the exact pipeline runs under an escalating conflict-limit ladder,
       each rung seeded with the best incumbent so far ([upper_bound]),
-      inside the exact stage's share of the wall-clock budget;
+      inside the exact stage's share of the wall-clock budget; every
+      solve starts at the permutation DP's optimal routing where that is
+      tractable, so the first rung normally finds the optimum and the
+      later ones only have to prove it;
     + on exhaustion the best SAT incumbent (the anytime
       {!Qxm_opt.Minimize.outcome} surfaced through {!Mapper.report}) is
       kept as a candidate and the configured heuristic cascade
@@ -34,9 +33,9 @@ type provenance =
       (** The exact pipeline finished and proved minimality for the
           requested strategy. *)
   | Exact_incumbent
-      (** The returned circuit is a SAT model, but optimality was not
-          proven before the budget ran out (or the model came from a
-          relaxed-strategy probe). *)
+      (** The returned circuit is a SAT model of the requested
+          strategy's encoding, but optimality was not proven before the
+          budget (or the caller's cancel token) stopped the ladder. *)
   | Heuristic of string
       (** The named fallback engine (["sabre"], ["astar"],
           ["stochastic"]) produced the returned circuit. *)
@@ -51,7 +50,7 @@ val engine_of_string : string -> engine option
 
 (** One pipeline stage's telemetry, in execution order. *)
 type stage = {
-  stage : string;  (** e.g. ["probe:triangle"], ["exact:4000"], ["sabre"] *)
+  stage : string;  (** e.g. ["exact:4000"], ["exact:unlimited"], ["sabre"] *)
   spent : float;  (** wall-clock seconds consumed by the stage *)
   solves : int;  (** SAT solver calls made by the stage *)
   outcome : string;
@@ -69,19 +68,13 @@ type options = {
       (** Total wall-clock budget.  [None] (default) lets the final
           ladder rung run to completion, like the plain exact mapper. *)
   exact_budget : float option;
-      (** Explicit wall-clock budget for probe + ladder; overrides
-          [exact_share].  The remainder of [budget] is the reserve for
-          fallback, reconstruction and verification. *)
-  exact_share : float;
-      (** Fraction of [budget] given to the exact stages when
-          [exact_budget] is [None] (default 0.7). *)
+      (** Explicit wall-clock budget for the ladder.  [None] (default)
+          gives the exact stages 70% of [budget]; the remainder is the
+          reserve for fallback, reconstruction and verification. *)
   ladder : int list;
       (** Escalating per-solve conflict limits for the exact rungs,
           [-1] = unlimited (default [[4000; -1]]).  [[]] disables the
           exact stage entirely. *)
-  probe : bool;
-      (** Run the relaxed-strategy probe first (default [true]; only
-          effective when the requested strategy has relaxations). *)
   cascade : engine list;
       (** Fallback engines in order (default
           [[Sabre; Astar; Stochastic]]).  The first engine whose result
@@ -89,7 +82,7 @@ type options = {
   seed : int;  (** Seed for the stochastic fallback (determinism). *)
   jobs : int;
       (** Worker domains for the exact stages (default 1).  With
-          [jobs > 1] the probe and every ladder rung run on one shared
+          [jobs > 1] every ladder rung runs on one shared
           [Qxm_par.Pool] of this width, handed to {!Mapper.run} for its
           sub-architecture candidate fan-out.  The stages still run one
           after another, so [jobs] never changes which stage runs. *)
@@ -112,12 +105,12 @@ type report = {
   solves : int;  (** SAT solver calls across all stages *)
   stages : stage list;  (** telemetry, in execution order *)
   sat_stats : Qxm_sat.Solver.stats;
-      (** Field-wise sum of the solver work of every exact stage (probe
-          and ladder rungs alike): {!Mapper.report.sat_stats} of the
-          stages that produced a report, and the stats carried by the
-          [Timeout] and [Unmappable] failures of those that did not;
-          heuristic stages contribute nothing.  See
-          [doc/PERFORMANCE.md] for how to read the counters. *)
+      (** Field-wise sum of the solver work of every ladder rung:
+          {!Mapper.report.sat_stats} of the rungs that produced a
+          report, and the stats carried by the [Timeout] and
+          [Unmappable] failures of those that did not; heuristic stages
+          contribute nothing.  See [doc/PERFORMANCE.md] for how to read
+          the counters. *)
   seed : int;
       (** The RNG seed in force for this run ([options.seed]; [0] means
           every engine's built-in default). *)

@@ -19,13 +19,6 @@ let spots strategy cnots =
 let reported_size strategy cnots =
   if cnots = [] then 0 else 1 + List.length (spots strategy cnots)
 
-(* Only [Minimal] admits every spot, so only its instances are guaranteed
-   to accept a solution found under a restricted strategy.  Order the
-   restrictions by how aggressively they shrink the search space. *)
-let relaxations = function
-  | Minimal -> [ Qubit_triangle; Odd_gates; Disjoint_qubits ]
-  | Disjoint_qubits | Odd_gates | Qubit_triangle -> []
-
 let name = function
   | Minimal -> "minimal"
   | Disjoint_qubits -> "disjoint"

@@ -27,14 +27,6 @@ val reported_size : t -> (int * int) list -> int
     *including* the free initial mapping, i.e. [List.length (spots …) + 1]
     (0 for an empty circuit). *)
 
-val relaxations : t -> t list
-(** Strategies whose permutation spots are a subset of [t]'s for every
-    circuit, most restrictive (fastest to solve) first — any mapping
-    found under one of them is a valid, possibly suboptimal, solution of
-    [t]'s instance, so its objective value is a sound upper bound.  Only
-    [Minimal] has relaxations; the restricted strategies' spot sets are
-    not comparable with each other. *)
-
 val name : t -> string
 val of_string : string -> t option
 val pp : Format.formatter -> t -> unit

@@ -3,6 +3,7 @@
    family, each of which must be rejected with its own diagnostic. *)
 
 module Mapper = Qxm_exact.Mapper
+module Portfolio = Qxm_exact.Portfolio
 module Strategy = Qxm_exact.Strategy
 module Devices = Qxm_arch.Devices
 module Coupling = Qxm_arch.Coupling
@@ -14,6 +15,8 @@ module Certificate = Qxm_audit.Certificate
 module Auditor = Qxm_audit.Auditor
 module Emit = Qxm_audit.Emit
 module Minimize = Qxm_opt.Minimize
+module Suite = Qxm_benchmarks.Suite
+module Examples = Qxm_benchmarks.Examples
 module D = Qxm_lint.Diagnostic
 
 (* Fig. 1-style smoke circuit: 3 logical qubits, 4 CNOTs, F* = 4 on QX4
@@ -366,6 +369,51 @@ let test_edited_cap_rejected () =
   check_rejected ~code:"QA-E002"
     { cert with pb_cap = Some (List.fold_left max min_int cert.bounds - 1) }
 
+(* -- portfolio answers ----------------------------------------------- *)
+
+(* Certificates for [Portfolio.run] answers: every stage is a ladder rung
+   on the requested strategy, so the witness's model and proof live over
+   the very encoding the certificate records and audit as emitted. *)
+let test_portfolio_certs_audit_green () =
+  let options =
+    {
+      Portfolio.default with
+      exact = { Portfolio.default.exact with certificate = true };
+    }
+  in
+  let row name = (name, (Option.get (Suite.by_name name)).circuit) in
+  List.iter
+    (fun (name, circuit) ->
+      let optimum =
+        match Mapper.run ~arch:Devices.qx4 circuit with
+        | Ok r when r.Mapper.optimal -> r.Mapper.f_cost
+        | Ok _ -> Alcotest.failf "%s: plain mapper did not prove" name
+        | Error f ->
+            Alcotest.failf "%s: mapper failed: %a" name Mapper.pp_failure f
+      in
+      match Portfolio.run ~options ~arch:Devices.qx4 circuit with
+      | Error e ->
+          Alcotest.failf "%s: portfolio failed: %a" name Portfolio.pp_failure e
+      | Ok r -> (
+          Alcotest.(check bool)
+            (name ^ ": every stage is a ladder rung")
+            true
+            (List.for_all
+               (fun (s : Portfolio.stage) ->
+                 String.starts_with ~prefix:"exact:" s.stage)
+               r.stages);
+          match
+            Emit.of_portfolio ~device_name:"qx4" ~arch:Devices.qx4 ~circuit
+              ~options r
+          with
+          | Error e -> Alcotest.failf "%s: emit failed: %s" name e
+          | Ok cert ->
+              Alcotest.(check int) (name ^ ": claimed F*") optimum
+                cert.claimed_cost;
+              check_green (name ^ " portfolio certificate") cert))
+    (("fig1a", Examples.fig1a)
+    :: List.map row [ "ex-1_166"; "ham3_102"; "4gt11_84" ])
+
 let suite =
   [
     ("clean certificate audits green", `Quick, test_clean_cert_audits_green);
@@ -394,4 +442,6 @@ let suite =
     ("uncapped certificate still audits", `Quick,
      test_uncapped_fixture_audits_green);
     ("edited pb_cap is rejected", `Quick, test_edited_cap_rejected);
+    ("portfolio certificates audit green", `Quick,
+     test_portfolio_certs_audit_green);
   ]

@@ -402,12 +402,14 @@ let test_portfolio_race_budgeted () =
 
 (* The caller's supervisor token reaches the solvers directly: cancelling
    it mid-ladder on an instance whose unlimited rung would run for a long
-   time ends the run promptly, with the probe's certified incumbent. *)
+   time ends the run promptly, with the first rung's certified incumbent.
+   On qe_qft_4 the [exact:4000] rung always ends unproven, so the
+   unlimited rung always starts and reports progress. *)
 let test_portfolio_supervisor_cancel () =
   let e = Option.get (Suite.by_name "qe_qft_4") in
   let cancel = Cancel.create () in
   let on_progress (p : Mapper.progress) =
-    if String.starts_with ~prefix:"exact:" p.p_phase then Cancel.cancel cancel
+    if p.p_phase = "exact:unlimited" then Cancel.cancel cancel
   in
   let t0 = Unix.gettimeofday () in
   match Portfolio.run ~cancel ~on_progress ~arch:Devices.qx4 e.circuit with
@@ -420,7 +422,14 @@ let test_portfolio_supervisor_cancel () =
         (List.mem "cancelled" r.notes);
       Alcotest.(check bool) "certified answer" true
         (Certify.compliance ~arch:Devices.qx4 r.elementary = Ok ()
-        && r.verified <> Some false)
+        && r.verified <> Some false);
+      Alcotest.(check string) "the ladder's incumbent" "exact-incumbent"
+        (Portfolio.provenance_string r.provenance);
+      Alcotest.(check bool) "no probe stage" false
+        (List.exists
+           (fun (s : Portfolio.stage) ->
+             String.starts_with ~prefix:"probe:" s.stage)
+           r.stages)
   | Error e ->
       Alcotest.failf "cancelled run returned nothing: %a" Portfolio.pp_failure
         e

@@ -303,7 +303,6 @@ let test_portfolio_degrades_on_full_suite () =
               (* the exact stage is faulted anyway: one cheap rung keeps
                  the sweep fast while still exercising the budget path *)
               ladder = [ 1000 ];
-              probe = false;
             }
           in
           match Portfolio.run ~options ~arch:Devices.qx4 e.circuit with

@@ -549,8 +549,7 @@ let test_daemon_deadline_note_reaches_response () =
         {
           fast_config with
           use_cache = false;
-          portfolio =
-            { Portfolio.default with ladder = [ -1 ]; probe = false };
+          portfolio = { Portfolio.default with ladder = [ -1 ] };
         }
       in
       let d = Daemon.create ~config () in
@@ -582,7 +581,7 @@ let test_daemon_retries_transient_failures () =
       retry = policy;
       sleep = (fun d -> slept := d :: !slept);
       portfolio =
-        { Portfolio.default with ladder = []; probe = false; cascade = [] };
+        { Portfolio.default with ladder = []; cascade = [] };
     }
   in
   let d = Daemon.create ~config () in
@@ -621,7 +620,7 @@ let test_daemon_sheds_past_watermark () =
       retry = { Backoff.default with max_attempts = 2 };
       sleep = blocking_sleep;
       portfolio =
-        { Portfolio.default with ladder = []; probe = false; cascade = [] };
+        { Portfolio.default with ladder = []; cascade = [] };
     }
   in
   let d = Daemon.create ~config () in
@@ -749,12 +748,7 @@ let test_portfolio_deadline_expired_note () =
      clock ran out mid-rung". *)
   Fault.with_schedule (Fault.After_solves 2) (fun () ->
       let options =
-        {
-          Portfolio.default with
-          budget = Some 30.0;
-          ladder = [ -1 ];
-          probe = false;
-        }
+        { Portfolio.default with budget = Some 30.0; ladder = [ -1 ] }
       in
       let started = Unix.gettimeofday () in
       match Portfolio.run ~options ~arch:Devices.qx4 Examples.fig1a with
