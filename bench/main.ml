@@ -11,7 +11,7 @@
    artefact plus the ablations called out in DESIGN.md:
      table1/*    an exact strategy mapping and the heuristic baseline
      fig5/*      the running example end to end
-     ablation/*  AMO encodings (Eq. 1) and optimizer search strategies
+     ablation/*  AMO encodings (Eq. 1)
      substrate/* SAT solver, swaps(π) table, unitary simulation *)
 
 open Bechamel
@@ -28,7 +28,6 @@ module Solver = Qxm_sat.Solver
 module Lit = Qxm_sat.Lit
 module Cnf = Qxm_encode.Cnf
 module Amo = Qxm_encode.Amo
-module Minimize = Qxm_opt.Minimize
 module Timeseries = Qxm_obs.Timeseries
 module Flight = Qxm_obs.Flight
 
@@ -293,16 +292,6 @@ let bench_amo encoding name =
          in
          ignore (Mapper.run ~options ~arch:Devices.qx4 entry.circuit)))
 
-(* Ablation: optimizer search strategy. *)
-let bench_search strategy name =
-  let entry = Option.get (Suite.by_name "ex-1_166") in
-  Test.make ~name:("search-" ^ name)
-    (Staged.stage (fun () ->
-         let options =
-           { Mapper.default with opt_strategy = strategy; verify = false }
-         in
-         ignore (Mapper.run ~options ~arch:Devices.qx4 entry.circuit)))
-
 let bench_sat_php =
   Test.make ~name:"sat-pigeonhole-5"
     (Staged.stage (fun () ->
@@ -364,8 +353,6 @@ let all_micro =
           bench_amo Amo.Pairwise "pairwise";
           bench_amo Amo.Sequential "sequential";
           bench_amo Amo.Commander "commander";
-          bench_search Minimize.Linear_descent "linear";
-          bench_search Minimize.Binary_search "binary";
         ];
       Test.make_grouped ~name:"substrate"
         [ bench_sat_php; bench_swap_table; bench_unitary; bench_optimize ];

@@ -313,30 +313,6 @@ let make_progress_printer () =
   let finish () = if !printed then prerr_newline () in
   (on_progress, finish)
 
-let cascade_conv =
-  let parse s =
-    let names = String.split_on_char ',' s |> List.filter (fun x -> x <> "") in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | name :: rest -> (
-          match Portfolio.engine_of_string name with
-          | Some e -> go (e :: acc) rest
-          | None ->
-              Error
-                (`Msg
-                   (Printf.sprintf
-                      "unknown fallback engine %S (try: sabre, astar, \
-                       stochastic)"
-                      name)))
-    in
-    go [] names
-  in
-  let print fmt es =
-    Format.pp_print_string fmt
-      (String.concat "," (List.map Portfolio.engine_name es))
-  in
-  Arg.conv (parse, print)
-
 (* Fault-injection knob for exercising degradation paths from the shell:
    unknown | after=N | truncate=N | seed=K:P *)
 let inject_conv =
@@ -523,9 +499,8 @@ let map_cmd =
       & info [ "portfolio" ]
           ~doc:
             "Resilient portfolio mode: staged exact solving with \
-             graceful degradation to heuristic fallbacks.  Never fails \
-             with a bare timeout when any engine can produce a valid \
-             mapping.")
+             graceful degradation to SABRE.  Never fails with a bare \
+             timeout when SABRE can produce a valid mapping.")
   in
   let stage_budget_arg =
     Arg.(
@@ -535,16 +510,7 @@ let map_cmd =
           ~doc:
             "Portfolio mode: wall-clock budget for the exact stages \
              (the conflict ladder).  Defaults to 70% of --timeout; \
-             the rest is the reserve for fallback and verification.")
-  in
-  let fallback_arg =
-    Arg.(
-      value
-      & opt cascade_conv Portfolio.default.cascade
-      & info [ "fallback" ] ~docv:"ENGINES"
-          ~doc:
-            "Portfolio mode: comma-separated fallback cascade, tried in \
-             order (sabre, astar, stochastic).")
+             the rest is the reserve for SABRE and verification.")
   in
   let inject_arg =
     Arg.(
@@ -690,7 +656,7 @@ let map_cmd =
              stderr, so piping into jq always works.")
   in
   let run input device strategy subsets timeout portfolio stage_budget
-      fallback inject lint sanitize solver_stats jobs trace events
+      inject lint sanitize solver_stats jobs trace events
       metrics_out flight_record progress no_symmetry certificate json
       output draw =
     let jobs = max 1 jobs in
@@ -768,7 +734,6 @@ let map_cmd =
             };
           budget = timeout;
           exact_budget = stage_budget;
-          cascade = fallback;
           jobs;
         }
       in
@@ -872,11 +837,10 @@ let map_cmd =
     (Cmd.info "map"
        ~doc:
          "Exact SAT-based mapping (minimal SWAP/H cost), optionally as \
-          a resilient portfolio with heuristic fallback.")
+          a resilient portfolio with SABRE as the fallback.")
     Term.(
       const run $ input_arg $ device_arg $ strategy_arg $ subsets_arg
-      $ timeout_arg $ portfolio_arg $ stage_budget_arg $ fallback_arg
-      $ inject_arg $ lint_arg $ sanitize_arg $ solver_stats_arg $ jobs_arg
+      $ timeout_arg $ portfolio_arg $ stage_budget_arg $ inject_arg $ lint_arg $ sanitize_arg $ solver_stats_arg $ jobs_arg
       $ trace_arg $ events_arg $ metrics_out_arg $ flight_record_arg
       $ progress_arg $ no_symmetry_arg $ certificate_arg
       $ json_arg $ output_arg $ draw_arg)

@@ -15,8 +15,7 @@ let ( let* ) = Result.bind
 (* Re-prove "no model with F <= cost - 1" on a fresh logging solver,
    returning the trace, the single bound it enforced and the cap its PB
    circuit was built with (that same bound).  Used when the witness
-   predates the final rung or the optimizer never produced an
-   assumption-free UNSAT trace itself. *)
+   predates the final rung, so its own trace does not prove the bound. *)
 let prove_bound ?deadline ~amo ~costs ~symmetry ~instance ~cost () =
   let solver = Solver.create () in
   Solver.enable_proof solver;

@@ -3,12 +3,11 @@
     Emission requires a {e proven-optimal} report carrying a
     {!Qxm_exact.Mapper.witness} (set [options.certificate] before the
     run).  When the witness already carries the final rung's DRUP trace
-    it is packaged as-is; when it does not — the winning cost is 0, the
-    optimizer used binary search, or the "no improvement on the
-    incumbent" portfolio path kept an earlier rung's witness — the
-    UNSAT bound F*−1 is re-proved here on a fresh logging solver, so an
+    it is packaged as-is; when it does not — the "no improvement on the
+    incumbent" portfolio path kept an earlier rung's witness — the UNSAT
+    bound F*−1 is re-proved here on a fresh logging solver, so an
     emitted certificate always contains a complete proof (or needs none,
-    for F* = 0). *)
+    for F* = 0, whose [proof_drup] is empty). *)
 
 val of_report :
   ?deadline:float ->

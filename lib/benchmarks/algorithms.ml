@@ -25,7 +25,7 @@ let controlled_phase theta control target c =
 let qft_gates ?(approximation = max_int) n =
   let gates = ref [] in
   for j = n - 1 downto 0 do
-    (* conventional big-endian cascade: highest qubit first *)
+    (* conventional big-endian cascade, highest qubit first *)
     gates := Gate.Single (Gate.H, j) :: !gates;
     for k = j - 1 downto 0 do
       let dist = j - k in

@@ -1,14 +1,10 @@
-(** Machine-checkable optimality certificates.
+(** Solver-free checks on a mapped circuit: coupling compliance and the
+    objective value it realizes.
 
-    The mapper's minimality claim boils down to one UNSAT answer: "there
-    is no valid mapping with objective value ≤ F* − 1".  This module
-    replays that final question on a fresh solver with DRUP proof logging
-    and checks the resulting trace with {!Qxm_sat.Proof.check} — an
-    independent reverse-unit-propagation verifier that does not trust the
-    solver's search.  Together with the unitary equivalence proof of the
-    constructed circuit, a mapping result is then certified end to end:
-    the circuit is correct, and nothing cheaper exists (for the given
-    instance: architecture, strategy spots, cost model). *)
+    Optimality is certified elsewhere: the mapper's minimality claim
+    boils down to one UNSAT answer ("no valid mapping with objective
+    value ≤ F* − 1"), which [Qxm_audit.Emit] captures as a DRUP trace in
+    a self-contained certificate and [qxm_audit] re-checks offline. *)
 
 val compliance :
   arch:Qxm_arch.Coupling.t -> Qxm_circuit.Circuit.t -> (unit, string) result
@@ -16,8 +12,8 @@ val compliance :
     every qubit index on the device, every CNOT on a directed coupling
     edge, no SWAP gates left.  This is the certificate layer every
     portfolio result — exact or degraded — must pass before being
-    returned; unlike {!optimality} it involves no SAT solving, so it
-    stays available under fault injection and budget exhaustion. *)
+    returned; it involves no SAT solving, so it stays available under
+    fault injection and budget exhaustion. *)
 
 val objective_of_mapped :
   costs:Encoding.cost_model ->
@@ -31,26 +27,3 @@ val objective_of_mapped :
     bits that the reconstructed circuit never pays for, this is the
     honest — and still sound — cost to report and to seed a later run's
     [upper_bound] with. *)
-
-type outcome =
-  | Certified of Qxm_sat.Proof.t
-      (** No solution with objective ≤ [cost] − 1 exists; the returned
-          proof was checked and found valid. *)
-  | Better_exists of int
-      (** A solution with a smaller objective value was found — [cost]
-          was not optimal for this instance. *)
-  | Proof_rejected of string
-      (** The solver answered UNSAT but its trace failed the independent
-          check (this indicates a solver bug; it fails the test suite). *)
-  | Budget_exhausted
-
-val optimality :
-  ?amo:Qxm_encode.Amo.encoding ->
-  ?costs:Encoding.cost_model ->
-  ?deadline:float ->
-  instance:Encoding.instance ->
-  cost:int ->
-  unit ->
-  outcome
-(** [optimality ~instance ~cost ()] certifies that [cost] (in the units
-    of [costs]) is a lower bound on the instance's objective. *)

@@ -23,7 +23,6 @@ type options = {
   use_subsets : bool;
   timeout : float option;
   conflict_limit : int;
-  opt_strategy : Minimize.strategy;
   amo : Amo.encoding;
   verify : bool;
   upper_bound : int option;
@@ -55,7 +54,6 @@ let default =
     use_subsets = true;
     timeout = None;
     conflict_limit = -1;
-    opt_strategy = Minimize.Linear_descent;
     amo = Amo.default;
     verify = true;
     upper_bound = None;
@@ -366,7 +364,7 @@ let solve_instance ~(options : options) ~obs ~cancel ~deadline ~bound ?session
   in
   let outcome =
     obs.obs_phase "solve" (fun () ->
-        Minimize.minimize ~session:sl.sl_min ~strategy:options.opt_strategy
+        Minimize.minimize ~session:sl.sl_min
           ?deadline:(Option.map Fun.id deadline)
           ~conflict_limit:options.conflict_limit ?upper_bound:bound
           ?warm_start

@@ -3,8 +3,8 @@
     SWAP/H cost.
 
     Pipeline: extract the CNOT skeleton (Fig. 1b) → choose permutation
-    spots per {!Strategy} → encode ({!Encoding}) → minimize Eq. (5) with
-    the SAT optimizer → reconstruct the mapped circuit by replaying the
+    spots per {!Strategy} → encode ({!Encoding}) → minimize Eq. (5) by
+    linear descent ({!Qxm_opt.Minimize}) → reconstruct the mapped circuit by replaying the
     original gate list with SWAP chains at permutation spots and H-flips
     on direction-violating CNOTs → optionally prove equivalence by
     unitary simulation. *)
@@ -24,7 +24,6 @@ type options = {
           ([-1] = unlimited).  The portfolio layer uses this as its
           escalation ladder; exhausting it yields an anytime incumbent
           ([optimal = false]) or [Timeout] when no model was found. *)
-  opt_strategy : Qxm_opt.Minimize.strategy;
   amo : Qxm_encode.Amo.encoding;
   verify : bool;
       (** Check the mapped circuit against the original by full unitary
@@ -103,9 +102,9 @@ type options = {
 
 val default : options
 (** Minimal strategy, subsets on, no timeout, unlimited conflicts,
-    linear descent, sequential AMO, verification on, incumbent pruning
-    on, warm starts on, symmetry breaking on, and [jobs]
-    from the [QXM_JOBS] environment variable (default 1). *)
+    sequential AMO, verification on, incumbent pruning on, warm starts
+    on, symmetry breaking on, and [jobs] from the [QXM_JOBS] environment
+    variable (default 1). *)
 
 (** {2 Ladder sessions}
 
@@ -142,7 +141,7 @@ type witness = {
   w_proof : Qxm_sat.Proof.t option;
       (** DRUP trace of the final UNSAT rung ("no model with F ≤ last
           enforced bound"); [None] when the optimizer never reached an
-          assumption-free UNSAT (e.g. cost 0, or binary search). *)
+          UNSAT answer (cost 0). *)
   w_bounds : int list;
       (** bounds permanently enforced on the PB circuit, in call order
           ({!Qxm_opt.Minimize.outcome.bounds} of the winning solve) —

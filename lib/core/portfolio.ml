@@ -1,8 +1,6 @@
 module Circuit = Qxm_circuit.Circuit
 module Coupling = Qxm_arch.Coupling
 module Sabre = Qxm_heuristic.Sabre
-module Astar = Qxm_heuristic.Astar_mapper
-module Stochastic = Qxm_heuristic.Stochastic_swap
 module Pool = Qxm_par.Pool
 module Cancel = Qxm_par.Cancel
 module Solver = Qxm_sat.Solver
@@ -12,30 +10,17 @@ module Timeseries = Qxm_obs.Timeseries
 
 let ladder_budget = Metrics.histogram "portfolio.ladder_conflict_budget"
 
-type provenance = Exact_optimal | Exact_incumbent | Heuristic of string
+type provenance = Exact_optimal | Exact_incumbent | Heuristic
 
 let provenance_string = function
   | Exact_optimal -> "exact-optimal"
   | Exact_incumbent -> "exact-incumbent"
-  | Heuristic e -> "heuristic:" ^ e
+  | Heuristic -> "heuristic:sabre"
 
 let pp_provenance fmt p = Format.pp_print_string fmt (provenance_string p)
 
-type engine = Sabre | Astar | Stochastic
-
-let engine_name = function
-  | Sabre -> "sabre"
-  | Astar -> "astar"
-  | Stochastic -> "stochastic"
-
-let engine_of_string = function
-  | "sabre" -> Some Sabre
-  | "astar" | "a*" -> Some Astar
-  | "stochastic" | "swap" -> Some Stochastic
-  | _ -> None
-
 (* Share of [budget] the exact stages get when [exact_budget] is unset;
-   the rest is the reserve for fallback, reconstruction and verification. *)
+   the rest is the reserve for SABRE, reconstruction and verification. *)
 let exact_fraction = 0.7
 
 type stage = { stage : string; spent : float; solves : int; outcome : string }
@@ -45,8 +30,6 @@ type options = {
   budget : float option;
   exact_budget : float option;
   ladder : int list;
-  cascade : engine list;
-  seed : int;
   jobs : int;
 }
 
@@ -56,8 +39,6 @@ let default =
     budget = None;
     exact_budget = None;
     ladder = [ 4000; -1 ];
-    cascade = [ Sabre; Astar; Stochastic ];
-    seed = 0;
     jobs = 1;
   }
 
@@ -325,7 +306,7 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
             })
           !best_exact
       in
-      (* An exact result must pass the same gate as any fallback. *)
+      (* An exact result must pass the same gate as SABRE's. *)
       match exact_candidate with
       | None -> None
       | Some c -> (
@@ -336,83 +317,44 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
                 ~stage_solves:0 msg;
               None)
     in
-    (* The heuristic lane: the cascade, stopping at the first certified
-       success. *)
+    (* The heuristic lane: one SABRE stage, gated like the exact answer. *)
     let heuristic_lane () =
       Trace.with_span ~name:"portfolio.heuristic_lane" @@ fun () ->
-      let verify = options.exact.verify in
-      let rec cascade = function
-        | [] -> None
-        | engine :: rest -> (
-            let name = engine_name engine in
-            let t0 = Unix.gettimeofday () in
-            if cancelled () then begin
-              record ~stage:name ~t0 ~stage_solves:0 "skipped: cancelled";
-              None
-            end
-            else
-              match
-                match engine with
-                | Sabre ->
-                    let r = Sabre.run ~verify ~arch circuit in
-                    {
-                      c_mapped = r.mapped;
-                      c_elementary = r.elementary;
-                      c_initial = r.initial;
-                      c_final = r.final;
-                      c_f_cost = r.f_cost;
-                      c_total = r.total_gates;
-                      c_verified = r.verified;
-                      c_provenance = Heuristic name;
-                      c_witness = None;
-                    }
-                | Astar ->
-                    let r = Astar.run ~verify ~arch circuit in
-                    {
-                      c_mapped = r.mapped;
-                      c_elementary = r.elementary;
-                      c_initial = r.initial;
-                      c_final = r.final;
-                      c_f_cost = r.f_cost;
-                      c_total = r.total_gates;
-                      c_verified = r.verified;
-                      c_provenance = Heuristic name;
-                      c_witness = None;
-                    }
-                | Stochastic ->
-                    let r =
-                      Stochastic.run_best ~seed:options.seed ~verify ~arch
-                        circuit
-                    in
-                    {
-                      c_mapped = r.mapped;
-                      c_elementary = r.elementary;
-                      c_initial = r.initial;
-                      c_final = r.final;
-                      c_f_cost = r.f_cost;
-                      c_total = r.total_gates;
-                      c_verified = r.verified;
-                      c_provenance = Heuristic name;
-                      c_witness = None;
-                    }
-              with
-              | candidate -> (
-                  match certified ~arch candidate with
-                  | Ok c ->
-                      record ~stage:name ~t0 ~stage_solves:0
-                        (Printf.sprintf "ok F=%d" c.c_f_cost);
-                      Some c
-                  | Error msg ->
-                      record ~stage:name ~t0 ~stage_solves:0 msg;
-                      cascade rest)
-              | exception e ->
-                  record ~stage:name ~t0 ~stage_solves:0
-                    ("failed: " ^ Printexc.to_string e);
-                  cascade rest)
+      let record =
+        record ~stage:"sabre" ~t0:(Unix.gettimeofday ()) ~stage_solves:0
       in
-      cascade options.cascade
+      if cancelled () then begin
+        record "skipped: cancelled";
+        None
+      end
+      else
+        match Sabre.run ~verify:options.exact.verify ~arch circuit with
+        | exception e ->
+            record ("failed: " ^ Printexc.to_string e);
+            None
+        | r -> (
+            match
+              certified ~arch
+                {
+                  c_mapped = r.mapped;
+                  c_elementary = r.elementary;
+                  c_initial = r.initial;
+                  c_final = r.final;
+                  c_f_cost = r.f_cost;
+                  c_total = r.total_gates;
+                  c_verified = r.verified;
+                  c_provenance = Heuristic;
+                  c_witness = None;
+                }
+            with
+            | Ok c ->
+                record (Printf.sprintf "ok F=%d" c.c_f_cost);
+                Some c
+            | Error msg ->
+                record msg;
+                None)
     in
-    (* Exact stages first, heuristics only while optimality is still
+    (* Exact stages first, SABRE only while optimality is still
        open.  [jobs > 1] widens only the exact lane: every rung's
        candidate fan-out draws from one shared pool. *)
     if options.jobs > 1 then
@@ -447,7 +389,7 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
             solves = !solves;
             stages = List.rev !stages;
             sat_stats = !sat_stats;
-            seed = options.seed;
+            seed = options.exact.seed;
             strategy_name = Strategy.name options.exact.strategy;
             trajectory = final_trajectory ();
             witness = c.c_witness;

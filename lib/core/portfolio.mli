@@ -1,12 +1,12 @@
 (** Resilient portfolio mapper: staged exact solving with graceful
-    degradation to the heuristic engines.
+    degradation to SABRE.
 
     The paper's exact formulation is NP-complete, so on large instances
     the optimizer's budgets (deadline, conflict limit) are routinely
     exhausted.  {!Mapper.run} alone then reports a bare [Timeout] even
-    though the repository ships three heuristic mappers that always
-    produce *some* valid mapping fast.  This module turns the exact
-    pipeline into the first stage of a budgeted portfolio:
+    though the SABRE heuristic always produces *some* valid mapping on a
+    connected device, fast.  This module turns the exact pipeline into
+    the first stage of a budgeted portfolio:
 
     + the exact pipeline runs under an escalating conflict-limit ladder,
       each rung seeded with the best incumbent so far ([upper_bound]),
@@ -16,11 +16,11 @@
       later ones only have to prove it;
     + on exhaustion the best SAT incumbent (the anytime
       {!Qxm_opt.Minimize.outcome} surfaced through {!Mapper.report}) is
-      kept as a candidate and the configured heuristic cascade
-      (SABRE / A* / stochastic swap) runs until one engine succeeds;
+      kept as a candidate and SABRE runs; the cheaper of the two is
+      returned;
     + every candidate — exact or degraded — must pass
       {!Certify.compliance} (and equivalence verification where
-      feasible) before it can be returned: a fallback may be
+      feasible) before it can be returned: a SABRE answer may be
       suboptimal, never invalid.
 
     The returned {!report} carries honest provenance, per-stage timings
@@ -36,17 +36,12 @@ type provenance =
       (** The returned circuit is a SAT model of the requested
           strategy's encoding, but optimality was not proven before the
           budget (or the caller's cancel token) stopped the ladder. *)
-  | Heuristic of string
-      (** The named fallback engine (["sabre"], ["astar"],
-          ["stochastic"]) produced the returned circuit. *)
+  | Heuristic
+      (** SABRE produced the returned circuit (wire string
+          ["heuristic:sabre"]). *)
 
 val provenance_string : provenance -> string
 val pp_provenance : Format.formatter -> provenance -> unit
-
-type engine = Sabre | Astar | Stochastic
-
-val engine_name : engine -> string
-val engine_of_string : string -> engine option
 
 (** One pipeline stage's telemetry, in execution order. *)
 type stage = {
@@ -70,16 +65,11 @@ type options = {
   exact_budget : float option;
       (** Explicit wall-clock budget for the ladder.  [None] (default)
           gives the exact stages 70% of [budget]; the remainder is the
-          reserve for fallback, reconstruction and verification. *)
+          reserve for SABRE, reconstruction and verification. *)
   ladder : int list;
       (** Escalating per-solve conflict limits for the exact rungs,
           [-1] = unlimited (default [[4000; -1]]).  [[]] disables the
           exact stage entirely. *)
-  cascade : engine list;
-      (** Fallback engines in order (default
-          [[Sabre; Astar; Stochastic]]).  The first engine whose result
-          passes certification wins. *)
-  seed : int;  (** Seed for the stochastic fallback (determinism). *)
   jobs : int;
       (** Worker domains for the exact stages (default 1).  With
           [jobs > 1] every ladder rung runs on one shared
@@ -108,12 +98,12 @@ type report = {
       (** Field-wise sum of the solver work of every ladder rung:
           {!Mapper.report.sat_stats} of the rungs that produced a
           report, and the stats carried by the [Timeout] and
-          [Unmappable] failures of those that did not; heuristic stages
-          contribute nothing.  See [doc/PERFORMANCE.md] for how to read
+          [Unmappable] failures of those that did not; the SABRE stage
+          contributes nothing.  See [doc/PERFORMANCE.md] for how to read
           the counters. *)
   seed : int;
-      (** The RNG seed in force for this run ([options.seed]; [0] means
-          every engine's built-in default). *)
+      (** The SAT solvers' RNG seed in force for this run
+          ([options.exact.seed]; [0] means their built-in default). *)
   strategy_name : string;
       (** Name of the exact strategy actually targeted, after
           defaulting ({!Strategy.name} of [options.exact.strategy]). *)
@@ -146,7 +136,7 @@ type failure =
   | Exhausted of stage list
       (** Every stage failed or was rejected; the telemetry says why.
           With a connected architecture and a sane circuit this cannot
-          happen unless every engine is disabled or faulted. *)
+          happen: SABRE fails only on a device it cannot route. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 

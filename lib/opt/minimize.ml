@@ -6,15 +6,12 @@ module Trace = Qxm_obs.Trace
 module Metrics = Qxm_obs.Metrics
 module Timeseries = Qxm_obs.Timeseries
 
-type strategy = Linear_descent | Binary_search
-
 type outcome = {
   cost : int option;
   model : bool array option;
   optimal : bool;
   solves : int;
   unsatisfiable : bool;
-  trajectory : (float * int) list;
   proof : Qxm_sat.Proof.t option;
   bounds : int list;
   pb_cap : int option;
@@ -24,14 +21,13 @@ type outcome = {
    circuit (built once, capped at the first bound it is asked for), the
    best model, the lowest permanently enforced bound (a watermark —
    bounds are only re-enforced when strictly tighter, so the cumulative
-   [s_bounds] list reproduces the solver's exact input stream), the
-   binary-search floor, and whether the descent already concluded. *)
+   [s_bounds] list reproduces the solver's exact input stream), and
+   whether the descent already concluded. *)
 type session = {
   mutable s_pb : Pb.t option;
   mutable s_best : (int * bool array) option;
   mutable s_enforced : int option;
   mutable s_bounds : int list; (* reversed, cumulative across calls *)
-  mutable s_lo : int;
   mutable s_seeded : bool;
   mutable s_proof : Qxm_sat.Proof.t option;
   mutable s_finished : [ `Optimal | `Unsat ] option;
@@ -43,7 +39,6 @@ let new_session () =
     s_best = None;
     s_enforced = None;
     s_bounds = [];
-    s_lo = 0;
     s_seeded = false;
     s_proof = None;
     s_finished = None;
@@ -61,9 +56,8 @@ let cost_of_model objective model =
       if value then acc + w else acc)
     0 objective
 
-let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
-    ?(conflict_limit = -1) ?upper_bound ?warm_start ?on_incumbent ~cnf
-    ~objective () =
+let minimize ?session ?(deadline = 0.0) ?(conflict_limit = -1) ?upper_bound
+    ?warm_start ?on_incumbent ~cnf ~objective () =
   let solver = Cnf.solver cnf in
   let sn = match session with Some sn -> sn | None -> new_session () in
   match sn.s_finished with
@@ -74,7 +68,6 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
         optimal = false;
         solves = 0;
         unsatisfiable = true;
-        trajectory = [];
         proof = sn.s_proof;
         bounds = List.rev sn.s_bounds;
         pb_cap = session_cap sn;
@@ -87,17 +80,12 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
         optimal = true;
         solves = 0;
         unsatisfiable = false;
-        trajectory = [];
         proof = sn.s_proof;
         bounds = List.rev sn.s_bounds;
         pb_cap = session_cap sn;
       }
   | None -> (
-      let rev_trajectory = ref [] in
-      let note cost =
-        rev_trajectory := (Unix.gettimeofday (), cost) :: !rev_trajectory;
-        match on_incumbent with Some cb -> cb cost | None -> ()
-      in
+      let note cost = Option.iter (fun cb -> cb cost) on_incumbent in
       (* Phase seeding: bias the search toward cost 0 on the objective
          literals.  Phases steer branching order only, so this cannot
          change which costs are reachable — only how fast the descent
@@ -231,7 +219,6 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
             optimal = false;
             solves = !solves;
             unsatisfiable = true;
-            trajectory = [];
             proof;
             bounds = List.rev sn.s_bounds;
             pb_cap = session_cap sn;
@@ -243,7 +230,6 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
             optimal = false;
             solves = !solves;
             unsatisfiable = false;
-            trajectory = [];
             proof = None;
             bounds = List.rev sn.s_bounds;
             pb_cap = session_cap sn;
@@ -263,78 +249,23 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
           if !best = 0 then optimal := true
           else begin
             let pb = get_pb (!best - 1) in
-            match strategy with
-            | Linear_descent ->
-                let stop = ref false in
-                while not !stop do
-                  let bound = Pb.tighten pb (!best - 1) in
-                  enforce pb bound;
-                  match solve ~bound () with
-                  | Solver.Sat ->
-                      record_sat ();
-                      if !best = 0 then begin
-                        optimal := true;
-                        stop := true
-                      end
-                  | Solver.Unsat ->
-                      optimal := true;
-                      proof := Solver.proof solver;
-                      stop := true
-                  | Solver.Unknown -> stop := true
-                done
-            | Binary_search ->
-                (* Invariant: a model of cost [hi] is known; no model of
-                   cost < [lo] exists. *)
-                let lo = ref (min sn.s_lo !best)
-                and hi = ref !best in
-                let stop = ref false in
-                while (not !stop) && !lo < !hi do
-                  let mid = !lo + ((!hi - !lo - 1) / 2) in
-                  let bound = Pb.tighten pb mid in
-                  if bound < !lo then
-                    (* No attainable cost within [lo, mid]: the optimum is
-                       at least the next attainable value above mid. *)
-                    lo :=
-                      (match Pb.next_above pb mid with
-                      | Some v -> min v !hi
-                      | None -> !hi)
-                  else begin
-                    let assumptions = Pb.assume_at_most pb bound in
-                    match solve ~assumptions ~bound () with
-                    | Solver.Sat ->
-                        record_sat ();
-                        hi := !best
-                    | Solver.Unsat -> lo := bound + 1
-                    | Solver.Unknown -> stop := true
-                  end;
-                  sn.s_lo <- !lo
-                done;
-                if !lo >= !hi then begin
-                  optimal := true;
-                  (* Assumption-based UNSAT answers never derive the empty
-                     clause, so the bisection alone cannot feed a
-                     certificate.  When a trace is being recorded, confirm
-                     the proven bound with one assumption-free solve: the
-                     permanent bound enters [bounds] (so the auditor can
-                     replay the input stream) and the UNSAT answer ends the
-                     trace with the empty clause. *)
-                  if !best > 0 && Solver.proof solver <> None then begin
-                    let bound = Pb.tighten pb (!best - 1) in
-                    enforce pb bound;
-                    match solve ~bound () with
-                    | Solver.Unsat -> proof := Solver.proof solver
-                    | Solver.Unknown ->
-                        (* budget ran out confirming an already-proven
-                           bound: optimality stands, only the proof
-                           artifact is missing *)
-                        ()
-                    | Solver.Sat ->
-                        (* contradicts the bisection floor — trust the
-                           model over the flag *)
-                        record_sat ();
-                        optimal := false
+            let stop = ref false in
+            while not !stop do
+              let bound = Pb.tighten pb (!best - 1) in
+              enforce pb bound;
+              match solve ~bound () with
+              | Solver.Sat ->
+                  record_sat ();
+                  if !best = 0 then begin
+                    optimal := true;
+                    stop := true
                   end
-                end
+              | Solver.Unsat ->
+                  optimal := true;
+                  proof := Solver.proof solver;
+                  stop := true
+              | Solver.Unknown -> stop := true
+            done
           end;
           if !optimal then begin
             sn.s_finished <- Some `Optimal;
@@ -346,7 +277,6 @@ let minimize ?session ?(strategy = Linear_descent) ?(deadline = 0.0)
             optimal = !optimal;
             solves = !solves;
             unsatisfiable = false;
-            trajectory = List.rev !rev_trajectory;
             proof = !proof;
             bounds = List.rev sn.s_bounds;
             pb_cap = session_cap sn;

@@ -2,18 +2,12 @@
 
     Implements the optimization role Z3 plays in the paper: find an
     assignment satisfying the clause database that minimizes
-    F = Σ wᵢ·ℓᵢ (Def. 3, extended interpretation).  Two strategies are
-    provided; both are *anytime* — on budget exhaustion they report the
-    best model found so far together with an optimality flag. *)
-
-type strategy =
-  | Linear_descent
-      (** Solve, read the model's cost c, constrain F ≤ c−1, repeat until
-          UNSAT.  Bounds only tighten, so they are added as unit clauses,
-          which lets the solver keep all learnt clauses. *)
-  | Binary_search
-      (** Maintain [lo, hi] and bisect with assumptions; converges in
-          O(log Σw) solves but each UNSAT answer is harder. *)
+    F = Σ wᵢ·ℓᵢ (Def. 3, extended interpretation) by linear descent:
+    solve, read the model's cost c, constrain F ≤ c−1, repeat until
+    UNSAT.  Bounds only tighten, so they are added as unit clauses, which
+    lets the solver keep all learnt clauses.  The search is *anytime* —
+    on budget exhaustion it reports the best model found so far together
+    with an optimality flag. *)
 
 type outcome = {
   cost : int option;  (** Best objective value found, if any model exists. *)
@@ -21,21 +15,11 @@ type outcome = {
   optimal : bool;  (** [true] iff [cost] is proven minimal. *)
   solves : int;  (** Number of [solve] calls performed. *)
   unsatisfiable : bool;  (** [true] iff the hard clauses admit no model. *)
-  trajectory : (float * int) list;
-      (** Objective trajectory: one [(timestamp, cost)] entry per
-          incumbent, in discovery order (so costs are strictly
-          decreasing and the last entry equals [cost]).  Timestamps are
-          absolute [Unix.gettimeofday] values; callers rebase them to
-          their own origin. *)
   proof : Qxm_sat.Proof.t option;
       (** DRUP trace captured at the final assumption-free [Unsat]
-          answer, when the solver had proof logging enabled.  For
-          [Linear_descent] this certifies "no model with F ≤ last
-          enforced bound"; combined with [cost] it witnesses optimality.  [Binary_search] bisects with
-          assumptions, whose UNSAT answers carry no empty clause — on
-          convergence it therefore re-proves the final bound with one
-          assumption-free confirming solve (recorded in [bounds]) so
-          both strategies can feed a certificate. *)
+          answer, when the solver had proof logging enabled.  It
+          certifies "no model with F ≤ last enforced bound"; combined
+          with [cost] it witnesses optimality. *)
   bounds : int list;
       (** Every bound permanently enforced on the PB circuit
           ({!Qxm_encode.Pb.enforce_at_most} arguments, in call order,
@@ -59,8 +43,8 @@ type outcome = {
     calls on the {e same} solver: the PB circuit is built once (capped
     at the first bound asked of it, since later ones only tighten), enforced
     bounds accumulate behind a watermark (never re-enforced, never
-    loosened), the best model and binary-search floor carry over, and a
-    concluded session short-circuits.  This is what lets the mapper's
+    loosened), the best model carries over, and a concluded session
+    short-circuits.  This is what lets the mapper's
     conflict-limit ladder resume a descent instead of re-encoding —
     learnt clauses, saved phases and VSIDS activity all survive between
     rungs.  A session must never be shared between different solvers or
@@ -74,7 +58,6 @@ val new_session : unit -> session
 
 val minimize :
   ?session:session ->
-  ?strategy:strategy ->
   ?deadline:float ->
   ?conflict_limit:int ->
   ?upper_bound:int ->
@@ -112,8 +95,10 @@ val minimize :
     Objective literals are always phase-seeded toward cost 0.
 
     [on_incumbent] fires synchronously each time a new best-cost model
-    is found (the same points recorded in [trajectory]) — the live
-    progress hook behind [qxmap map --progress]. *)
+    is found, so the costs it sees strictly decrease and the last one
+    equals the outcome's [cost] — the live progress hook behind
+    [qxmap map --progress] and the source of the mapper's report
+    trajectory. *)
 
 val cost_of_model : (int * Qxm_sat.Lit.t) list -> bool array -> int
 (** Evaluate an objective on a model. *)

@@ -14,7 +14,6 @@ module Decompose = Qxm_circuit.Decompose
 module Certificate = Qxm_audit.Certificate
 module Auditor = Qxm_audit.Auditor
 module Emit = Qxm_audit.Emit
-module Minimize = Qxm_opt.Minimize
 module Suite = Qxm_benchmarks.Suite
 module Examples = Qxm_benchmarks.Examples
 module D = Qxm_lint.Diagnostic
@@ -327,23 +326,6 @@ let test_cap_above_first_bound () =
     (cap_of cert > List.hd cert.bounds);
   check_green "certificate capped above its first bound" cert
 
-(* Binary search builds its circuit at the first model's cost - 1, before
-   any bound is enforced; its only permanent bound is the confirming
-   solve's. *)
-let test_binary_search_cert_audits_green () =
-  let options =
-    {
-      options with
-      Mapper.warm_start = false;
-      opt_strategy = Minimize.Binary_search;
-    }
-  in
-  let cert = certify ~arch:Devices.qx4 ~options smoke_qasm in
-  Alcotest.(check int) "claimed F*" 4 cert.claimed_cost;
-  Alcotest.(check bool) "cap above every enforced bound" true
-    (List.for_all (fun b -> cap_of cert > b) cert.bounds);
-  check_green "binary-search certificate" cert
-
 (* The certificate written for examples/fig1a.qasm before QXMCERT1 had a
    pb_cap field: its producer built the circuit over every sum. *)
 let uncapped_fixture () =
@@ -373,7 +355,8 @@ let test_edited_cap_rejected () =
 
 (* Certificates for [Portfolio.run] answers: every stage is a ladder rung
    on the requested strategy, so the witness's model and proof live over
-   the very encoding the certificate records and audit as emitted. *)
+   the very encoding the certificate records and audit as emitted.  The
+   one-CNOT input has F* = 0, whose certificate carries no proof at all. *)
 let test_portfolio_certs_audit_green () =
   let options =
     {
@@ -410,8 +393,12 @@ let test_portfolio_certs_audit_green () =
           | Ok cert ->
               Alcotest.(check int) (name ^ ": claimed F*") optimum
                 cert.claimed_cost;
+              if optimum = 0 then
+                Alcotest.(check string) (name ^ ": empty proof") ""
+                  cert.proof_drup;
               check_green (name ^ " portfolio certificate") cert))
     (("fig1a", Examples.fig1a)
+    :: ("one-cnot", Circuit.create 2 [ Gate.Cnot (0, 1) ])
     :: List.map row [ "ex-1_166"; "ham3_102"; "4gt11_84" ])
 
 let suite =
@@ -437,8 +424,6 @@ let suite =
      test_symmetry_field_defaults_to_false);
     ("cap above the first bound audits green", `Quick,
      test_cap_above_first_bound);
-    ("binary-search certificate audits green", `Quick,
-     test_binary_search_cert_audits_green);
     ("uncapped certificate still audits", `Quick,
      test_uncapped_fixture_audits_green);
     ("edited pb_cap is rejected", `Quick, test_edited_cap_rejected);

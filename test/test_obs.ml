@@ -773,23 +773,17 @@ let minimize_trajectory =
           ~on_incumbent:(fun c -> fired := c :: !fired)
           ()
       in
-      let costs = List.map snd outcome.trajectory in
-      let times = List.map fst outcome.trajectory in
       let rec strictly_decreasing = function
         | a :: (b :: _ as tl) -> a > b && strictly_decreasing tl
         | _ -> true
       in
-      let rec non_decreasing = function
-        | a :: (b :: _ as tl) -> a <= b && non_decreasing tl
-        | _ -> true
-      in
-      strictly_decreasing costs
-      && non_decreasing times
-      && List.rev !fired = costs
+      (* the stream is empty iff there is no model, else ends at [cost] *)
+      strictly_decreasing (List.rev !fired)
       &&
-      match outcome.cost with
-      | Some c -> ( match List.rev costs with last :: _ -> last = c | [] -> false)
-      | None -> costs = [])
+      match (outcome.model, outcome.cost, !fired) with
+      | Some _, Some c, last :: _ -> last = c
+      | None, _, [] -> true
+      | _ -> false)
 
 (* -- mapper reports ------------------------------------------------------- *)
 

@@ -23,18 +23,13 @@ let objective_gen =
     let objective = List.mapi (fun v w -> (w, Lit.pos v)) weights in
     return (nvars, clauses, objective))
 
-let check_strategy strategy =
-  qtest ~count:200
-    (Printf.sprintf "minimize (%s) matches brute force"
-       (match strategy with
-       | Minimize.Linear_descent -> "linear"
-       | Minimize.Binary_search -> "binary"))
-    objective_gen
+let minimize_matches_brute_force =
+  qtest ~count:200 "minimize (linear) matches brute force" objective_gen
     (fun (nvars, clauses, objective) ->
       let s = solver_with nvars in
       let cnf = Cnf.create s in
       List.iter (Cnf.add cnf) clauses;
-      let outcome = Minimize.minimize ~strategy ~cnf ~objective () in
+      let outcome = Minimize.minimize ~cnf ~objective () in
       match brute_min nvars clauses objective with
       | None -> outcome.unsatisfiable && outcome.cost = None
       | Some expected -> (
@@ -275,10 +270,9 @@ let test_session_bounds_never_loosen () =
   Alcotest.(check bool) "optimal" true second.optimal
 
 (* The session circuit is capped at the first bound asked of it, and a
-   later call never asks above that cap.  A binary-search rung cut off
-   after its first model builds the circuit at that model's cost - 1
-   without enforcing anything; a resumed rung seeded with a bound above
-   the model must not try to enforce it. *)
+   later call never asks above that cap.  A rung cut off after its first
+   model builds the circuit at that model's cost - 1; a resumed rung
+   seeded with a bound above the model must not try to enforce it. *)
 let test_session_cap () =
   let clauses = [ [ Lit.pos 0; Lit.pos 1; Lit.pos 2 ] ] in
   let objective = [ (4, Lit.pos 0); (2, Lit.pos 1); (1, Lit.pos 2) ] in
@@ -297,49 +291,39 @@ let test_session_cap () =
   let session = Minimize.new_session () in
   let first =
     Fault.with_schedule (Fault.After_solves 1) (fun () ->
-        Minimize.minimize ~session ~strategy:Minimize.Binary_search ~cnf
-          ~objective ())
+        Minimize.minimize ~session ~cnf ~objective ())
   in
   let c = Option.get first.cost in
   Alcotest.(check (option int)) "capped at the first model's cost - 1"
     (if c > 0 then Some (c - 1) else None)
     first.pb_cap;
   let second =
-    Minimize.minimize ~session ~strategy:Minimize.Binary_search ~cnf
-      ~objective ~upper_bound:(c + 3) ()
+    Minimize.minimize ~session ~cnf ~objective ~upper_bound:(c + 3) ()
   in
   Alcotest.(check (option int)) "optimum" (Some 1) second.cost;
   Alcotest.(check bool) "optimal" true second.optimal;
   Alcotest.(check (option int)) "cap unchanged" first.pb_cap second.pb_cap
 
-(* Binary search bisects with assumptions, whose UNSAT answers carry no
-   empty clause — the confirming assumption-free solve at convergence is
-   what makes its outcome certifiable.  With proof logging on, an optimal
-   binary-search outcome must surface a DRUP proof and a non-empty
-   enforced-bounds list, exactly like Linear_descent. *)
-let test_binary_search_confirming_proof () =
+(* With proof logging on, an optimal descent surfaces the DRUP proof of
+   its final UNSAT answer and the bounds it enforced, the two inputs a
+   certificate needs. *)
+let test_descent_proof_and_bounds () =
   let clauses = [ [ Lit.pos 0; Lit.pos 1 ]; [ Lit.neg_of 0; Lit.pos 1 ] ] in
   let objective = [ (2, Lit.pos 0); (1, Lit.pos 1) ] in
-  let check strategy name =
-    let s = solver_with 2 in
-    Solver.enable_proof s;
-    let cnf = Cnf.create s in
-    List.iter (Cnf.add cnf) clauses;
-    let outcome = Minimize.minimize ~strategy ~cnf ~objective () in
-    Alcotest.(check bool) (name ^ " optimal") true outcome.optimal;
-    Alcotest.(check (option int)) (name ^ " cost") (Some 1) outcome.cost;
-    Alcotest.(check bool) (name ^ " has proof") true (outcome.proof <> None);
-    Alcotest.(check bool)
-      (name ^ " has enforced bounds")
-      true (outcome.bounds <> [])
-  in
-  check Minimize.Binary_search "binary";
-  check Minimize.Linear_descent "linear"
+  let s = solver_with 2 in
+  Solver.enable_proof s;
+  let cnf = Cnf.create s in
+  List.iter (Cnf.add cnf) clauses;
+  let outcome = Minimize.minimize ~cnf ~objective () in
+  Alcotest.(check bool) "linear optimal" true outcome.optimal;
+  Alcotest.(check (option int)) "linear cost" (Some 1) outcome.cost;
+  Alcotest.(check bool) "linear has proof" true (outcome.proof <> None);
+  Alcotest.(check bool) "linear has enforced bounds" true
+    (outcome.bounds <> [])
 
 let suite =
   [
-    check_strategy Minimize.Linear_descent;
-    check_strategy Minimize.Binary_search;
+    minimize_matches_brute_force;
     ("zero objective", `Quick, test_zero_objective);
     ("unsat hard clauses", `Quick, test_unsat_hard);
     ("forced cost", `Quick, test_forced_cost);
@@ -354,6 +338,6 @@ let suite =
     ("session resumes descent", `Quick, test_session_resumes_descent);
     ("session bounds never loosen", `Quick, test_session_bounds_never_loosen);
     ("session circuit capped at its first bound", `Quick, test_session_cap);
-    ("binary search confirming proof", `Quick,
-     test_binary_search_confirming_proof);
+    ("descent proof and enforced bounds", `Quick,
+     test_descent_proof_and_bounds);
   ]

@@ -1,15 +1,10 @@
-(* Tests for DRUP proof logging, the RUP checker, and optimality
-   certification. *)
+(* Tests for DRUP proof logging and the RUP checker.  Optimality
+   certificates are tested end to end in test_audit. *)
 
 open Test_util
 module Lit = Qxm_sat.Lit
 module Solver = Qxm_sat.Solver
 module Proof = Qxm_sat.Proof
-module Encoding = Qxm_exact.Encoding
-module Certify = Qxm_exact.Certify
-module Devices = Qxm_arch.Devices
-module Circuit = Qxm_circuit.Circuit
-module Examples = Qxm_benchmarks.Examples
 
 let php_clauses n =
   (* n+1 pigeons, n holes *)
@@ -232,40 +227,6 @@ let random_unsat_proofs_check =
           | None -> false)
       | _ -> true)
 
-(* -- optimality certification -------------------------------------------- *)
-
-let fig1a_instance () =
-  {
-    Encoding.arch = Devices.qx4;
-    num_logical = 4;
-    cnots = Array.of_list (Circuit.cnots Examples.fig1b);
-    spots = [ 1; 2; 3; 4 ];
-  }
-
-let test_certify_fig1a_optimum () =
-  (* F* = 4 (Ex. 7): the bound 4 must be certified... *)
-  match Certify.optimality ~instance:(fig1a_instance ()) ~cost:4 () with
-  | Certify.Certified proof ->
-      Alcotest.(check bool) "proof checked" true
-        (Qxm_sat.Proof.check proof = Qxm_sat.Proof.Valid)
-  | Certify.Better_exists c -> Alcotest.failf "claims better: %d" c
-  | Certify.Proof_rejected r -> Alcotest.failf "proof rejected: %s" r
-  | Certify.Budget_exhausted -> Alcotest.fail "budget"
-
-let test_certify_detects_nonoptimal () =
-  (* 5 is not a lower bound (a solution with F = 4 exists) *)
-  match Certify.optimality ~instance:(fig1a_instance ()) ~cost:5 () with
-  | Certify.Better_exists c ->
-      Alcotest.(check bool) "found the cheaper solution" true (c <= 4)
-  | Certify.Certified _ -> Alcotest.fail "bogus certificate"
-  | Certify.Proof_rejected r -> Alcotest.failf "rejected: %s" r
-  | Certify.Budget_exhausted -> Alcotest.fail "budget"
-
-let test_certify_zero_trivial () =
-  match Certify.optimality ~instance:(fig1a_instance ()) ~cost:0 () with
-  | Certify.Certified _ -> ()
-  | _ -> Alcotest.fail "zero bound must be trivially certified"
-
 let suite =
   [
     ("php4 proof checks", `Quick, test_php_proof_checks 4);
@@ -284,8 +245,4 @@ let suite =
     ("drup parser rejects garbage", `Quick, test_of_drup_rejects_garbage);
     drup_roundtrip;
     random_unsat_proofs_check;
-    ("certify fig1a optimum (Ex. 7)", `Quick, test_certify_fig1a_optimum);
-    ("certify detects non-optimal bound", `Quick,
-     test_certify_detects_nonoptimal);
-    ("certify zero bound", `Quick, test_certify_zero_trivial);
   ]

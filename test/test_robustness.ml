@@ -243,7 +243,7 @@ let test_portfolio_degrades_to_heuristic () =
       match Portfolio.run ~arch:Devices.qx4 Examples.fig1a with
       | Ok r ->
           (match r.provenance with
-          | Portfolio.Heuristic _ -> ()
+          | Portfolio.Heuristic -> ()
           | p ->
               Alcotest.failf "expected heuristic provenance, got %s"
                 (Portfolio.provenance_string p));
@@ -259,31 +259,19 @@ let test_portfolio_incumbent_path () =
       | Ok r ->
           Alcotest.(check bool) "degraded provenance" true
             (match r.provenance with
-            | Portfolio.Exact_incumbent | Portfolio.Heuristic _ -> true
+            | Portfolio.Exact_incumbent | Portfolio.Heuristic -> true
             | Portfolio.Exact_optimal -> false);
           Alcotest.(check bool) "not claiming optimality" false r.optimal;
           Alcotest.(check (option bool)) "verified" (Some true) r.verified
       | Error e -> Alcotest.failf "portfolio failed: %a" Portfolio.pp_failure e)
 
-let test_portfolio_respects_cascade_order () =
-  Fault.with_schedule Fault.Always_unknown (fun () ->
-      let options =
-        { Portfolio.default with cascade = [ Portfolio.Astar ] }
-      in
-      match Portfolio.run ~options ~arch:Devices.qx4 Examples.fig1a with
-      | Ok r ->
-          Alcotest.(check bool) "astar provenance" true
-            (r.provenance = Portfolio.Heuristic "astar")
-      | Error e -> Alcotest.failf "portfolio failed: %a" Portfolio.pp_failure e)
-
-let test_portfolio_exhausted_when_everything_disabled () =
-  Fault.with_schedule Fault.Always_unknown (fun () ->
-      let options = { Portfolio.default with cascade = [] } in
-      match Portfolio.run ~options ~arch:Devices.qx4 Examples.fig1a with
-      | Error (Portfolio.Exhausted stages) ->
-          Alcotest.(check bool) "telemetry survives" true (stages <> [])
-      | Ok _ -> Alcotest.fail "nothing could have produced a result"
-      | Error e -> Alcotest.failf "expected Exhausted, got %a" Portfolio.pp_failure e)
+let test_portfolio_exhausted_when_nothing_routes () =
+  match Portfolio.run ~arch:unroutable_device unroutable_circuit with
+  | Error (Portfolio.Exhausted stages) ->
+      Alcotest.(check bool) "telemetry survives" true (stages <> [])
+  | Ok _ -> Alcotest.fail "nothing could have produced a result"
+  | Error e ->
+      Alcotest.failf "expected Exhausted, got %a" Portfolio.pp_failure e
 
 let test_portfolio_too_many_logical () =
   match Portfolio.run ~arch:(Devices.line 2) (Circuit.empty 3) with
@@ -308,7 +296,7 @@ let test_portfolio_degrades_on_full_suite () =
           match Portfolio.run ~options ~arch:Devices.qx4 e.circuit with
           | Ok r ->
               (match r.provenance with
-              | Portfolio.Heuristic _ -> ()
+              | Portfolio.Heuristic -> ()
               | p ->
                   Alcotest.failf "%s: expected heuristic provenance, got %s"
                     e.name
@@ -373,10 +361,8 @@ let suite =
     ("portfolio: degrades to heuristic", `Quick,
      test_portfolio_degrades_to_heuristic);
     ("portfolio: incumbent path", `Quick, test_portfolio_incumbent_path);
-    ("portfolio: cascade order respected", `Quick,
-     test_portfolio_respects_cascade_order);
     ("portfolio: exhausted telemetry", `Quick,
-     test_portfolio_exhausted_when_everything_disabled);
+     test_portfolio_exhausted_when_nothing_routes);
     ("portfolio: too many logical", `Quick, test_portfolio_too_many_logical);
     ("portfolio: full-suite degradation sweep", `Slow,
      test_portfolio_degrades_on_full_suite);

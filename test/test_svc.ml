@@ -444,16 +444,20 @@ let test_parse_request_rejects () =
 
 (* -- daemon: end-to-end -------------------------------------------------- *)
 
-let request ?(id = "t") ?(budget = None) ?(use_cache = true) () =
+let request ?(id = "t") ?(budget = None) ?(use_cache = true)
+    ?(circuit = Examples.fig1a) ?(device = Devices.qx4) () =
   {
     Daemon.req_id = id;
-    circuit = Examples.fig1a;
-    device = Devices.qx4;
+    circuit;
+    device;
     device_name = "qx4";
     strategy = Strategy.Minimal;
     budget;
     use_cache;
   }
+
+let unroutable_request ?id () =
+  request ?id ~circuit:unroutable_circuit ~device:unroutable_device ()
 
 let fast_config =
   {
@@ -569,9 +573,9 @@ let test_daemon_deadline_note_reaches_response () =
         (Certify.compliance ~arch:Devices.qx4 mapped = Ok ()))
 
 let test_daemon_retries_transient_failures () =
-  (* Every engine disabled: each attempt fails fast ("transient"), the
-     retry loop walks the whole deterministic backoff schedule through
-     the injected sleep recorder, then reports Failed honestly. *)
+  (* An input nothing can route: each attempt fails fast ("transient"),
+     the retry loop walks the whole deterministic backoff schedule
+     through the injected sleep recorder, then reports Failed honestly. *)
   let policy = { Backoff.default with max_attempts = 3; seed = 11 } in
   let slept = ref [] in
   let config =
@@ -580,16 +584,14 @@ let test_daemon_retries_transient_failures () =
       use_cache = false;
       retry = policy;
       sleep = (fun d -> slept := d :: !slept);
-      portfolio =
-        { Portfolio.default with ladder = []; cascade = [] };
     }
   in
   let d = Daemon.create ~config () in
   Fun.protect ~finally:(fun () -> Daemon.shutdown d) @@ fun () ->
-  (match Daemon.submit d (request ()) with
+  (match Daemon.submit d (unroutable_request ()) with
   | Daemon.Failed msg ->
       Alcotest.(check bool) "reason surfaces" true (String.length msg > 0)
-  | _ -> Alcotest.fail "expected Failed with everything disabled");
+  | _ -> Alcotest.fail "expected Failed on an unroutable input");
   Alcotest.(check (list (float 1e-9)))
     "slept the policy's exact schedule"
     [ Backoff.delay policy ~attempt:1; Backoff.delay policy ~attempt:2 ]
@@ -619,13 +621,11 @@ let test_daemon_sheds_past_watermark () =
       watermark = 1;
       retry = { Backoff.default with max_attempts = 2 };
       sleep = blocking_sleep;
-      portfolio =
-        { Portfolio.default with ladder = []; cascade = [] };
     }
   in
   let d = Daemon.create ~config () in
   let async_response = Atomic.make None in
-  Daemon.submit_async d (request ~id:"wedged" ()) (fun r ->
+  Daemon.submit_async d (unroutable_request ~id:"wedged" ()) (fun r ->
       Atomic.set async_response (Some r));
   Mutex.lock m;
   while not !entered do
@@ -645,7 +645,7 @@ let test_daemon_sheds_past_watermark () =
   Daemon.drain d;
   (match Atomic.get async_response with
   | Some (Daemon.Failed _) -> ()
-  | Some _ -> Alcotest.fail "wedged request should have failed (no engines)"
+  | Some _ -> Alcotest.fail "wedged request should have failed (unroutable)"
   | None -> Alcotest.fail "async callback never fired");
   Daemon.shutdown d
 

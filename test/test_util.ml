@@ -97,3 +97,12 @@ let contains_substring haystack needle =
     && (String.sub haystack i nn = needle || go (i + 1))
   in
   nn = 0 || go 0
+
+(* An input nothing can route: a CNOT chain across a device made of two
+   disconnected edges.  The encoding rejects the device and SABRE stalls,
+   so a portfolio run on it ends [Exhausted]. *)
+let unroutable_device = Qxm_arch.Coupling.create ~num_qubits:4 [ (0, 1); (2, 3) ]
+
+let unroutable_circuit =
+  Qxm_circuit.Circuit.create 4
+    Qxm_circuit.Gate.[ Cnot (0, 1); Cnot (1, 2); Cnot (2, 3) ]
