@@ -99,8 +99,9 @@ let regenerate_table1_slice () =
    - "hard": the seven Table-1 rows the minimal strategy historically
      could not prove within generous budgets, 90 s per row with the
      full incremental machinery (parallel workers, symmetry breaking).
-     Every record carries an explicit "timed_out" boolean — true iff the budget expired before the
-     proof closed — so compare.ml can flag rows that newly finish
+     Every record carries an explicit "timed_out" boolean — true iff
+     the budget expired before the proof closed — so the gate
+     ([qxm_prof BASE NEW]) can flag rows that newly finish
      (improvement) or newly time out (regression).  A row that timed
      out before any mapping still records the solver counters it
      spent. *)
@@ -155,25 +156,25 @@ let emit_json ~suite ?flight_prefix file =
                 ())
             flight_prefix;
           let t0 = Unix.gettimeofday () in
-          (* strategy and seed are recorded as actually used (after
+          (* the strategy is recorded as actually used (after
              defaulting), not as requested, so a record is sufficient to
              reproduce its own run *)
           let common wall rest =
             Printf.sprintf
               "  {\"suite\": \"%s\", \"benchmark\": \"%s\", \"device\": \
-               \"qx4\", \"strategy\": \"%s\", \"seed\": %d, \"jobs\": %d, \
+               \"qx4\", \"strategy\": \"%s\", \"jobs\": %d, \
                \"wall_s\": %.3f, %s}"
               suite e.name
               (Strategy.name options.strategy)
-              options.seed jobs wall rest
+              jobs wall rest
           in
           let record, timed_out =
             match Mapper.run ~options ~arch:Devices.qx4 e.circuit with
             | Ok r ->
                 let wall = Unix.gettimeofday () -. t0 in
                 let st = r.sat_stats in
-                (* flat per-stage wall-clock fields so compare.ml's
-                   line-based parser can attribute a regression to the
+                (* flat per-stage wall-clock fields, so the gate
+                   (qxm_prof BASE NEW) can attribute a regression to the
                    stage that grew *)
                 let stage_fields =
                   String.concat ", "

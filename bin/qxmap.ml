@@ -214,7 +214,6 @@ let mapper_json ~input ~output (r : Mapper.report) =
        ("mode", Json.str "exact");
        ("input", Json.str input);
        ("strategy", Json.str r.strategy_name);
-       ("seed", Json.int r.seed);
        ("f_cost", Json.int r.f_cost);
        ("objective_cost", Json.int r.objective_cost);
        ("total_gates", Json.int r.total_gates);
@@ -252,7 +251,6 @@ let portfolio_json ~input ~output (r : Portfolio.report) =
        ("mode", Json.str "portfolio");
        ("input", Json.str input);
        ("strategy", Json.str r.strategy_name);
-       ("seed", Json.int r.seed);
        ("f_cost", Json.int r.f_cost);
        ("total_gates", Json.int r.total_gates);
        ("provenance", Json.str (Portfolio.provenance_string r.provenance));
@@ -647,7 +645,7 @@ let map_cmd =
       & info [ "json" ]
           ~doc:
             "Print exactly one JSON report object on stdout (cost, \
-             optimality, seed, strategy, per-stage telemetry, solver \
+             optimality, strategy, per-stage telemetry, solver \
              counters, objective trajectory) instead of the QASM \
              stream.  The mapped circuit is embedded as a \"qasm\" \
              field, or written to $(b,--output) when given.  A failed \

@@ -30,7 +30,6 @@ type options = {
   jobs : int;
   incumbent_pruning : bool;
   warm_start : bool;
-  seed : int;
   certificate : bool;
   symmetry : bool;
 }
@@ -61,7 +60,6 @@ let default =
     jobs = jobs_from_env ();
     incumbent_pruning = true;
     warm_start = true;
-    seed = 0;
     certificate = false;
     symmetry = true;
   }
@@ -108,7 +106,6 @@ type report = {
   workers : int;
   pruned_by_incumbent : int;
   sat_stats : Solver.stats;
-  seed : int;
   strategy_name : string;
   trajectory : (float * int) list;
   phase_seconds : (string * float) list;
@@ -311,7 +308,6 @@ let solve_instance ~(options : options) ~obs ~cancel ~deadline ~bound ?session
   let fresh () =
     let solver = Solver.create ~capacity:(Encoding.var_capacity_hint inst) () in
     if options.certificate then Solver.enable_proof solver;
-    if options.seed <> 0 then Solver.set_random_seed solver options.seed;
     obs.obs_solver solver;
     (match cancel with
     | Some c -> Solver.set_stop solver (Some (Cancel.flag c))
@@ -765,7 +761,6 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
             workers;
             pruned_by_incumbent = !pruned;
             sat_stats = !sat_stats;
-            seed = options.seed;
             strategy_name = Strategy.name options.strategy;
             trajectory =
               List.rev_map (fun (t, c) -> (t -. start, c)) !rev_traj;

@@ -73,13 +73,6 @@ type options = {
           every [optimal] claim and certificate rests on the SAT proof
           alone; turning this off recovers the cold solver for
           measurement. *)
-  seed : int;
-      (** RNG seed for the SAT solver's random tie-breaking.  [0] (the
-          default) leaves each solver's built-in deterministic seed
-          untouched; any other value is applied to every solver this
-          call creates.  Whatever the value, the report records the
-          seed actually in force ([report.seed]) so a run can be
-          reproduced from its own output. *)
   certificate : bool;
       (** Record the raw evidence needed for an offline optimality
           certificate (off by default): every solver this call creates
@@ -198,9 +191,6 @@ type report = {
           out).  Exposes the clause-tier, minimization, and inprocessing
           counters for `--stats` output and the benchmark JSON; see
           [doc/PERFORMANCE.md]. *)
-  seed : int;
-      (** The RNG seed in force for this run ([options.seed]; [0] means
-          the solver's built-in default). *)
   strategy_name : string;
       (** Name of the permutation-spot strategy actually used, after
           defaulting ({!Strategy.name}). *)

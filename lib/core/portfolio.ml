@@ -56,7 +56,6 @@ type report = {
   solves : int;
   stages : stage list;
   sat_stats : Solver.stats;
-  seed : int;
   strategy_name : string;
   trajectory : (float * int) list;
   notes : string list;
@@ -389,7 +388,6 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
             solves = !solves;
             stages = List.rev !stages;
             sat_stats = !sat_stats;
-            seed = options.exact.seed;
             strategy_name = Strategy.name options.exact.strategy;
             trajectory = final_trajectory ();
             witness = c.c_witness;

@@ -101,9 +101,6 @@ type report = {
           [Unmappable] failures of those that did not; the SABRE stage
           contributes nothing.  See [doc/PERFORMANCE.md] for how to read
           the counters. *)
-  seed : int;
-      (** The SAT solvers' RNG seed in force for this run
-          ([options.exact.seed]; [0] means their built-in default). *)
   strategy_name : string;
       (** Name of the exact strategy actually targeted, after
           defaulting ({!Strategy.name} of [options.exact.strategy]). *)

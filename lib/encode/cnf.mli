@@ -12,9 +12,9 @@
 type t
 
 (** A named region of the clause stream.  Encoders such as
-    {!Amo.at_most_one} and {!Totalizer.build} wrap their output in a scope
-    carrying the encoding family and the input size, so a downstream
-    analyzer can check the produced clauses against the expected shape. *)
+    {!Amo.at_most_one} wrap their output in a scope carrying the encoding
+    family and the input size, so a downstream analyzer can check the
+    produced clauses against the expected shape. *)
 type scope = { kind : string; arity : int }
 
 (** What the tap observes.  Clauses are reported {e before} normalization,

@@ -116,20 +116,15 @@ let next_above t b =
   let k = count_le t.root.sums b in
   if k = Array.length t.root.sums then None else Some t.root.sums.(k)
 
-(* The indicator literals of every sum strictly above [b], ascending.
-   Above the cap the overflow output would stand for sums both above and
-   below [b], so such a bound cannot be expressed. *)
-let outputs_above t b =
+(* Forbid the indicator of every sum strictly above [b].  Above the cap
+   the overflow output would stand for sums both above and below [b], so
+   such a bound cannot be expressed. *)
+let enforce_at_most cnf t b =
   (match t.cap with
   | Some c when b > c ->
       invalid_arg
         (Printf.sprintf "Pb: bound %d is above the circuit's cap %d" b c)
   | _ -> ());
-  let k = count_le t.root.sums b in
-  Array.sub t.root.lits k (Array.length t.root.lits - k)
-
-let enforce_at_most cnf t b =
-  Array.iter (fun l -> Cnf.add cnf [ Lit.negate l ]) (outputs_above t b)
-
-let assume_at_most t b =
-  Array.to_list (Array.map Lit.negate (outputs_above t b))
+  for i = count_le t.root.sums b to Array.length t.root.lits - 1 do
+    Cnf.add cnf [ Lit.negate t.root.lits.(i) ]
+  done

@@ -19,9 +19,9 @@ val build : ?cap:int -> Cnf.t -> (int * Qxm_sat.Lit.t) list -> t
     for: every leaf and pair sum above it is clamped to the overflow
     value [max cap 0 + 1], so all sums above [cap] share one output and
     the circuit stops growing there.  For every [b <= cap],
-    {!enforce_at_most} and {!assume_at_most} still forbid exactly the
-    assignments with Σ > [b]; a bound above [cap] is rejected.  Without
-    [cap] every attainable sum gets its own output.
+    {!enforce_at_most} still forbids exactly the assignments with
+    Σ > [b]; a bound above [cap] is rejected.  Without [cap] every
+    attainable sum gets its own output.
 
     Every call adds the outputs it creates and the clauses it emits to
     the [pb.outputs] and [pb.clauses] counters of {!Qxm_obs.Metrics}.
@@ -54,9 +54,4 @@ val tighten : t -> int -> int
 
 val enforce_at_most : Cnf.t -> t -> int -> unit
 (** Permanently constrain the weighted sum to at most [b].
-    @raise Invalid_argument if [b] is above the circuit's cap. *)
-
-val assume_at_most : t -> int -> Qxm_sat.Lit.t list
-(** Assumption literals constraining the weighted sum to at most [b] for a
-    single solve.
     @raise Invalid_argument if [b] is above the circuit's cap. *)

@@ -45,7 +45,7 @@ let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.fin
 
 (* The (clause-size -> count, aux, children, unsat) profile each encoding
    family must produce for a given arity.  These mirror the recursions in
-   Qxm_encode.Amo / Qxm_encode.Totalizer — if an encoder changes, its
+   Qxm_encode.Amo — if an encoder changes, its
    mirror here must change with it (the seeded-defect tests in
    test_lint.ml enforce the pairing). *)
 type shape = {
@@ -118,31 +118,6 @@ let alo_shape n =
   if n = 0 then { e_sizes = []; e_aux = 0; e_children = []; e_unsat = 1 }
   else { e_sizes = [ (n, 1) ]; e_aux = 0; e_children = []; e_unsat = 0 }
 
-let totalizer_shape n =
-  let tbl = Hashtbl.create 8 in
-  let aux = ref 0 in
-  let rec go n =
-    if n > 1 then begin
-      let a = n / 2 in
-      let b = n - a in
-      go a;
-      go b;
-      aux := !aux + a + b;
-      for i = 0 to a do
-        for j = 0 to b do
-          if i + j > 0 then
-            bump tbl
-              ((if i > 0 then 1 else 0) + (if j > 0 then 1 else 0) + 1);
-          if i + j < a + b then
-            bump tbl
-              ((if i < a then 1 else 0) + (if j < b then 1 else 0) + 1)
-        done
-      done
-    end
-  in
-  go n;
-  { e_sizes = sorted_sizes tbl; e_aux = !aux; e_children = []; e_unsat = 0 }
-
 let pp_sizes sizes =
   if sizes = [] then "no clauses"
   else
@@ -193,7 +168,6 @@ let check_scope t frame =
             n n;
           (None, "")
         end
-    | "totalizer" -> (Some (totalizer_shape n), "QL-E008")
     | _ -> (None, "")
   in
   match expected with

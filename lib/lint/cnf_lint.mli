@@ -3,7 +3,7 @@
     Attaches to a {!Qxm_encode.Cnf} context through its event tap and
     watches the clause stream: clauses are observed {e before}
     normalization, auxiliary variables as they are allocated, and encoder
-    scopes ({!Qxm_encode.Amo}, {!Qxm_encode.Totalizer}) as they open and
+    scopes ({!Qxm_encode.Amo}) as they open and
     close.  Scope contents are checked against the clause/auxiliary shape
     the named encoding must produce for its arity — the analyzer mirrors
     each encoder's recursion, so a mutated encoder that drops or distorts
@@ -17,7 +17,6 @@
     - [QL-E005] (error) contradictory unit clauses
     - [QL-E006] (warning) auxiliary variables never constrained
     - [QL-E007] (error) AMO/ALO/EO scope shape violation
-    - [QL-E008] (error) totalizer scope shape violation
     - [QL-E009] (info) intentional unsatisfiability declared *)
 
 type t

@@ -92,12 +92,12 @@ val json_escape : string -> string
 
 val event_json : event -> string
 (** One event as a single-line Chrome trace-event JSON object — the
-    layout [bin/trace_check.exe] and [bin/qxm_prof.exe] parse. *)
+    layout [Qxm_profile.Profile] parses (behind [bin/qxm_prof.exe]). *)
 
 val to_chrome_string : ?extra:event list -> unit -> string
 (** The buffered events as a Chrome trace-event JSON document
     ([{"traceEvents": [...]}]), one event object per line — the layout
-    [bin/trace_check.exe] validates. *)
+    [qxm_prof --check] validates. *)
 
 val write_chrome : ?extra:event list -> string -> unit
 (** Write {!to_chrome_string} to a file. *)

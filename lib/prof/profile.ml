@@ -1,6 +1,8 @@
-(* Offline profile analysis: ingest a trace (Chrome JSON or NDJSON), a
-   flight-recorder dump, or a bench JSON stream, and explain where the
-   time went.
+(* Offline analysis of the observability artifacts: ingest a trace
+   (Chrome JSON or NDJSON), a flight-recorder dump, or a bench JSON
+   stream; explain where the time went, check a trace's well-formedness,
+   and gate a bench run against its baseline.  This is the only reader
+   of these formats in the repository, so the event schema lives here.
 
    The analysis leans on two complementary signals:
 
@@ -31,10 +33,11 @@ type event = {
 }
 
 type bench_row = {
-  b_key : string; (* benchmark/device/strategy: the join key for --diff *)
-  b_name : string;
+  b_key : string; (* "[suite/]benchmark -jN": the gate's join key and tag *)
   b_wall : float;
-  b_timed_out : bool;
+  b_optimal : bool;
+  b_failed : bool;
+  b_timed_out : bool option; (* None: a baseline predating the field *)
   b_stages : (string * float) list; (* stage name -> seconds *)
   b_counters : (string * float) list;
 }
@@ -48,25 +51,43 @@ let str_mem k j = Option.bind (Sjson.member k j) Sjson.to_string_opt
 let num_mem k j = Option.bind (Sjson.member k j) Sjson.to_float_opt
 let int_mem k j = Option.bind (Sjson.member k j) Sjson.to_int_opt
 
+(* The event schema [Qxm_obs.Trace.event_json] writes.  A malformed
+   event rejects the whole artifact: skipping it, or defaulting its
+   tid, would hide exactly the corruption the check looks for. *)
 let event_of_json j =
-  match (str_mem "name" j, str_mem "ph" j, num_mem "ts" j) with
-  | Some e_name, Some e_ph, Some e_ts ->
-      Some
-        {
-          e_name;
-          e_ph;
-          e_ts;
-          e_tid = Option.value ~default:0 (int_mem "tid" j);
-          e_args = Option.value ~default:Sjson.Null (Sjson.member "args" j);
-        }
-  | _ -> None
+  match (str_mem "name" j, str_mem "ph" j, num_mem "ts" j, int_mem "tid" j) with
+  | Some e_name, Some e_ph, Some e_ts, Some e_tid -> (
+      match e_ph with
+      | "B" | "E" | "i" | "I" | "C" ->
+          Ok
+            {
+              e_name;
+              e_ph;
+              e_ts;
+              e_tid;
+              e_args =
+                Option.value ~default:Sjson.Null (Sjson.member "args" j);
+            }
+      | _ -> Error (Printf.sprintf "unknown phase %S" e_ph))
+  | _ -> Error "event object missing name/ph/ts/tid"
+
+(* [items] are (position, JSON) pairs; [where] names the position. *)
+let events_of ~where items =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | (pos, j) :: rest -> (
+        match event_of_json j with
+        | Ok ev -> go (ev :: acc) rest
+        | Error e -> Error (Printf.sprintf "%s %d: %s" where pos e))
+  in
+  go [] items
 
 let stage_prefix = "stage_"
 let stage_suffix = "_s"
 
 let bench_row_of_json j =
-  match (str_mem "benchmark" j, num_mem "wall_s" j) with
-  | Some b_name, Some b_wall ->
+  match (str_mem "benchmark" j, int_mem "jobs" j, num_mem "wall_s" j) with
+  | Some name, Some jobs, Some b_wall ->
       let fields = match j with Sjson.Obj kvs -> kvs | _ -> [] in
       let stages, counters =
         List.fold_left
@@ -89,109 +110,89 @@ let bench_row_of_json j =
             | _ -> (stages, counters))
           ([], []) fields
       in
-      let key field = Option.value ~default:"" (str_mem field j) in
+      let flag k = Option.bind (Sjson.member k j) Sjson.to_bool_opt in
+      (* a missing suite is "quick", the only suite older baselines
+         had; jobs is part of the key because the quick suite emits
+         each benchmark at two worker counts *)
+      let suite = Option.value ~default:"quick" (str_mem "suite" j) in
       Some
         {
-          (* jobs is part of the join key: the quick suite emits the
-             same benchmark at two worker counts, and diffing a -j1 row
-             against a -jN row would manufacture a regression *)
           b_key =
-            String.concat "/"
-              [
-                b_name;
-                key "device";
-                key "strategy";
-                (match num_mem "jobs" j with
-                | Some n -> Printf.sprintf "j%d" (int_of_float n)
-                | None -> "j?");
-              ];
-          b_name;
+            Printf.sprintf "%s%s -j%d"
+              (if suite = "quick" then "" else suite ^ "/")
+              name jobs;
           b_wall;
-          b_timed_out =
-            Option.value ~default:false
-              (Option.bind (Sjson.member "timed_out" j) Sjson.to_bool_opt);
+          b_optimal = flag "optimal" = Some true;
+          b_failed = flag "failed" = Some true;
+          b_timed_out = flag "timed_out";
           b_stages = List.rev stages;
           b_counters = List.rev counters;
         }
   | _ -> None
 
-let non_empty_lines content =
-  String.split_on_char '\n' content
-  |> List.filter_map (fun l ->
-         let l = String.trim l in
-         if l = "" then None else Some l)
+(* Every non-empty line with its 1-based line number, parsed; the first
+   line that is not JSON fails the whole input. *)
+let json_lines content =
+  let rec go acc n = function
+    | [] -> Ok (List.rev acc)
+    | l :: rest -> (
+        let l = String.trim l in
+        if l = "" then go acc (n + 1) rest
+        else
+          match Sjson.parse l with
+          | Ok j -> go ((n, j) :: acc) (n + 1) rest
+          | Error e -> Error (Printf.sprintf "line %d: bad JSON: %s" n e))
+  in
+  go [] 1 (String.split_on_char '\n' content)
 
-(* Input auto-detection: a whole-document Chrome trace object, or a
-   line stream whose first line is a flight header, a trace event, or a
+(* Input auto-detection.  A Chrome trace and a bench emission are both
+   single JSON documents (an object wrapper and an array of rows; bench
+   rows carry trailing commas that defeat line-at-a-time parsing), so
+   the whole document is tried first; otherwise the input is a line
+   stream whose first line is a flight header, a trace event, or a
    bench record. *)
 let parse_string content =
-  (* A Chrome trace and a bench emission are both single JSON documents
-     (an object wrapper and an array of rows respectively — bench rows
-     carry trailing commas that defeat line-at-a-time parsing), so try
-     the whole document first. *)
-  let whole_doc () =
-    match Sjson.parse content with
-    | Ok j -> (
-        match Sjson.member "traceEvents" j with
-        | Some (Sjson.List evs) ->
-            Some (Trace_events (List.filter_map event_of_json evs))
-        | _ -> (
-            match j with
-            | Sjson.List rows -> (
-                match List.filter_map bench_row_of_json rows with
-                | [] -> None
-                | parsed -> Some (Bench_rows parsed))
-            | _ -> None))
-    | Error _ -> None
-  in
-  match whole_doc () with
-  | Some input -> Ok input
-  | None -> (
-      match non_empty_lines content with
-      | [] -> Error "empty input"
-      | first :: rest as lines -> (
-          match Sjson.parse first with
-          | Error e -> Error ("line 1: bad JSON: " ^ e)
-          | Ok j when Sjson.member "flight" j <> None ->
-              let events =
-                List.filter_map
-                  (fun l ->
-                    match Sjson.parse l with
-                    | Ok j -> event_of_json j
-                    | Error _ -> None)
-                  rest
-              in
-              Ok
-                (Flight
-                   {
-                     f_reason =
-                       Option.value ~default:"unknown" (str_mem "reason" j);
-                     f_dropped =
-                       Option.value ~default:0 (int_mem "dropped" j);
-                     f_events = events;
-                   })
-          | Ok j when Sjson.member "ph" j <> None ->
-              Ok
-                (Trace_events
-                   (List.filter_map
-                      (fun l ->
-                        match Sjson.parse l with
-                        | Ok j -> event_of_json j
-                        | Error _ -> None)
-                      lines))
-          | Ok j when Sjson.member "benchmark" j <> None ->
-              Ok
-                (Bench_rows
-                   (List.filter_map
-                      (fun l ->
-                        match Sjson.parse l with
-                        | Ok j -> bench_row_of_json j
-                        | Error _ -> None)
-                      lines))
-          | Ok _ ->
-              Error
-                "unrecognised input: expected a Chrome trace, a flight \
-                 dump, an NDJSON event stream, or bench JSON lines"))
+  match
+    Result.map
+      (fun j -> (Sjson.member "traceEvents" j, j))
+      (Sjson.parse content)
+  with
+  | Ok (Some (Sjson.List evs), _) ->
+      Result.map
+        (fun evs -> Trace_events evs)
+        (events_of ~where:"event" (List.mapi (fun i j -> (i + 1, j)) evs))
+  | Ok (Some _, _) -> Error "traceEvents is not a list"
+  | Ok (None, Sjson.List rows) ->
+      Ok (Bench_rows (List.filter_map bench_row_of_json rows))
+  | _ -> (
+      match json_lines content with
+      | Error e -> Error e
+      | Ok [] -> Error "empty input"
+      | Ok ((_, first) :: rest as lines) ->
+          if Sjson.member "flight" first <> None then
+            Result.map
+              (fun f_events ->
+                Flight
+                  {
+                    f_reason =
+                      Option.value ~default:"unknown" (str_mem "reason" first);
+                    f_dropped =
+                      Option.value ~default:0 (int_mem "dropped" first);
+                    f_events;
+                  })
+              (events_of ~where:"line" rest)
+          else if Sjson.member "ph" first <> None then
+            Result.map
+              (fun evs -> Trace_events evs)
+              (events_of ~where:"line" lines)
+          else if Sjson.member "benchmark" first <> None then
+            Ok
+              (Bench_rows
+                 (List.filter_map (fun (_, j) -> bench_row_of_json j) lines))
+          else
+            Error
+              "unrecognised input: expected a Chrome trace, a flight dump, \
+               an NDJSON event stream, or bench JSON lines")
 
 let parse_file path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -556,25 +557,119 @@ let analyze = function
       analyze_events ~source:"flight dump" ~reason:f_reason
         ~dropped:f_dropped f_events
   | Trace_events events -> analyze_events ~source:"trace" events
-  | Bench_rows _ -> invalid_arg "Profile.analyze: bench input; use diff"
+  | Bench_rows _ -> invalid_arg "Profile.analyze: bench input; use gate"
 
-(* -- bench diff ------------------------------------------------------------ *)
+(* -- trace check ----------------------------------------------------------- *)
 
-type diff_entry = {
-  de_name : string;
-  de_wall_base : float;
-  de_wall_new : float;
-  de_stage : (string * float * float) option;
-      (* stage with the largest absolute growth: name, base_s, new_s *)
-  de_counter : (string * float * float) option;
-      (* counter with the largest relative growth: name, base, new *)
-  de_timed_out_change : bool; (* newly timed out *)
-}
+type check = { c_events : int; c_workers : int; c_errors : string list }
 
-type diff_report = {
-  dr_entries : diff_entry list; (* sorted by wall growth, descending *)
-  dr_missing : string list; (* rows present on one side only *)
-}
+let has_prefix p s =
+  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+let check ?(min_workers = 0) ?(require = []) ?(samples = false)
+    ?(request_ids = false) input =
+  let errors = ref [] in
+  let error fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
+  let events =
+    match input with
+    | Trace_events evs | Flight { f_events = evs; _ } -> evs
+    | Bench_rows _ -> []
+  in
+  (* per tid: open span names (innermost first) and the last timestamp *)
+  let workers : (int, string list ref * float ref) Hashtbl.t =
+    Hashtbl.create 8
+  in
+  let nsamples = ref 0 in
+  (* Request ids: svc.request B events register their "id"; every other
+     "request" reference must resolve to one.  The Chrome export groups
+     events by tid, so a reference can precede its registration: resolve
+     after the pass. *)
+  let known_ids = Hashtbl.create 8 and id_refs = ref [] in
+  List.iteri
+    (fun i ev ->
+      let n = i + 1 in
+      let stack, last_ts =
+        match Hashtbl.find_opt workers ev.e_tid with
+        | Some w -> w
+        | None ->
+            let w = (ref [], ref neg_infinity) in
+            Hashtbl.add workers ev.e_tid w;
+            w
+      in
+      if ev.e_ts < !last_ts then
+        error "event %d: tid %d timestamp goes backwards (%.1f < %.1f)" n
+          ev.e_tid ev.e_ts !last_ts;
+      last_ts := ev.e_ts;
+      if samples && is_sample ev then begin
+        incr nsamples;
+        if num_mem "conflicts" ev.e_args = None then
+          error "event %d: solver.sample without a conflicts arg" n
+      end;
+      (if request_ids && has_prefix "svc." ev.e_name then
+         if ev.e_name = "svc.request" && ev.e_ph = "B" then
+           match str_mem "id" ev.e_args with
+           | Some id -> Hashtbl.replace known_ids id ()
+           | None -> error "event %d: svc.request span without an id arg" n
+         else
+           match str_mem "request" ev.e_args with
+           | Some id -> id_refs := (n, ev.e_name, id) :: !id_refs
+           | None when ev.e_name = "svc.solve" && ev.e_ph = "B" ->
+               error "event %d: svc.solve span without a request arg" n
+           | None -> ());
+      match (ev.e_ph, !stack) with
+      | "B", s -> stack := ev.e_name :: s
+      | "E", top :: rest when top = ev.e_name -> stack := rest
+      | "E", top :: _ ->
+          error "event %d: tid %d closes span %S but %S is innermost" n
+            ev.e_tid ev.e_name top
+      | "E", [] ->
+          error "event %d: tid %d closes span %S with none open" n ev.e_tid
+            ev.e_name
+      | _ -> ())
+    events;
+  Hashtbl.iter
+    (fun tid (stack, _) ->
+      List.iter (error "tid %d: span %S never closed" tid) !stack)
+    workers;
+  let nworkers = Hashtbl.length workers in
+  if nworkers < min_workers then
+    error "only %d distinct worker tid(s), need at least %d" nworkers
+      min_workers;
+  List.iter
+    (fun p ->
+      if not (List.exists (fun ev -> has_prefix p ev.e_name) events) then
+        error "no event with name prefix %S" p)
+    require;
+  if samples && !nsamples = 0 then
+    error "no solver.sample counter events found (--samples)";
+  List.iter
+    (fun (n, name, id) ->
+      if not (Hashtbl.mem known_ids id) then
+        error
+          "event %d: %s references request id %S never registered by an \
+           svc.request span"
+          n name id)
+    (List.rev !id_refs);
+  (match input with
+  | Bench_rows _ -> error "bench JSON holds no trace events"
+  | _ -> if events = [] then error "no trace events found");
+  {
+    c_events = List.length events;
+    c_workers = nworkers;
+    c_errors = List.rev !errors;
+  }
+
+(* -- bench gate ------------------------------------------------------------ *)
+
+(* Absolute minor-words-per-propagation ceiling used when the baseline
+   predates the allocation counters.  The arena solver sits well under
+   one word per propagation on every quick-suite row; 8 leaves room for
+   noise while still catching a boxed hot loop (tens of words/prop). *)
+let absolute_words_per_prop = 8.0
+
+(* Rows below this much propagation work are too noisy to gate on
+   throughput or allocation. *)
+let min_gated_propagations = 100_000.0
 
 (* Counters whose growth plausibly explains a slowdown; gate noise like
    seeds or qubit counts out of the blame list. *)
@@ -586,87 +681,132 @@ let blameable_counter name =
   | _ ->
       (* learned-clause maintenance counters are also fair game *)
       List.exists
-        (fun prefix ->
-          String.length name >= String.length prefix
-          && String.sub name 0 (String.length prefix) = prefix)
+        (fun prefix -> has_prefix prefix name)
         [ "glue_"; "subsumed"; "minimized"; "vivified" ]
 
-let diff_rows base_rows new_rows =
-  let tbl = Hashtbl.create 32 in
-  List.iter (fun r -> Hashtbl.replace tbl r.b_key r) base_rows;
-  let missing = ref [] in
-  List.iter
-    (fun (r : bench_row) ->
-      if not (Hashtbl.mem tbl r.b_key) then
-        missing := (r.b_key ^ " (new only)") :: !missing)
-    new_rows;
-  List.iter
-    (fun (r : bench_row) ->
-      if
-        not (List.exists (fun (n : bench_row) -> n.b_key = r.b_key) new_rows)
-      then missing := (r.b_key ^ " (base only)") :: !missing)
-    base_rows;
-  let entries =
-    List.filter_map
-      (fun (n : bench_row) ->
-        match Hashtbl.find_opt tbl n.b_key with
-        | None -> None
-        | Some b ->
-            let stage =
-              List.fold_left
-                (fun acc (name, nv) ->
-                  let bv =
-                    Option.value ~default:0.0
-                      (List.assoc_opt name b.b_stages)
-                  in
-                  let growth = nv -. bv in
-                  match acc with
-                  | Some (_, _, _, g) when g >= growth -> acc
-                  | _ -> Some (name, bv, nv, growth))
-                None n.b_stages
-            in
-            let counter =
-              List.fold_left
-                (fun acc (name, nv) ->
-                  if not (blameable_counter name) then acc
-                  else
-                    match List.assoc_opt name b.b_counters with
-                    | Some bv when bv > 0.0 && nv > bv ->
-                        let ratio = nv /. bv in
-                        (match acc with
-                        | Some (_, _, _, r) when r >= ratio -> acc
-                        | _ -> Some (name, bv, nv, ratio))
-                    | _ -> acc)
-                None n.b_counters
-            in
-            Some
-              {
-                de_name = n.b_key;
-                de_wall_base = b.b_wall;
-                de_wall_new = n.b_wall;
-                de_stage =
-                  Option.map (fun (s, bv, nv, _) -> (s, bv, nv)) stage;
-                de_counter =
-                  Option.map (fun (c, bv, nv, _) -> (c, bv, nv)) counter;
-                de_timed_out_change = n.b_timed_out && not b.b_timed_out;
-              })
-      new_rows
-  in
-  {
-    dr_entries =
-      List.sort
-        (fun a b ->
-          compare
-            (b.de_wall_new -. b.de_wall_base)
-            (a.de_wall_new -. a.de_wall_base))
-        entries;
-    dr_missing = List.rev !missing;
-  }
+(* The entry of [fresh] whose [score] against its [base] value is
+   highest (the first such on ties): the stage or counter that grew
+   most.  Entries missing from [base] are skipped. *)
+let biggest_growth ~score base fresh =
+  List.fold_left
+    (fun acc (name, nv) ->
+      match List.assoc_opt name base with
+      | None -> acc
+      | Some bv -> (
+          match (score name bv nv, acc) with
+          | Some s, Some (_, _, _, best) when s <= best -> acc
+          | Some s, _ -> Some (name, bv, nv, s)
+          | None, _ -> acc))
+    None fresh
 
-let diff input_base input_new =
-  match (input_base, input_new) with
-  | Bench_rows base, Bench_rows fresh -> Ok (diff_rows base fresh)
-  | _ -> Error "--diff needs two bench JSON files (one record per line)"
+type gate = { g_lines : string list; g_regressions : int }
+
+let gate_rows base fresh =
+  let lines = ref [] and regressions = ref 0 in
+  let line fmt = Printf.ksprintf (fun l -> lines := l :: !lines) fmt in
+  let fail fmt =
+    incr regressions;
+    line fmt
+  in
+  let counter r k = List.assoc_opt k r.b_counters in
+  List.iter
+    (fun b ->
+      let tag = b.b_key in
+      let fresh_row = List.find_opt (fun f -> f.b_key = b.b_key) fresh in
+      if (not b.b_optimal) || b.b_timed_out = Some true then
+        (* informational: the baseline itself was an anytime row, whose
+           cost and wall time are timing-dependent — but a row that
+           newly finishes within budget is worth reporting *)
+        match fresh_row with
+        | Some f when f.b_optimal && f.b_timed_out <> Some true ->
+            line
+              "improved   %-24s newly finishes within budget (%.3fs, was \
+               timing out)"
+              tag f.b_wall
+        | _ -> line "unstable   %-24s baseline not optimal, not gated" tag
+      else
+        match fresh_row with
+        | None -> fail "REGRESSED  %-24s missing from fresh run" tag
+        | Some f when f.b_failed ->
+            fail "REGRESSED  %-24s was optimal, now failed" tag
+        | Some f when f.b_timed_out = Some true ->
+            fail "REGRESSED  %-24s newly times out (was %.3fs)" tag b.b_wall
+        | Some f when not f.b_optimal ->
+            fail "REGRESSED  %-24s optimal flipped true -> false" tag
+        | Some f ->
+            let allowed = (b.b_wall *. 1.25) +. 0.25 in
+            if f.b_wall > allowed then begin
+              fail
+                "REGRESSED  %-24s wall %.3fs > allowed %.3fs (baseline \
+                 %.3fs)"
+                tag f.b_wall allowed b.b_wall;
+              (match
+                 biggest_growth b.b_stages f.b_stages
+                   ~score:(fun _ bv nv -> Some (nv -. bv))
+               with
+              | Some (stage, _, _, d) when d > 0.0 ->
+                  line "           %-24s biggest stage growth: %s (+%.3fs)"
+                    tag stage d
+              | _ -> ());
+              match
+                biggest_growth b.b_counters f.b_counters
+                  ~score:(fun name bv nv ->
+                    if blameable_counter name && bv > 0.0 && nv > bv then
+                      Some (nv /. bv)
+                    else None)
+              with
+              | Some (name, bv, nv, ratio) ->
+                  line
+                    "           %-24s biggest counter growth: %s x%.2f (%.0f \
+                     -> %.0f)"
+                    tag name ratio bv nv
+              | None -> ()
+            end
+            else
+              line "ok         %-24s %.3fs (baseline %.3fs)" tag f.b_wall
+                b.b_wall;
+            let gated =
+              match (counter b "propagations", counter f "propagations") with
+              | Some bn, Some fn ->
+                  bn >= min_gated_propagations && fn >= min_gated_propagations
+              | _ -> false
+            in
+            if gated then begin
+              (match (counter b "props_per_sec", counter f "props_per_sec") with
+              | Some bp, Some fp when bp > 0.0 ->
+                  if fp < bp /. 1.5 then
+                    fail
+                      "REGRESSED  %-24s props/sec %.2fM < %.2fM (baseline \
+                       %.2fM / 1.5)"
+                      tag (fp /. 1e6) (bp /. 1.5 /. 1e6) (bp /. 1e6)
+                  else
+                    line "           %-24s props/sec %.2fx baseline" tag
+                      (fp /. bp)
+              | _ -> ());
+              match (counter f "minor_words", counter f "propagations") with
+              | Some mw, Some props when props > 0.0 ->
+                  let words = mw /. props in
+                  let allowed, origin =
+                    match
+                      (counter b "minor_words", counter b "propagations")
+                    with
+                    | Some bmw, Some bprops when bprops > 0.0 ->
+                        ((bmw /. bprops *. 1.5) +. 0.5, "baseline * 1.5 + 0.5")
+                    | _ -> (absolute_words_per_prop, "absolute ceiling")
+                  in
+                  if words > allowed then
+                    fail "REGRESSED  %-24s minor words/prop %.2f > %.2f (%s)"
+                      tag words allowed origin
+              | _ -> ()
+            end)
+    base;
+  { g_lines = List.rev !lines; g_regressions = !regressions }
+
+let gate base fresh =
+  match (base, fresh) with
+  | Bench_rows [], _ -> Error "no bench records in the baseline"
+  | Bench_rows base, Bench_rows fresh -> Ok (gate_rows base fresh)
+  | _ -> Error "the gate needs two bench JSON files (BASE NEW)"
 
 (* -- rendering ------------------------------------------------------------- *)
 
@@ -797,71 +937,3 @@ let json_of_report ?(top = 10) r =
 
 let render_json ?top r = Sjson.print (json_of_report ?top r)
 
-let render_diff_text d =
-  let buf = Buffer.create 1024 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  if d.dr_entries = [] then pf "no comparable rows\n"
-  else
-    List.iter
-      (fun e ->
-        let delta = e.de_wall_new -. e.de_wall_base in
-        pf "%-40s %8.3fs -> %8.3fs (%+.3fs)%s\n" e.de_name e.de_wall_base
-          e.de_wall_new delta
-          (if e.de_timed_out_change then "  NEWLY TIMED OUT" else "");
-        if delta > 0.0 then begin
-          (match e.de_stage with
-          | Some (stage, bv, nv) when nv > bv ->
-              pf "    stage %-12s grew %+.3fs (%.3fs -> %.3fs)\n" stage
-                (nv -. bv) bv nv
-          | _ -> ());
-          match e.de_counter with
-          | Some (counter, bv, nv) ->
-              pf "    counter %-12s x%.2f (%.0f -> %.0f)\n" counter
-                (nv /. bv) bv nv
-          | None -> ()
-        end)
-      d.dr_entries;
-  List.iter (fun m -> pf "unmatched row: %s\n" m) d.dr_missing;
-  Buffer.contents buf
-
-let json_of_diff d =
-  let open Sjson in
-  Obj
-    [
-      ( "rows",
-        List
-          (List.map
-             (fun e ->
-               Obj
-                 [
-                   ("name", Str e.de_name);
-                   ("wall_base_s", Num e.de_wall_base);
-                   ("wall_new_s", Num e.de_wall_new);
-                   ("delta_s", Num (e.de_wall_new -. e.de_wall_base));
-                   ("newly_timed_out", Bool e.de_timed_out_change);
-                   ( "stage",
-                     match e.de_stage with
-                     | Some (s, bv, nv) ->
-                         Obj
-                           [
-                             ("name", Str s);
-                             ("base_s", Num bv);
-                             ("new_s", Num nv);
-                           ]
-                     | None -> Null );
-                   ( "counter",
-                     match e.de_counter with
-                     | Some (c, bv, nv) ->
-                         Obj
-                           [
-                             ("name", Str c);
-                             ("base", Num bv);
-                             ("new", Num nv);
-                           ]
-                     | None -> Null );
-                 ])
-             d.dr_entries) );
-      ("unmatched", List (List.map (fun m -> Str m) d.dr_missing));
-    ]
-
-let render_diff_json d = Sjson.print (json_of_diff d)

@@ -1,5 +1,7 @@
-(** Offline analysis behind [qxm_prof]: parse a recorded observability
-    artifact and explain where the time went.
+(** Offline analysis behind [qxm_prof], and the repository's only reader
+    of its observability artifacts: parse a recorded trace, flight dump
+    or bench emission once, then explain where the time went, check a
+    trace's well-formedness, or gate a bench run against its baseline.
 
     Three input shapes are auto-detected:
 
@@ -8,7 +10,7 @@
     - a flight-recorder dump (NDJSON with a [{"flight": 1, ...}] header
       line), as written by [qxmapd --flight-record] or a timed-out
       [qxmap --flight-record] run;
-    - bench JSON lines ([bench/main.ml --json]), used by the diff mode.
+    - bench JSON ([bench/main.ml --json]), read by the gate.
 
     Attribution combines exact span durations (B/E pairs that completed
     inside the window) with counter-sample gap attribution: each
@@ -29,12 +31,16 @@ type event = {
 }
 
 type bench_row = {
-  b_key : string;  (** benchmark/device/strategy — the diff join key *)
-  b_name : string;
+  b_key : string;
+      (** ["[suite/]benchmark -jN"] (suite omitted when ["quick"], the
+          default for records without one): the gate's join key and
+          row tag *)
   b_wall : float;
-  b_timed_out : bool;
+  b_optimal : bool;
+  b_failed : bool;
+  b_timed_out : bool option;  (** [None]: a record without the field *)
   b_stages : (string * float) list;  (** stage name -> seconds *)
-  b_counters : (string * float) list;
+  b_counters : (string * float) list;  (** every other numeric field *)
 }
 
 type input =
@@ -43,6 +49,13 @@ type input =
   | Bench_rows of bench_row list
 
 val parse_string : string -> (input, string) result
+(** Trace events must carry a string [name] and [ph], a numeric [ts]
+    and an integer [tid], and [ph] must be one of B, E, i, I, C; the
+    first event that does not rejects the whole input with its position
+    (["event N"] in a Chrome trace, ["line N"] in NDJSON), as does an
+    NDJSON line that is not JSON.  Bench records without a [benchmark],
+    integer [jobs] or [wall_s] are skipped. *)
+
 val parse_file : string -> (input, string) result
 
 (** {1 Reports} *)
@@ -88,33 +101,58 @@ type report = {
 
 val analyze : input -> report
 (** Analyze a trace or flight input.
-    @raise Invalid_argument on bench input — use {!diff}. *)
+    @raise Invalid_argument on bench input — use {!gate}. *)
 
 val render_text : ?top:int -> report -> string
 val render_json : ?top:int -> report -> string
 
-(** {1 Bench diff} *)
+(** {1 Trace check} *)
 
-type diff_entry = {
-  de_name : string;
-  de_wall_base : float;
-  de_wall_new : float;
-  de_stage : (string * float * float) option;
-      (** stage with the largest absolute growth: name, base_s, new_s *)
-  de_counter : (string * float * float) option;
-      (** counter with the largest relative growth: name, base, new *)
-  de_timed_out_change : bool;
+type check = {
+  c_events : int;
+  c_workers : int;  (** distinct tids *)
+  c_errors : string list;  (** empty iff the trace passes *)
 }
 
-type diff_report = {
-  dr_entries : diff_entry list;  (** sorted by wall growth, descending *)
-  dr_missing : string list;
+val check :
+  ?min_workers:int ->
+  ?require:string list ->
+  ?samples:bool ->
+  ?request_ids:bool ->
+  input ->
+  check
+(** Well-formedness of a parsed trace or flight dump.  Per tid, every E
+    closes the innermost open B of the same name, timestamps never go
+    backwards (C events included), and no span is left open at the end.
+    An input without events (or a bench input) fails.
+
+    - [min_workers]: at least this many distinct tids.
+    - [require]: each prefix names at least one event.
+    - [samples]: at least one [solver.sample] counter event, each with
+      a [conflicts] arg.
+    - [request_ids]: every [svc.solve] B event carries a [request] arg,
+      and every [request] arg of an [svc.*] event resolves to the [id]
+      of an [svc.request] B event.  Needs a complete trace: a flight
+      ring may have evicted the registering span. *)
+
+(** {1 Bench gate} *)
+
+type gate = {
+  g_lines : string list;
+      (** one verdict line per baseline row — [REGRESSED], [ok],
+          [unstable] or [improved], then the tag — plus indented
+          attribution lines *)
+  g_regressions : int;
 }
 
-val diff : input -> input -> (diff_report, string) result
-(** [diff base fresh] — both inputs must be [Bench_rows]; attributes
-    each wall-time regression to the stage and solver counter that
-    grew the most. *)
-
-val render_diff_text : diff_report -> string
-val render_diff_json : diff_report -> string
+val gate : input -> input -> (gate, string) result
+(** [gate base fresh] joins bench rows on {!bench_row.b_key}.  A row the
+    baseline proved optimal regresses when it goes missing, fails, newly
+    times out or loses [optimal], or when its wall time exceeds
+    base × 1.25 + 0.25 s (the stage and solver counter that grew most are
+    then named).  On rows with at least 100k propagations in both runs,
+    [props_per_sec] must stay at least base / 1.5, and minor words per
+    propagation at most base × 1.5 + 0.5 (8 when the baseline lacks the
+    counters).  Non-optimal baseline rows are informational: [improved]
+    when they newly finish, [unstable] otherwise.
+    [Error] unless both inputs are bench JSON and the baseline has rows. *)

@@ -196,7 +196,6 @@ type t = {
   mutable max_learnts : float;
   mutable lbd_stamp : int;
   mutable lbd_mark : int array; (* per decision level, stamped *)
-  mutable rng : Random.State.t;
   mutable assumptions : Lit.t array;
   analyze_toclear : Vec.Int.t;
   analyze_stack : Vec.Int.t;
@@ -318,7 +317,6 @@ let create ?(capacity = 0) () =
       max_learnts = 0.0;
       lbd_stamp = 0;
       lbd_mark = [||];
-      rng = Random.State.make [| 91648253 |];
       assumptions = [||];
       analyze_toclear = Vec.Int.create ();
       analyze_stack = Vec.Int.create ();
@@ -350,8 +348,6 @@ let set_sanitize s b = s.sanitize <- b
 let sanitizing s = s.sanitize || !sanitize_all
 
 exception Invariant_violation of string
-
-let set_random_seed s seed = s.rng <- Random.State.make [| seed |]
 
 let enable_proof s = s.logging <- true
 

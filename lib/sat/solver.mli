@@ -186,9 +186,6 @@ val set_stop : t -> bool Atomic.t option -> unit
     cooperative-cancellation hook used by a supervisor's token — the
     flag is shared via [Qxm_par.Cancel]. *)
 
-val set_random_seed : t -> int -> unit
-(** Seed the (rarely used) random polarity/branching tie-breaking. *)
-
 val enable_proof : t -> unit
 (** Start DRUP proof logging: every clause added from now on is recorded
     as an input, every learnt clause as a proof step, clause deletions

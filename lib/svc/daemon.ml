@@ -325,9 +325,10 @@ let solve t ?key (req : request) : response =
   let deadline = Option.map (fun b -> Unix.gettimeofday () +. b) budget in
   register_inflight t ~id:req.req_id ~deadline ~token;
   let attempts = ref 0 in
-  (* The request id rides on the solve span so offline tools (trace_check
-     --request-ids, qxm_prof) can attribute solver work to the request
-     that caused it even after the spans are interleaved across domains. *)
+  (* The request id rides on the solve span so offline tools (qxm_prof,
+     and its --check --request-ids) can attribute solver work to the
+     request that caused it even after the spans are interleaved across
+     domains. *)
   Trace.with_span ~name:"svc.solve"
     ~args:[ ("request", Trace.Str req.req_id) ]
   @@ fun () ->

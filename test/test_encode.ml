@@ -1,11 +1,10 @@
-(* Tests for the CNF construction toolkit: Cnf, Amo, Totalizer, Pb. *)
+(* Tests for the CNF construction toolkit: Cnf, Amo, Pb. *)
 
 open Test_util
 module Lit = Qxm_sat.Lit
 module Solver = Qxm_sat.Solver
 module Cnf = Qxm_encode.Cnf
 module Amo = Qxm_encode.Amo
-module Totalizer = Qxm_encode.Totalizer
 module Pb = Qxm_encode.Pb
 
 (* Count models of the solver restricted to the first [n] variables by
@@ -159,32 +158,6 @@ let test_exactly_one_degenerate () =
   Alcotest.(check bool) "eo [l] sat" true (Solver.solve s = Solver.Sat);
   Alcotest.(check bool) "l forced" true (Solver.value s l)
 
-let test_totalizer_degenerate () =
-  let s = Solver.create () in
-  let cnf = Cnf.create s in
-  let t0 = Totalizer.build cnf [] in
-  Alcotest.(check int) "size 0" 0 (Totalizer.size t0);
-  Alcotest.(check int) "no clauses" 0 (Solver.nclauses s);
-  let l = Cnf.fresh cnf in
-  let t1 = Totalizer.build cnf [ l ] in
-  Alcotest.(check int) "size 1" 1 (Totalizer.size t1);
-  Alcotest.(check bool) "output is the input" true
-    (Lit.equal (Totalizer.output t1 0) l);
-  Totalizer.at_most cnf t1 1;
-  Totalizer.at_least cnf t1 1;
-  Alcotest.(check bool) "sat" true (Solver.solve s = Solver.Sat);
-  Alcotest.(check bool) "l forced" true (Solver.value s l)
-
-let test_totalizer_at_least_overflow () =
-  let s = Solver.create () in
-  let cnf = Cnf.create s in
-  let lits = List.init 2 (fun _ -> Cnf.fresh cnf) in
-  let tot = Totalizer.build cnf lits in
-  Totalizer.at_least cnf tot 3;
-  Alcotest.(check bool) "k > size unsat" true
-    (Solver.solve s = Solver.Unsat);
-  Alcotest.(check int) "declared via add_unsat" 0 (Cnf.empty_clauses cnf)
-
 let test_cnf_add_normalizes () =
   let s = Solver.create () in
   let cnf = Cnf.create s in
@@ -198,27 +171,11 @@ let test_cnf_add_normalizes () =
   Alcotest.(check bool) "and still unsatisfiable" true
     (Solver.solve s = Solver.Unsat)
 
-(* -- Totalizer --------------------------------------------------------- *)
+(* -- Generalized totalizer (Pb) ---------------------------------------- *)
 
-let totalizer_outputs_match_sum =
-  qtest ~count:150 "totalizer outputs = unary sum"
-    QCheck2.Gen.(list_size (int_range 1 9) bool)
-    (fun inputs ->
-      let s = Solver.create () in
-      let cnf = Cnf.create s in
-      let lits = List.map (fun _ -> Cnf.fresh cnf) inputs in
-      let tot = Totalizer.build cnf lits in
-      List.iter2
-        (fun l v -> Cnf.add cnf [ (if v then l else Lit.negate l) ])
-        lits inputs;
-      let sum = List.length (List.filter Fun.id inputs) in
-      Solver.solve s = Solver.Sat
-      && List.for_all
-           (fun i ->
-             Solver.value s (Totalizer.output tot i) = (sum >= i + 1))
-           (List.init (Totalizer.size tot) Fun.id))
-
-let totalizer_at_most_counts =
+(* With unit weights the generalized totalizer is a cardinality
+   constraint. *)
+let pb_unit_weights_count =
   qtest ~count:60 "at_most k leaves sum(C(n,i), i<=k) models"
     QCheck2.Gen.(pair (int_range 1 7) (int_range 0 7))
     (fun (n, k) ->
@@ -226,8 +183,8 @@ let totalizer_at_most_counts =
       let s = Solver.create () in
       let cnf = Cnf.create s in
       let lits = List.init n (fun _ -> Cnf.fresh cnf) in
-      let tot = Totalizer.build cnf lits in
-      Totalizer.at_most cnf tot k;
+      let pb = Pb.build cnf (List.map (fun l -> (1, l)) lits) in
+      Pb.enforce_at_most cnf pb k;
       let expected =
         let rec binom n r =
           if r = 0 || r = n then 1 else binom (n - 1) (r - 1) + binom (n - 1) r
@@ -236,33 +193,6 @@ let totalizer_at_most_counts =
           (List.init (k + 1) Fun.id)
       in
       count_models_over s n = expected)
-
-let test_totalizer_at_least () =
-  let s = Solver.create () in
-  let cnf = Cnf.create s in
-  let lits = List.init 4 (fun _ -> Cnf.fresh cnf) in
-  let tot = Totalizer.build cnf lits in
-  Totalizer.at_least cnf tot 3;
-  Alcotest.(check int) "C(4,3)+C(4,4)" 5 (count_models_over s 4)
-
-let test_totalizer_assumptions () =
-  let s = Solver.create () in
-  let cnf = Cnf.create s in
-  let lits = List.init 3 (fun _ -> Cnf.fresh cnf) in
-  let tot = Totalizer.build cnf lits in
-  List.iter (fun l -> Cnf.add cnf [ l ]) lits;
-  (* all three true *)
-  Alcotest.(check bool) "<=2 unsat" true
-    (Solver.solve ~assumptions:(Totalizer.assume_at_most tot 2) s
-    = Solver.Unsat);
-  Alcotest.(check bool) "<=3 sat" true
-    (Solver.solve ~assumptions:(Totalizer.assume_at_most tot 3) s
-    = Solver.Sat);
-  Alcotest.(check bool) ">=3 sat" true
-    (Solver.solve ~assumptions:(Totalizer.assume_at_least tot 3) s
-    = Solver.Sat)
-
-(* -- Generalized totalizer (Pb) ---------------------------------------- *)
 
 let weighted_gen =
   QCheck2.Gen.(
@@ -386,7 +316,8 @@ module Pb_reference = struct
         else acc)
       None (values root)
 
-  let assume_at_most root b =
+  (* the negated outputs of every sum above [b] *)
+  let at_most root b =
     List.filter_map
       (fun (v, l) -> if v > b then Some (Lit.negate l) else None)
       root
@@ -408,7 +339,8 @@ let pb_terms_gen =
        paper)
 
 (* Encode [weights] over fresh inputs on a new solver and record the
-   [Ev_fresh]/[Ev_clause] stream of [build] alone. *)
+   [Ev_fresh]/[Ev_clause] stream of [build] alone; the context is
+   returned for later clauses. *)
 let pb_stream build weights =
   let cnf = Cnf.create (Solver.create ()) in
   let terms = List.map (fun w -> (w, Cnf.fresh cnf)) weights in
@@ -420,14 +352,23 @@ let pb_stream build weights =
        | _ -> ()));
   let result = build cnf terms in
   Cnf.set_tap cnf None;
-  (List.rev !events, result)
+  (List.rev !events, result, cnf)
+
+(* The clauses [Pb.enforce_at_most cnf pb b] adds, as given. *)
+let enforced_clauses cnf pb b =
+  let clauses = ref [] in
+  Cnf.set_tap cnf
+    (Some (function Cnf.Ev_clause c -> clauses := c :: !clauses | _ -> ()));
+  Pb.enforce_at_most cnf pb b;
+  Cnf.set_tap cnf None;
+  List.rev !clauses
 
 let pb_matches_reference =
   qtest ~count:25 "pb clause stream = list-based reference"
     QCheck2.Gen.(pair pb_terms_gen (int_range (-5) 1000))
     (fun (weights, probe) ->
-      let stream, pb = pb_stream Pb.build weights in
-      let ref_stream, root = pb_stream Pb_reference.build weights in
+      let stream, pb, cnf = pb_stream Pb.build weights in
+      let ref_stream, root, _ = pb_stream Pb_reference.build weights in
       let values = Pb_reference.values root in
       (* Probe around about 16 of the sums, evenly spread, and the ends. *)
       let stride = max 1 (List.length values / 16) in
@@ -444,7 +385,8 @@ let pb_matches_reference =
            (fun b ->
              Pb.tighten pb b = Pb_reference.tighten root b
              && Pb.next_above pb b = Pb_reference.next_above root b
-             && Pb.assume_at_most pb b = Pb_reference.assume_at_most root b)
+             && enforced_clauses cnf pb b
+                = List.map (fun l -> [ l ]) (Pb_reference.at_most root b))
            bounds)
 
 (* Capped circuits: a random weighted objective (at most 10 terms,
@@ -479,8 +421,8 @@ let pb_capped_sound =
 
 (* Up to its cap a capped circuit answers like the uncapped one over the
    same inputs: the same [tighten], a [next_above] never past the true
-   one (and equal to it up to the cap), assumptions that admit the same
-   input patterns — and it never emits a longer stream. *)
+   one (and equal to it up to the cap), an enforced bound that admits the
+   same input patterns — and it never emits a longer stream. *)
 let pb_capped_agrees =
   qtest ~count:200 "capped pb agrees with the uncapped circuit"
     capped_gen
@@ -490,14 +432,17 @@ let pb_capped_agrees =
       let weighted = List.map (fun (w, _) -> (w, Cnf.fresh cnf)) terms in
       let capped = Pb.build ~cap cnf weighted in
       let exact = Pb.build cnf weighted in
-      let inputs =
-        List.map2
-          (fun (_, l) (_, v) -> if v then l else Lit.negate l)
-          weighted terms
-      in
-      let admits pb =
-        Solver.solve ~assumptions:(inputs @ Pb.assume_at_most pb bound) s
-        = Solver.Sat
+      (* whether the input pattern survives [b] enforced on a fresh
+         copy of the circuit [build] makes *)
+      let admits build =
+        let s = Solver.create () in
+        let cnf = Cnf.create s in
+        let weighted = List.map (fun (w, _) -> (w, Cnf.fresh cnf)) terms in
+        Pb.enforce_at_most cnf (build cnf weighted) bound;
+        List.iter2
+          (fun (_, l) (_, v) -> Cnf.add cnf [ (if v then l else Lit.negate l) ])
+          weighted terms;
+        Solver.solve s = Solver.Sat
       in
       let next_ok =
         match (Pb.next_above capped bound, Pb.next_above exact bound) with
@@ -506,11 +451,11 @@ let pb_capped_agrees =
         | _ -> false
       in
       let weights = List.map fst terms in
-      let stream, _ = pb_stream (fun cnf t -> Pb.build ~cap cnf t) weights in
-      let exact_stream, _ = pb_stream Pb.build weights in
+      let stream, _, _ = pb_stream (fun cnf t -> Pb.build ~cap cnf t) weights in
+      let exact_stream, _, _ = pb_stream Pb.build weights in
       Pb.tighten capped bound = Pb.tighten exact bound
       && next_ok
-      && admits capped = admits exact
+      && admits (Pb.build ~cap) = admits (fun cnf t -> Pb.build cnf t)
       && List.length stream <= List.length exact_stream)
 
 let test_pb_capped () =
@@ -560,14 +505,8 @@ let suite =
     amo_blocks_pairs Amo.Commander;
     ("amo degenerate sizes", `Quick, test_amo_degenerate);
     ("exactly-one degenerate sizes", `Quick, test_exactly_one_degenerate);
-    ("totalizer degenerate sizes", `Quick, test_totalizer_degenerate);
-    ("totalizer at_least overflow", `Quick,
-     test_totalizer_at_least_overflow);
     ("cnf add normalizes", `Quick, test_cnf_add_normalizes);
-    totalizer_outputs_match_sum;
-    totalizer_at_most_counts;
-    ("totalizer at_least", `Quick, test_totalizer_at_least);
-    ("totalizer assumptions", `Quick, test_totalizer_assumptions);
+    pb_unit_weights_count;
     pb_bound_sound;
     pb_values_are_subset_sums;
     pb_matches_reference;

@@ -9,6 +9,8 @@ module Gate = Qxm_circuit.Gate
 module Decompose = Qxm_circuit.Decompose
 module Coupling = Qxm_arch.Coupling
 module Devices = Qxm_arch.Devices
+module Automorphism = Qxm_arch.Automorphism
+module Subsets = Qxm_arch.Subsets
 module Examples = Qxm_benchmarks.Examples
 module Generator = Qxm_benchmarks.Generator
 
@@ -312,8 +314,18 @@ let session_ladder_matches_fresh =
 
 (* Lex-leader symmetry breaking restricts which witness models survive,
    never the attainable objective values: the proven optimum must be
-   identical with the constraints on and off. *)
+   identical with the constraints on and off.  The circuits map onto QX2,
+   because no connected induced subgraph of QX4 has a non-trivial
+   automorphism (both runs would build the same CNF there); four of QX2's
+   connected 3-subsets ({0,2,3}, {0,2,4}, {1,2,3}, {1,2,4}) have one
+   each. *)
 let symmetry_preserves_optimum =
+  let symmetric_subset =
+    List.exists
+      (fun s ->
+        Automorphism.all (fst (Coupling.induce Devices.qx2 s)) <> [])
+      (Subsets.connected Devices.qx2 3)
+  in
   qtest ~count:8 "symmetry breaking never changes the optimum"
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
@@ -322,10 +334,12 @@ let symmetry_preserves_optimum =
       in
       let run symmetry =
         let options = { Mapper.default with symmetry } in
-        match Mapper.run ~options ~arch:Devices.qx4 c with
+        match Mapper.run ~options ~arch:Devices.qx2 c with
         | Ok r -> Some (r.f_cost, r.objective_cost, r.optimal)
         | Error _ -> None
       in
+      symmetric_subset
+      &&
       match (run true, run false) with
       | Some (f1, o1, true), Some (f2, o2, true) -> f1 = f2 && o1 = o2
       | _ -> false)

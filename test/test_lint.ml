@@ -11,7 +11,6 @@ module Lit = Qxm_sat.Lit
 module Solver = Qxm_sat.Solver
 module Cnf = Qxm_encode.Cnf
 module Amo = Qxm_encode.Amo
-module Totalizer = Qxm_encode.Totalizer
 module Encoding = Qxm_exact.Encoding
 module Devices = Qxm_arch.Devices
 module Gate = Qxm_circuit.Gate
@@ -131,15 +130,6 @@ let broken_pairwise cnf lits =
       in
       go lits)
 
-(* Mutant 3: totalizer that encodes only the lower-bound direction. *)
-let broken_totalizer cnf l1 l2 =
-  Cnf.in_scope cnf ~kind:"totalizer" ~arity:2 (fun () ->
-      let r0 = Cnf.fresh cnf in
-      let r1 = Cnf.fresh cnf in
-      Cnf.add cnf [ Lit.negate l1; r0 ];
-      Cnf.add cnf [ Lit.negate l2; r0 ];
-      Cnf.add cnf [ Lit.negate l1; Lit.negate l2; r1 ])
-
 let with_lint f =
   let s = Solver.create () in
   let cnf = Cnf.create s in
@@ -161,13 +151,6 @@ let test_mutant_pairwise_detected () =
   in
   Alcotest.(check bool) "QL-E007 fires" true (has_code "QL-E007" ds)
 
-let test_mutant_totalizer_detected () =
-  let ds =
-    with_lint (fun cnf ->
-        broken_totalizer cnf (Cnf.fresh cnf) (Cnf.fresh cnf))
-  in
-  Alcotest.(check bool) "QL-E008 fires" true (has_code "QL-E008" ds)
-
 (* The clean encoders must pass their own shape checks at every size,
    including the degenerate ones. *)
 let clean_amo_shapes =
@@ -179,18 +162,6 @@ let clean_amo_shapes =
         with_lint (fun cnf ->
             Amo.exactly_one ~encoding cnf
               (List.init n (fun _ -> Cnf.fresh cnf)))
-      in
-      Diagnostic.errors ds = [])
-
-let clean_totalizer_shapes =
-  qtest ~count:40 "clean totalizer passes shape checks"
-    QCheck2.Gen.(int_range 0 12)
-    (fun n ->
-      let ds =
-        with_lint (fun cnf ->
-            let lits = List.init n (fun _ -> Cnf.fresh cnf) in
-            let tot = Totalizer.build cnf lits in
-            if n > 0 then Totalizer.at_most cnf tot (n - 1))
       in
       Diagnostic.errors ds = [])
 
@@ -349,10 +320,7 @@ let suite =
     ("cnf: mutant sequential detected", `Quick,
      test_mutant_sequential_detected);
     ("cnf: mutant pairwise detected", `Quick, test_mutant_pairwise_detected);
-    ("cnf: mutant totalizer detected", `Quick,
-     test_mutant_totalizer_detected);
     clean_amo_shapes;
-    clean_totalizer_shapes;
     ("cnf: full encoding clean", `Quick, test_clean_full_encoding);
     ("circuit: seeded defects detected", `Quick, test_circuit_mutations);
     ("circuit: gate after measurement", `Quick, test_gate_after_measurement);

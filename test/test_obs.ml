@@ -791,7 +791,6 @@ let test_mapper_report_observability () =
   match Mapper.run ~arch:Devices.qx4 Examples.fig1a with
   | Error e -> Alcotest.failf "mapper failed: %a" Mapper.pp_failure e
   | Ok r ->
-      Alcotest.(check int) "default seed recorded" 0 r.seed;
       Alcotest.(check bool) "strategy name recorded" true
         (String.length r.strategy_name > 0);
       List.iter
@@ -817,15 +816,6 @@ let test_mapper_report_observability () =
       Alcotest.(check bool) "trajectory ends at or above the emitted cost"
         true
         (last_cost >= r.objective_cost)
-
-let test_mapper_records_explicit_seed () =
-  let options = { Mapper.default with seed = 42 } in
-  match Mapper.run ~options ~arch:Devices.qx4 Examples.fig1a with
-  | Error e -> Alcotest.failf "mapper failed: %a" Mapper.pp_failure e
-  | Ok r ->
-      Alcotest.(check int) "explicit seed recorded" 42 r.seed;
-      Alcotest.(check bool) "seeded run never invalid" true
-        (r.verified <> Some false)
 
 let suite =
   [
@@ -878,6 +868,4 @@ let suite =
     minimize_trajectory;
     Alcotest.test_case "mapper: report carries observability fields" `Quick
       test_mapper_report_observability;
-    Alcotest.test_case "mapper: explicit seed recorded" `Quick
-      test_mapper_records_explicit_seed;
   ]

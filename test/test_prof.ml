@@ -1,7 +1,8 @@
 (* Tests for the offline profiler behind qxm_prof: input auto-detection
    (Chrome trace / NDJSON events / flight dump / bench JSON), span and
-   sample-gap attribution, trajectory extraction, and the bench diff
-   that names the stage and counter behind a regression. *)
+   sample-gap attribution, trajectory extraction, the trace check, and
+   the bench gate's verdicts, including the stage and counter it names
+   behind a regression. *)
 
 open Test_util
 module Profile = Qxm_profile.Profile
@@ -43,14 +44,27 @@ let flight =
   "{\"flight\": 1, \"reason\": \"unit timeout\", \"dumped_ts_us\": 2000.0, \
    \"dropped\": 3, \"events\": 7}\n" ^ ndjson
 
-let bench_row ?(stage_solve = 1.0) ?(conflicts = 1000) ?(timed_out = false)
-    ?(wall = 1.2) name =
+(* One bench record as bench/main.ml writes it; [timed_out] and
+   [suite] are left out when [None], as in records that predate them. *)
+let bench_row ?(suite = Some "quick") ?(jobs = 1) ?(wall = 1.2)
+    ?(optimal = true) ?(failed = false) ?(timed_out = Some false)
+    ?(stage_solve = 1.0) ?(conflicts = 1000) ?propagations
+    ?(props_per_sec = 1e6) ?minor_words name =
+  let propagations = Option.value ~default:(conflicts * 100) propagations in
+  let field k = Option.fold ~none:"" ~some:(Printf.sprintf "\"%s\": %s, " k) in
   Printf.sprintf
-    "  {\"suite\": \"quick\", \"benchmark\": \"%s\", \"device\": \"qx4\", \
-     \"strategy\": \"minimal\", \"seed\": 0, \"jobs\": 1, \"wall_s\": %.3f, \
-     \"stage_encode_s\": 0.100, \"stage_solve_s\": %.3f, \"timed_out\": %b, \
-     \"conflicts\": %d, \"propagations\": %d}"
-    name wall stage_solve timed_out conflicts (conflicts * 100)
+    "  {%s\"benchmark\": \"%s\", \"device\": \"qx4\", \"strategy\": \
+     \"minimal\", \"jobs\": %d, \"wall_s\": %.3f, %s\"optimal\": %b, \
+     %s\"stage_encode_s\": 0.100, \"stage_solve_s\": %.3f, \"conflicts\": \
+     %d, \"propagations\": %d, \"props_per_sec\": %.0f%s}"
+    (field "suite" (Option.map (Printf.sprintf "%S") suite))
+    name jobs wall
+    (if failed then "\"failed\": true, " else "")
+    optimal
+    (field "timed_out" (Option.map string_of_bool timed_out))
+    stage_solve conflicts propagations props_per_sec
+    (Option.fold ~none:"" ~some:(Printf.sprintf ", \"minor_words\": %d")
+       minor_words)
 
 let bench_doc rows = "[\n" ^ String.concat ",\n" rows ^ "\n]\n"
 
@@ -177,74 +191,250 @@ let test_analyze_rejects_bench () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "analyze must reject bench rows"
 
-(* -- bench diff ----------------------------------------------------------- *)
+(* -- trace check ----------------------------------------------------------- *)
+
+(* The errors the CLI reports for [content]: a parse failure or the
+   check's own findings. *)
+let check_errors ?min_workers ?require ?samples ?request_ids content =
+  match Profile.parse_string content with
+  | Error e -> [ e ]
+  | Ok input ->
+      (Profile.check ?min_workers ?require ?samples ?request_ids input)
+        .c_errors
+
+let lines_doc ls = String.concat "\n" ls ^ "\n"
+
+(* A daemon-shaped trace on two workers: a registered request whose
+   solve span references it. *)
+let svc_lines =
+  [
+    ev "svc.request" "B" 0.0 1 ~args:"\"id\": \"r1\"";
+    ev "svc.solve" "B" 10.0 2 ~args:"\"request\": \"r1\"";
+    sample 20.0 2 64;
+    ev "svc.solve" "E" 30.0 2;
+    ev "svc.request" "E" 40.0 1;
+  ]
+
+let test_check_clean () =
+  let all = Some [ "mapper."; "solver." ] in
+  (match Profile.parse_string chrome with
+  | Error e -> Alcotest.failf "parse failed: %s" e
+  | Ok input ->
+      let c = Profile.check ?require:all ~samples:true input in
+      Alcotest.(check (list string)) "chrome trace passes" [] c.c_errors;
+      Alcotest.(check int) "events counted" 7 c.c_events;
+      Alcotest.(check int) "workers counted" 1 c.c_workers);
+  Alcotest.(check (list string)) "ndjson passes" []
+    (check_errors ?require:all ~samples:true ndjson);
+  Alcotest.(check (list string)) "flight dump passes (header skipped)" []
+    (check_errors ~samples:true flight);
+  Alcotest.(check (list string)) "request ids resolve" []
+    (check_errors ~min_workers:2 ~samples:true ~request_ids:true
+       (lines_doc svc_lines))
+
+let test_check_defects () =
+  (* each defect must fail with its own finding, named by [fragment] *)
+  let fails label fragment errors =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s fails with %S (got [%s])" label fragment
+         (String.concat "; " errors))
+      true
+      (List.exists (fun e -> contains_substring e fragment) errors)
+  in
+  let replace_nth n l ls = List.mapi (fun i x -> if i = n then l else x) ls in
+  (* the second "a" E closes the outer span, so only the crossed E is
+     wrong *)
+  fails "crossed E" "closes span \"a\" but \"b\" is innermost"
+    (check_errors
+       (lines_doc
+          [
+            ev "a" "B" 0.0 1; ev "b" "B" 1.0 1; ev "a" "E" 2.0 1;
+            ev "b" "E" 3.0 1; ev "a" "E" 4.0 1;
+          ]));
+  fails "E with nothing open" "with none open"
+    (check_errors (lines_doc [ ev "a" "E" 0.0 1 ]));
+  fails "unclosed B" "span \"a\" never closed"
+    (check_errors
+       (lines_doc [ ev "a" "B" 0.0 1; ev "b" "B" 1.0 1; ev "b" "E" 2.0 1 ]));
+  fails "backwards ts" "timestamp goes backwards"
+    (check_errors (lines_doc [ ev "a" "i" 5.0 1; ev "b" "i" 4.0 1 ]));
+  fails "backwards ts on a C event" "timestamp goes backwards"
+    (check_errors (lines_doc [ ev "a" "i" 5.0 1; sample 4.0 1 64 ]));
+  Alcotest.(check (list string)) "other tids keep their own clock" []
+    (check_errors (lines_doc [ ev "a" "i" 5.0 1; ev "b" "i" 4.0 2 ]));
+  fails "missing tid" "line 2: event object missing name/ph/ts/tid"
+    (check_errors
+       (lines_doc
+          [
+            ev "a" "B" 0.0 1;
+            "{\"name\": \"a\", \"ph\": \"E\", \"ts\": 1.0, \"args\": {}}";
+          ]));
+  fails "missing tid in a Chrome trace" "event 1: event object missing"
+    (check_errors
+       ("{\"traceEvents\": [\n"
+       ^ "{\"name\": \"a\", \"ph\": \"i\", \"ts\": 1.0}\n]}\n"));
+  fails "missing ts" "event object missing"
+    (check_errors
+       (lines_doc [ "{\"name\": \"a\", \"ph\": \"i\", \"tid\": 1}" ]));
+  fails "unknown ph" "unknown phase \"X\""
+    (check_errors (lines_doc [ ev "a" "X" 0.0 1 ]));
+  fails "svc.solve without request" "svc.solve span without a request arg"
+    (check_errors ~request_ids:true
+       (lines_doc (replace_nth 1 (ev "svc.solve" "B" 10.0 2) svc_lines)));
+  fails "dangling request id" "references request id \"r9\""
+    (check_errors ~request_ids:true
+       (lines_doc
+          (replace_nth 1
+             (ev "svc.solve" "B" 10.0 2 ~args:"\"request\": \"r9\"")
+             svc_lines)));
+  fails "--samples without samples" "no solver.sample counter events"
+    (check_errors ~samples:true (lines_doc [ ev "a" "i" 0.0 1 ]));
+  fails "sample without conflicts" "without a conflicts arg"
+    (check_errors ~samples:true
+       (lines_doc [ ev "solver.sample" "C" 0.0 1 ~args:"\"bound\": 3" ]));
+  fails "too few workers" "only 1 distinct worker tid(s), need at least 2"
+    (check_errors ~min_workers:2 ndjson);
+  fails "required prefix absent" "no event with name prefix \"svc.\""
+    (check_errors ~require:[ "svc." ] ndjson);
+  fails "empty trace" "no trace events found"
+    (check_errors "{\"traceEvents\": []}\n");
+  fails "bench input" "bench JSON holds no trace events"
+    (check_errors (bench_doc [ bench_row "a" ]))
+
+(* -- bench gate ------------------------------------------------------------ *)
+
+let gate_lines base fresh =
+  match Profile.gate (parse (bench_doc base)) (parse (bench_doc fresh)) with
+  | Error e -> Alcotest.failf "gate failed: %s" e
+  | Ok g -> g
+
+(* The verdict line for [tag]: the first line that names it. *)
+let verdict (g : Profile.gate) tag =
+  match
+    List.find_opt (fun l -> contains_substring l (" " ^ tag ^ " ")) g.g_lines
+  with
+  | Some l -> l
+  | None -> Alcotest.failf "no line for %s" tag
 
 let test_diff_names_the_stage () =
-  (* synthetic regression: benchmark "slow" triples its solve stage and
-     its conflict count; "steady" is unchanged; "gone" exists only in
-     the base run *)
-  let base =
-    parse
-      (bench_doc
-         [
-           bench_row "slow" ~stage_solve:1.0 ~conflicts:1000 ~wall:1.2;
-           bench_row "steady";
-           bench_row "gone";
-         ])
+  (* "slow" triples its solve stage and grows its conflicts 9x; "steady"
+     is unchanged; "gone" exists only in the base run *)
+  let g =
+    gate_lines
+      [ bench_row "slow" ~stage_solve:1.0 ~conflicts:1000 ~wall:1.2;
+        bench_row "steady"; bench_row "gone" ]
+      [ bench_row "slow" ~stage_solve:3.0 ~conflicts:9000 ~wall:3.2;
+        bench_row "steady" ]
   in
-  let fresh =
-    parse
-      (bench_doc
-         [
-           bench_row "slow" ~stage_solve:3.0 ~conflicts:9000 ~wall:3.2
-             ~timed_out:true;
-           bench_row "steady";
-         ])
+  Alcotest.(check int) "two regressions" 2 g.g_regressions;
+  Alcotest.(check string) "wall regression line"
+    "REGRESSED  slow -j1                 wall 3.200s > allowed 1.750s \
+     (baseline 1.200s)"
+    (verdict g "slow -j1");
+  Alcotest.(check bool) "stage that grew is named" true
+    (List.mem
+       "           slow -j1                 biggest stage growth: solve \
+        (+2.000s)"
+       g.g_lines);
+  Alcotest.(check bool) "counter that grew is named" true
+    (List.exists
+       (fun l ->
+         contains_substring l "biggest counter growth: conflicts x9.00")
+       g.g_lines);
+  Alcotest.(check bool) "missing row named" true
+    (contains_substring (verdict g "gone -j1") "missing from fresh run");
+  Alcotest.(check bool) "steady row ok" true
+    (contains_substring (verdict g "steady -j1") "ok ")
+
+let test_gate_verdicts () =
+  let starts prefix l =
+    String.length l >= String.length prefix
+    && String.sub l 0 (String.length prefix) = prefix
   in
-  match Profile.diff base fresh with
-  | Error e -> Alcotest.failf "diff failed: %s" e
-  | Ok d ->
-      (match d.dr_missing with
-      | [ entry ] ->
-          Alcotest.(check bool) "one-sided row named" true
-            (contains_substring entry "gone"
-            && contains_substring entry "base only")
-      | l ->
-          Alcotest.failf "expected one one-sided row, got %d" (List.length l));
-      let entry =
-        match
-          List.find_opt
-            (fun (e : Profile.diff_entry) ->
-              contains_substring e.de_name "slow")
-            d.dr_entries
-        with
-        | Some e -> e
-        | None -> Alcotest.fail "regressed row missing from diff"
-      in
-      (match d.dr_entries with
-      | first :: _ ->
-          Alcotest.(check bool) "biggest regression sorts first" true
-            (contains_substring first.de_name "slow")
-      | [] -> Alcotest.fail "empty diff");
-      (match entry.de_stage with
-      | Some (stage, base_s, new_s) ->
-          Alcotest.(check string) "stage that grew is named" "solve" stage;
-          Alcotest.(check (float 1e-6)) "stage base seconds" 1.0 base_s;
-          Alcotest.(check (float 1e-6)) "stage new seconds" 3.0 new_s
-      | None -> Alcotest.fail "no stage attributed");
-      (match entry.de_counter with
-      | Some (counter, _, _) ->
-          Alcotest.(check string) "counter that grew is named" "conflicts"
-            counter
-      | None -> Alcotest.fail "no counter attributed");
-      Alcotest.(check bool) "timed_out flip flagged" true
-        entry.de_timed_out_change;
-      let text = Profile.render_diff_text d in
-      Alcotest.(check bool) "diff text names the stage" true
-        (contains_substring text "solve");
-      match Qxm_json.Sjson.parse (Profile.render_diff_json d) with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "render_diff_json is not JSON: %s" e
+  (* each case: a one-row baseline and fresh run, the expected verdict
+     prefix and a fragment of the line *)
+  let big = 200_000 in
+  let cases =
+    [
+      ("ok", bench_row "r", bench_row "r" ~wall:1.7, "ok         ", "1.700s");
+      ("missing", bench_row "r", bench_row "other", "REGRESSED  ",
+       "missing from fresh run");
+      ("failed", bench_row "r", bench_row "r" ~optimal:false ~failed:true,
+       "REGRESSED  ", "was optimal, now failed");
+      ("newly times out", bench_row "r",
+       bench_row "r" ~timed_out:(Some true), "REGRESSED  ",
+       "newly times out (was 1.200s)");
+      ("optimal flipped", bench_row "r", bench_row "r" ~optimal:false,
+       "REGRESSED  ", "optimal flipped true -> false");
+      ("wall", bench_row "r", bench_row "r" ~wall:1.76, "REGRESSED  ",
+       "wall 1.760s > allowed 1.750s");
+      ("props/sec", bench_row "r" ~propagations:big,
+       bench_row "r" ~propagations:big ~props_per_sec:6.6e5, "REGRESSED  ",
+       "props/sec 0.66M < 0.67M");
+      ("minor words vs baseline",
+       bench_row "r" ~propagations:big ~minor_words:big,
+       bench_row "r" ~propagations:big ~minor_words:(2 * big + 1),
+       "REGRESSED  ", "minor words/prop 2.00 > 2.00 (baseline * 1.5 + 0.5)");
+      ("minor words, absolute ceiling", bench_row "r" ~propagations:big,
+       bench_row "r" ~propagations:big ~minor_words:(9 * big), "REGRESSED  ",
+       "minor words/prop 9.00 > 8.00 (absolute ceiling)");
+      ("unstable", bench_row "r" ~optimal:false ~timed_out:(Some true),
+       bench_row "r" ~optimal:false ~timed_out:(Some true), "unstable   ",
+       "baseline not optimal, not gated");
+      ("optimal but timed out is not gated",
+       bench_row "r" ~timed_out:(Some true), bench_row "other",
+       "unstable   ", "not gated");
+      ("improved", bench_row "r" ~optimal:false ~timed_out:(Some true),
+       bench_row "r" ~wall:0.5, "improved   ",
+       "newly finishes within budget (0.500s, was timing out)");
+      ("suite is part of the key", bench_row "r",
+       bench_row "r" ~suite:(Some "hard"), "REGRESSED  ",
+       "missing from fresh run");
+      ("jobs is part of the key", bench_row "r", bench_row "r" ~jobs:2,
+       "REGRESSED  ", "missing from fresh run");
+      ("missing suite reads as quick", bench_row "r" ~suite:None,
+       bench_row "r", "ok         ", "r -j1");
+      ("missing timed_out is unknown", bench_row "r" ~timed_out:None,
+       bench_row "r" ~timed_out:None, "ok         ", "r -j1");
+    ]
+  in
+  List.iter
+    (fun (label, base, fresh, prefix, fragment) ->
+      let g = gate_lines [ base ] [ fresh ] in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: a line starts %S and has %S" label prefix
+           fragment)
+        true
+        (List.exists
+           (fun l -> starts prefix l && contains_substring l fragment)
+           g.g_lines);
+      Alcotest.(check int) (label ^ ": regression count")
+        (if prefix = "REGRESSED  " then 1 else 0)
+        g.g_regressions)
+    cases;
+  (* throughput within bounds prints its ratio, and small rows skip the
+     solver gates altogether *)
+  let g =
+    gate_lines [ bench_row "r" ~propagations:big ]
+      [ bench_row "r" ~propagations:big ~props_per_sec:2e6 ]
+  in
+  Alcotest.(check bool) "ratio line" true
+    (List.exists (fun l -> contains_substring l "props/sec 2.00x baseline")
+       g.g_lines);
+  let g =
+    gate_lines [ bench_row "r" ~propagations:99_999 ]
+      [ bench_row "r" ~propagations:99_999 ~props_per_sec:1.0
+          ~minor_words:max_int ]
+  in
+  Alcotest.(check int) "under 100k propagations not gated" 0 g.g_regressions;
+  (match
+     Profile.gate (parse (bench_doc [])) (parse (bench_doc [ bench_row "r" ]))
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "an empty baseline must be rejected");
+  match Profile.gate (parse ndjson) (parse (bench_doc [ bench_row "r" ])) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a trace is not a baseline"
 
 let test_span_quantile () =
   (* ten completed 100us spans: every quantile interpolates inside the
@@ -281,5 +471,9 @@ let suite =
       test_analyze_rejects_bench;
     Alcotest.test_case "diff names stage and counter" `Quick
       test_diff_names_the_stage;
+    Alcotest.test_case "check: clean traces pass" `Quick test_check_clean;
+    Alcotest.test_case "check: every defect fails" `Quick test_check_defects;
+    Alcotest.test_case "gate: one input per verdict" `Quick
+      test_gate_verdicts;
     Alcotest.test_case "span quantiles in seconds" `Quick test_span_quantile;
   ]
