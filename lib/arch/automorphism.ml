@@ -1,15 +1,18 @@
-(* Directed-graph automorphisms by plain backtracking: assign images for
+(* Directed-graph isomorphisms by plain backtracking: assign images for
    vertices 0, 1, ... in order, pruning on in/out degree and on edge
-   consistency with every already-assigned vertex.  The coupling maps of
-   the paper's devices have at most 20 qubits and very little symmetry
-   beyond edge reversal orbits, so this terminates instantly; a node
-   budget guards the pathological case anyway. *)
+   consistency with every already-assigned vertex.  Automorphisms are the
+   isomorphisms of a graph onto itself.  The coupling maps of the paper's
+   devices have at most 20 qubits and very little symmetry beyond edge
+   reversal orbits, so this terminates instantly; a node budget guards
+   the pathological case anyway. *)
 
 let node_budget = 200_000
 
-let is_automorphism cm pi =
-  let m = Coupling.num_qubits cm in
+(* Does [pi] carry the edge relation of [src] onto that of [dst]? *)
+let preserves_edges src dst pi =
+  let m = Coupling.num_qubits src in
   Array.length pi = m
+  && Coupling.num_qubits dst = m
   && (let seen = Array.make m false in
       Array.for_all
         (fun v -> v >= 0 && v < m && not seen.(v) && (seen.(v) <- true; true))
@@ -18,62 +21,82 @@ let is_automorphism cm pi =
   let ok = ref true in
   for i = 0 to m - 1 do
     for j = 0 to m - 1 do
-      if i <> j && Coupling.allows cm i j <> Coupling.allows cm pi.(i) pi.(j)
+      if i <> j && Coupling.allows src i j <> Coupling.allows dst pi.(i) pi.(j)
       then ok := false
     done
   done;
   !ok
 
-let all ?(max_count = 64) cm =
+let is_automorphism cm pi = preserves_edges cm cm pi
+
+let degrees cm =
   let m = Coupling.num_qubits cm in
   let out_deg = Array.make m 0 and in_deg = Array.make m 0 in
-  for i = 0 to m - 1 do
-    for j = 0 to m - 1 do
-      if i <> j && Coupling.allows cm i j then begin
-        out_deg.(i) <- out_deg.(i) + 1;
-        in_deg.(j) <- in_deg.(j) + 1
-      end
-    done
-  done;
+  List.iter
+    (fun (i, j) ->
+      out_deg.(i) <- out_deg.(i) + 1;
+      in_deg.(j) <- in_deg.(j) + 1)
+    (Coupling.edges cm);
+  (out_deg, in_deg)
+
+(* Every edge-preserving bijection from [src] onto [dst] (same qubit
+   count), in lexicographic order of the image array; [accept] sees each
+   one (the array is reused — copy to keep it) and returns [false] to
+   stop the search. *)
+let search src dst accept =
+  let m = Coupling.num_qubits src in
+  let src_out, src_in = degrees src and dst_out, dst_in = degrees dst in
   let pi = Array.make m (-1) in
   let used = Array.make m false in
-  let found = ref [] in
-  let nfound = ref 0 in
+  let go_on = ref true in
   let nodes = ref 0 in
   let rec extend i =
-    if !nfound < max_count && !nodes < node_budget then
-      if i = m then begin
-        (* exclude the identity *)
-        if Array.exists (fun v -> pi.(v) <> v) (Array.init m Fun.id) then begin
+    if i = m then go_on := accept pi
+    else
+      for cand = 0 to m - 1 do
+        if
+          !go_on && !nodes < node_budget
+          && (not used.(cand))
+          && dst_out.(cand) = src_out.(i)
+          && dst_in.(cand) = src_in.(i)
+        then begin
+          incr nodes;
+          let consistent = ref true in
+          for u = 0 to i - 1 do
+            if
+              Coupling.allows src u i <> Coupling.allows dst pi.(u) cand
+              || Coupling.allows src i u <> Coupling.allows dst cand pi.(u)
+            then consistent := false
+          done;
+          if !consistent then begin
+            pi.(i) <- cand;
+            used.(cand) <- true;
+            extend (i + 1);
+            used.(cand) <- false;
+            pi.(i) <- -1
+          end
+        end
+      done
+  in
+  if Coupling.num_qubits dst = m then extend 0
+
+let all ?(max_count = 64) cm =
+  let found = ref [] and nfound = ref 0 in
+  if max_count > 0 then
+    search cm cm (fun pi ->
+        if not (Permutation.is_identity pi) then begin
           found := Array.copy pi :: !found;
           incr nfound
-        end
-      end
-      else
-        for cand = 0 to m - 1 do
-          if
-            !nfound < max_count && !nodes < node_budget
-            && (not used.(cand))
-            && out_deg.(cand) = out_deg.(i)
-            && in_deg.(cand) = in_deg.(i)
-          then begin
-            incr nodes;
-            let consistent = ref true in
-            for u = 0 to i - 1 do
-              if
-                Coupling.allows cm u i <> Coupling.allows cm pi.(u) cand
-                || Coupling.allows cm i u <> Coupling.allows cm cand pi.(u)
-              then consistent := false
-            done;
-            if !consistent then begin
-              pi.(i) <- cand;
-              used.(cand) <- true;
-              extend (i + 1);
-              used.(cand) <- false;
-              pi.(i) <- -1
-            end
-          end
-        done
-  in
-  extend 0;
+        end;
+        !nfound < max_count);
   List.rev !found
+
+let isomorphism a b =
+  let found = ref None in
+  if List.length (Coupling.edges a) = List.length (Coupling.edges b) then
+    search a b (fun pi ->
+        found := Some (Array.copy pi);
+        false);
+  match !found with
+  | Some pi when preserves_edges a b pi -> Some pi
+  | _ -> None

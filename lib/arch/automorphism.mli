@@ -1,4 +1,5 @@
-(** Automorphisms of a directed coupling graph.
+(** Automorphisms of a directed coupling graph, and isomorphisms
+    between two of them.
 
     A physical-qubit permutation π is an automorphism when it preserves
     the directed edge relation: [allows cm i j] iff
@@ -8,7 +9,14 @@
     relabelling — so the solution space of the paper's encoding is
     closed under the automorphism group.  {!Qxm_exact.Encoding} uses
     this to add lex-leader symmetry-breaking constraints over the
-    initial-layout variables: model-restricting, optimum-preserving. *)
+    initial-layout variables: model-restricting, optimum-preserving.
+
+    The same argument carries across graphs: relabelling by an
+    isomorphism between two coupling graphs maps every solution on one
+    to a solution on the other with the same cost, so the two share
+    their optimum.  {!Subsets.connected_classes} uses {!isomorphism} to
+    let the mapper solve one connected subset per isomorphism class.
+    Both searches run the one degree-pruned backtracker. *)
 
 val all : ?max_count:int -> Coupling.t -> int array list
 (** The non-identity automorphisms of the coupling graph, as permutation
@@ -21,3 +29,12 @@ val all : ?max_count:int -> Coupling.t -> int array list
 val is_automorphism : Coupling.t -> int array -> bool
 (** [is_automorphism cm pi] checks the defining property directly (used
     by tests; [pi] must be a permutation of [0 .. num_qubits-1]). *)
+
+val isomorphism : Coupling.t -> Coupling.t -> int array option
+(** [isomorphism a b] is [Some pi] with [allows a i j] iff
+    [allows b (pi i) (pi j)] for all [i <> j] — the lexicographically
+    first such bijection — or [None] when the graphs differ (other qubit
+    or edge counts, or no degree-consistent assignment).  A returned map
+    has passed the direct edge-relation check {!is_automorphism} makes.
+    When the search's node budget runs out first the answer is [None]:
+    treating two graphs as distinct is always safe for its callers. *)

@@ -21,5 +21,17 @@ val connected : Coupling.t -> int -> int list list
     same physical list.  Safe to call from concurrent domains; never
     mutate the result. *)
 
+val connected_classes : Coupling.t -> int -> (int list * int) list
+(** One representative per isomorphism class of the induced coupling
+    graphs of {!connected}, with the class's size: [(subset, members)].
+    Representatives come in {!connected} order and each is the
+    lowest-indexed subset of its class; the sizes sum to
+    {!count_connected}.  Isomorphic sub-architectures share their
+    mapping optimum ({!Automorphism}), so the mapper solves only the
+    representatives.  Subsets are bucketed by edge count and sorted
+    (in, out)-degree multiset, then compared with
+    {!Automorphism.isomorphism}; a pair whose search runs out of budget
+    stays in separate classes.  Memoized like {!connected}. *)
+
 val count_all : Coupling.t -> int -> int
 val count_connected : Coupling.t -> int -> int

@@ -275,9 +275,9 @@ let new_session () =
 (* Two option records are ladder-compatible when they differ only in
    budgets and bounds — those the session machinery absorbs (bounds pass
    through the minimizer's monotone watermark, budgets are per-call).
-   Anything else (another strategy, AMO scheme, cost model, seed, …)
-   would make the cached encoding or solver state wrong, so the session
-   is silently bypassed and the call runs fresh. *)
+   Anything else (another strategy, AMO scheme, cost model, symmetry or
+   warm-start setting, …) would make the cached encoding or solver state
+   wrong, so the session is silently bypassed and the call runs fresh. *)
 let session_key (o : options) =
   { o with timeout = None; conflict_limit = -1; upper_bound = None; jobs = 1 }
 
@@ -507,13 +507,18 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
     let reported_gprime =
       Strategy.reported_size options.strategy (Array.to_list cnots)
     in
-    (* Candidate sub-architectures: (coupling, back-map to device). *)
-    let candidates =
+    (* Candidate sub-architectures: (coupling, back-map to device), one
+       per isomorphism class of connected subsets.  Relabelling by an
+       isomorphism preserves every solution's cost, so a class shares
+       one optimum; its representative is the lowest-indexed member and
+       wins every tie, so the other members could never replace it as
+       the incumbent and inherit its verdict unsolved. *)
+    let candidates, subsets_tried =
       if options.use_subsets && n < m then
-        List.map
-          (fun subset -> Coupling.induce arch subset)
-          (Subsets.connected arch n)
-      else [ (arch, Array.init m Fun.id) ]
+        let classes = Subsets.connected_classes arch n in
+        ( List.map (fun (subset, _) -> Coupling.induce arch subset) classes,
+          List.fold_left (fun acc (_, size) -> acc + size) 0 classes )
+      else ([ (arch, Array.init m Fun.id) ], 1)
     in
     let ncand = List.length candidates in
     let incumbent = Incumbent.create () in
@@ -755,7 +760,7 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
             optimal = !all_optimal && not !any_budget;
             runtime = Unix.gettimeofday () -. start;
             reported_gprime;
-            subsets_tried = ncand;
+            subsets_tried;
             solves = !solves;
             verified;
             workers;

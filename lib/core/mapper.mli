@@ -12,8 +12,12 @@
 type options = {
   strategy : Strategy.t;
   use_subsets : bool;
-      (** Sec. 4.1: solve one square instance per connected physical-qubit
-          subset instead of one instance on the whole device. *)
+      (** Sec. 4.1: solve square instances over the connected
+          physical-qubit subsets instead of one instance on the whole
+          device — one per isomorphism class of induced
+          sub-architectures ({!Qxm_arch.Subsets.connected_classes}),
+          since isomorphic candidates share their optimum and the
+          lowest-indexed one wins every tie. *)
   timeout : float option;
       (** Wall-clock seconds for the whole call.  A slice of it (10%,
           at most one second) is reserved for reconstruction and
@@ -42,10 +46,10 @@ type options = {
           elementary gates regardless; custom weights change what is
           *optimized*, e.g. (1, 1) minimizes the number of insertions. *)
   jobs : int;
-      (** Worker domains for the candidate fan-out (one per connected
-          subset).  [1] runs candidates inline in index order — the
-          sequential path; higher values race them on a
-          [Qxm_par.Pool].  Whatever the interleaving, the report is
+      (** Worker domains for the candidate fan-out (one candidate per
+          isomorphism class of connected subsets).  [1] runs candidates
+          inline in index order — the sequential path; higher values
+          race them on a [Qxm_par.Pool].  Whatever the interleaving, the report is
           deterministic: the shared incumbent breaks cost ties by
           candidate index and, when the race can fan out, the winner's
           model is re-derived canonically (see [doc/PARALLEL.md]).
@@ -107,10 +111,10 @@ val default : options
     the previous rung's descent — learnt clauses, saved phases and
     VSIDS activity intact — instead of re-encoding from scratch.
     Reuse requires the same architecture, circuit and ladder-compatible
-    options (same strategy, AMO scheme, cost model, seed, …; only
-    budgets and bounds may differ between rungs) — an incompatible call
-    silently bypasses the session and runs fresh.  Sessions pin solver
-    memory until dropped. *)
+    options (same strategy, AMO scheme, cost model, symmetry and
+    warm-start settings, …; only budgets and bounds may differ between
+    rungs) — an incompatible call silently bypasses the session and runs
+    fresh.  Sessions pin solver memory until dropped. *)
 
 type session
 
@@ -173,17 +177,24 @@ type report = {
   runtime : float;  (** seconds *)
   reported_gprime : int;  (** Table 1's |G'| (permutation points) *)
   subsets_tried : int;
+      (** Connected subsets the call covered (Ex. 9's count; 1 without
+          subsets).  Only one per isomorphism class is solved; the
+          others take its verdict. *)
   solves : int;  (** SAT solver calls *)
   verified : bool option;  (** [Some true] iff simulation proved equality *)
   workers : int;
       (** Worker domains actually used for the candidate race:
-          [min jobs subsets_tried], at least 1. *)
+          [min jobs classes], at least 1, where [classes] is the number
+          of solved candidates (isomorphism classes, not
+          [subsets_tried]). *)
   pruned_by_incumbent : int;
-      (** Candidates whose search came back UNSAT under a bound supplied
-          by the shared incumbent — i.e. sub-instances the
-          branch-and-bound race discharged without finding their own
-          optimum.  Candidates after an F = 0 winner count here too:
-          they are discharged without being encoded. *)
+      (** Solved candidates (class representatives) whose search came
+          back UNSAT under a bound supplied by the shared incumbent —
+          i.e. sub-instances the branch-and-bound race discharged
+          without finding their own optimum.  Candidates after an F = 0
+          winner count here too: they are discharged without being
+          encoded.  Class members that are never solved do not count,
+          so this stays below the number of classes. *)
   sat_stats : Qxm_sat.Solver.stats;
       (** Field-wise sum of the solver statistics of every SAT search
           this call ran (all candidates, including pruned and dropped

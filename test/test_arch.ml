@@ -252,6 +252,117 @@ let subsets_are_connected =
         (Coupling.subset_connected Devices.qx4)
         (Subsets.connected Devices.qx4 n))
 
+(* -- Isomorphism classes ------------------------------------------------- *)
+
+(* Brute-force canonical form of a subset's induced graph: the least
+   sorted edge list over every relabelling.  Two subsets are isomorphic
+   iff their forms are equal. *)
+let canonical_form cm subset =
+  let sub = fst (Coupling.induce cm subset) in
+  let forms =
+    List.map
+      (fun pi ->
+        List.sort compare
+          (List.map (fun (i, j) -> (pi.(i), pi.(j))) (Coupling.edges sub)))
+      (Permutation.all (List.length subset))
+  in
+  List.fold_left min (List.hd forms) forms
+
+(* The brute-force partition of [connected] as (first member, size),
+   classes in order of their first member. *)
+let brute_classes cm n =
+  let classes = Hashtbl.create 16 and order = ref [] in
+  List.iter
+    (fun subset ->
+      let form = canonical_form cm subset in
+      match Hashtbl.find_opt classes form with
+      | Some (first, size) -> Hashtbl.replace classes form (first, size + 1)
+      | None ->
+          Hashtbl.add classes form (subset, 1);
+          order := form :: !order)
+    (Subsets.connected cm n);
+  List.rev_map (Hashtbl.find classes) !order
+
+let class_devices =
+  [
+    ("qx4", Devices.qx4, 5);
+    ("qx2", Devices.qx2, 5);
+    ("ring5", Devices.ring 5, 5);
+    ("star5", Devices.star 5, 5);
+    ("line5", Devices.line 5, 5);
+    ("grid 2x3", Devices.grid ~rows:2 ~cols:3, 6);
+    ("qx5", Devices.qx5, 5);
+  ]
+
+(* Equal to the brute-force partition, whose classes are keyed by their
+   first member in [connected] order: so each representative is also
+   its class's lowest-indexed subset. *)
+let test_classes_match_brute_force () =
+  List.iter
+    (fun (name, cm, max_n) ->
+      for n = 1 to max_n do
+        let label = Printf.sprintf "%s n=%d" name n in
+        let classes = Subsets.connected_classes cm n in
+        Alcotest.(check (list (pair (list int) int)))
+          (label ^ ": partition") (brute_classes cm n) classes;
+        Alcotest.(check int)
+          (label ^ ": sizes sum to the subsets")
+          (Subsets.count_connected cm n)
+          (List.fold_left (fun acc (_, k) -> acc + k) 0 classes)
+      done)
+    class_devices
+
+let test_class_counts () =
+  let check name cm n subsets classes =
+    let label = Printf.sprintf "%s n=%d" name n in
+    Alcotest.(check int) (label ^ " subsets") subsets
+      (Subsets.count_connected cm n);
+    Alcotest.(check int) (label ^ " classes") classes
+      (List.length (Subsets.connected_classes cm n))
+  in
+  check "qx4" Devices.qx4 3 6 2;
+  check "qx4" Devices.qx4 4 4 2;
+  check "qx2" Devices.qx2 4 4 1;
+  check "qx5" Devices.qx5 4 65 11;
+  check "qx5" Devices.qx5 5 104 32;
+  let a = Subsets.connected_classes Devices.qx4 3 in
+  Alcotest.(check bool) "memoized" true
+    (a == Subsets.connected_classes Devices.qx4 3)
+
+let test_isomorphism () =
+  let path edges = Coupling.create ~num_qubits:3 edges in
+  (* 0 -> 1 -> 2 and 2 -> 0 -> 1 are the same directed path *)
+  let a = path [ (0, 1); (1, 2) ] and b = path [ (2, 0); (0, 1) ] in
+  (match Automorphism.isomorphism a b with
+  | None -> Alcotest.fail "relabelled paths are isomorphic"
+  | Some pi ->
+      List.iter
+        (fun (i, j) ->
+          Alcotest.(check bool) "edge carried over" true
+            (Coupling.allows b pi.(i) pi.(j)))
+        (Coupling.edges a));
+  (* Same degree sequence — every qubit has in+out degree 1, 2, 1 — but
+     0 -> 1 <- 2 is not a directed path. *)
+  let c = path [ (0, 1); (2, 1) ] in
+  Alcotest.(check bool) "sink is not a path" true
+    (Automorphism.isomorphism a c = None);
+  (* A directed 3-cycle is isomorphic to its reversal. *)
+  let cyc = path [ (0, 1); (1, 2); (2, 0) ] in
+  let rev = path [ (1, 0); (2, 1); (0, 2) ] in
+  Alcotest.(check bool) "reversed cycle is isomorphic" true
+    (Automorphism.isomorphism cyc rev <> None);
+  (* Two orientations of the undirected 4-cycle with the same
+     (in, out)-degree multiset — one source, one sink, two relays — that
+     split it into directed paths of lengths 3 + 1 and 2 + 2: degree
+     pruning alone cannot tell them apart. *)
+  let square edges = Coupling.create ~num_qubits:4 edges in
+  let three_one = square [ (1, 0); (2, 1); (3, 2); (3, 0) ] in
+  let two_two = square [ (1, 0); (2, 1); (2, 3); (3, 0) ] in
+  Alcotest.(check bool) "same degrees, other directions" true
+    (Automorphism.isomorphism three_one two_two = None);
+  Alcotest.(check bool) "other qubit count" true
+    (Automorphism.isomorphism a (Devices.line 4) = None)
+
 (* -- Paths ---------------------------------------------------------------- *)
 
 let test_paths_qx4 () =
@@ -371,6 +482,9 @@ let suite =
     ("choose", `Quick, test_choose);
     ("subset pruning (Ex. 9)", `Quick, test_example9);
     subsets_are_connected;
+    ("classes match brute force", `Quick, test_classes_match_brute_force);
+    ("class counts", `Quick, test_class_counts);
+    ("isomorphism", `Quick, test_isomorphism);
     ("paths qx4", `Quick, test_paths_qx4);
     ("cnot cost", `Quick, test_cnot_cost);
     ("swap path", `Quick, test_swap_path);

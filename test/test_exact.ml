@@ -344,6 +344,73 @@ let symmetry_preserves_optimum =
       | Some (f1, o1, true), Some (f2, o2, true) -> f1 = f2 && o1 = o2
       | _ -> false)
 
+(* Oracle for the subset race that shares none of its class merging:
+   map on every connected subset's induced sub-architecture on its own
+   and take the (cost, index)-least answer.  [Mapper.run] solves one
+   subset per isomorphism class; it must return the same costs and
+   verdict. *)
+let one_solve_per_class =
+  let devices =
+    [
+      ("qx4", Devices.qx4);
+      ("qx2", Devices.qx2);
+      ("ring5", Devices.ring 5);
+      ("star5", Devices.star 5);
+    ]
+  in
+  let gen =
+    QCheck2.Gen.(
+      let* seed = int_range 0 1_000_000 in
+      let* qubits = int_range 2 4 in
+      let* cnots = int_range 3 6 in
+      let* device = oneofl devices in
+      let* strategy = oneofl Strategy.all in
+      return (seed, qubits, cnots, device, strategy))
+  in
+  let print (seed, qubits, cnots, (dev, _), strategy) =
+    Printf.sprintf "seed=%d qubits=%d cnots=%d %s %s" seed qubits cnots dev
+      (Strategy.name strategy)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~print
+       ~name:"one solve per class = least answer over every subset" gen
+       (fun (seed, qubits, cnots, (_, arch), strategy) ->
+         let c = Generator.random_circuit ~seed ~qubits ~cnots ~singles:2 in
+         let options = { Mapper.default with strategy; verify = false } in
+         let summary ~options arch =
+           match Mapper.run ~options ~arch c with
+           | Ok r -> Some (r.objective_cost, r.f_cost, r.optimal)
+           | Error (Mapper.Unmappable _) -> None
+           | Error f ->
+               QCheck2.Test.fail_reportf "mapper failed: %a"
+                 Mapper.pp_failure f
+         in
+         let least =
+           List.fold_left
+             (fun best subset ->
+               match
+                 ( best,
+                   summary
+                     ~options:{ options with use_subsets = false }
+                     (fst (Coupling.induce arch subset)) )
+               with
+               | _, None -> best
+               | None, Some (o, f, opt) -> Some (o, f, opt)
+               | Some (bo, bf, bopt), Some (o, f, opt) ->
+                   if o < bo then Some (o, f, bopt && opt)
+                   else Some (bo, bf, bopt && opt))
+             None
+             (Subsets.connected arch qubits)
+         in
+         let show =
+           Option.fold ~none:"no mapping" ~some:(fun (o, f, opt) ->
+               Printf.sprintf "objective %d, F %d, optimal %b" o f opt)
+         in
+         let merged = summary ~options arch in
+         merged = least
+         || QCheck2.Test.fail_reportf "classes: %s; every subset: %s"
+              (show merged) (show least)))
+
 let strategies_dominate_minimal =
   qtest ~count:10 "restricted strategies never beat the minimal cost"
     QCheck2.Gen.(int_range 0 10_000)
@@ -390,5 +457,6 @@ let suite =
     mapper_end_to_end;
     session_ladder_matches_fresh;
     symmetry_preserves_optimum;
+    one_solve_per_class;
     strategies_dominate_minimal;
   ]
