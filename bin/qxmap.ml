@@ -148,10 +148,12 @@ let print_sat_stats (s : Solver.stats) =
     "solver: %d conflicts, %d decisions, %d propagations (%d binary), %d \
      restarts\n\
      solver: glue histogram 1:%d 2:%d 3-4:%d 5-8:%d 9+:%d\n\
-     solver: %d literals minimized away, %d clauses subsumed, %d vivified\n"
+     solver: %d literals minimized away, %d clauses subsumed, %d vivified\n\
+     solver: %d arena collections, %d clauses relocated\n"
     s.conflicts s.decisions s.propagations s.binary_propagations s.restarts
     s.glue_1 s.glue_2 s.glue_3_4 s.glue_5_8 s.glue_9_plus s.minimized_lits
-    s.subsumed_clauses s.vivified_clauses
+    s.subsumed_clauses s.vivified_clauses s.arena_collections
+    s.arena_relocations
 
 (* -- machine-readable report ---------------------------------------------- *)
 

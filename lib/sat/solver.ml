@@ -7,13 +7,13 @@
 
    Data layout: clauses live in a flat int-packed {!Arena} — a clause
    reference (cref) is a word offset, literals are read with plain
-   int-array indexing, and watch lists are flat {!Vec.Pair} vectors
-   ((cref, blocker) for long clauses, (other-lit, cref) for binary
-   ones).  The propagation loop therefore chases no pointers and
-   allocates nothing; clause deletion is lazy (a header flag) and the
-   arena is compacted by a copying collection ([garbage_collect]) that
-   remaps every root the solver holds: clause lists, watch lists and
-   the reason array.
+   int-array indexing, and each watch-list family is one unboxed
+   {!Watches} pool ((cref, blocker) pairs for long clauses, (other-lit,
+   cref) for binary ones).  The propagation loop therefore chases no
+   pointers and allocates nothing; clause deletion is lazy (a header
+   flag) and the arena is compacted by a copying collection
+   ([garbage_collect]) that remaps every root the solver holds: clause
+   lists, watch lists and the reason array.
 
    Observability: every [solve] runs inside a [Qxm_obs.Trace] span (a
    single branch when tracing is off), restart boundaries emit instant
@@ -163,8 +163,8 @@ type t = {
   mutable polarity : Bytes.t; (* saved phase: 1 = last assigned true *)
   mutable seen : Bytes.t;
   mutable arena : Arena.t; (* all clause storage *)
-  mutable watches : Vec.Pair.t array; (* per literal: (cref, blocker) *)
-  mutable bin_watches : Vec.Pair.t array; (* per literal: (other, cref) *)
+  watches : Watches.t; (* per literal: (cref, blocker) *)
+  bin_watches : Watches.t; (* per literal: (other, cref) *)
   clauses : Vec.Int.t; (* problem clause crefs *)
   learnts : Vec.Int.t; (* learnt clause crefs *)
   trail : Vec.Int.t;
@@ -247,14 +247,6 @@ let grow_array a n default =
     a'
   end
 
-(* Grow a watch array to [n] literal slots, reusing the existing lists. *)
-let grow_watch_array w n =
-  if Array.length w >= n then w
-  else
-    Array.init
-      (max n (2 * max 1 (Array.length w)))
-      (fun i -> if i < Array.length w then w.(i) else Vec.Pair.create ())
-
 (* Pre-size every per-variable and per-literal structure for [n]
    variables, so a caller that knows the encoding size up front (the
    [~capacity] hint of [create]) pays one allocation per structure
@@ -268,8 +260,8 @@ let reserve s n =
     s.reason <- grow_array s.reason n Arena.cref_undef;
     s.activity <- grow_array s.activity n 0.0;
     s.lbd_mark <- grow_array s.lbd_mark (n + 1) 0;
-    s.watches <- grow_watch_array s.watches (2 * n);
-    s.bin_watches <- grow_watch_array s.bin_watches (2 * n);
+    Watches.grow s.watches (2 * n);
+    Watches.grow s.bin_watches (2 * n);
     Heap.grow s.order n
   end
 
@@ -284,8 +276,9 @@ let create ?(capacity = 0) () =
       polarity = Bytes.create 0;
       seen = Bytes.create 0;
       arena = Arena.create ~capacity:(max 1024 (16 * capacity)) ();
-      watches = [||];
-      bin_watches = [||];
+      (* room for every literal's first slot (4 pairs) in each family *)
+      watches = Watches.create ~capacity:(8 * capacity) ();
+      bin_watches = Watches.create ~capacity:(8 * capacity) ();
       clauses = Vec.Int.create ();
       learnts = Vec.Int.create ();
       trail = Vec.Int.create ();
@@ -431,8 +424,8 @@ let new_var s =
   s.reason <- grow_array s.reason s.nvars Arena.cref_undef;
   s.activity <- grow_array s.activity s.nvars 0.0;
   s.lbd_mark <- grow_array s.lbd_mark (s.nvars + 1) 0;
-  s.watches <- grow_watch_array s.watches (2 * s.nvars);
-  s.bin_watches <- grow_watch_array s.bin_watches (2 * s.nvars);
+  Watches.grow s.watches (2 * s.nvars);
+  Watches.grow s.bin_watches (2 * s.nvars);
   Heap.grow s.order s.nvars;
   Heap.push s.order v s.activity;
   v
@@ -529,13 +522,13 @@ let attach s c =
   let l0 = Arena.lit a c 0 and l1 = Arena.lit a c 1 in
   if Arena.size a c = 2 then begin
     (* binary watcher: the other literal inline, then the cref *)
-    Vec.Pair.push s.bin_watches.(Lit.negate l0) l1 c;
-    Vec.Pair.push s.bin_watches.(Lit.negate l1) l0 c
+    Watches.push s.bin_watches (Lit.negate l0) l1 c;
+    Watches.push s.bin_watches (Lit.negate l1) l0 c
   end
   else begin
     (* long watcher: the cref, then the blocker *)
-    Vec.Pair.push s.watches.(Lit.negate l0) c l1;
-    Vec.Pair.push s.watches.(Lit.negate l1) c l0
+    Watches.push s.watches (Lit.negate l0) c l1;
+    Watches.push s.watches (Lit.negate l1) c l0
   end
 
 (* Eager watcher removal — only for clauses that may be re-attached
@@ -544,20 +537,13 @@ let attach s c =
    arena collection. *)
 let detach s c =
   let a = s.arena in
-  if Arena.size a c = 2 then begin
-    let remove l =
-      Vec.Pair.filter_in_place (fun _other cr -> cr <> c) s.bin_watches.(l)
-    in
-    remove (Lit.negate (Arena.lit a c 0));
-    remove (Lit.negate (Arena.lit a c 1))
-  end
-  else begin
-    let remove l =
-      Vec.Pair.filter_in_place (fun cr _blocker -> cr <> c) s.watches.(l)
-    in
-    remove (Lit.negate (Arena.lit a c 0));
-    remove (Lit.negate (Arena.lit a c 1))
-  end
+  let drop cr = if cr = c then Arena.cref_undef else cr in
+  let remove l =
+    if Arena.size a c = 2 then Watches.remap s.bin_watches l 1 drop
+    else Watches.remap s.watches l 0 drop
+  in
+  remove (Lit.negate (Arena.lit a c 0));
+  remove (Lit.negate (Arena.lit a c 1))
 
 let locked s c =
   let l0 = Arena.lit s.arena c 0 in
@@ -614,22 +600,10 @@ let garbage_collect s =
     let r = s.reason.(v) in
     if r <> Arena.cref_undef then s.reason.(v) <- Arena.forward old r
   done;
-  Array.iter
-    (fun ws ->
-      Vec.Pair.map_in_place
-        (fun c blocker ->
-          let c' = Arena.forward old c in
-          if c' = Arena.cref_undef then None else Some (c', blocker))
-        ws)
-    s.watches;
-  Array.iter
-    (fun bws ->
-      Vec.Pair.map_in_place
-        (fun other c ->
-          let c' = Arena.forward old c in
-          if c' = Arena.cref_undef then None else Some (other, c'))
-        bws)
-    s.bin_watches;
+  for l = 0 to Watches.lists s.watches - 1 do
+    Watches.remap s.watches l 0 (Arena.forward old);
+    Watches.remap s.bin_watches l 1 (Arena.forward old)
+  done;
   s.arena <- into;
   s.arena_collections <- s.arena_collections + 1;
   s.arena_relocations <- s.arena_relocations + !relocated
@@ -675,10 +649,15 @@ let cancel_until s lvl =
    clauses run fully specialized paths — the binary path reads only the
    two watcher words unless it actually implies or conflicts; the long
    path reads the blocker word first and touches clause memory only when
-   the blocker is not already satisfied.  Nothing here allocates on the
-   OCaml heap. *)
+   the blocker is not already satisfied.  Watch lists are scanned in
+   their pool with plain indexing; the long-list pool and offset are
+   re-read after a [Watches.push], which may grow the pool.  The push
+   never targets the list being scanned: the new watch is not false,
+   while [p]'s watchers watch the false [¬p].  Nothing here allocates on
+   the OCaml heap. *)
 let propagate s =
   let mem = Arena.mem s.arena in
+  let bw = s.bin_watches and w = s.watches in
   let confl = ref Arena.cref_undef in
   while !confl = Arena.cref_undef && s.qhead < Vec.Int.size s.trail do
     let p = Vec.Int.get s.trail s.qhead in
@@ -686,12 +665,12 @@ let propagate s =
     s.propagations <- s.propagations + 1;
     (* binary clauses first: the other literal is inline, so nothing
        beyond the watcher itself is touched on the satisfied path *)
-    let bws = s.bin_watches.(p) in
-    let bn = Vec.Pair.size bws in
-    let bi = ref 0 in
-    while !confl = Arena.cref_undef && !bi < bn do
-      let other = Vec.Pair.unsafe_a bws !bi in
-      let c = Vec.Pair.unsafe_b bws !bi in
+    let bpool = bw.pool and boff = bw.off.(p) in
+    let bend = boff + (2 * bw.len.(p)) in
+    let bi = ref boff in
+    while !confl = Arena.cref_undef && !bi < bend do
+      let other = Array.unsafe_get bpool !bi in
+      let c = Array.unsafe_get bpool (!bi + 1) in
       if Array.unsafe_get mem c land Arena.flag_deleted = 0 then begin
         match lit_value s other with
         | 1 -> ()
@@ -707,32 +686,34 @@ let propagate s =
             s.binary_propagations <- s.binary_propagations + 1;
             unchecked_enqueue s other c
       end;
-      incr bi
+      bi := !bi + 2
     done;
     if !confl = Arena.cref_undef then begin
-      let ws = s.watches.(p) in
+      let pool = ref w.pool and off = ref w.off.(p) in
+      (* [i] reads and [j] writes pair indices of [p]'s list *)
       let i = ref 0 and j = ref 0 in
-      let n = Vec.Pair.size ws in
+      let n = w.len.(p) in
       while !i < n do
-        let c = Vec.Pair.unsafe_a ws !i in
-        let blocker = Vec.Pair.unsafe_b ws !i in
+        let c = Array.unsafe_get !pool (!off + (2 * !i)) in
+        let blocker = Array.unsafe_get !pool (!off + (2 * !i) + 1) in
+        incr i;
         if lit_value s blocker = 1 then begin
-          Vec.Pair.unsafe_set ws !j c blocker;
-          incr j;
-          incr i
+          Array.unsafe_set !pool (!off + (2 * !j)) c;
+          Array.unsafe_set !pool (!off + (2 * !j) + 1) blocker;
+          incr j
         end
-        else if Array.unsafe_get mem c land Arena.flag_deleted <> 0 then
-          incr i (* lazily deleted: drop the stale watcher *)
+        else if Array.unsafe_get mem c land Arena.flag_deleted <> 0 then ()
+          (* lazily deleted: drop the stale watcher *)
         else begin
           let false_lit = Lit.negate p in
           if Array.unsafe_get mem (c + 3) = false_lit then begin
             Array.unsafe_set mem (c + 3) (Array.unsafe_get mem (c + 4));
             Array.unsafe_set mem (c + 4) false_lit
           end;
-          incr i;
           let first = Array.unsafe_get mem (c + 3) in
           if first <> blocker && lit_value s first = 1 then begin
-            Vec.Pair.unsafe_set ws !j c first;
+            Array.unsafe_set !pool (!off + (2 * !j)) c;
+            Array.unsafe_set !pool (!off + (2 * !j) + 1) first;
             incr j
           end
           else begin
@@ -749,28 +730,29 @@ let propagate s =
               let l = Array.unsafe_get mem (c + 3 + !k) in
               Array.unsafe_set mem (c + 4) l;
               Array.unsafe_set mem (c + 3 + !k) false_lit;
-              Vec.Pair.push s.watches.(Lit.negate l) c first
+              Watches.push w (Lit.negate l) c first;
+              pool := w.pool;
+              off := w.off.(p)
             end
             else begin
-              Vec.Pair.unsafe_set ws !j c first;
+              Array.unsafe_set !pool (!off + (2 * !j)) c;
+              Array.unsafe_set !pool (!off + (2 * !j) + 1) first;
               incr j;
               if lit_value s first = -1 then begin
                 (* conflict: flush queue, keep remaining watchers *)
                 confl := c;
                 s.qhead <- Vec.Int.size s.trail;
-                while !i < n do
-                  Vec.Pair.unsafe_set ws !j (Vec.Pair.unsafe_a ws !i)
-                    (Vec.Pair.unsafe_b ws !i);
-                  incr j;
-                  incr i
-                done
+                Array.blit !pool (!off + (2 * !i)) !pool (!off + (2 * !j))
+                  (2 * (n - !i));
+                j := !j + n - !i;
+                i := n
               end
               else unchecked_enqueue s first c
             end
           end
         end
       done;
-      Vec.Pair.shrink ws !j
+      Watches.shrink w p !j
     end
   done;
   !confl
@@ -1467,10 +1449,12 @@ let check_invariants s =
           "reason clause of variable %d does not hold it in slot 0" v
   done;
   (* two-watched-literal bookkeeping, long and binary lists separately *)
+  List.iter (fun m -> issue "watch" "long pool: %s" m) (Watches.check s.watches);
+  List.iter (fun m -> issue "watch" "binary pool: %s" m)
+    (Watches.check s.bin_watches);
   let watcher_total = ref 0 in
-  Array.iteri
-    (fun l ws ->
-      Vec.Pair.iter
+  for l = 0 to Watches.lists s.watches - 1 do
+    Watches.iter s.watches l
         (fun c _blocker ->
           if not (valid_cref c) then
             issue "arena" "watch list of literal %d holds invalid cref %d" l c
@@ -1487,12 +1471,10 @@ let check_invariants s =
                   (Lit.to_int l)
             end
           end)
-        ws)
-    s.watches;
+  done;
   let bin_total = ref 0 in
-  Array.iteri
-    (fun l bws ->
-      Vec.Pair.iter
+  for l = 0 to Watches.lists s.bin_watches - 1 do
+    Watches.iter s.bin_watches l
         (fun other c ->
           if not (valid_cref c) then
             issue "arena"
@@ -1513,8 +1495,7 @@ let check_invariants s =
                   (Lit.to_int l)
             end
           end)
-        bws)
-    s.bin_watches;
+  done;
   let live_long = ref 0 and live_bin = ref 0 in
   let count_db db =
     Vec.Int.iter
@@ -1836,23 +1817,14 @@ module Testing = struct
      corrupt.  For the sanitizer's mutation tests only. *)
 
   let corrupt_watch s =
-    let found = ref false in
-    Array.iter
-      (fun ws ->
-        if (not !found) && Vec.Pair.size ws > 0 then begin
-          Vec.Pair.shrink ws (Vec.Pair.size ws - 1);
-          found := true
-        end)
-      s.watches;
-    if not !found then
-      Array.iter
-        (fun bws ->
-          if (not !found) && Vec.Pair.size bws > 0 then begin
-            Vec.Pair.shrink bws (Vec.Pair.size bws - 1);
-            found := true
-          end)
-        s.bin_watches;
-    !found
+    let drop_last (w : Watches.t) =
+      match Array.find_index (fun n -> n > 0) w.len with
+      | Some l ->
+          Watches.shrink w l (w.len.(l) - 1);
+          true
+      | None -> false
+    in
+    drop_last s.watches || drop_last s.bin_watches
 
   let corrupt_trail s =
     if Vec.Int.size s.trail > 0 then begin

@@ -93,100 +93,6 @@ module Int = struct
     Array.blit a 0 v.data 0 v.size
 end
 
-(* Flat vector of int pairs stored inline as [a0; b0; a1; b1; ...].
-   Watch lists use these: a watcher is two adjacent unboxed words (clause
-   offset + blocker, or inline other-literal + clause offset) instead of a
-   heap-allocated record, so scanning a watch list chases no pointers and
-   pushing a watcher allocates nothing once capacity is reached. *)
-module Pair = struct
-  type t = { mutable data : int array; mutable size : int } (* size in pairs *)
-
-  let create ?(capacity = 4) () =
-    { data = Array.make (2 * max capacity 1) 0; size = 0 }
-
-  let size v = v.size
-
-  let ensure v n =
-    if 2 * n > Array.length v.data then begin
-      let cap = ref (Array.length v.data) in
-      while !cap < 2 * n do
-        cap := !cap * 2
-      done;
-      let data = Array.make !cap 0 in
-      Array.blit v.data 0 data 0 (2 * v.size);
-      v.data <- data
-    end
-
-  let push v a b =
-    ensure v (v.size + 1);
-    Array.unsafe_set v.data (2 * v.size) a;
-    Array.unsafe_set v.data ((2 * v.size) + 1) b;
-    v.size <- v.size + 1
-
-  let a v i =
-    if i < 0 || i >= v.size then invalid_arg "Vec.Pair.a";
-    Array.unsafe_get v.data (2 * i)
-
-  let b v i =
-    if i < 0 || i >= v.size then invalid_arg "Vec.Pair.b";
-    Array.unsafe_get v.data ((2 * i) + 1)
-
-  let set v i a b =
-    if i < 0 || i >= v.size then invalid_arg "Vec.Pair.set";
-    Array.unsafe_set v.data (2 * i) a;
-    Array.unsafe_set v.data ((2 * i) + 1) b
-
-  let unsafe_a v i = Array.unsafe_get v.data (2 * i)
-  let unsafe_b v i = Array.unsafe_get v.data ((2 * i) + 1)
-
-  let unsafe_set v i a b =
-    Array.unsafe_set v.data (2 * i) a;
-    Array.unsafe_set v.data ((2 * i) + 1) b
-
-  let clear v = v.size <- 0
-
-  let shrink v n =
-    if n < 0 || n > v.size then invalid_arg "Vec.Pair.shrink";
-    v.size <- n
-
-  let iter f v =
-    for i = 0 to v.size - 1 do
-      f (Array.unsafe_get v.data (2 * i)) (Array.unsafe_get v.data ((2 * i) + 1))
-    done
-
-  let filter_in_place p v =
-    let j = ref 0 in
-    for i = 0 to v.size - 1 do
-      let a = Array.unsafe_get v.data (2 * i)
-      and b = Array.unsafe_get v.data ((2 * i) + 1) in
-      if p a b then begin
-        Array.unsafe_set v.data (2 * !j) a;
-        Array.unsafe_set v.data ((2 * !j) + 1) b;
-        incr j
-      end
-    done;
-    v.size <- !j
-
-  (* [map_in_place f v]: rewrite each pair through [f]; [f a b = None]
-     drops the pair (order of survivors preserved) — the compaction
-     remap primitive. *)
-  let map_in_place f v =
-    let j = ref 0 in
-    for i = 0 to v.size - 1 do
-      let a = Array.unsafe_get v.data (2 * i)
-      and b = Array.unsafe_get v.data ((2 * i) + 1) in
-      match f a b with
-      | Some (a', b') ->
-          Array.unsafe_set v.data (2 * !j) a';
-          Array.unsafe_set v.data ((2 * !j) + 1) b';
-          incr j
-      | None -> ()
-    done;
-    v.size <- !j
-
-  let to_list v = List.init v.size (fun i -> (a v i, b v i))
-end
-
 module Poly = struct
   type 'a t = { mutable data : 'a array; mutable size : int }
 

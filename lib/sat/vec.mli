@@ -1,8 +1,9 @@
 (** Growable arrays used throughout the solver.
 
-    The solver is deliberately imperative: propagation visits millions of
-    watch-list entries, so these vectors avoid any per-element boxing for
-    the integer case and amortize growth by doubling. *)
+    The solver is deliberately imperative: the trail, clause lists and
+    analysis scratch buffers avoid any per-element boxing for the integer
+    case and amortize growth by doubling.  Watch lists live in
+    {!Watches} pools instead. *)
 
 (** Growable vector of unboxed [int]s. *)
 module Int : sig
@@ -40,44 +41,6 @@ module Int : sig
   val sort : (int -> int -> int) -> t -> unit
   val unsafe_get : t -> int -> int
   val unsafe_set : t -> int -> int -> unit
-end
-
-(** Flat vector of [int] pairs, stored inline ([a0; b0; a1; b1; ...]).
-    The solver's watch lists are these: a watcher is two adjacent unboxed
-    words, so scanning chases no pointers and pushing allocates nothing
-    once capacity is reached. *)
-module Pair : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  (** [capacity] is in pairs. *)
-
-  val size : t -> int
-  (** Number of pairs. *)
-
-  val push : t -> int -> int -> unit
-  val a : t -> int -> int
-  (** First component of pair [i]. *)
-
-  val b : t -> int -> int
-  (** Second component of pair [i]. *)
-
-  val set : t -> int -> int -> int -> unit
-  val unsafe_a : t -> int -> int
-  val unsafe_b : t -> int -> int
-  val unsafe_set : t -> int -> int -> int -> unit
-  val clear : t -> unit
-
-  val shrink : t -> int -> unit
-  (** [shrink v n] truncates [v] to its first [n] pairs. *)
-
-  val iter : (int -> int -> unit) -> t -> unit
-  val filter_in_place : (int -> int -> bool) -> t -> unit
-
-  val map_in_place : (int -> int -> (int * int) option) -> t -> unit
-  (** Rewrite each pair; [None] drops it (survivor order preserved). *)
-
-  val to_list : t -> (int * int) list
 end
 
 (** Growable vector of arbitrary elements (used for clause references). *)

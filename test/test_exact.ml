@@ -348,21 +348,48 @@ let symmetry_preserves_optimum =
    map on every connected subset's induced sub-architecture on its own
    and take the (cost, index)-least answer.  [Mapper.run] solves one
    subset per isomorphism class; it must return the same costs and
-   verdict. *)
-let one_solve_per_class =
-  let devices =
-    [
-      ("qx4", Devices.qx4);
-      ("qx2", Devices.qx2);
-      ("ring5", Devices.ring 5);
-      ("star5", Devices.star 5);
-    ]
+   verdict.  Returns [None] when they agree, else both answers. *)
+let class_merge_disagreement ~options arch c =
+  let summary ~options arch =
+    match Mapper.run ~options ~arch c with
+    | Ok r -> Some (r.objective_cost, r.f_cost, r.optimal)
+    | Error (Mapper.Unmappable _) -> None
+    | Error f -> Alcotest.failf "mapper failed: %a" Mapper.pp_failure f
   in
+  let least =
+    List.fold_left
+      (fun best subset ->
+        match
+          ( best,
+            summary
+              ~options:{ options with use_subsets = false }
+              (fst (Coupling.induce arch subset)) )
+        with
+        | _, None -> best
+        | None, Some (o, f, opt) -> Some (o, f, opt)
+        | Some (bo, bf, bopt), Some (o, f, opt) ->
+            if o < bo then Some (o, f, bopt && opt)
+            else Some (bo, bf, bopt && opt))
+      None
+      (Subsets.connected arch (Circuit.num_qubits c))
+  in
+  let show =
+    Option.fold ~none:"no mapping" ~some:(fun (o, f, opt) ->
+        Printf.sprintf "objective %d, F %d, optimal %b" o f opt)
+  in
+  let merged = summary ~options arch in
+  if merged = least then None
+  else
+    Some (Printf.sprintf "classes: %s; every subset: %s" (show merged)
+            (show least))
+
+let one_solve_per_class ~name ~count ~qubits:(qlo, qhi) ~cnots:(clo, chi)
+    devices =
   let gen =
     QCheck2.Gen.(
       let* seed = int_range 0 1_000_000 in
-      let* qubits = int_range 2 4 in
-      let* cnots = int_range 3 6 in
+      let* qubits = int_range qlo qhi in
+      let* cnots = int_range clo chi in
       let* device = oneofl devices in
       let* strategy = oneofl Strategy.all in
       return (seed, qubits, cnots, device, strategy))
@@ -372,44 +399,29 @@ let one_solve_per_class =
       (Strategy.name strategy)
   in
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:300 ~print
-       ~name:"one solve per class = least answer over every subset" gen
+    (QCheck2.Test.make ~count ~print ~name gen
        (fun (seed, qubits, cnots, (_, arch), strategy) ->
          let c = Generator.random_circuit ~seed ~qubits ~cnots ~singles:2 in
          let options = { Mapper.default with strategy; verify = false } in
-         let summary ~options arch =
-           match Mapper.run ~options ~arch c with
-           | Ok r -> Some (r.objective_cost, r.f_cost, r.optimal)
-           | Error (Mapper.Unmappable _) -> None
-           | Error f ->
-               QCheck2.Test.fail_reportf "mapper failed: %a"
-                 Mapper.pp_failure f
-         in
-         let least =
-           List.fold_left
-             (fun best subset ->
-               match
-                 ( best,
-                   summary
-                     ~options:{ options with use_subsets = false }
-                     (fst (Coupling.induce arch subset)) )
-               with
-               | _, None -> best
-               | None, Some (o, f, opt) -> Some (o, f, opt)
-               | Some (bo, bf, bopt), Some (o, f, opt) ->
-                   if o < bo then Some (o, f, bopt && opt)
-                   else Some (bo, bf, bopt && opt))
-             None
-             (Subsets.connected arch qubits)
-         in
-         let show =
-           Option.fold ~none:"no mapping" ~some:(fun (o, f, opt) ->
-               Printf.sprintf "objective %d, F %d, optimal %b" o f opt)
-         in
-         let merged = summary ~options arch in
-         merged = least
-         || QCheck2.Test.fail_reportf "classes: %s; every subset: %s"
-              (show merged) (show least)))
+         match class_merge_disagreement ~options arch c with
+         | None -> true
+         | Some m -> QCheck2.Test.fail_reportf "%s" m))
+
+(* QX5 at 4 qubits has one pair of classes that degrees alone do not
+   tell apart: 4-cycles with one source and one sink, adjacent in
+   {2, 3, 14, 15} and opposite in {4, 5, 12, 13}.  This circuit's
+   interactions form the second shape, so it runs natively only on that
+   class; a class merge that lumped the pair together would miss it. *)
+let test_qx5_degree_twins () =
+  let c =
+    Circuit.create 4
+      (List.map
+         (fun (a, b) -> Gate.Cnot (a, b))
+         [ (0, 1); (0, 2); (1, 3); (2, 3) ])
+  in
+  let options = { Mapper.default with verify = false } in
+  Alcotest.(check (option string)) "one solve per class" None
+    (class_merge_disagreement ~options Devices.qx5 c)
 
 let strategies_dominate_minimal =
   qtest ~count:10 "restricted strategies never beat the minimal cost"
@@ -457,6 +469,23 @@ let suite =
     mapper_end_to_end;
     session_ladder_matches_fresh;
     symmetry_preserves_optimum;
-    one_solve_per_class;
+    one_solve_per_class ~count:300
+      ~name:"one solve per class = least answer over every subset"
+      ~qubits:(2, 4) ~cnots:(3, 6)
+      [
+        ("qx4", Devices.qx4);
+        ("qx2", Devices.qx2);
+        ("ring5", Devices.ring 5);
+        ("star5", Devices.star 5);
+      ];
+    (* On the four small devices above, a merge by degrees alone changes
+       no class.  QX5 at 4 qubits has 65 connected subsets in 11 classes,
+       several of them non-isomorphic with equal degrees. *)
+    one_solve_per_class ~count:20
+      ~name:"one solve per class on qx5 (65 subsets, 11 classes)"
+      ~qubits:(4, 4) ~cnots:(3, 4)
+      [ ("qx5", Devices.qx5) ];
+    ("one solve per class on qx5's degree twins", `Quick,
+     test_qx5_degree_twins);
     strategies_dominate_minimal;
   ]

@@ -1,9 +1,11 @@
-(* Tests for the CDCL solver substrate: Vec, Lit, Heap, Solver, Dimacs. *)
+(* Tests for the CDCL solver substrate: Vec, Lit, Heap, Watches, Solver,
+   Dimacs. *)
 
 open Test_util
 module Vec = Qxm_sat.Vec
 module Lit = Qxm_sat.Lit
 module Heap = Qxm_sat.Heap
+module Watches = Qxm_sat.Watches
 module Solver = Qxm_sat.Solver
 module Dimacs = Qxm_sat.Dimacs
 
@@ -103,6 +105,177 @@ let test_heap_decrease () =
   act.(0) <- 10.0;
   Heap.decrease h 0 act;
   Alcotest.(check int) "bumped to top" 0 (Heap.pop h act)
+
+(* The swap-based sifts the hole-based heap replaced, kept as a layout
+   oracle: the solver's branching order depends on the exact layout, not
+   only on the heap property. *)
+module Swap_heap = struct
+  type t = { heap : int array; mutable n : int; index : int array }
+
+  let create nv = { heap = Array.make nv 0; n = 0; index = Array.make nv (-1) }
+
+  let swap t i j =
+    let vi = t.heap.(i) and vj = t.heap.(j) in
+    t.heap.(i) <- vj;
+    t.heap.(j) <- vi;
+    t.index.(vi) <- j;
+    t.index.(vj) <- i
+
+  let rec up t (act : float array) i =
+    let p = (i - 1) / 2 in
+    if i > 0 && act.(t.heap.(i)) > act.(t.heap.(p)) then begin
+      swap t i p;
+      up t act p
+    end
+
+  let rec down t (act : float array) i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let best = if l < t.n && act.(t.heap.(l)) > act.(t.heap.(i)) then l else i in
+    let best =
+      if r < t.n && act.(t.heap.(r)) > act.(t.heap.(best)) then r else best
+    in
+    if best <> i then begin
+      swap t i best;
+      down t act best
+    end
+
+  let push t act v =
+    if t.index.(v) < 0 then begin
+      t.heap.(t.n) <- v;
+      t.index.(v) <- t.n;
+      t.n <- t.n + 1;
+      up t act (t.n - 1)
+    end
+
+  let pop t act =
+    let top = t.heap.(0) in
+    t.n <- t.n - 1;
+    t.index.(top) <- -1;
+    if t.n > 0 then begin
+      let last = t.heap.(t.n) in
+      t.heap.(0) <- last;
+      t.index.(last) <- 0;
+      down t act 0
+    end;
+    top
+end
+
+(* Random pushes, pops and bumps over few distinct activities (so ties
+   are common) leave the same layout as the swap-based heap after every
+   operation, and pop the same variables. *)
+let heap_layout_matches_swap_sift =
+  let nv = 24 in
+  qtest ~count:300 "heap layout matches the swap-based sift"
+    QCheck2.Gen.(
+      list_size (int_range 0 200)
+        (pair (int_range 0 2) (pair (int_range 0 (nv - 1)) (int_range 0 3))))
+    (fun ops ->
+      let act = Array.make nv 0.0 in
+      let h = Heap.create () and r = Swap_heap.create nv in
+      List.for_all
+        (fun (kind, (v, k)) ->
+          let same_pop =
+            match kind with
+            | 0 ->
+                Heap.push h v act;
+                Swap_heap.push r act v;
+                true
+            | 1 ->
+                Heap.is_empty h || Heap.pop h act = Swap_heap.pop r act
+            | _ ->
+                act.(v) <- act.(v) +. float_of_int k;
+                Heap.decrease h v act;
+                if r.index.(v) >= 0 then Swap_heap.up r act r.index.(v);
+                true
+          in
+          same_pop
+          && Heap.members h = List.init r.n (Array.get r.heap)
+          && Heap.check h act = [])
+        ops)
+
+(* -- Watches --------------------------------------------------------- *)
+
+type pool_op =
+  | Push of int * int * int
+  | Shrink of int * int (* keep this percentage of the list *)
+  | Remap of int * int * int
+      (* in word k of list l, drop multiples of m and add 1 to the rest *)
+
+(* Random operation sequences over many lists, checked after every step
+   against a list-of-pairs reference.  The pool starts at its minimum
+   size, so relocation, slot reuse and pool growth all happen. *)
+let watch_pool_matches_model =
+  let nlists = 12 in
+  let op =
+    QCheck2.Gen.(
+      let* l = int_range 0 (nlists - 1) in
+      frequency
+        [
+          ( 8,
+            map2 (fun a b -> Push (l, a, b)) (int_range 0 999) (int_range 0 999)
+          );
+          (1, map (fun k -> Shrink (l, k)) (int_range 0 100));
+          (2, map2 (fun k m -> Remap (l, k, m)) (int_range 0 1) (int_range 2 5));
+        ])
+  in
+  qtest ~count:300 "watch pool matches a list-of-pairs model"
+    QCheck2.Gen.(list_size (int_range 0 400) op)
+    (fun ops ->
+      let w = Watches.create () in
+      Watches.grow w nlists;
+      let model = Array.make nlists [] in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push (l, a, b) ->
+              Watches.push w l a b;
+              model.(l) <- model.(l) @ [ (a, b) ]
+          | Shrink (l, pct) ->
+              let n = List.length model.(l) * pct / 100 in
+              Watches.shrink w l n;
+              model.(l) <- List.filteri (fun i _ -> i < n) model.(l)
+          | Remap (l, k, m) ->
+              let f x = if x mod m = 0 then -1 else x + 1 in
+              Watches.remap w l k f;
+              model.(l) <-
+                List.filter_map
+                  (fun (a, b) ->
+                    match (k, f a, f b) with
+                    | 0, a', _ when a' >= 0 -> Some (a', b)
+                    | 1, _, b' when b' >= 0 -> Some (a, b')
+                    | _ -> None)
+                  model.(l));
+          Watches.check w = []
+          && List.for_all
+               (fun l -> Watches.to_list w l = model.(l))
+               (List.init nlists Fun.id))
+        ops)
+
+(* The three ways a list gets a slot, observed on the pool itself. *)
+let test_watch_pool_slots () =
+  let w = Watches.create () in
+  Watches.grow w 3;
+  let fill l n =
+    for i = 1 to n do
+      Watches.push w l i (-i)
+    done
+  in
+  fill 0 4;
+  Alcotest.(check int) "first slot from the top" 0 w.off.(0);
+  fill 0 1;
+  Alcotest.(check int) "outgrown: a slot of twice the size" 8 w.cap.(0);
+  Alcotest.(check int) "top after the move" 24 w.top;
+  fill 1 1;
+  Alcotest.(check int) "vacated slot reused" 0 w.off.(1);
+  Alcotest.(check int) "top unchanged by reuse" 24 w.top;
+  let before = Array.length w.pool in
+  fill 2 100;
+  Alcotest.(check bool) "pool grew" true (Array.length w.pool > before);
+  Alcotest.(check (list (pair int int)))
+    "contents kept through relocation and growth"
+    [ (1, -1); (2, -2); (3, -3); (4, -4); (1, -1) ]
+    (Watches.to_list w 0);
+  Alcotest.(check (list string)) "pool sound" [] (Watches.check w)
 
 (* -- Solver ---------------------------------------------------------- *)
 
@@ -361,6 +534,21 @@ let test_sanitized_pigeonhole () =
      with the sanitizer armed *)
   with_sanitize (fun () -> test_pigeonhole 5 ())
 
+(* A deep search under the sanitizer that relocates every watch list
+   (an arena collection remaps both pools) and detaches clauses
+   (vivification), audited on exit. *)
+let test_sanitized_collect_and_vivify () =
+  with_sanitize (fun () ->
+      let s = Solver.create () in
+      test_pigeonhole_build s 7;
+      Alcotest.(check bool) "unsat" true (Solver.solve s = Solver.Unsat);
+      let st = Solver.stats s in
+      Alcotest.(check bool) "arena collected" true (st.arena_collections > 0);
+      Alcotest.(check bool) "vivification shortened clauses" true
+        (st.vivified_clauses > 0);
+      Alcotest.(check (list (pair string string))) "invariants clean" []
+        (Solver.check_invariants s))
+
 let sanitized_solver_agrees_with_brute_force =
   qtest ~count:150 "sanitized solver agrees with brute force"
     (cnf_gen ~max_vars:8 ~max_clauses:30 ~max_len:3)
@@ -416,6 +604,9 @@ let suite =
     lit_roundtrip;
     heap_sorts;
     ("heap decrease", `Quick, test_heap_decrease);
+    heap_layout_matches_swap_sift;
+    watch_pool_matches_model;
+    ("watch pool slots", `Quick, test_watch_pool_slots);
     ("solver trivial sat", `Quick, test_trivial_sat);
     ("solver trivial unsat", `Quick, test_trivial_unsat);
     ("solver empty clause", `Quick, test_empty_clause);
@@ -435,6 +626,8 @@ let suite =
     ("solver capacity/reserve", `Quick, test_capacity_reserve);
     ("sanitized dimacs corpus", `Quick, test_sanitized_dimacs_corpus);
     ("sanitized pigeonhole", `Quick, test_sanitized_pigeonhole);
+    ("sanitized collection and vivification", `Quick,
+     test_sanitized_collect_and_vivify);
     sanitized_solver_agrees_with_brute_force;
     ("dimacs parse", `Quick, test_dimacs_parse);
     ("dimacs roundtrip", `Quick, test_dimacs_roundtrip);

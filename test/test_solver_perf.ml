@@ -132,9 +132,10 @@ let test_counters_fire () =
   Alcotest.(check bool) "minimization fired" true (st.minimized_lits > 0)
 
 (* The hot loop is allocation-free by construction: clauses live in the
-   flat arena, watchers in flat pair vectors, analysis reuses scratch
-   buffers, and the VSIDS heap compares activities as unboxed floats.
-   What still allocates is deliberate, periodic maintenance —
+   flat arena, watchers in one unboxed pool per watch-list family,
+   analysis reuses scratch buffers, and the VSIDS heap compares
+   activities as unboxed floats; an arena collection remaps the pools in
+   place.  What still allocates is deliberate, periodic maintenance —
    inprocessing snapshots and clause-database reduction — which amounts
    to a few words per propagation on a deep search.  The budget below
    (the same 8 words/prop ceiling the bench regression guard uses)
@@ -156,6 +157,66 @@ let test_allocation_free_hot_loop () =
       "search allocates: %d minor words over %d propagations (%.3f \
        words/prop, budget 8.0)"
       st.minor_words st.propagations words_per_prop
+
+(* Set-up allocates a few dozen objects: the per-variable and per-literal
+   arrays and both watch pools are each one array, and arrays this large
+   go straight to the major heap.  Per-literal records would each be
+   promoted by the next minor collection (two per literal, about 48
+   words per variable).  The promoted-word counter repeats exactly on one
+   domain, so this gates without a clock. *)
+let test_create_promotes_little () =
+  Gc.minor ();
+  let _, before, _ = Gc.counters () in
+  let s = Solver.create ~capacity:2000 () in
+  Gc.minor ();
+  let _, after, _ = Gc.counters () in
+  ignore (Sys.opaque_identity s);
+  let promoted = int_of_float (after -. before) in
+  if promoted >= 2000 then
+    Alcotest.failf
+      "Solver.create ~capacity:2000 promoted %d words (budget: under 2000)"
+      promoted
+
+(* -- pinned search ---------------------------------------------------------- *)
+
+(* A kernel change that claims to keep the search (same decisions,
+   conflicts and propagations, only faster) must reproduce these counts
+   exactly.  They were recorded before the watch lists moved into one
+   pool per family and the VSIDS heap started percolating with a hole;
+   a change that moves them changed the search, not just its speed. *)
+let pinned_counts name (st : Solver.stats) (conflicts, decisions, props) =
+  Alcotest.(check (list int))
+    (name ^ ": conflicts, decisions, propagations")
+    [ conflicts; decisions; props ]
+    [ st.conflicts; st.decisions; st.propagations ]
+
+let test_pinned_pigeonhole () =
+  let s = Solver.create () in
+  pigeonhole s 7;
+  Alcotest.(check bool) "unsat" true (Solver.solve s = Solver.Unsat);
+  pinned_counts "pigeonhole 7" (Solver.stats s) (4299, 5158, 117012)
+
+(* Table 1's 3_17_13 under the [Minimal] strategy on the QX4 triangle
+   {0, 1, 2}, minimized cold (no warm start) to its proven optimum. *)
+let test_pinned_minimal_encoding () =
+  let module Encoding = Qxm_exact.Encoding in
+  let entry = Option.get (Qxm_benchmarks.Suite.by_name "3_17_13") in
+  let cnots = Qxm_circuit.Circuit.cnots entry.circuit in
+  let arch, _ = Qxm_arch.Coupling.induce Qxm_arch.Devices.qx4 [ 0; 1; 2 ] in
+  let inst =
+    {
+      Encoding.arch;
+      num_logical = 3;
+      cnots = Array.of_list cnots;
+      spots = Qxm_exact.Strategy.spots Qxm_exact.Strategy.Minimal cnots;
+    }
+  in
+  let s = Solver.create ~capacity:(Encoding.var_capacity_hint inst) () in
+  let cnf = Cnf.create s in
+  let built = Encoding.build cnf inst in
+  let o = Minimize.minimize ~cnf ~objective:(Encoding.objective built) () in
+  Alcotest.(check bool) "optimal" true o.optimal;
+  pinned_counts "3_17_13 minimal" (Solver.stats s) (688, 7391, 76693)
 
 let test_stats_sum () =
   let s = Solver.create () in
@@ -278,6 +339,12 @@ let suite =
       test_counters_fire;
     Alcotest.test_case "allocation: hot loop is (near) allocation-free" `Quick
       test_allocation_free_hot_loop;
+    Alcotest.test_case "allocation: solver set-up promotes little" `Quick
+      test_create_promotes_little;
+    Alcotest.test_case "search: pinned counts on pigeonhole 7" `Quick
+      test_pinned_pigeonhole;
+    Alcotest.test_case "search: pinned counts on a Minimal encoding" `Quick
+      test_pinned_minimal_encoding;
     Alcotest.test_case "stats: zero/add algebra" `Quick test_stats_sum;
     test_warm_start_optimum;
     test_infeasible_seed_falls_back;
