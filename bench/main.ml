@@ -207,8 +207,7 @@ let emit_json ~suite ?flight_prefix file =
                       \"propagations\": %d, \"binary_propagations\": %d, \
                       \"props_per_sec\": %.0f, \"minor_words\": %d, \
                       \"arena_collections\": %d, \"arena_relocations\": %d, \
-                      \"minimized_lits\": %d, \"subsumed_clauses\": %d, \
-                      \"vivified_clauses\": %d, \"glue\": [%d, %d, %d, %d, \
+                      \"minimized_lits\": %d, \"glue\": [%d, %d, %d, %d, \
                       %d]"
                      r.total_gates r.f_cost r.objective_cost r.optimal
                      (not r.optimal) (verified_json r.verified) r.solves
@@ -217,8 +216,7 @@ let emit_json ~suite ?flight_prefix file =
                      st.Solver.propagations st.Solver.binary_propagations
                      props_per_sec st.Solver.minor_words
                      st.Solver.arena_collections st.Solver.arena_relocations
-                     st.Solver.minimized_lits st.Solver.subsumed_clauses
-                     st.Solver.vivified_clauses st.Solver.glue_1
+                     st.Solver.minimized_lits st.Solver.glue_1
                      st.Solver.glue_2 st.Solver.glue_3_4 st.Solver.glue_5_8
                      st.Solver.glue_9_plus),
                   not r.optimal )

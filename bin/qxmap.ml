@@ -148,12 +148,11 @@ let print_sat_stats (s : Solver.stats) =
     "solver: %d conflicts, %d decisions, %d propagations (%d binary), %d \
      restarts\n\
      solver: glue histogram 1:%d 2:%d 3-4:%d 5-8:%d 9+:%d\n\
-     solver: %d literals minimized away, %d clauses subsumed, %d vivified\n\
+     solver: %d literals minimized away\n\
      solver: %d arena collections, %d clauses relocated\n"
     s.conflicts s.decisions s.propagations s.binary_propagations s.restarts
     s.glue_1 s.glue_2 s.glue_3_4 s.glue_5_8 s.glue_9_plus s.minimized_lits
-    s.subsumed_clauses s.vivified_clauses s.arena_collections
-    s.arena_relocations
+    s.arena_collections s.arena_relocations
 
 (* -- machine-readable report ---------------------------------------------- *)
 
@@ -548,8 +547,8 @@ let map_cmd =
           ~doc:
             "Print aggregated SAT-solver statistics on stderr after \
              mapping: conflicts, propagations (total and binary-watch), \
-             the learnt-clause glue histogram, and the minimization / \
-             subsumption / vivification counters.")
+             the learnt-clause glue histogram, the minimization counter \
+             and the clause-arena collection counters.")
   in
   let jobs_arg =
     Arg.(

@@ -199,7 +199,7 @@ type report = {
       (** Field-wise sum of the solver statistics of every SAT search
           this call ran (all candidates, including pruned and dropped
           ones, plus the canonical re-solve when the race could fan
-          out).  Exposes the clause-tier, minimization, and inprocessing
+          out).  Exposes the clause-tier, minimization, and arena
           counters for `--stats` output and the benchmark JSON; see
           [doc/PERFORMANCE.md]. *)
   strategy_name : string;

@@ -682,7 +682,7 @@ let blameable_counter name =
       (* learned-clause maintenance counters are also fair game *)
       List.exists
         (fun prefix -> has_prefix prefix name)
-        [ "glue_"; "subsumed"; "minimized"; "vivified" ]
+        [ "glue_"; "minimized" ]
 
 (* The entry of [fresh] whose [score] against its [base] value is
    highest (the first such on ties): the stage or counter that grew

@@ -17,16 +17,18 @@
    (restore masks with [Int64.max_int] to undo [Int64.of_int]'s sign
    extension).
 
-   Deleted and shrunk clauses leave their words behind as garbage; the
-   [wasted] counter tracks them so the solver can trigger a copying
-   collection ([move]/[forward]) when the fraction grows.  The arena
-   itself never scans for liveness — the solver knows its roots (clause
-   lists, watch lists, reasons) and drives the relocation. *)
+   Deleted clauses leave their words behind as garbage; the [wasted]
+   counter tracks them so the solver can trigger a copying collection
+   ([move]/[forward]) when the fraction grows.  Every header position
+   holds a real clause, so [validate] and [clause_offsets] walk the
+   arena header by header.  The arena itself never scans for liveness —
+   the solver knows its roots (clause lists, watch lists, reasons) and
+   drives the relocation. *)
 
 type t = {
   mutable mem : int array;
   mutable top : int; (* first free word *)
-  mutable wasted : int; (* words owned by deleted or shrunk clauses *)
+  mutable wasted : int; (* words owned by deleted clauses *)
 }
 
 let header_words = 3
@@ -35,12 +37,6 @@ let cref_undef = -1
 let flag_learnt = 1
 let flag_deleted = 2
 let flag_moved = 4
-
-(* Freed tail words of a shrunk clause are overwritten with this marker
-   so the sequential header walks ([validate], [clause_offsets]) stay
-   aligned: a pad word is "size 0, deleted", which no real header can be
-   (sizes are >= 2).  Pads only ever appear at header positions. *)
-let pad_word = flag_deleted
 
 let create ?(capacity = 1024) () =
   { mem = Array.make (max capacity header_words) 0; top = 0; wasted = 0 }
@@ -97,7 +93,6 @@ let bump_activity t c inc =
   act > 1e20
 
 let lit t c i = Array.unsafe_get t.mem (c + header_words + i)
-let set_lit t c i l = Array.unsafe_set t.mem (c + header_words + i) l
 
 let lits t c = Array.sub t.mem (c + header_words) (size t c)
 
@@ -113,19 +108,6 @@ let alloc_vec t ~learnt ~lbd v len =
   done;
   t.top <- t.top + header_words + len;
   c
-
-(* Shrink a clause in place to its first [n] literals; the tail words
-   become garbage. *)
-let shrink_clause t c n =
-  let old = size t c in
-  if n > old || n < 1 then invalid_arg "Arena.shrink_clause";
-  if n < old then begin
-    t.mem.(c) <- (n lsl 3) lor (t.mem.(c) land 7);
-    for i = c + header_words + n to c + header_words + old - 1 do
-      t.mem.(i) <- pad_word
-    done;
-    t.wasted <- t.wasted + (old - n)
-  end
 
 (* -- copying collection -------------------------------------------------- *)
 
@@ -165,8 +147,7 @@ let validate ?(nvars = max_int) t =
   while (not !stop) && !c < t.top do
     let header = t.mem.(!c) in
     let n = header lsr 3 in
-    if header = pad_word then incr c (* freed tail of a shrunk clause *)
-    else if header land flag_moved <> 0 then begin
+    if header land flag_moved <> 0 then begin
       issue "clause at %d carries the moved flag outside a collection" !c;
       stop := true
     end
@@ -205,14 +186,11 @@ let clause_offsets t =
   let c = ref 0 in
   let stop = ref false in
   while (not !stop) && !c < t.top do
-    if t.mem.(!c) = pad_word then incr c
+    let n = size t !c in
+    if n < 2 || !c + header_words + n > t.top then stop := true
     else begin
-      let n = size t !c in
-      if n < 2 || !c + header_words + n > t.top then stop := true
-      else begin
-        offs := !c :: !offs;
-        c := !c + header_words + n
-      end
+      offs := !c :: !offs;
+      c := !c + header_words + n
     end
   done;
   List.rev !offs

@@ -7,10 +7,10 @@
     indexing — no record or array object per clause, no pointer chasing,
     no GC write barriers on the hot path.
 
-    Deleted and shrunk clauses leave garbage words behind, tracked by
-    {!wasted}; the solver triggers a copying collection with
-    {!move}/{!forward} when the garbage fraction grows and remaps its own
-    roots (clause lists, watch lists, reasons). *)
+    Deleted clauses leave garbage words behind, tracked by {!wasted};
+    the solver triggers a copying collection with {!move}/{!forward}
+    when the garbage fraction grows and remaps its own roots (clause
+    lists, watch lists, reasons). *)
 
 type t
 
@@ -38,7 +38,7 @@ val top : t -> int
 (** First free word — the arena's current size in words. *)
 
 val wasted : t -> int
-(** Garbage words owned by deleted or shrunk clauses. *)
+(** Garbage words owned by deleted clauses. *)
 
 val size : t -> int -> int
 (** Number of literals of the clause at a cref. *)
@@ -72,7 +72,6 @@ val bump_activity : t -> int -> float -> bool
     allocates nothing. *)
 
 val lit : t -> int -> int -> Lit.t
-val set_lit : t -> int -> int -> Lit.t -> unit
 
 val lits : t -> int -> Lit.t array
 (** Copy of the clause's literals (for proof logging and audits). *)
@@ -80,10 +79,6 @@ val lits : t -> int -> Lit.t array
 val alloc_vec : t -> learnt:bool -> lbd:int -> Vec.Int.t -> int -> int
 (** [alloc_vec t ~learnt ~lbd v len]: allocate a clause holding the first
     [len] entries of [v]; returns its cref.  Activity starts at 0. *)
-
-val shrink_clause : t -> int -> int -> unit
-(** Shrink a clause in place to its first [n] literals (vivification);
-    the tail words become garbage. *)
 
 val move : t -> into:t -> int -> int
 (** Relocate one live clause into a destination arena, installing a

@@ -2,9 +2,8 @@
 
     When proof logging is enabled on a {!Solver}, every learnt clause is
     recorded, and clause deletions performed by the solver (database
-    reduction, subsumption, vivification) are recorded as {!Delete}
-    steps; a run that ends in [Unsat] (without assumptions) finishes
-    with the empty clause.  Such a trace is checkable by *reverse unit
+    reduction) are recorded as {!Delete} steps; a run that ends in
+    [Unsat] (without assumptions) finishes with the empty clause.  Such a trace is checkable by *reverse unit
     propagation* against the original clauses alone: each learnt clause C
     must yield a conflict when ¬C is asserted and unit propagation runs
     over the live clauses seen so far.  A checked trace certifies

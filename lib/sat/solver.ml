@@ -1,8 +1,7 @@
 (* CDCL solver in the MiniSat lineage with the Glucose-style refinements
    that matter on the paper's instances: LBD ("glue") tiered clause-database
-   management, recursive learnt-clause minimization, inline binary watch
-   lists, and restart-boundary inprocessing (backward subsumption + clause
-   vivification).  Comments mark where we deviate from the published
+   management, recursive learnt-clause minimization and inline binary
+   watch lists.  Comments mark where we deviate from the published
    MiniSat 2.2 / Glucose algorithms.
 
    Data layout: clauses live in a flat int-packed {!Arena} — a clause
@@ -17,7 +16,7 @@
 
    Observability: every [solve] runs inside a [Qxm_obs.Trace] span (a
    single branch when tracing is off), restart boundaries emit instant
-   events, and inprocessing / database reduction get their own spans.
+   events, and database reduction gets its own span.
    Statistics flow into the [Qxm_obs.Metrics] registry through a
    watermark flush (see [flush_metrics]) so per-worker solver instances
    merge into process-wide counters without touching the hot path. *)
@@ -37,8 +36,6 @@ type stats = {
   clock_polls : int;
   minimized_lits : int;
   binary_propagations : int;
-  subsumed_clauses : int;
-  vivified_clauses : int;
   glue_1 : int;
   glue_2 : int;
   glue_3_4 : int;
@@ -59,8 +56,6 @@ let zero_stats =
     clock_polls = 0;
     minimized_lits = 0;
     binary_propagations = 0;
-    subsumed_clauses = 0;
-    vivified_clauses = 0;
     glue_1 = 0;
     glue_2 = 0;
     glue_3_4 = 0;
@@ -81,8 +76,6 @@ let add_stats a b =
     clock_polls = a.clock_polls + b.clock_polls;
     minimized_lits = a.minimized_lits + b.minimized_lits;
     binary_propagations = a.binary_propagations + b.binary_propagations;
-    subsumed_clauses = a.subsumed_clauses + b.subsumed_clauses;
-    vivified_clauses = a.vivified_clauses + b.vivified_clauses;
     glue_1 = a.glue_1 + b.glue_1;
     glue_2 = a.glue_2 + b.glue_2;
     glue_3_4 = a.glue_3_4 + b.glue_3_4;
@@ -103,8 +96,6 @@ let sub_stats a b =
     clock_polls = a.clock_polls - b.clock_polls;
     minimized_lits = a.minimized_lits - b.minimized_lits;
     binary_propagations = a.binary_propagations - b.binary_propagations;
-    subsumed_clauses = a.subsumed_clauses - b.subsumed_clauses;
-    vivified_clauses = a.vivified_clauses - b.vivified_clauses;
     glue_1 = a.glue_1 - b.glue_1;
     glue_2 = a.glue_2 - b.glue_2;
     glue_3_4 = a.glue_3_4 - b.glue_3_4;
@@ -118,8 +109,8 @@ let sub_stats a b =
 (* Canonical (name, value) enumeration of the counters — the bridge
    between the record (field-wise [add_stats]) and the metrics registry
    (atomic merge).  The two aggregation routes must agree; a test holds
-   them to it.  New fields append at the end so older consumers of the
-   prefix keep their positions. *)
+   them to it.  Consumers read the counters by name, never by
+   position. *)
 let stats_counters st =
   [
     ("conflicts", st.conflicts);
@@ -130,8 +121,6 @@ let stats_counters st =
     ("clock_polls", st.clock_polls);
     ("minimized_lits", st.minimized_lits);
     ("binary_propagations", st.binary_propagations);
-    ("subsumed_clauses", st.subsumed_clauses);
-    ("vivified_clauses", st.vivified_clauses);
     ("glue_1", st.glue_1);
     ("glue_2", st.glue_2);
     ("glue_3_4", st.glue_3_4);
@@ -184,8 +173,6 @@ type t = {
   mutable learnt_literals : int;
   mutable minimized_lits : int;
   mutable binary_propagations : int;
-  mutable subsumed_clauses : int;
-  mutable vivified_clauses : int;
   mutable minor_words : int; (* minor-heap words allocated inside solve *)
   mutable arena_collections : int;
   mutable arena_relocations : int;
@@ -218,16 +205,11 @@ type t = {
 let var_decay = 1.0 /. 0.95
 let cla_decay = 1.0 /. 0.999
 
-(* Tier boundaries and inprocessing budgets.  Core clauses (glue <= 2)
-   are kept forever; mid-tier clauses (glue <= [mid_lbd]) survive while
-   they fit a geometric budget; everything else is the local tier, halved
-   on every reduction.  Inprocessing runs every [inprocess_interval]
-   restarts under explicit work budgets (propagation counts, not wall
-   clock: the clock is never polled here). *)
+(* Tier boundaries.  Core clauses (glue <= 2) are kept forever;
+   mid-tier clauses (glue <= [mid_lbd]) survive while they fit a
+   geometric budget; everything else is the local tier, halved on every
+   reduction. *)
 let mid_lbd = 6
-let inprocess_interval = 10
-let subsume_budget = 40_000
-let vivify_budget = 30_000
 
 (* -- storage growth ------------------------------------------------------- *)
 
@@ -298,8 +280,6 @@ let create ?(capacity = 0) () =
       learnt_literals = 0;
       minimized_lits = 0;
       binary_propagations = 0;
-      subsumed_clauses = 0;
-      vivified_clauses = 0;
       minor_words = 0;
       arena_collections = 0;
       arena_relocations = 0;
@@ -373,8 +353,6 @@ let current_stats s =
     clock_polls = s.clock_polls;
     minimized_lits = s.minimized_lits;
     binary_propagations = s.binary_propagations;
-    subsumed_clauses = s.subsumed_clauses;
-    vivified_clauses = s.vivified_clauses;
     glue_1 = s.glue_hist.(0);
     glue_2 = s.glue_hist.(1);
     glue_3_4 = s.glue_hist.(2);
@@ -530,20 +508,6 @@ let attach s c =
     Watches.push s.watches (Lit.negate l0) c l1;
     Watches.push s.watches (Lit.negate l1) c l0
   end
-
-(* Eager watcher removal — only for clauses that may be re-attached
-   (vivification).  Ordinary deletion is lazy: [remove_clause] flags the
-   header and stale watchers are dropped by [propagate] or the next
-   arena collection. *)
-let detach s c =
-  let a = s.arena in
-  let drop cr = if cr = c then Arena.cref_undef else cr in
-  let remove l =
-    if Arena.size a c = 2 then Watches.remap s.bin_watches l 1 drop
-    else Watches.remap s.watches l 0 drop
-  in
-  remove (Lit.negate (Arena.lit a c 0));
-  remove (Lit.negate (Arena.lit a c 1))
 
 let locked s c =
   let l0 = Arena.lit s.arena c 0 in
@@ -1117,241 +1081,6 @@ let remove_satisfied s db =
   done;
   Vec.Int.shrink db !j
 
-(* -- inprocessing --------------------------------------------------------- *)
-
-(* Backward subsumption over the learnt database: a clause deletes every
-   live learnt superset of itself.  Signatures prune most candidate pairs;
-   the scan walks the occurrence list of the rarest literal.  Deletions
-   flow through [remove_clause], which logs a [Proof.Delete] step when a
-   trace is being recorded; the budget counts literal comparisons, so no
-   clock is involved. *)
-let backward_subsume s =
-  let a = s.arena in
-  (* snapshot the live learnt clauses into a flat cref array; literals
-     are read straight out of the arena below, so no per-clause literal
-     array is ever materialized *)
-  let n_live = ref 0 in
-  Vec.Int.iter
-    (fun c -> if not (Arena.deleted a c) then incr n_live)
-    s.learnts;
-  let ncls = !n_live in
-  if ncls > 1 then begin
-    let cls = Array.make ncls 0 in
-    let k = ref 0 in
-    Vec.Int.iter
-      (fun c ->
-        if not (Arena.deleted a c) then begin
-          cls.(!k) <- c;
-          incr k
-        end)
-      s.learnts;
-    let signature c =
-      let acc = ref 0 in
-      for i = 0 to Arena.size a c - 1 do
-        acc := !acc lor (1 lsl (Arena.lit a c i mod 62))
-      done;
-      !acc
-    in
-    let sigs = Array.map signature cls in
-    (* occurrence lists in CSR form: occ_clause.(occ_start.(l) ..
-       occ_start.(l+1)-1) holds the [cls] indices of the clauses that
-       contain literal [l], in ascending index order — two flat int
-       arrays instead of 2*nvars cons lists *)
-    let occ_start = Array.make ((2 * s.nvars) + 1) 0 in
-    Array.iter
-      (fun c ->
-        for i = 0 to Arena.size a c - 1 do
-          let l = Arena.lit a c i in
-          occ_start.(l + 1) <- occ_start.(l + 1) + 1
-        done)
-      cls;
-    for l = 1 to 2 * s.nvars do
-      occ_start.(l) <- occ_start.(l) + occ_start.(l - 1)
-    done;
-    let occ_clause = Array.make (max occ_start.(2 * s.nvars) 1) 0 in
-    let fill = Array.copy occ_start in
-    Array.iteri
-      (fun ci c ->
-        for i = 0 to Arena.size a c - 1 do
-          let l = Arena.lit a c i in
-          occ_clause.(fill.(l)) <- ci;
-          fill.(l) <- fill.(l) + 1
-        done)
-      cls;
-    let occ_len l = occ_start.(l + 1) - occ_start.(l) in
-    let order = Array.init ncls Fun.id in
-    Array.sort
-      (fun x y -> compare (Arena.size a cls.(x)) (Arena.size a cls.(y)))
-      order;
-    let budget = ref subsume_budget in
-    let mem l c =
-      let n = Arena.size a c in
-      let i = ref 0 in
-      let found = ref false in
-      while (not !found) && !i < n do
-        if Arena.lit a c !i = l then found := true;
-        incr i
-      done;
-      !found
-    in
-    let subset small big =
-      let n = Arena.size a small in
-      let i = ref 0 in
-      let ok = ref true in
-      while !ok && !i < n do
-        if not (mem (Arena.lit a small !i) big) then ok := false;
-        incr i
-      done;
-      !ok
-    in
-    Array.iter
-      (fun ci ->
-        let c = cls.(ci) in
-        if (not (Arena.deleted a c)) && Arena.size a c <= 16 && !budget > 0
-        then begin
-          let min_lit = ref (Arena.lit a c 0) in
-          for i = 0 to Arena.size a c - 1 do
-            let l = Arena.lit a c i in
-            if occ_len l < occ_len !min_lit then min_lit := l
-          done;
-          for oi = occ_start.(!min_lit) to occ_start.(!min_lit + 1) - 1 do
-            let di = occ_clause.(oi) in
-            let d = cls.(di) in
-            if
-              di <> ci
-              && (not (Arena.deleted a d))
-              && !budget > 0
-              && Arena.size a d >= Arena.size a c
-              && sigs.(ci) land lnot sigs.(di) = 0
-            then begin
-              budget := !budget - Arena.size a d - Arena.size a c;
-              if subset c d && not (locked s d) then begin
-                remove_clause s d;
-                s.subsumed_clauses <- s.subsumed_clauses + 1
-              end
-            end
-          done
-        end)
-      order
-  end
-
-(* Vivify one learnt clause (already detached, level 0): assume the
-   negation of each literal in turn; a conflict, an implied-true literal,
-   or an implied-false literal all shorten the clause.  The shortened
-   clause is reverse-unit-propagation derivable from the rest of the
-   database, so it is logged like any learnt clause. *)
-type vivify_outcome = V_unchanged | V_shortened of Lit.t list | V_satisfied
-
-let vivify_clause s c =
-  new_decision_level s;
-  let kept = ref [] in
-  let nkept = ref 0 in
-  let stop = ref false in
-  let satisfied = ref false in
-  let len = Arena.size s.arena c in
-  let i = ref 0 in
-  while (not !stop) && !i < len do
-    let l = Arena.lit s.arena c !i in
-    (match lit_value s l with
-    | 1 ->
-        if s.level.(Lit.var l) = 0 then begin
-          satisfied := true;
-          stop := true
-        end
-        else begin
-          (* implied true by the assumed prefix: clause = prefix + l *)
-          kept := l :: !kept;
-          incr nkept;
-          stop := true
-        end
-    | -1 -> () (* implied false: literal is redundant, drop it *)
-    | _ ->
-        kept := l :: !kept;
-        incr nkept;
-        unchecked_enqueue s (Lit.negate l) Arena.cref_undef;
-        if propagate s <> Arena.cref_undef then stop := true
-        (* clause = prefix *));
-    incr i
-  done;
-  cancel_until s 0;
-  if !satisfied then V_satisfied
-  else if !nkept = len then V_unchanged
-  else V_shortened (List.rev !kept)
-
-let vivify s =
-  let a = s.arena in
-  let start_props = s.propagations in
-  let n = Vec.Int.size s.learnts in
-  let idx = ref 0 in
-  while !idx < n && s.ok && s.propagations - start_props < vivify_budget do
-    let c = Vec.Int.get s.learnts !idx in
-    if
-      (not (Arena.deleted a c))
-      && Arena.size a c >= 3
-      && Arena.size a c <= 30
-      && Arena.lbd a c > 2
-      && not (locked s c)
-    then begin
-      detach s c;
-      match vivify_clause s c with
-      | V_unchanged -> attach s c
-      | V_satisfied -> Arena.set_deleted a c
-      | V_shortened lits -> (
-          s.vivified_clauses <- s.vivified_clauses + 1;
-          log_learn s (Array.of_list lits);
-          (* the shortened clause subsumes the original: delete the
-             original from the trace too, before any unit from the
-             shortened clause is enqueued at level 0 *)
-          log_delete s (Arena.lits a c);
-          match lits with
-          | [] ->
-              Arena.set_deleted a c;
-              s.ok <- false;
-              log_learn s [||]
-          | [ l ] -> (
-              Arena.set_deleted a c;
-              match lit_value s l with
-              | 1 -> ()
-              | -1 ->
-                  s.ok <- false;
-                  log_learn s [||]
-              | _ ->
-                  unchecked_enqueue s l Arena.cref_undef;
-                  if propagate s <> Arena.cref_undef then begin
-                    s.ok <- false;
-                    log_learn s [||]
-                  end)
-          | _ ->
-              (* shrink in place: the kept literals are a subsequence of
-                 the original, so they overwrite the prefix and the tail
-                 becomes arena garbage *)
-              let nl = List.length lits in
-              List.iteri (fun i l -> Arena.set_lit a c i l) lits;
-              Arena.shrink_clause a c nl;
-              Arena.set_lbd a c (min (Arena.lbd a c) nl);
-              attach s c)
-    end;
-    incr idx
-  done
-
-(* One restart-boundary inprocessing pass, at decision level 0. *)
-let inprocess s =
-  if s.ok then begin
-    backward_subsume s;
-    if s.ok then vivify s;
-    let j = ref 0 in
-    for i = 0 to Vec.Int.size s.learnts - 1 do
-      let c = Vec.Int.get s.learnts i in
-      if not (Arena.deleted s.arena c) then begin
-        Vec.Int.set s.learnts !j c;
-        incr j
-      end
-    done;
-    Vec.Int.shrink s.learnts !j;
-    recount_core s;
-    maybe_gc s
-  end
-
 (* -- branching ----------------------------------------------------------- *)
 
 let pick_branch_var s =
@@ -1764,16 +1493,7 @@ let solve_raw ?(assumptions = []) ?(conflict_limit = -1) ?(deadline = 0.0) s =
                   finished := true
                 end);
             s.max_learnts <- s.max_learnts *. 1.05;
-            incr restarts;
-            if (not !finished) && !restarts mod inprocess_interval = 0
-            then begin
-              Trace.with_span ~name:"solver.inprocess" (fun () ->
-                  inprocess s);
-              if not s.ok then begin
-                result := Unsat;
-                finished := true
-              end
-            end
+            incr restarts
           done;
           cancel_until s 0;
           sanitize_check s;
@@ -1849,10 +1569,6 @@ module Testing = struct
     else false
 
   let corrupt_arena s = Arena.corrupt_flags s.arena
-
-  let inprocess s =
-    cancel_until s 0;
-    inprocess s
 
   let compact s = garbage_collect s
 end

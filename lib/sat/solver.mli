@@ -94,10 +94,6 @@ type stats = {
           fallback basic) conflict-clause minimization. *)
   binary_propagations : int;
       (** Implications produced by the inline binary watch lists. *)
-  subsumed_clauses : int;
-      (** Learnt clauses deleted by inprocessing backward subsumption. *)
-  vivified_clauses : int;
-      (** Learnt clauses shortened by inprocessing vivification. *)
   glue_1 : int;  (** Learnt clauses with LBD 1 (at learn time). *)
   glue_2 : int;  (** LBD exactly 2 — with bucket 1, the permanent core. *)
   glue_3_4 : int;  (** LBD 3–4. *)
@@ -189,7 +185,7 @@ val set_stop : t -> bool Atomic.t option -> unit
 val enable_proof : t -> unit
 (** Start DRUP proof logging: every clause added from now on is recorded
     as an input, every learnt clause as a proof step, clause deletions
-    (database reduction, subsumption, vivification) as {!Proof.Delete}
+    (database reduction) as {!Proof.Delete}
     steps, and an assumption-free [Unsat] answer ends the trace with the
     empty clause.  Enable before adding clauses. *)
 
@@ -248,10 +244,4 @@ module Testing : sig
   (** Force a copying collection of the clause arena right now,
       regardless of the garbage fraction — the relocation round-trip
       tests use this to exercise cref remapping deterministically. *)
-
-  val inprocess : t -> unit
-  (** Run one inprocessing pass (backward subsumption + vivification over
-      the learnt database) right now, at decision level 0.  The search
-      triggers the same pass at restart boundaries; this hook exists so
-      tests can exercise it deterministically on a prepared solver. *)
 end

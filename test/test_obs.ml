@@ -34,8 +34,6 @@ let stats_gen =
   let* clock_polls = f in
   let* minimized_lits = f in
   let* binary_propagations = f in
-  let* subsumed_clauses = f in
-  let* vivified_clauses = f in
   let* glue_1 = f in
   let* glue_2 = f in
   let* glue_3_4 = f in
@@ -54,8 +52,6 @@ let stats_gen =
       clock_polls;
       minimized_lits;
       binary_propagations;
-      subsumed_clauses;
-      vivified_clauses;
       glue_1;
       glue_2;
       glue_3_4;
@@ -89,8 +85,8 @@ let add_stats_unit =
 let test_stats_counters_shape () =
   let counters = Solver.stats_counters Solver.zero_stats in
   let names = List.map fst counters in
-  Alcotest.(check int) "18 counter fields" 18 (List.length names);
-  Alcotest.(check int) "field names are unique" 18
+  Alcotest.(check int) "16 counter fields" 16 (List.length names);
+  Alcotest.(check int) "field names are unique" 16
     (List.length (List.sort_uniq compare names));
   List.iter
     (fun (name, v) -> Alcotest.(check int) (name ^ " is zero") 0 v)

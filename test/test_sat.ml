@@ -452,11 +452,10 @@ let compaction_roundtrip =
 
 let test_compaction_reclaims () =
   (* a deep search accumulates learnt clauses and lazy deletions; after
-     inprocessing + compaction the arena must hold no garbage *)
+     compaction the arena must hold no garbage *)
   let s = Solver.create () in
   test_pigeonhole_build s 5;
   Alcotest.(check bool) "unsat" true (Solver.solve s = Solver.Unsat);
-  Solver.Testing.inprocess s;
   Solver.Testing.compact s;
   Alcotest.(check (list (pair string string))) "invariants clean" []
     (Solver.check_invariants s);
@@ -535,17 +534,14 @@ let test_sanitized_pigeonhole () =
   with_sanitize (fun () -> test_pigeonhole 5 ())
 
 (* A deep search under the sanitizer that relocates every watch list
-   (an arena collection remaps both pools) and detaches clauses
-   (vivification), audited on exit. *)
-let test_sanitized_collect_and_vivify () =
+   (an arena collection remaps both pools), audited on exit. *)
+let test_sanitized_collect () =
   with_sanitize (fun () ->
       let s = Solver.create () in
       test_pigeonhole_build s 7;
       Alcotest.(check bool) "unsat" true (Solver.solve s = Solver.Unsat);
       let st = Solver.stats s in
       Alcotest.(check bool) "arena collected" true (st.arena_collections > 0);
-      Alcotest.(check bool) "vivification shortened clauses" true
-        (st.vivified_clauses > 0);
       Alcotest.(check (list (pair string string))) "invariants clean" []
         (Solver.check_invariants s))
 
@@ -626,8 +622,7 @@ let suite =
     ("solver capacity/reserve", `Quick, test_capacity_reserve);
     ("sanitized dimacs corpus", `Quick, test_sanitized_dimacs_corpus);
     ("sanitized pigeonhole", `Quick, test_sanitized_pigeonhole);
-    ("sanitized collection and vivification", `Quick,
-     test_sanitized_collect_and_vivify);
+    ("sanitized collection", `Quick, test_sanitized_collect);
     sanitized_solver_agrees_with_brute_force;
     ("dimacs parse", `Quick, test_dimacs_parse);
     ("dimacs roundtrip", `Quick, test_dimacs_roundtrip);
