@@ -57,7 +57,6 @@ let ensure t n =
   end
 
 let size t c = Array.unsafe_get t.mem c lsr 3
-let learnt t c = Array.unsafe_get t.mem c land flag_learnt <> 0
 let deleted t c = Array.unsafe_get t.mem c land flag_deleted <> 0
 
 let set_deleted t c =
@@ -67,7 +66,6 @@ let set_deleted t c =
   end
 
 let lbd t c = Array.unsafe_get t.mem (c + 1)
-let set_lbd t c v = Array.unsafe_set t.mem (c + 1) v
 
 let activity t c =
   Int64.float_of_bits
@@ -96,16 +94,14 @@ let lit t c i = Array.unsafe_get t.mem (c + header_words + i)
 
 let lits t c = Array.sub t.mem (c + header_words) (size t c)
 
-(* Allocate a clause from the first [len] entries of [v]. *)
-let alloc_vec t ~learnt ~lbd v len =
+(* Allocate a clause from the first [len] entries of [lits]. *)
+let alloc t ~learnt ~lbd lits len =
   ensure t (header_words + len);
   let c = t.top in
   t.mem.(c) <- (len lsl 3) lor (if learnt then flag_learnt else 0);
   t.mem.(c + 1) <- lbd;
   t.mem.(c + 2) <- 0;
-  for i = 0 to len - 1 do
-    t.mem.(c + header_words + i) <- Vec.Int.unsafe_get v i
-  done;
+  Array.blit lits 0 t.mem (c + header_words) len;
   t.top <- t.top + header_words + len;
   c
 

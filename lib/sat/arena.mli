@@ -10,7 +10,13 @@
     Deleted clauses leave garbage words behind, tracked by {!wasted};
     the solver triggers a copying collection with {!move}/{!forward}
     when the garbage fraction grows and remaps its own roots (clause
-    lists, watch lists, reasons). *)
+    lists, watch lists, reasons).
+
+    {!Solver}'s hot paths read and write the layout directly on {!mem}
+    — the header word [(size lsl 3) lor flags] at the cref, the LBD at
+    [+1], literal [i] at [+3+i] — rather than calling {!size}, {!lit}
+    or {!lbd}, which a build with [-opaque] cannot inline; a change to
+    the layout must change the solver's accessors too. *)
 
 type t
 
@@ -43,14 +49,12 @@ val wasted : t -> int
 val size : t -> int -> int
 (** Number of literals of the clause at a cref. *)
 
-val learnt : t -> int -> bool
 val deleted : t -> int -> bool
 
 val set_deleted : t -> int -> unit
 (** Mark deleted (idempotent); adds the clause's words to {!wasted}. *)
 
 val lbd : t -> int -> int
-val set_lbd : t -> int -> int -> unit
 
 val activity : t -> int -> float
 (** Clause activity; stored losslessly as the float's bit pattern (clause
@@ -76,9 +80,9 @@ val lit : t -> int -> int -> Lit.t
 val lits : t -> int -> Lit.t array
 (** Copy of the clause's literals (for proof logging and audits). *)
 
-val alloc_vec : t -> learnt:bool -> lbd:int -> Vec.Int.t -> int -> int
-(** [alloc_vec t ~learnt ~lbd v len]: allocate a clause holding the first
-    [len] entries of [v]; returns its cref.  Activity starts at 0. *)
+val alloc : t -> learnt:bool -> lbd:int -> Lit.t array -> int -> int
+(** [alloc t ~learnt ~lbd lits len]: allocate a clause holding the first
+    [len] entries of [lits]; returns its cref.  Activity starts at 0. *)
 
 val move : t -> into:t -> int -> int
 (** Relocate one live clause into a destination arena, installing a

@@ -21,9 +21,14 @@ let parse_string text =
         clauses := List.rev !current :: !clauses;
         current := []
     | Some i ->
-        if !num_vars >= 0 && abs i > !num_vars then
-          fail lineno "literal %d exceeds the %d variables declared" i
-            !num_vars;
+        (* both signs are compared: [abs min_int] is negative; without a
+           problem line the header's own cap bounds a literal, so [load]
+           never allocates more variables than a header could declare *)
+        let declared = !num_vars >= 0 in
+        let bound = if declared then !num_vars else max_declared_vars in
+        if i > bound || i < -bound then
+          fail lineno "literal %d exceeds the %d variables %s" i bound
+            (if declared then "declared" else "a problem line may declare");
         current := Lit.of_int i :: !current
   in
   List.iteri

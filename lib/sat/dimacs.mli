@@ -14,7 +14,9 @@ val parse_string : string -> problem
     ([p cnf <vars> <clauses>]) and zero-terminated clauses; tolerates a
     clause count that disagrees with the header.
     @raise Parse_error on malformed input (bad tokens, literals beyond the
-    declared variable count, duplicate or unparseable problem lines). *)
+    declared variable count — or, with no problem line, beyond the count
+    a problem line may declare — duplicate or unparseable problem
+    lines). *)
 
 val parse_file : string -> problem
 

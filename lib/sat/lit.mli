@@ -3,7 +3,12 @@
     A literal packs a 0-based variable index and a polarity into one
     integer: variable [v] positive is [2*v], negative is [2*v+1].  This is
     the classical MiniSat representation; it makes watch lists indexable by
-    literal and negation a single xor. *)
+    literal and negation a single xor.
+
+    {!Solver} reads this encoding directly on its hot paths ([l lsr 1],
+    [l land 1], [l lxor 1]) rather than calling {!var}, {!sign} and
+    {!negate}, which a build with [-opaque] cannot inline; a change to
+    the encoding must change its accessors too. *)
 
 type t = int
 

@@ -14,6 +14,21 @@
    ([garbage_collect]) that remaps every root the solver holds: clause
    lists, watch lists and the reason array.
 
+   Cross-module calls: the hot paths (propagation, enqueue, backtracking,
+   conflict analysis and minimization) make none into [Vec], [Lit] or
+   [Arena].  The trail, its level boundaries and the analysis scratch
+   buffers are plain [int array]s with a size, sized by [reserve] to
+   their bounds (every one is bounded by the variable count, the level
+   boundaries also by the assumptions), so a push needs no growth check.
+   Literals and clause headers are read through the encodings [Lit]
+   (2v / 2v+1) and [Arena] (header word, LBD word, literals from +3)
+   document, by the small accessors below.  A build that passes
+   [-opaque] to ocamlopt, as dune's default dev profile does, inlines
+   nothing across modules, so each such call would be a real call;
+   inside this unit the compiler inlines the accessors under any
+   profile.  Taking those calls out cut qxbench's [minimal] median
+   mapping latency by about 23 % (doc/PERFORMANCE.md).
+
    Observability: every [solve] runs inside a [Qxm_obs.Trace] span (a
    single branch when tracing is off), restart boundaries emit instant
    events, and database reduction gets its own span.
@@ -156,8 +171,10 @@ type t = {
   bin_watches : Watches.t; (* per literal: (other, cref) *)
   clauses : Vec.Int.t; (* problem clause crefs *)
   learnts : Vec.Int.t; (* learnt clause crefs *)
-  trail : Vec.Int.t;
-  trail_lim : Vec.Int.t;
+  mutable trail : int array; (* assigned literals, in order *)
+  mutable trail_size : int;
+  mutable trail_lim : int array; (* per decision level: its trail start *)
+  mutable trail_lim_size : int; (* the decision level *)
   mutable qhead : int;
   order : Heap.t;
   mutable var_inc : float;
@@ -184,11 +201,13 @@ type t = {
   mutable lbd_stamp : int;
   mutable lbd_mark : int array; (* per decision level, stamped *)
   mutable assumptions : Lit.t array;
-  analyze_toclear : Vec.Int.t;
-  analyze_stack : Vec.Int.t;
-  out_learnt : Vec.Int.t; (* analyze scratch: first-UIP clause *)
-  minimized : Vec.Int.t; (* analyze scratch: minimized clause *)
-  lit_buf : Vec.Int.t; (* add_clause scratch *)
+  mutable analyze_toclear : int array; (* analyze scratch: seen vars *)
+  mutable toclear_size : int;
+  mutable analyze_stack : int array; (* lit_redundant_rec's DFS stack *)
+  mutable out_learnt : int array; (* analyze scratch: first-UIP clause *)
+  mutable minimized : int array; (* analyze's result: the learnt clause *)
+  mutable minimized_size : int;
+  mutable clause_buf : int array; (* add_clause scratch *)
   mutable logging : bool;
   mutable proof_inputs : Lit.t array list; (* reversed *)
   mutable proof_steps : Proof.step list; (* reversed *)
@@ -211,6 +230,30 @@ let cla_decay = 1.0 /. 0.999
    reduction. *)
 let mid_lbd = 6
 
+(* -- literal and clause encodings ----------------------------------------- *)
+
+(* [Lit]'s encoding: variable [v] is [2v] positive, [2v+1] negative. *)
+let[@inline] lit_var l = l lsr 1
+let[@inline] lit_sign l = l land 1 = 0
+let[@inline] lit_neg l = l lxor 1
+let[@inline] lit_make v sign = (v lsl 1) lor if sign then 0 else 1
+
+(* [Arena]'s layout, on its [mem] array: the header word
+   [(size lsl 3) lor flags] at the cref, the LBD one word on, and the
+   literals from [Arena.header_words] (3) on. *)
+let[@inline] clause_size (mem : int array) c = Array.unsafe_get mem c lsr 3
+
+let[@inline] clause_learnt (mem : int array) c =
+  Array.unsafe_get mem c land Arena.flag_learnt <> 0
+
+let[@inline] clause_lbd (mem : int array) c = Array.unsafe_get mem (c + 1)
+
+let[@inline] set_clause_lbd (mem : int array) c lbd =
+  Array.unsafe_set mem (c + 1) lbd
+
+let[@inline] clause_lit (mem : int array) c i =
+  Array.unsafe_get mem (c + 3 + i)
+
 (* -- storage growth ------------------------------------------------------- *)
 
 let grow_bytes b n =
@@ -232,7 +275,10 @@ let grow_array a n default =
 (* Pre-size every per-variable and per-literal structure for [n]
    variables, so a caller that knows the encoding size up front (the
    [~capacity] hint of [create]) pays one allocation per structure
-   instead of a doubling cascade during [new_var]. *)
+   instead of a doubling cascade during [new_var].  The trail and the
+   analysis buffers hold each variable at most once (the DFS stack also
+   its root), so these sizes bound them; [solve_raw] widens the
+   per-level arrays for its assumptions. *)
 let reserve s n =
   if n > 0 then begin
     s.assign <- grow_bytes s.assign n;
@@ -242,6 +288,12 @@ let reserve s n =
     s.reason <- grow_array s.reason n Arena.cref_undef;
     s.activity <- grow_array s.activity n 0.0;
     s.lbd_mark <- grow_array s.lbd_mark (n + 1) 0;
+    s.trail <- grow_array s.trail n 0;
+    s.trail_lim <- grow_array s.trail_lim (n + 1) 0;
+    s.analyze_toclear <- grow_array s.analyze_toclear n 0;
+    s.analyze_stack <- grow_array s.analyze_stack (n + 1) 0;
+    s.out_learnt <- grow_array s.out_learnt n 0;
+    s.minimized <- grow_array s.minimized n 0;
     Watches.grow s.watches (2 * n);
     Watches.grow s.bin_watches (2 * n);
     Heap.grow s.order n
@@ -263,8 +315,10 @@ let create ?(capacity = 0) () =
       bin_watches = Watches.create ~capacity:(8 * capacity) ();
       clauses = Vec.Int.create ();
       learnts = Vec.Int.create ();
-      trail = Vec.Int.create ();
-      trail_lim = Vec.Int.create ();
+      trail = [||];
+      trail_size = 0;
+      trail_lim = [||];
+      trail_lim_size = 0;
       qhead = 0;
       order = Heap.create ();
       var_inc = 1.0;
@@ -291,11 +345,13 @@ let create ?(capacity = 0) () =
       lbd_stamp = 0;
       lbd_mark = [||];
       assumptions = [||];
-      analyze_toclear = Vec.Int.create ();
-      analyze_stack = Vec.Int.create ();
-      out_learnt = Vec.Int.create ();
-      minimized = Vec.Int.create ();
-      lit_buf = Vec.Int.create ();
+      analyze_toclear = [||];
+      toclear_size = 0;
+      analyze_stack = [||];
+      out_learnt = [||];
+      minimized = [||];
+      minimized_size = 0;
+      clause_buf = [||];
       logging = false;
       proof_inputs = [];
       proof_steps = [];
@@ -395,33 +451,24 @@ let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
   (* each grow is a no-op when [reserve] already sized the storage *)
-  s.assign <- grow_bytes s.assign s.nvars;
-  s.polarity <- grow_bytes s.polarity s.nvars;
-  s.seen <- grow_bytes s.seen s.nvars;
-  s.level <- grow_array s.level s.nvars 0;
-  s.reason <- grow_array s.reason s.nvars Arena.cref_undef;
-  s.activity <- grow_array s.activity s.nvars 0.0;
-  s.lbd_mark <- grow_array s.lbd_mark (s.nvars + 1) 0;
-  Watches.grow s.watches (2 * s.nvars);
-  Watches.grow s.bin_watches (2 * s.nvars);
-  Heap.grow s.order s.nvars;
+  reserve s s.nvars;
   Heap.push s.order v s.activity;
   v
 
 (* -- assignment queries -------------------------------------------------- *)
 
 (* lbool as int: 1 true, -1 false, 0 undef *)
-let var_value s v =
+let[@inline] var_value s v =
   match Bytes.unsafe_get s.assign v with
   | '\001' -> 1
   | '\002' -> -1
   | _ -> 0
 
-let lit_value s l =
-  let v = var_value s (Lit.var l) in
-  if Lit.sign l then v else -v
+let[@inline] lit_value s l =
+  let v = var_value s (lit_var l) in
+  if lit_sign l then v else -v
 
-let decision_level s = Vec.Int.size s.trail_lim
+let decision_level s = s.trail_lim_size
 
 (* -- activities ---------------------------------------------------------- *)
 
@@ -453,13 +500,12 @@ let cla_decay_all s = s.cla_inc <- s.cla_inc *. cla_decay
 
 (* Distinct decision levels among a clause's literals, stamped so no
    clearing pass is needed.  Level-0 literals do not count. *)
-let lbd_of_clause s c =
+let lbd_of_clause s mem c =
   s.lbd_stamp <- s.lbd_stamp + 1;
   let stamp = s.lbd_stamp in
   let count = ref 0 in
-  let n = Arena.size s.arena c in
-  for i = 0 to n - 1 do
-    let lv = s.level.(Lit.var (Arena.lit s.arena c i)) in
+  for i = 0 to clause_size mem c - 1 do
+    let lv = s.level.(lit_var (clause_lit mem c i)) in
     if lv > 0 && s.lbd_mark.(lv) <> stamp then begin
       s.lbd_mark.(lv) <- stamp;
       incr count
@@ -467,18 +513,18 @@ let lbd_of_clause s c =
   done;
   max 1 !count
 
-let lbd_of_vec s lits =
+(* The glue of [analyze]'s learnt clause. *)
+let lbd_of_learnt s =
   s.lbd_stamp <- s.lbd_stamp + 1;
   let stamp = s.lbd_stamp in
   let count = ref 0 in
-  Vec.Int.iter
-    (fun l ->
-      let lv = s.level.(Lit.var l) in
-      if lv > 0 && s.lbd_mark.(lv) <> stamp then begin
-        s.lbd_mark.(lv) <- stamp;
-        incr count
-      end)
-    lits;
+  for i = 0 to s.minimized_size - 1 do
+    let lv = s.level.(lit_var s.minimized.(i)) in
+    if lv > 0 && s.lbd_mark.(lv) <> stamp then begin
+      s.lbd_mark.(lv) <- stamp;
+      incr count
+    end
+  done;
   max 1 !count
 
 let glue_bucket lbd =
@@ -490,28 +536,28 @@ let glue_bucket lbd =
 
 (* A learnt clause is exempt from deletion: binary, or core glue. *)
 let is_core s c =
-  Arena.learnt s.arena c
-  && (Arena.size s.arena c = 2 || Arena.lbd s.arena c <= 2)
+  let mem = Arena.mem s.arena in
+  clause_learnt mem c && (clause_size mem c = 2 || clause_lbd mem c <= 2)
 
 (* -- clause attachment --------------------------------------------------- *)
 
 let attach s c =
-  let a = s.arena in
-  let l0 = Arena.lit a c 0 and l1 = Arena.lit a c 1 in
-  if Arena.size a c = 2 then begin
+  let mem = Arena.mem s.arena in
+  let l0 = clause_lit mem c 0 and l1 = clause_lit mem c 1 in
+  if clause_size mem c = 2 then begin
     (* binary watcher: the other literal inline, then the cref *)
-    Watches.push s.bin_watches (Lit.negate l0) l1 c;
-    Watches.push s.bin_watches (Lit.negate l1) l0 c
+    Watches.push s.bin_watches (lit_neg l0) l1 c;
+    Watches.push s.bin_watches (lit_neg l1) l0 c
   end
   else begin
     (* long watcher: the cref, then the blocker *)
-    Watches.push s.watches (Lit.negate l0) c l1;
-    Watches.push s.watches (Lit.negate l1) c l0
+    Watches.push s.watches (lit_neg l0) c l1;
+    Watches.push s.watches (lit_neg l1) c l0
   end
 
 let locked s c =
-  let l0 = Arena.lit s.arena c 0 in
-  lit_value s l0 = 1 && s.reason.(Lit.var l0) = c
+  let l0 = clause_lit (Arena.mem s.arena) c 0 in
+  lit_value s l0 = 1 && s.reason.(lit_var l0) = c
 
 let remove_clause s c =
   let a = s.arena in
@@ -525,12 +571,12 @@ let remove_clause s c =
     let sat0 = ref false in
     for i = 0 to n - 1 do
       let l = Arena.lit a c i in
-      if lit_value s l = 1 && s.level.(Lit.var l) = 0 then sat0 := true
+      if lit_value s l = 1 && s.level.(lit_var l) = 0 then sat0 := true
     done;
     if not !sat0 then log_delete s (Arena.lits a c)
   end;
   if is_core s c then s.num_core <- s.num_core - 1;
-  if locked s c then s.reason.(Lit.var (Arena.lit a c 0)) <- Arena.cref_undef;
+  if locked s c then s.reason.(lit_var (Arena.lit a c 0)) <- Arena.cref_undef;
   Arena.set_deleted a c
 
 (* -- arena compaction ----------------------------------------------------- *)
@@ -581,29 +627,32 @@ let maybe_gc s =
 (* -- enqueue / backtrack ------------------------------------------------- *)
 
 let unchecked_enqueue s l reason =
-  let v = Lit.var l in
+  let v = lit_var l in
   assert (var_value s v = 0);
-  Bytes.unsafe_set s.assign v (if Lit.sign l then '\001' else '\002');
+  Bytes.unsafe_set s.assign v (if lit_sign l then '\001' else '\002');
   Array.unsafe_set s.level v (decision_level s);
   Array.unsafe_set s.reason v reason;
-  Vec.Int.push s.trail l
+  s.trail.(s.trail_size) <- l;
+  s.trail_size <- s.trail_size + 1
 
-let new_decision_level s = Vec.Int.push s.trail_lim (Vec.Int.size s.trail)
+let new_decision_level s =
+  s.trail_lim.(s.trail_lim_size) <- s.trail_size;
+  s.trail_lim_size <- s.trail_lim_size + 1
 
 let cancel_until s lvl =
   if decision_level s > lvl then begin
-    let bound = Vec.Int.get s.trail_lim lvl in
-    for i = Vec.Int.size s.trail - 1 downto bound do
-      let l = Vec.Int.get s.trail i in
-      let v = Lit.var l in
-      Bytes.unsafe_set s.polarity v (if Lit.sign l then '\001' else '\000');
+    let bound = s.trail_lim.(lvl) in
+    for i = s.trail_size - 1 downto bound do
+      let l = s.trail.(i) in
+      let v = lit_var l in
+      Bytes.unsafe_set s.polarity v (if lit_sign l then '\001' else '\000');
       Bytes.unsafe_set s.assign v '\000';
       Array.unsafe_set s.reason v Arena.cref_undef;
       Heap.push s.order v s.activity
     done;
     s.qhead <- bound;
-    Vec.Int.shrink s.trail bound;
-    Vec.Int.shrink s.trail_lim lvl
+    s.trail_size <- bound;
+    s.trail_lim_size <- lvl
   end
 
 (* -- propagation --------------------------------------------------------- *)
@@ -617,14 +666,15 @@ let cancel_until s lvl =
    their pool with plain indexing; the long-list pool and offset are
    re-read after a [Watches.push], which may grow the pool.  The push
    never targets the list being scanned: the new watch is not false,
-   while [p]'s watchers watch the false [¬p].  Nothing here allocates on
+   while [p]'s watchers watch the false [¬p].  The scanned list's new
+   length is written straight into [len].  Nothing here allocates on
    the OCaml heap. *)
 let propagate s =
   let mem = Arena.mem s.arena in
   let bw = s.bin_watches and w = s.watches in
   let confl = ref Arena.cref_undef in
-  while !confl = Arena.cref_undef && s.qhead < Vec.Int.size s.trail do
-    let p = Vec.Int.get s.trail s.qhead in
+  while !confl = Arena.cref_undef && s.qhead < s.trail_size do
+    let p = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
     (* binary clauses first: the other literal is inline, so nothing
@@ -640,12 +690,12 @@ let propagate s =
         | 1 -> ()
         | -1 ->
             confl := c;
-            s.qhead <- Vec.Int.size s.trail
+            s.qhead <- s.trail_size
         | _ ->
             (* conflict analysis expects the implied literal in slot 0 *)
             if Array.unsafe_get mem (c + 3) <> other then begin
               Array.unsafe_set mem (c + 3) other;
-              Array.unsafe_set mem (c + 4) (Lit.negate p)
+              Array.unsafe_set mem (c + 4) (lit_neg p)
             end;
             s.binary_propagations <- s.binary_propagations + 1;
             unchecked_enqueue s other c
@@ -669,7 +719,7 @@ let propagate s =
         else if Array.unsafe_get mem c land Arena.flag_deleted <> 0 then ()
           (* lazily deleted: drop the stale watcher *)
         else begin
-          let false_lit = Lit.negate p in
+          let false_lit = lit_neg p in
           if Array.unsafe_get mem (c + 3) = false_lit then begin
             Array.unsafe_set mem (c + 3) (Array.unsafe_get mem (c + 4));
             Array.unsafe_set mem (c + 4) false_lit
@@ -694,7 +744,7 @@ let propagate s =
               let l = Array.unsafe_get mem (c + 3 + !k) in
               Array.unsafe_set mem (c + 4) l;
               Array.unsafe_set mem (c + 3 + !k) false_lit;
-              Watches.push w (Lit.negate l) c first;
+              Watches.push w (lit_neg l) c first;
               pool := w.pool;
               off := w.off.(p)
             end
@@ -705,7 +755,7 @@ let propagate s =
               if lit_value s first = -1 then begin
                 (* conflict: flush queue, keep remaining watchers *)
                 confl := c;
-                s.qhead <- Vec.Int.size s.trail;
+                s.qhead <- s.trail_size;
                 Array.blit !pool (!off + (2 * !i)) !pool (!off + (2 * !j))
                   (2 * (n - !i));
                 j := !j + n - !i;
@@ -716,87 +766,93 @@ let propagate s =
           end
         end
       done;
-      Watches.shrink w p !j
+      w.len.(p) <- !j
     end
   done;
   !confl
 
 (* -- clause addition ----------------------------------------------------- *)
 
-(* Buffered clause insertion: normalize [v] in place (insertion sort,
-   dedup, tautology check, falsified-literal strip) and emit straight
-   into the arena — no intermediate lists, no allocation beyond the
-   clause words themselves.  [v] is clobbered.  This is the path the
-   encoder's [Cnf] buffer feeds. *)
-let add_clause_buf s v =
+(* Insert the clause in [clause_buf.(0 .. n-1)]: normalize it in place
+   (insertion sort, dedup, tautology check, falsified-literal strip) and
+   emit straight into the arena — no intermediate lists, no allocation
+   beyond the clause words themselves. *)
+let add_buffered s n =
   if s.ok then begin
     assert (decision_level s = 0);
-    if s.logging then s.proof_inputs <- Vec.Int.to_array v :: s.proof_inputs;
-    let n = Vec.Int.size v in
+    let b = s.clause_buf in
+    if s.logging then s.proof_inputs <- Array.sub b 0 n :: s.proof_inputs;
     for i = 0 to n - 1 do
-      if Lit.var (Vec.Int.unsafe_get v i) >= s.nvars then
+      if lit_var b.(i) >= s.nvars then
         invalid_arg "Solver.add_clause: unallocated variable"
     done;
     (* in-place insertion sort (clauses are tiny), then dedup *)
     for i = 1 to n - 1 do
-      let x = Vec.Int.unsafe_get v i in
+      let x = b.(i) in
       let j = ref i in
-      while !j > 0 && Vec.Int.unsafe_get v (!j - 1) > x do
-        Vec.Int.unsafe_set v !j (Vec.Int.unsafe_get v (!j - 1));
+      while !j > 0 && b.(!j - 1) > x do
+        b.(!j) <- b.(!j - 1);
         decr j
       done;
-      Vec.Int.unsafe_set v !j x
+      b.(!j) <- x
     done;
     let m = ref 0 in
     for i = 0 to n - 1 do
-      let x = Vec.Int.unsafe_get v i in
-      if !m = 0 || Vec.Int.unsafe_get v (!m - 1) <> x then begin
-        Vec.Int.unsafe_set v !m x;
+      let x = b.(i) in
+      if !m = 0 || b.(!m - 1) <> x then begin
+        b.(!m) <- x;
         incr m
       end
     done;
-    Vec.Int.shrink v !m;
     let tautology = ref false in
     for i = 1 to !m - 1 do
-      let a = Vec.Int.unsafe_get v (i - 1) and b = Vec.Int.unsafe_get v i in
-      if Lit.var a = Lit.var b && a <> b then tautology := true
+      if lit_var b.(i - 1) = lit_var b.(i) && b.(i - 1) <> b.(i) then
+        tautology := true
     done;
     if not !tautology then begin
       let satisfied = ref false in
       let k = ref 0 in
       for i = 0 to !m - 1 do
-        let l = Vec.Int.unsafe_get v i in
+        let l = b.(i) in
         match lit_value s l with
         | 1 -> satisfied := true
         | -1 -> () (* already false at level 0: strip *)
         | _ ->
-            Vec.Int.unsafe_set v !k l;
+            b.(!k) <- l;
             incr k
       done;
-      if not !satisfied then begin
-        Vec.Int.shrink v !k;
+      if not !satisfied then
         match !k with
         | 0 ->
             s.ok <- false;
             log_learn s [||]
         | 1 ->
-            unchecked_enqueue s (Vec.Int.get v 0) Arena.cref_undef;
+            unchecked_enqueue s b.(0) Arena.cref_undef;
             if propagate s <> Arena.cref_undef then begin
               s.ok <- false;
               log_learn s [||]
             end
-        | _ ->
-            let c = Arena.alloc_vec s.arena ~learnt:false ~lbd:0 v !k in
+        | k ->
+            let c = Arena.alloc s.arena ~learnt:false ~lbd:0 b k in
             Vec.Int.push s.clauses c;
             attach s c
-      end
     end
   end
 
+(* The encoder's [Cnf] buffer feeds this path. *)
+let add_clause_buf s v =
+  let n = Vec.Int.size v in
+  s.clause_buf <- grow_array s.clause_buf n 0;
+  for i = 0 to n - 1 do
+    s.clause_buf.(i) <- Vec.Int.unsafe_get v i
+  done;
+  add_buffered s n
+
 let add_clause s lits =
-  Vec.Int.clear s.lit_buf;
-  List.iter (fun l -> Vec.Int.push s.lit_buf l) lits;
-  add_clause_buf s s.lit_buf
+  let n = List.length lits in
+  s.clause_buf <- grow_array s.clause_buf n 0;
+  List.iteri (fun i l -> s.clause_buf.(i) <- l) lits;
+  add_buffered s n
 
 (* -- conflict analysis --------------------------------------------------- *)
 
@@ -804,20 +860,24 @@ let seen_get s v = Bytes.unsafe_get s.seen v = '\001'
 let seen_set s v b =
   Bytes.unsafe_set s.seen v (if b then '\001' else '\000')
 
+(* Mark [v] seen and remember it for the clearing pass. *)
+let mark_seen s v =
+  seen_set s v true;
+  s.analyze_toclear.(s.toclear_size) <- v;
+  s.toclear_size <- s.toclear_size + 1
+
 (* A learnt literal is redundant if its reason clause exists and every other
    literal of that reason is already seen or assigned at level 0.  This is
    MiniSat's "basic" (non-recursive) minimization, kept as the cheap
    fallback for very large learnt clauses. *)
-let lit_redundant_basic s q =
-  let c = s.reason.(Lit.var q) in
+let lit_redundant_basic s mem q =
+  let c = s.reason.(lit_var q) in
   if c = Arena.cref_undef then false
   else begin
     let ok = ref true in
-    let n = Arena.size s.arena c in
-    for i = 0 to n - 1 do
-      let r = Arena.lit s.arena c i in
-      let v = Lit.var r in
-      if v <> Lit.var q && s.level.(v) > 0 && not (seen_get s v) then
+    for i = 0 to clause_size mem c - 1 do
+      let v = lit_var (clause_lit mem c i) in
+      if v <> lit_var q && s.level.(v) > 0 && not (seen_get s v) then
         ok := false
     done;
     !ok
@@ -830,34 +890,35 @@ let abstract_level s v = 1 lsl (s.level.(v) land 31)
    learnt-clause literals) or level 0.  [abstract_levels] is a cheap
    level-set filter that aborts paths leaving the clause's levels.  On
    failure the speculative marks above [top] are rolled back. *)
-let lit_redundant_rec s q abstract_levels =
-  Vec.Int.clear s.analyze_stack;
-  Vec.Int.push s.analyze_stack q;
-  let top = Vec.Int.size s.analyze_toclear in
+let lit_redundant_rec s mem q abstract_levels =
+  let stack = s.analyze_stack in
+  stack.(0) <- q;
+  let sp = ref 1 in
+  let top = s.toclear_size in
   let ok = ref true in
-  while !ok && Vec.Int.size s.analyze_stack > 0 do
-    let p = Vec.Int.pop s.analyze_stack in
-    let c = s.reason.(Lit.var p) in
+  while !ok && !sp > 0 do
+    decr sp;
+    let p = stack.(!sp) in
+    let c = s.reason.(lit_var p) in
     assert (c <> Arena.cref_undef) (* only literals with reasons are pushed *);
-    let n = Arena.size s.arena c in
-    for i = 0 to n - 1 do
-      let r = Arena.lit s.arena c i in
-      let v = Lit.var r in
-      if !ok && v <> Lit.var p && (not (seen_get s v)) && s.level.(v) > 0
+    for i = 0 to clause_size mem c - 1 do
+      let r = clause_lit mem c i in
+      let v = lit_var r in
+      if !ok && v <> lit_var p && (not (seen_get s v)) && s.level.(v) > 0
       then begin
         if
           s.reason.(v) <> Arena.cref_undef
           && abstract_level s v land abstract_levels <> 0
         then begin
-          seen_set s v true;
-          Vec.Int.push s.analyze_stack r;
-          Vec.Int.push s.analyze_toclear v
+          stack.(!sp) <- r;
+          incr sp;
+          mark_seen s v
         end
         else begin
-          for j = top to Vec.Int.size s.analyze_toclear - 1 do
-            seen_set s (Vec.Int.get s.analyze_toclear j) false
+          for j = top to s.toclear_size - 1 do
+            seen_set s s.analyze_toclear.(j) false
           done;
-          Vec.Int.shrink s.analyze_toclear top;
+          s.toclear_size <- top;
           ok := false
         end
       end
@@ -870,106 +931,114 @@ let lit_redundant_rec s q abstract_levels =
    practice only on huge clauses, which are poor clauses anyway. *)
 let deep_minimize_max = 30
 
-(* First-UIP conflict analysis.  [out_learnt] and [minimized] are solver
-   scratch vectors: the returned vector is valid until the next call. *)
+(* First-UIP conflict analysis.  The learnt clause is left in
+   [minimized.(0 .. minimized_size-1)], valid until the next call, with
+   the asserting literal in slot 0 and a literal of the backtrack level
+   in slot 1; the result is the backtrack level.  Nothing in here
+   allocates arena words, so [mem] stays valid throughout. *)
 let analyze s confl =
+  let mem = Arena.mem s.arena in
   let out_learnt = s.out_learnt in
-  Vec.Int.clear out_learnt;
-  Vec.Int.push out_learnt 0 (* slot for the asserting literal *);
-  Vec.Int.clear s.analyze_toclear;
+  let n_out = ref 1 (* slot 0 for the asserting literal *) in
+  s.toclear_size <- 0;
   let path_c = ref 0 in
   let p = ref (-1) (* undef *) in
-  let index = ref (Vec.Int.size s.trail - 1) in
+  let index = ref (s.trail_size - 1) in
   let confl = ref confl in
   let continue = ref true in
   while !continue do
     let c = !confl in
     assert (c <> Arena.cref_undef)
     (* every visited literal has a reason here *);
-    if Arena.learnt s.arena c then begin
+    if clause_learnt mem c then begin
       cla_bump s c;
       (* update-on-use: a clause whose glue drops is promoted, possibly
          into the permanent core tier *)
-      if Arena.lbd s.arena c > 2 then begin
-        let nl = lbd_of_clause s c in
-        if nl < Arena.lbd s.arena c then begin
-          if nl <= 2 && Arena.size s.arena c > 2 then
+      if clause_lbd mem c > 2 then begin
+        let nl = lbd_of_clause s mem c in
+        if nl < clause_lbd mem c then begin
+          if nl <= 2 && clause_size mem c > 2 then
             s.num_core <- s.num_core + 1;
-          Arena.set_lbd s.arena c nl
+          set_clause_lbd mem c nl
         end
       end
     end;
-    let n = Arena.size s.arena c in
-    for ii = 0 to n - 1 do
-      let q = Arena.lit s.arena c ii in
+    for ii = 0 to clause_size mem c - 1 do
+      let q = clause_lit mem c ii in
       if q <> !p then begin
-        let v = Lit.var q in
+        let v = lit_var q in
         if (not (seen_get s v)) && s.level.(v) > 0 then begin
           var_bump s v;
-          seen_set s v true;
-          Vec.Int.push s.analyze_toclear v;
+          mark_seen s v;
           if s.level.(v) >= decision_level s then incr path_c
-          else Vec.Int.push out_learnt q
+          else begin
+            out_learnt.(!n_out) <- q;
+            incr n_out
+          end
         end
       end
     done;
     (* select next literal on the trail to expand *)
-    while not (seen_get s (Lit.var (Vec.Int.get s.trail !index))) do
+    while not (seen_get s (lit_var s.trail.(!index))) do
       decr index
     done;
-    p := Vec.Int.get s.trail !index;
+    p := s.trail.(!index);
     decr index;
-    confl := s.reason.(Lit.var !p);
-    seen_set s (Lit.var !p) false;
+    confl := s.reason.(lit_var !p);
+    seen_set s (lit_var !p) false;
     decr path_c;
     if !path_c <= 0 then continue := false
   done;
-  Vec.Int.set out_learnt 0 (Lit.negate !p);
+  out_learnt.(0) <- lit_neg !p;
+  let n_out = !n_out in
   (* minimize: drop redundant non-asserting literals, recursively up to
      [deep_minimize_max] literals, with the basic check beyond *)
   let abstract_levels = ref 0 in
-  for i = 1 to Vec.Int.size out_learnt - 1 do
+  for i = 1 to n_out - 1 do
     abstract_levels :=
-      !abstract_levels
-      lor abstract_level s (Lit.var (Vec.Int.get out_learnt i))
+      !abstract_levels lor abstract_level s (lit_var out_learnt.(i))
   done;
-  let deep = Vec.Int.size out_learnt <= deep_minimize_max in
+  let deep = n_out <= deep_minimize_max in
   let minimized = s.minimized in
-  Vec.Int.clear minimized;
-  Vec.Int.push minimized (Vec.Int.get out_learnt 0);
-  for i = 1 to Vec.Int.size out_learnt - 1 do
-    let q = Vec.Int.get out_learnt i in
+  minimized.(0) <- out_learnt.(0);
+  let n = ref 1 in
+  for i = 1 to n_out - 1 do
+    let q = out_learnt.(i) in
     let redundant =
-      s.reason.(Lit.var q) <> Arena.cref_undef
+      s.reason.(lit_var q) <> Arena.cref_undef
       &&
-      if deep then lit_redundant_rec s q !abstract_levels
-      else lit_redundant_basic s q
+      if deep then lit_redundant_rec s mem q !abstract_levels
+      else lit_redundant_basic s mem q
     in
-    if not redundant then Vec.Int.push minimized q
+    if not redundant then begin
+      minimized.(!n) <- q;
+      incr n
+    end
   done;
-  s.minimized_lits <-
-    s.minimized_lits + (Vec.Int.size out_learnt - Vec.Int.size minimized);
+  let n = !n in
+  s.minimized_size <- n;
+  s.minimized_lits <- s.minimized_lits + (n_out - n);
   (* compute backtrack level and move the max-level literal to slot 1 *)
   let bt_level =
-    if Vec.Int.size minimized = 1 then 0
+    if n = 1 then 0
     else begin
       let max_i = ref 1 in
-      for i = 2 to Vec.Int.size minimized - 1 do
+      for i = 2 to n - 1 do
         if
-          s.level.(Lit.var (Vec.Int.get minimized i))
-          > s.level.(Lit.var (Vec.Int.get minimized !max_i))
+          s.level.(lit_var minimized.(i))
+          > s.level.(lit_var minimized.(!max_i))
         then max_i := i
       done;
-      let tmp = Vec.Int.get minimized !max_i in
-      Vec.Int.set minimized !max_i (Vec.Int.get minimized 1);
-      Vec.Int.set minimized 1 tmp;
-      s.level.(Lit.var tmp)
+      let tmp = minimized.(!max_i) in
+      minimized.(!max_i) <- minimized.(1);
+      minimized.(1) <- tmp;
+      s.level.(lit_var tmp)
     end
   in
-  (* glue is computed before backjumping, while levels are still live *)
-  let lbd = lbd_of_vec s minimized in
-  Vec.Int.iter (fun v -> seen_set s v false) s.analyze_toclear;
-  (minimized, bt_level, lbd)
+  for i = 0 to s.toclear_size - 1 do
+    seen_set s s.analyze_toclear.(i) false
+  done;
+  bt_level
 
 (* Which assumptions force the conflict when assumption [p] is already
    false: walk the implication graph rooted at p down to decisions.  The
@@ -978,26 +1047,25 @@ let analyze s confl =
 let analyze_final s p =
   let out = ref [ p ] in
   if decision_level s > 0 then begin
-    seen_set s (Lit.var p) true;
-    let lim = Vec.Int.get s.trail_lim 0 in
-    for i = Vec.Int.size s.trail - 1 downto lim do
-      let l = Vec.Int.get s.trail i in
-      let v = Lit.var l in
+    let mem = Arena.mem s.arena in
+    seen_set s (lit_var p) true;
+    for i = s.trail_size - 1 downto s.trail_lim.(0) do
+      let l = s.trail.(i) in
+      let v = lit_var l in
       if seen_get s v then begin
         let r = s.reason.(v) in
-        (if r = Arena.cref_undef then out := Lit.negate l :: !out
+        (if r = Arena.cref_undef then out := lit_neg l :: !out
          else
-           let n = Arena.size s.arena r in
-           for k = 0 to n - 1 do
-             let q = Arena.lit s.arena r k in
-             if s.level.(Lit.var q) > 0 then seen_set s (Lit.var q) true
+           for k = 0 to clause_size mem r - 1 do
+             let q = clause_lit mem r k in
+             if s.level.(lit_var q) > 0 then seen_set s (lit_var q) true
            done);
         seen_set s v false
       end
     done;
-    seen_set s (Lit.var p) false
+    seen_set s (lit_var p) false
   end;
-  s.conflict_core <- List.rev_map Lit.negate !out
+  s.conflict_core <- List.rev_map lit_neg !out
 
 (* -- learnt database reduction ------------------------------------------- *)
 
@@ -1061,10 +1129,10 @@ let reduce_db s =
   maybe_gc s
 
 let clause_satisfied s c =
-  let n = Arena.size s.arena c in
+  let mem = Arena.mem s.arena in
   let sat = ref false in
-  for i = 0 to n - 1 do
-    if lit_value s (Arena.lit s.arena c i) = 1 then sat := true
+  for i = 0 to clause_size mem c - 1 do
+    if lit_value s (clause_lit mem c i) = 1 then sat := true
   done;
   !sat
 
@@ -1112,13 +1180,13 @@ let check_invariants s =
     Printf.ksprintf (fun m -> issues := (area, m) :: !issues) fmt
   in
   (* trail and decision levels *)
-  let tn = Vec.Int.size s.trail in
+  let tn = s.trail_size in
   if s.qhead < 0 || s.qhead > tn then
     issue "trail" "propagation head %d outside trail of size %d" s.qhead tn;
-  let nlim = Vec.Int.size s.trail_lim in
+  let nlim = s.trail_lim_size in
   let prev = ref 0 in
   for k = 0 to nlim - 1 do
-    let b = Vec.Int.get s.trail_lim k in
+    let b = s.trail_lim.(k) in
     if b < !prev || b > tn then
       issue "trail" "decision boundary %d of level %d is not monotone" b
         (k + 1);
@@ -1127,11 +1195,11 @@ let check_invariants s =
   let on_trail = Bytes.make (max s.nvars 1) '\000' in
   let lim_idx = ref 0 in
   for i = 0 to tn - 1 do
-    while !lim_idx < nlim && Vec.Int.get s.trail_lim !lim_idx <= i do
+    while !lim_idx < nlim && s.trail_lim.(!lim_idx) <= i do
       incr lim_idx
     done;
-    let l = Vec.Int.get s.trail i in
-    let v = Lit.var l in
+    let l = s.trail.(i) in
+    let v = lit_var l in
     if v < 0 || v >= s.nvars then
       issue "trail" "trail slot %d holds a literal on unallocated variable"
         i
@@ -1173,7 +1241,7 @@ let check_invariants s =
         issue "arena" "reason of variable %d is invalid cref %d" v r
       else if Arena.deleted a r then
         issue "arena" "reason of variable %d is a deleted clause" v
-      else if Lit.var (Arena.lit a r 0) <> v then
+      else if lit_var (Arena.lit a r 0) <> v then
         issue "arena"
           "reason clause of variable %d does not hold it in slot 0" v
   done;
@@ -1192,7 +1260,7 @@ let check_invariants s =
             if Arena.size a c < 3 then
               issue "watch" "binary or unit clause on a long watch list"
             else begin
-              let fl = Lit.negate l in
+              let fl = lit_neg l in
               if Arena.lit a c 0 <> fl && Arena.lit a c 1 <> fl then
                 issue "watch"
                   "watch list of literal %d references a clause that does \
@@ -1213,7 +1281,7 @@ let check_invariants s =
             if Arena.size a c <> 2 then
               issue "watch" "non-binary clause on a binary watch list"
             else begin
-              let fl = Lit.negate l in
+              let fl = lit_neg l in
               let l0 = Arena.lit a c 0 and l1 = Arena.lit a c 1 in
               let consistent =
                 (l0 = fl && l1 = other) || (l1 = fl && l0 = other)
@@ -1322,24 +1390,24 @@ let search s ~nof_conflicts ~conflict_limit ~deadline =
           log_learn s [||];
           raise (Result Unsat)
         end;
-        let learnt, bt_level, lbd = analyze s confl in
-        if s.logging then log_learn s (Vec.Int.to_array learnt);
+        let bt_level = analyze s confl in
+        (* glue is computed before backjumping, while levels are still
+           live *)
+        let lbd = lbd_of_learnt s in
+        let learnt = s.minimized and n = s.minimized_size in
+        if s.logging then log_learn s (Array.sub learnt 0 n);
         cancel_until s bt_level;
-        s.learnt_literals <- s.learnt_literals + Vec.Int.size learnt;
+        s.learnt_literals <- s.learnt_literals + n;
         s.glue_hist.(glue_bucket lbd) <- s.glue_hist.(glue_bucket lbd) + 1;
         s.lbd_sum <- s.lbd_sum + lbd;
-        (if Vec.Int.size learnt = 1 then
-           unchecked_enqueue s (Vec.Int.get learnt 0) Arena.cref_undef
+        (if n = 1 then unchecked_enqueue s learnt.(0) Arena.cref_undef
          else begin
-           let c =
-             Arena.alloc_vec s.arena ~learnt:true ~lbd learnt
-               (Vec.Int.size learnt)
-           in
+           let c = Arena.alloc s.arena ~learnt:true ~lbd learnt n in
            Vec.Int.push s.learnts c;
            if is_core s c then s.num_core <- s.num_core + 1;
            attach s c;
            cla_bump s c;
-           unchecked_enqueue s (Vec.Int.get learnt 0) c
+           unchecked_enqueue s learnt.(0) c
          end);
         var_decay_all s;
         cla_decay_all s
@@ -1362,7 +1430,7 @@ let search s ~nof_conflicts ~conflict_limit ~deadline =
            if Timeseries.enabled () then
              Timeseries.sample ~conflicts:s.conflicts ~decisions:s.decisions
                ~propagations:s.propagations ~restarts:s.restarts
-               ~trail:(Vec.Int.size s.trail)
+               ~trail:s.trail_size
                ~learnts:(Vec.Int.size s.learnts) ~learnt_core:s.num_core
                ~mean_lbd ~arena_words:(Arena.top s.arena);
            match s.on_progress with
@@ -1373,7 +1441,7 @@ let search s ~nof_conflicts ~conflict_limit ~deadline =
                    pr_decisions = s.decisions;
                    pr_propagations = s.propagations;
                    pr_restarts = s.restarts;
-                   pr_trail = Vec.Int.size s.trail;
+                   pr_trail = s.trail_size;
                    pr_learnts = Vec.Int.size s.learnts;
                    pr_learnt_core = s.num_core;
                    pr_mean_lbd = mean_lbd;
@@ -1386,7 +1454,7 @@ let search s ~nof_conflicts ~conflict_limit ~deadline =
         if decision_level s = 0 then remove_satisfied s s.learnts;
         if
           float_of_int (Vec.Int.size s.learnts - s.num_core)
-          -. float_of_int (Vec.Int.size s.trail)
+          -. float_of_int s.trail_size
           >= s.max_learnts
         then Trace.with_span ~name:"solver.reduce_db" (fun () -> reduce_db s);
         (* extend with assumptions first, then decide *)
@@ -1396,7 +1464,7 @@ let search s ~nof_conflicts ~conflict_limit ~deadline =
           match lit_value s p with
           | 1 -> new_decision_level s (* already satisfied: dummy level *)
           | -1 ->
-              analyze_final s (Lit.negate p);
+              analyze_final s (lit_neg p);
               raise (Result Unsat)
           | _ -> next := p
         done;
@@ -1410,7 +1478,7 @@ let search s ~nof_conflicts ~conflict_limit ~deadline =
             raise (Result Sat)
           end;
           let sign = Bytes.unsafe_get s.polarity v = '\001' in
-          next := Lit.make v sign
+          next := lit_make v sign
         end;
         new_decision_level s;
         unchecked_enqueue s !next Arena.cref_undef
@@ -1460,9 +1528,14 @@ let solve_raw ?(assumptions = []) ?(conflict_limit = -1) ?(deadline = 0.0) s =
         s.assumptions <- Array.of_list assumptions;
         Array.iter
           (fun l ->
-            if Lit.var l >= s.nvars then
+            if lit_var l >= s.nvars then
               invalid_arg "Solver.solve: assumption on unallocated variable")
           s.assumptions;
+        (* a decision level past the assumptions assigns a variable, so
+           this bounds the level count and every level number *)
+        let levels = s.nvars + Array.length s.assumptions + 1 in
+        s.trail_lim <- grow_array s.trail_lim levels 0;
+        s.lbd_mark <- grow_array s.lbd_mark levels 0;
         cancel_until s 0;
         sanitize_check s;
         (if propagate s <> Arena.cref_undef then begin
@@ -1519,9 +1592,9 @@ let solve ?assumptions ?conflict_limit ?deadline s =
 
 let value s l =
   if not s.has_model then invalid_arg "Solver.value: no model";
-  let v = Lit.var l in
+  let v = lit_var l in
   if v >= Array.length s.model then invalid_arg "Solver.value: bad literal";
-  if Lit.sign l then s.model.(v) else not s.model.(v)
+  if lit_sign l then s.model.(v) else not s.model.(v)
 
 let model s =
   if not s.has_model then invalid_arg "Solver.model: no model";
@@ -1547,14 +1620,14 @@ module Testing = struct
     drop_last s.watches || drop_last s.bin_watches
 
   let corrupt_trail s =
-    if Vec.Int.size s.trail > 0 then begin
-      Vec.Int.push s.trail (Vec.Int.get s.trail 0);
+    let push l =
+      s.trail <- grow_array s.trail (s.trail_size + 1) 0;
+      s.trail.(s.trail_size) <- l;
+      s.trail_size <- s.trail_size + 1;
       true
-    end
-    else if s.nvars > 0 then begin
-      Vec.Int.push s.trail (Lit.pos 0);
-      true
-    end
+    in
+    if s.trail_size > 0 then push s.trail.(0)
+    else if s.nvars > 0 then push (Lit.pos 0)
     else false
 
   let corrupt_heap s =

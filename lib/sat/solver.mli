@@ -45,11 +45,10 @@ val add_clause : t -> Lit.t list -> unit
 
 val add_clause_buf : t -> Vec.Int.t -> unit
 (** [add_clause] over a reusable literal buffer: same simplification and
-    semantics, but the literals go straight from the buffer into the
-    clause arena with no intermediate list.  The buffer is clobbered
-    (sorted, deduplicated, stripped) — callers refill it per clause.
-    This is the allocation-free path the encoder's buffered [Cnf.add]
-    uses. *)
+    semantics, but the literals go from the buffer through a
+    solver-owned scratch array into the clause arena with no
+    intermediate list.  The buffer is only read.  This is the
+    allocation-free path the encoder's buffered [Cnf.add] uses. *)
 
 val solve :
   ?assumptions:Lit.t list ->

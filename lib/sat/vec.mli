@@ -1,9 +1,10 @@
-(** Growable arrays used throughout the solver.
+(** Growable arrays for the solver's clause lists and the encoder's
+    clause buffer.
 
-    The solver is deliberately imperative: the trail, clause lists and
-    analysis scratch buffers avoid any per-element boxing for the integer
-    case and amortize growth by doubling.  Watch lists live in
-    {!Watches} pools instead. *)
+    The integer case avoids any per-element boxing and amortizes growth
+    by doubling.  Watch lists live in {!Watches} pools instead, and the
+    solver's trail and analysis buffers are its own plain arrays, sized
+    to their bounds, so its hot paths make no call into this module. *)
 
 (** Growable vector of unboxed [int]s. *)
 module Int : sig
@@ -37,7 +38,6 @@ module Int : sig
   val exists : (int -> bool) -> t -> bool
   val to_list : t -> int list
   val of_list : int list -> t
-  val to_array : t -> int array
   val sort : (int -> int -> int) -> t -> unit
   val unsafe_get : t -> int -> int
   val unsafe_set : t -> int -> int -> unit

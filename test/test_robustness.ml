@@ -79,6 +79,13 @@ let dimacs_corpus =
     ("duplicate problem line", "p cnf 1 1\np cnf 2 2\n1 0\n", 2, "duplicate");
     ("absurd var count", "p cnf 999999999 1\n1 0\n", 1, "unreasonable");
     ("float literal", "p cnf 2 1\n1.5 0\n", 2, "bad token");
+    (* [abs min_int] is negative, so an [abs]-based bound let it through *)
+    ("min_int literal", "p cnf 3 1\n1 -4611686018427387904 0\n", 2,
+     "exceeds");
+    (* no problem line: the header's variable cap still bounds a literal,
+       or [load] would allocate 10^12 variables *)
+    ("huge literal, no problem line", "c none\n1000000000000 0\n", 2,
+     "exceeds");
   ]
 
 let test_dimacs_corpus () =

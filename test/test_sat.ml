@@ -403,11 +403,71 @@ let incremental_assumptions_sound =
       | Solver.Unsat -> not expected
       | Solver.Unknown -> false)
 
+(* Rounds of [new_var], [add_clause] and [solve ~assumptions] on one
+   sanitized solver, each answer checked against brute force over the
+   clauses so far plus the assumptions as units.  The solver starts with
+   no capacity, so the trail and analysis buffers grow between solves;
+   assumptions may repeat, which opens more decision levels than there
+   are variables. *)
+let incremental_rounds_sound =
+  let open QCheck2.Gen in
+  let lit = pair (int_bound 1_000) bool in
+  let round =
+    triple (int_range 1 2)
+      (list_size (int_range 0 8) (list_size (int_range 1 3) lit))
+      (list_size (int_range 0 5) lit)
+  in
+  qtest ~count:150 "sanitized incremental rounds agree with brute force"
+    (list_size (int_range 1 6) round)
+    (fun rounds ->
+      let s = Solver.create () in
+      Solver.set_sanitize s true;
+      let clauses = ref [] in
+      List.for_all
+        (fun (fresh, added, assumed) ->
+          for _ = 1 to fresh do
+            ignore (Solver.new_var s)
+          done;
+          let n = Solver.nvars s in
+          let mk (v, sign) = Lit.make (v mod n) sign in
+          let added = List.map (List.map mk) added in
+          List.iter (Solver.add_clause s) added;
+          clauses := added @ !clauses;
+          let assumed = List.map mk assumed in
+          let expected =
+            brute_sat n (List.map (fun l -> [ l ]) assumed @ !clauses)
+          in
+          match Solver.solve ~assumptions:assumed s with
+          | Solver.Sat ->
+              expected
+              && model_satisfies !clauses (Solver.model s)
+              && List.for_all (Solver.value s) assumed
+          | Solver.Unsat -> not expected
+          | Solver.Unknown -> false)
+        rounds)
+
+(* Six copies of one assumption open five empty decision levels, so the
+   conflict on variable 1 is analysed at level 7 of a 3-variable solver:
+   the per-level arrays must cover the assumptions, not just the
+   variables. *)
+let test_repeated_assumptions () =
+  let s = solver_with 3 in
+  let a = Lit.pos 0 in
+  List.iter
+    (fun (sb, sc) ->
+      Solver.add_clause s [ Lit.negate a; Lit.make 1 sb; Lit.make 2 sc ])
+    [ (true, true); (true, false); (false, true); (false, false) ];
+  let r = Solver.solve ~assumptions:[ a; a; a; a; a; a ] s in
+  Alcotest.(check bool) "unsat" true (r = Solver.Unsat);
+  Alcotest.(check bool) "core is the assumption" true
+    (Solver.unsat_core s = [ a ]);
+  Alcotest.(check bool) "sat without it" true (Solver.solve s = Solver.Sat)
+
 (* -- clause arena ------------------------------------------------------ *)
 
 (* Feeding the same clauses through the list path and the buffered path
-   must produce the same search, propagation for propagation: the
-   buffered path normalizes in place but is otherwise the same code. *)
+   must produce the same search, propagation for propagation: both copy
+   the literals into the solver's scratch array and share the rest. *)
 let buffered_add_equivalent =
   qtest ~count:200 "add_clause_buf matches add_clause"
     (cnf_gen ~max_vars:8 ~max_clauses:30 ~max_len:3)
@@ -616,6 +676,8 @@ let suite =
     solver_agrees_with_brute_force;
     solver_models_are_valid;
     incremental_assumptions_sound;
+    incremental_rounds_sound;
+    ("solver repeated assumptions", `Quick, test_repeated_assumptions);
     buffered_add_equivalent;
     compaction_roundtrip;
     ("arena compaction reclaims", `Quick, test_compaction_reclaims);

@@ -177,6 +177,43 @@ let test_pinned_minimal_encoding () =
   Alcotest.(check bool) "optimal" true o.optimal;
   pinned_counts "3_17_13 minimal" (Solver.stats s) (688, 7391, 76693)
 
+(* The mapper's own search path, which the two cold pins above miss:
+   Table 1's 4gt11_83 under [Qubit_triangle] on all of QX4, seeded as
+   [Mapper] seeds it.  The DP routing goes in as [~warm_start], so the
+   first solve runs the assumption loop before the descent proves the
+   DP's cost optimal.  Recorded before the solver's hot paths stopped
+   calling into [Lit], [Vec] and [Arena]. *)
+let test_pinned_seeded_encoding () =
+  let module Encoding = Qxm_exact.Encoding in
+  let entry = Option.get (Qxm_benchmarks.Suite.by_name "4gt11_83") in
+  let cnots = Qxm_circuit.Circuit.cnots entry.circuit in
+  let arch, _ =
+    Qxm_arch.Coupling.induce Qxm_arch.Devices.qx4 [ 0; 1; 2; 3; 4 ]
+  in
+  let inst =
+    {
+      Encoding.arch;
+      num_logical = 5;
+      cnots = Array.of_list cnots;
+      spots =
+        Qxm_exact.Strategy.spots Qxm_exact.Strategy.Qubit_triangle cnots;
+    }
+  in
+  let s = Solver.create ~capacity:(Encoding.var_capacity_hint inst) () in
+  let cnf = Cnf.create s in
+  let built = Encoding.build cnf inst in
+  let dp = Option.get (Qxm_exact.Dp_exact.solve inst) in
+  let warm_start =
+    Encoding.routing_assumptions built ~layouts:dp.layouts ~flips:dp.flips
+  in
+  let o =
+    Minimize.minimize ~cnf ~objective:(Encoding.objective built) ~warm_start ()
+  in
+  Alcotest.(check bool) "optimal" true o.optimal;
+  Alcotest.(check (option int)) "the DP's cost" (Some dp.cost) o.cost;
+  pinned_counts "4gt11_83 triangle, seeded" (Solver.stats s)
+    (1842, 3165, 123106)
+
 let test_stats_sum () =
   let s = Solver.create () in
   pigeonhole s 4;
@@ -302,6 +339,8 @@ let suite =
       test_pinned_pigeonhole;
     Alcotest.test_case "search: pinned counts on a Minimal encoding" `Quick
       test_pinned_minimal_encoding;
+    Alcotest.test_case "search: pinned counts on a seeded triangle encoding"
+      `Quick test_pinned_seeded_encoding;
     Alcotest.test_case "stats: zero/add algebra" `Quick test_stats_sum;
     test_warm_start_optimum;
     test_infeasible_seed_falls_back;
