@@ -312,37 +312,10 @@ let make_progress_printer () =
   let finish () = if !printed then prerr_newline () in
   (on_progress, finish)
 
-(* Fault-injection knob for exercising degradation paths from the shell:
-   unknown | after=N | truncate=N | seed=K:P *)
+(* Fault-injection knob for exercising degradation paths from the shell;
+   the grammar is Fault.of_string's. *)
 let inject_conv =
-  let parse s =
-    let num name v =
-      match int_of_string_opt v with
-      | Some n when n >= 0 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "bad %s count %S" name v))
-    in
-    match String.split_on_char '=' s with
-    | [ "unknown" ] -> Ok Fault.Always_unknown
-    | [ "after"; n ] -> Result.map (fun n -> Fault.After_solves n) (num "solve" n)
-    | [ "truncate"; n ] ->
-        Result.map (fun n -> Fault.Truncate_conflicts n) (num "conflict" n)
-    | [ "seed"; kp ] -> (
-        match String.split_on_char ':' kp with
-        | [ k; p ] -> (
-            match (int_of_string_opt k, float_of_string_opt p) with
-            | Some seed, Some unknown_prob
-              when unknown_prob >= 0.0 && unknown_prob <= 1.0 ->
-                Ok (Fault.Seeded { seed; unknown_prob })
-            | _ -> Error (`Msg (Printf.sprintf "bad seed spec %S" kp)))
-        | _ -> Error (`Msg "seed spec is seed=<int>:<prob>"))
-    | _ ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "unknown fault spec %S (try: unknown, after=N, truncate=N, \
-                 seed=K:P)"
-                s))
-  in
+  let parse s = Result.map_error (fun e -> `Msg e) (Fault.of_string s) in
   Arg.conv (parse, fun fmt _ -> Format.fprintf fmt "<fault>")
 
 let portfolio_summary (r : Portfolio.report) =

@@ -20,7 +20,6 @@ open Cmdliner
 module Daemon = Qxm_svc.Daemon
 module Sjson = Qxm_json.Sjson
 module Validate = Qxm_svc.Validate
-module Backoff = Qxm_svc.Backoff
 module Fault = Qxm_sat.Fault
 module Timeseries = Qxm_obs.Timeseries
 module Flight = Qxm_obs.Flight
@@ -44,52 +43,8 @@ let pos_int_conv ~flag ~unit =
   in
   Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%d" v)
 
-let non_neg_int_conv ~flag ~unit =
-  let parse s =
-    match int_of_string_opt s with
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "%s must be a non-negative integer of %s, got '%s'" flag unit
-                s))
-    | Some v -> (
-        match Validate.non_neg_int ~flag ~unit v with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg e))
-  in
-  Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%d" v)
-
-(* Same fault grammar as qxmap --inject. *)
 let inject_conv =
-  let parse s =
-    let num name v =
-      match int_of_string_opt v with
-      | Some n when n >= 0 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "bad %s count %S" name v))
-    in
-    match String.split_on_char '=' s with
-    | [ "unknown" ] -> Ok Fault.Always_unknown
-    | [ "after"; n ] -> Result.map (fun n -> Fault.After_solves n) (num "solve" n)
-    | [ "truncate"; n ] ->
-        Result.map (fun n -> Fault.Truncate_conflicts n) (num "conflict" n)
-    | [ "seed"; kp ] -> (
-        match String.split_on_char ':' kp with
-        | [ k; p ] -> (
-            match (int_of_string_opt k, float_of_string_opt p) with
-            | Some seed, Some unknown_prob
-              when unknown_prob >= 0.0 && unknown_prob <= 1.0 ->
-                Ok (Fault.Seeded { seed; unknown_prob })
-            | _ -> Error (`Msg (Printf.sprintf "bad seed spec %S" kp)))
-        | _ -> Error (`Msg "seed spec is seed=<int>:<prob>"))
-    | _ ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "unknown fault spec %S (try: unknown, after=N, truncate=N, \
-                 seed=K:P)"
-                s))
-  in
+  let parse s = Result.map_error (fun e -> `Msg e) (Fault.of_string s) in
   Arg.conv (parse, fun fmt _ -> Format.fprintf fmt "<fault>")
 
 let cache_dir_arg =
@@ -151,15 +106,6 @@ let budget_arg =
            carries none.  An expired request returns the best certified \
            incumbent with a deadline_expired note.")
 
-let retries_arg =
-  Arg.(
-    value
-    & opt (non_neg_int_conv ~flag:"--retries" ~unit:"attempts") 2
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Extra attempts after a transient solve failure (exponential \
-           backoff with deterministic jitter).  0 disables retries.")
-
 let metrics_out_arg =
   Arg.(
     value
@@ -189,7 +135,7 @@ let inject_arg =
            after=N, truncate=N, seed=K:P), as in qxmap map --inject.")
 
 let serve cache_dir cache_mem no_cache certificates jobs watermark budget
-    retries metrics_out flight_record inject =
+    metrics_out flight_record inject =
   Option.iter Fault.arm inject;
   if certificates && cache_dir = None then begin
     Printf.eprintf "qxmapd: --certificates requires --cache-dir\n%!";
@@ -222,7 +168,6 @@ let serve cache_dir cache_mem no_cache certificates jobs watermark budget
       jobs;
       watermark;
       default_budget = budget;
-      retry = { Backoff.default with max_attempts = retries + 1 };
       cache_dir;
       cache_mem;
       use_cache = not no_cache;
@@ -361,8 +306,8 @@ let () =
       ~doc:
         "Crash-safe mapping service: line-JSON requests on stdin, \
          responses on stdout, with per-request deadlines, admission \
-         control, retry with backoff and a persistent verified result \
-         cache.  See doc/SERVICE.md."
+         control and a persistent verified result cache.  See \
+         doc/SERVICE.md."
   in
   exit
     (Cmd.eval'
@@ -370,5 +315,4 @@ let () =
           Term.(
             const serve $ cache_dir_arg $ cache_mem_arg $ no_cache_arg
             $ certificates_arg $ jobs_arg $ watermark_arg $ budget_arg
-            $ retries_arg $ metrics_out_arg $ flight_record_arg
-            $ inject_arg)))
+            $ metrics_out_arg $ flight_record_arg $ inject_arg)))

@@ -41,6 +41,33 @@ let with_schedule plan f =
   arm plan;
   Fun.protect ~finally:disarm f
 
+let of_string s =
+  let num name v =
+    match int_of_string_opt v with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (Printf.sprintf "bad %s count %S" name v)
+  in
+  match String.split_on_char '=' s with
+  | [ "unknown" ] -> Ok Always_unknown
+  | [ "after"; n ] -> Result.map (fun n -> After_solves n) (num "solve" n)
+  | [ "truncate"; n ] ->
+      Result.map (fun n -> Truncate_conflicts n) (num "conflict" n)
+  | [ "seed"; kp ] -> (
+      match String.split_on_char ':' kp with
+      | [ k; p ] -> (
+          match (int_of_string_opt k, float_of_string_opt p) with
+          | Some seed, Some unknown_prob
+            when unknown_prob >= 0.0 && unknown_prob <= 1.0 ->
+              Ok (Seeded { seed; unknown_prob })
+          | _ -> Error (Printf.sprintf "bad seed spec %S" kp))
+      | _ -> Error "seed spec is seed=<int>:<prob>")
+  | _ ->
+      Error
+        (Printf.sprintf
+           "unknown fault spec %S (try: unknown, after=N, truncate=N, \
+            seed=K:P)"
+           s)
+
 (* xorshift64 truncated to OCaml's 63-bit int; never yields 0 *)
 let step x =
   let x = x lxor (x lsl 13) in

@@ -52,6 +52,12 @@ val with_schedule : schedule -> (unit -> 'a) -> 'a
 (** [with_schedule s f] arms [s], runs [f], and disarms again even if
     [f] raises. *)
 
+val of_string : string -> (schedule, string) result
+(** Parse the [--inject] grammar shared by the [qxmap] and [qxmapd]
+    CLIs: [unknown], [after=N], [truncate=N] (N a non-negative integer)
+    or [seed=K:P] (K an integer, P a probability in \[0, 1\]).  The
+    error is a one-line message naming what was wrong. *)
+
 val solves_seen : unit -> int
 (** Solve calls observed since the last {!arm}. *)
 

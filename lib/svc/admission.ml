@@ -8,23 +8,18 @@ let imbalance = Metrics.counter "svc.admission_imbalance"
 type t = {
   lock : Mutex.t;
   watermark : int;
-  retry_after : float;
   mutable in_flight : int;
   mutable shed_count : int;
 }
 
 type verdict = Admitted | Shed of { depth : int; retry_after : float }
 
-let create ?(retry_after = 0.1) ~watermark () =
+let retry_after = 0.1
+
+let create ~watermark =
   if watermark <= 0 then
     invalid_arg "Admission.create: watermark must be positive";
-  {
-    lock = Mutex.create ();
-    watermark;
-    retry_after;
-    in_flight = 0;
-    shed_count = 0;
-  }
+  { lock = Mutex.create (); watermark; in_flight = 0; shed_count = 0 }
 
 let publish t =
   Metrics.set_gauge depth_gauge (float_of_int t.in_flight);
@@ -36,14 +31,7 @@ let try_admit t =
     if t.in_flight >= t.watermark then begin
       t.shed_count <- t.shed_count + 1;
       Metrics.incr sheds_total;
-      (* The deeper past the watermark the cluster of rejected arrivals
-         is, the longer the hint: spreads the retry herd out. *)
-      let over = t.in_flight - t.watermark + 1 in
-      Shed
-        {
-          depth = t.in_flight;
-          retry_after = t.retry_after *. float_of_int over;
-        }
+      Shed { depth = t.in_flight; retry_after }
     end
     else begin
       t.in_flight <- t.in_flight + 1;

@@ -21,13 +21,11 @@ type verdict =
   | Admitted
   | Shed of { depth : int; retry_after : float }
       (** Rejected: current depth and the seconds the client should wait
-          before retrying (scales with how far past the watermark the
-          queue is). *)
+          before retrying (always 0.1 s). *)
 
-val create : ?retry_after:float -> watermark:int -> unit -> t
+val create : watermark:int -> t
 (** [watermark] is the maximum number of in-flight (queued + running)
-    requests; it must be positive.  [retry_after] (default 0.1 s) is the
-    base unit of the shed hint.
+    requests; it must be positive.
     @raise Invalid_argument on a non-positive watermark. *)
 
 val try_admit : t -> verdict

@@ -17,7 +17,6 @@ let requests_total = Metrics.counter "svc.requests"
 let done_total = Metrics.counter "svc.done"
 let failed_total = Metrics.counter "svc.failed"
 let rejected_total = Metrics.counter "svc.rejected"
-let retries_total = Metrics.counter "svc.retries"
 let deadline_expiries = Metrics.counter "svc.deadline_expiries"
 let watchdog_cancels = Metrics.counter "svc.watchdog_cancels"
 let verify_rejects = Metrics.counter "svc.cache_verify_rejects"
@@ -28,16 +27,11 @@ let cert_failures = Metrics.counter "svc.certificate_failures"
 type config = {
   jobs : int;
   watermark : int;
-  retry_after : float;
   default_budget : float option;
-  retry : Backoff.policy;
-  sleep : float -> unit;
   cache_dir : string option;
   cache_mem : int;
   use_cache : bool;
   certificates : bool;
-  watchdog_period : float;
-  watchdog_grace : float;
   portfolio : Portfolio.options;
 }
 
@@ -45,18 +39,20 @@ let default_config =
   {
     jobs = 2;
     watermark = 32;
-    retry_after = 0.1;
     default_budget = None;
-    retry = Backoff.default;
-    sleep = Unix.sleepf;
     cache_dir = None;
     cache_mem = 128;
     use_cache = true;
     certificates = false;
-    watchdog_period = 0.05;
-    watchdog_grace = 0.5;
     portfolio = Portfolio.default;
   }
+
+(* The watchdog scans every [watchdog_period] seconds and force-cancels
+   a request [watchdog_grace] seconds past its deadline: the portfolio
+   returns by the deadline on its own, so the watchdog is only the
+   backstop for a stuck solve. *)
+let watchdog_period = 0.05
+let watchdog_grace = 0.5
 
 type request = {
   req_id : string;
@@ -78,7 +74,6 @@ type payload = {
   notes : string list;
   runtime : float;
   cached : bool;
-  attempts : int;
 }
 
 type response =
@@ -114,7 +109,7 @@ let watchdog_scan t =
       (fun id entry acc ->
         match entry.deadline with
         | Some d
-          when now > d +. t.config.watchdog_grace
+          when now > d +. watchdog_grace
                && not (Cancel.cancelled entry.token) ->
             (id, entry.token) :: acc
         | _ -> acc)
@@ -152,9 +147,7 @@ let create ?(config = default_config) () =
       (* [jobs] dedicated workers: width jobs+1 counts the submitting
          thread, which serves the wire loop and does not help *)
       pool = Pool.create (config.jobs + 1);
-      admission =
-        Admission.create ~retry_after:config.retry_after
-          ~watermark:config.watermark ();
+      admission = Admission.create ~watermark:config.watermark;
       cache = Cache.create ?dir:config.cache_dir ~mem_capacity:config.cache_mem ();
       inflight = Hashtbl.create 32;
       inflight_lock = Mutex.create ();
@@ -168,7 +161,7 @@ let create ?(config = default_config) () =
     Domain.spawn (fun () ->
         while not (Atomic.get t.stop_watchdog) do
           watchdog_scan t;
-          Unix.sleepf t.config.watchdog_period
+          Unix.sleepf watchdog_period
         done)
   in
   { t with watchdog = Some watchdog }
@@ -235,7 +228,6 @@ let payload_of_json j =
             Option.value ~default:0.0
               (Option.bind (Sjson.member "runtime_s" j) Sjson.to_float_opt);
           cached = false;
-          attempts = 0;
         }
   | _ -> Error "payload missing required fields"
 
@@ -255,7 +247,7 @@ let verified_hit ~(req : request) payload_str =
           | circuit -> (
               match Certify.compliance ~arch:req.device circuit with
               | Error e -> Error ("certification failed: " ^ e)
-              | Ok () -> Ok { p with cached = true; attempts = 0 })))
+              | Ok () -> Ok { p with cached = true })))
 
 (* -- certificate store ----------------------------------------------------
 
@@ -313,10 +305,6 @@ let audit_certificate t ~key =
 
 (* -- request execution ---------------------------------------------------- *)
 
-exception Permanent of string
-
-let failure_string e = Format.asprintf "%a" Portfolio.pp_failure e
-
 let solve t ?key (req : request) : response =
   let budget =
     match req.budget with None -> t.config.default_budget | b -> b
@@ -324,7 +312,6 @@ let solve t ?key (req : request) : response =
   let token = Cancel.create () in
   let deadline = Option.map (fun b -> Unix.gettimeofday () +. b) budget in
   register_inflight t ~id:req.req_id ~deadline ~token;
-  let attempts = ref 0 in
   (* The request id rides on the solve span so offline tools (qxm_prof,
      and its --check --request-ids) can attribute solver work to the
      request that caused it even after the spans are interleaved across
@@ -335,52 +322,27 @@ let solve t ?key (req : request) : response =
   Fun.protect
     ~finally:(fun () -> unregister_inflight t ~id:req.req_id)
     (fun () ->
-      let attempt ~attempt:_ =
-        incr attempts;
-        (* Deadline already blown (watchdog fired, or spent by earlier
-           attempts): retrying cannot help — fail rather than loop. *)
-        if Cancel.cancelled token then
-          raise
-            (Permanent "deadline expired before a certified answer was found");
-        (match deadline with
-        | Some d when Unix.gettimeofday () >= d ->
-            raise
-              (Permanent
-                 "deadline expired before a certified answer was found")
-        | _ -> ());
-        let remaining =
-          Option.map (fun d -> Float.max 0.01 (d -. Unix.gettimeofday ())) deadline
-        in
-        let options =
-          {
-            t.config.portfolio with
-            exact =
-              {
-                t.config.portfolio.exact with
-                strategy = req.strategy;
-                jobs = 1;
-                certificate = t.config.certificates;
-              };
-            budget = remaining;
-            (* one worker per request: throughput comes from the pool *)
-            jobs = 1;
-          }
-        in
-        match Portfolio.run ~options ~cancel:token ~arch:req.device req.circuit with
-        | Ok r -> Ok r
-        | Error (Portfolio.Too_many_logical _ as e) ->
-            raise (Permanent (failure_string e))
-        | Error (Portfolio.Exhausted _ as e) -> Error (failure_string e)
-        | exception Permanent msg -> raise (Permanent msg)
-        | exception e -> Error (Printexc.to_string e)
+      let options =
+        {
+          t.config.portfolio with
+          exact =
+            {
+              t.config.portfolio.exact with
+              strategy = req.strategy;
+              jobs = 1;
+              certificate = t.config.certificates;
+            };
+          budget;
+          (* one worker per request: throughput comes from the pool *)
+          jobs = 1;
+        }
       in
-      match
-        Backoff.retry ~sleep:t.config.sleep t.config.retry
-          ~on_retry:(fun ~attempt:_ ~delay:_ ->
-            Metrics.incr retries_total)
-          attempt
-      with
-      | Ok (r : Portfolio.report) ->
+      (* The portfolio falls back to SABRE whenever the exact lane comes
+         back empty, so an [Error] is a property of the input (too many
+         logical qubits, a disconnected device) that a second run would
+         only repeat. *)
+      match Portfolio.run ~options ~cancel:token ~arch:req.device req.circuit with
+      | Ok r ->
           if
             List.mem "deadline_expired" r.notes
             || List.mem "cancelled" r.notes
@@ -397,10 +359,8 @@ let solve t ?key (req : request) : response =
               notes = r.notes;
               runtime = r.runtime;
               cached = false;
-              attempts = !attempts;
             }
-      | Error msg -> Failed msg
-      | exception Permanent msg -> Failed msg
+      | Error e -> Failed (Format.asprintf "%a" Portfolio.pp_failure e)
       | exception e -> Failed (Printexc.to_string e))
 
 let handle t (req : request) : response =
@@ -599,7 +559,6 @@ let response_json ~id resp =
         @ [
             ("status", Sjson.Str "ok");
             ("cached", Sjson.Bool p.cached);
-            ("attempts", Sjson.Num (float_of_int p.attempts));
             ("f_cost", Sjson.Num (float_of_int p.f_cost));
             ("total_gates", Sjson.Num (float_of_int p.total_gates));
             ("provenance", Sjson.Str p.provenance);

@@ -1,6 +1,6 @@
 (** The mapping service core: long-lived request execution over the
-    thread-safe substrate, with deadlines, admission control, retries
-    and the recoverable result cache.
+    thread-safe substrate, with deadlines, admission control and the
+    recoverable result cache.
 
     This is the library behind the [qxmapd] binary (which adds only the
     line-JSON wire loop).  One daemon owns:
@@ -14,14 +14,15 @@
       certain deadline misses;
     - per-request deadlines: the request budget becomes the portfolio's
       wall-clock budget {e and} a supervisor {!Qxm_par.Cancel} token
-      registered with a watchdog domain that force-cancels any request
-      still running past its deadline plus a grace period — an expired
-      request returns the portfolio's best certified incumbent (with a
-      [deadline_expired] note), never an uncertified answer and never a
-      hang;
-    - a {!Backoff} retry loop around transient failures (an
-      [Exhausted] portfolio, an injected fault storm), deterministic
-      and test-injectable via [config.sleep];
+      registered with a watchdog domain (scanning every 50 ms) that
+      force-cancels any request still running 0.5 s past its deadline —
+      an expired request returns the portfolio's best certified
+      incumbent (with a [deadline_expired] note), never an uncertified
+      answer and never a hang;
+    - one {!Qxm_exact.Portfolio.run} per admitted request: the
+      portfolio already falls back to SABRE when the exact lane comes
+      back empty, so its only errors are properties of the input, and
+      they are returned as [Failed] with the portfolio's own message;
     - the two-tier {!Cache}; every hit is re-parsed and re-verified
       through [Certify.compliance] against the {e requested}
       architecture before it is served, and a hit that fails
@@ -37,14 +38,9 @@ module Sjson = Qxm_json.Sjson
 type config = {
   jobs : int;  (** worker domains executing requests (>= 1) *)
   watermark : int;  (** max in-flight requests before shedding *)
-  retry_after : float;  (** base of the shed retry-after hint, seconds *)
   default_budget : float option;
       (** budget applied when a request carries none; [None] = requests
           without a budget run unbounded *)
-  retry : Backoff.policy;  (** transient-failure retry schedule *)
-  sleep : float -> unit;
-      (** how retry delays are slept (default [Unix.sleepf]; tests
-          inject a recorder so no test ever blocks on the wall clock) *)
   cache_dir : string option;  (** disk tier location; [None] = memory only *)
   cache_mem : int;  (** in-memory tier capacity (entries) *)
   use_cache : bool;  (** master switch for the result cache *)
@@ -54,21 +50,14 @@ type config = {
           solved proven-optimal answer; requires a disk cache tier.
           Off by default: proof logging costs memory and certificates
           only exist for [Exact_optimal] answers. *)
-  watchdog_period : float;  (** watchdog scan interval, seconds *)
-  watchdog_grace : float;
-      (** seconds past a request's deadline before the watchdog
-          force-cancels it (the portfolio is expected to return by the
-          deadline on its own; the watchdog is the backstop for stuck
-          solves) *)
   portfolio : Qxm_exact.Portfolio.options;
       (** base portfolio options; [budget], [jobs] and the strategy are
           overridden per request *)
 }
 
 val default_config : config
-(** 2 workers, watermark 32, no default budget, {!Backoff.default},
-    memory-only cache of 128 entries, 50 ms watchdog period with 0.5 s
-    grace. *)
+(** 2 workers, watermark 32, no default budget, memory-only cache of
+    128 entries, no certificates, {!Qxm_exact.Portfolio.default}. *)
 
 type request = {
   req_id : string;
@@ -90,7 +79,6 @@ type payload = {
   notes : string list;
   runtime : float;
   cached : bool;  (** served from the cache (after re-verification) *)
-  attempts : int;  (** solve attempts spent (0 for a cache hit) *)
 }
 
 type response =
@@ -99,8 +87,8 @@ type response =
       (** admission control rejected the request; retry later *)
   | Rejected of string  (** the request itself is invalid; do not retry *)
   | Failed of string
-      (** every attempt failed (or the deadline expired with nothing
-          certified); the message says why *)
+      (** the portfolio returned no mapping (the message is its
+          {!Qxm_exact.Portfolio.pp_failure} text), or raised *)
 
 type t
 

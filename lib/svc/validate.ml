@@ -14,10 +14,6 @@ let pos_int ~flag ?unit v =
   if v <= 0 then bad ~flag ?unit "positive integer" (string_of_int v)
   else Ok v
 
-let non_neg_int ~flag ?unit v =
-  if v < 0 then bad ~flag ?unit "non-negative integer" (string_of_int v)
-  else Ok v
-
 let parse_pos_float ~flag ?unit s =
   match float_of_string_opt (String.trim s) with
   | None -> bad ~flag ?unit "positive finite number" s

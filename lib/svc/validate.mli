@@ -1,7 +1,7 @@
 (** Validation of user-supplied numeric parameters.
 
     Every numeric knob that reaches the mapping engines — wall-clock
-    budgets, retry counts, queue capacities — must be rejected at the
+    budgets, worker counts, queue capacities — must be rejected at the
     boundary when it is zero, negative, NaN or infinite, with a one-line
     actionable message naming the flag.  Both the [qxmap] CLI options
     and the [qxmapd] request parser funnel through these checks, so a
@@ -20,9 +20,6 @@ val pos_float : flag:string -> ?unit:string -> float -> (float, string) result
 
 val pos_int : flag:string -> ?unit:string -> int -> (int, string) result
 (** Accept strictly positive integers. *)
-
-val non_neg_int : flag:string -> ?unit:string -> int -> (int, string) result
-(** Accept integers [>= 0] (e.g. a retry count, where 0 disables). *)
 
 val parse_pos_float : flag:string -> ?unit:string -> string -> (float, string) result
 (** Parse then validate like {!pos_float}; a string that is not a number

@@ -10,7 +10,9 @@
 #      quarantined and transparently re-solved, and the quarantine
 #      shows up in the metrics snapshot,
 #   4. run a deadline-bounded request with every exact solve faulted to
-#      Unknown and assert a certified (non-crashing) degraded answer.
+#      Unknown and assert a certified (non-crashing) degraded answer
+#      from SABRE, the portfolio's fallback, on the request's one run;
+# and that no response line in any phase carries an "attempts" key.
 #
 # Usage: test/daemon_smoke.sh [path-to-qxmapd] [metrics-out]
 set -u
@@ -136,8 +138,16 @@ req f1 "$CIRC_A" ',"cache":false' >&3
 wait_for "$OUT3" f1
 [ "$(field "$OUT3" f1 status)" = '"ok"' ] || fail "faulted request did not degrade gracefully"
 [ "$(field "$OUT3" f1 optimal)" = "false" ] || fail "faulted request cannot be optimal"
+# the portfolio absorbs the fault storm on its one run: SABRE answers
+[ "$(field "$OUT3" f1 provenance)" = '"heuristic:sabre"' ] ||
+  fail "faulted request should be answered by SABRE, got $(field "$OUT3" f1 provenance)"
 stop_fifo
 wait "$DAEMON_PID" 2>/dev/null
 DAEMON_PID=
+
+# each request runs once, so no response carries an attempt count
+if grep -q '"attempts"' "$OUT1" "$OUT2" "$OUT3"; then
+  fail "a response line carries an \"attempts\" key"
+fi
 
 echo "daemon_smoke: PASS"

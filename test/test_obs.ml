@@ -162,7 +162,7 @@ let library_handles =
       "par.pool_queue_depth"; "par.pool_tasks"; "obs.flight_dumps";
       "obs.flight_dump_errors"; "svc.sheds"; "svc.queue_depth";
       "svc.queue_depth_hwm"; "svc.admission_imbalance"; "svc.requests";
-      "svc.done"; "svc.failed"; "svc.rejected"; "svc.retries";
+      "svc.done"; "svc.failed"; "svc.rejected";
       "svc.deadline_expiries"; "svc.watchdog_cancels";
       "svc.cache_verify_rejects"; "svc.cache_hits_served";
       "svc.certificates_emitted"; "svc.certificate_failures";

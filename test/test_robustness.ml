@@ -179,6 +179,46 @@ let test_fault_seeded_deterministic () =
     (let p = pattern () in
      List.mem true p && List.mem false p)
 
+(* The --inject grammar both CLIs parse through Fault.of_string. *)
+let test_fault_of_string () =
+  List.iter
+    (fun (spec, expected) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S accepted" spec)
+        true
+        (Fault.of_string spec = Ok expected))
+    [
+      ("unknown", Fault.Always_unknown);
+      ("after=0", Fault.After_solves 0);
+      ("after=3", Fault.After_solves 3);
+      ("truncate=100", Fault.Truncate_conflicts 100);
+      ("seed=7:0.5", Fault.Seeded { seed = 7; unknown_prob = 0.5 });
+      ("seed=-2:0", Fault.Seeded { seed = -2; unknown_prob = 0.0 });
+      ("seed=1:1", Fault.Seeded { seed = 1; unknown_prob = 1.0 });
+    ];
+  List.iter
+    (fun (spec, fragment) ->
+      match Fault.of_string spec with
+      | Ok _ -> Alcotest.failf "%S should be rejected" spec
+      | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S: message mentions %S (got %S)" spec fragment
+               msg)
+            true
+            (contains_substring msg fragment))
+    [
+      ("after=-1", "bad solve count");
+      ("after=many", "bad solve count");
+      ("truncate=", "bad conflict count");
+      ("seed=7", "seed=<int>:<prob>");
+      ("seed=7:1.5", "bad seed spec");
+      ("seed=7:-0.1", "bad seed spec");
+      ("seed=7:nan", "bad seed spec");
+      ("seed=x:0.5", "bad seed spec");
+      ("sometimes", "unknown fault spec");
+      ("unknown=1", "unknown fault spec");
+    ]
+
 (* -- exact mapper under injected faults ---------------------------------- *)
 
 let test_mapper_all_unknown_times_out () =
@@ -356,6 +396,7 @@ let suite =
     ("fault: truncated conflicts", `Quick, test_fault_truncate_conflicts);
     ("fault: seeded schedule deterministic", `Quick,
      test_fault_seeded_deterministic);
+    ("fault: --inject grammar", `Quick, test_fault_of_string);
     ("mapper: all-unknown times out", `Quick,
      test_mapper_all_unknown_times_out);
     ("mapper: budget cut yields incumbent", `Quick,

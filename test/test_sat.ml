@@ -18,42 +18,28 @@ let test_vec_push_pop () =
   done;
   Alcotest.(check int) "size" 100 (Vec.Int.size v);
   Alcotest.(check int) "get" 42 (Vec.Int.get v 42);
-  Alcotest.(check int) "pop" 99 (Vec.Int.pop v);
-  Alcotest.(check int) "size after pop" 99 (Vec.Int.size v);
+  Vec.Int.shrink v 99;
+  Alcotest.(check int) "size after dropping the last" 99 (Vec.Int.size v);
   Vec.Int.shrink v 10;
   Alcotest.(check int) "shrink" 10 (Vec.Int.size v);
   Vec.Int.clear v;
   Alcotest.(check bool) "empty" true (Vec.Int.is_empty v)
 
-let test_vec_swap_remove () =
-  let v = Vec.Int.of_list [ 0; 1; 2; 3; 4 ] in
-  Vec.Int.swap_remove v 1;
-  Alcotest.(check (list int)) "swap_remove" [ 0; 4; 2; 3 ]
-    (Vec.Int.to_list v)
-
-let test_vec_grow_to () =
-  let v = Vec.Int.create () in
-  Vec.Int.grow_to v 5 7;
-  Alcotest.(check (list int)) "grow" [ 7; 7; 7; 7; 7 ] (Vec.Int.to_list v)
-
 let test_vec_bounds () =
-  let v = Vec.Int.of_list [ 1 ] in
+  let v = Vec.Int.create () in
+  Vec.Int.push v 1;
   Alcotest.check_raises "get oob" (Invalid_argument "Vec.Int.get")
     (fun () -> ignore (Vec.Int.get v 1));
-  let empty = Vec.Int.create () in
-  Alcotest.check_raises "pop empty" (Invalid_argument "Vec.Int.pop")
-    (fun () -> ignore (Vec.Int.pop empty))
-
-let test_poly_filter () =
-  let v = Vec.Poly.create () in
-  List.iter (Vec.Poly.push v) [ 1; 2; 3; 4; 5; 6 ];
-  Vec.Poly.filter_in_place (fun x -> x mod 2 = 0) v;
-  Alcotest.(check (list int)) "filter" [ 2; 4; 6 ] (Vec.Poly.to_list v)
+  Alcotest.check_raises "shrink past size" (Invalid_argument "Vec.Int.shrink")
+    (fun () -> Vec.Int.shrink v 2)
 
 let vec_roundtrip =
-  qtest "vec of_list/to_list roundtrip"
+  qtest "vec push/to_list roundtrip"
     QCheck2.Gen.(list small_int)
-    (fun l -> Vec.Int.to_list (Vec.Int.of_list l) = l)
+    (fun l ->
+      let v = Vec.Int.create ~capacity:1 () in
+      List.iter (Vec.Int.push v) l;
+      Vec.Int.to_list v = l)
 
 (* -- Lit ------------------------------------------------------------- *)
 
@@ -650,10 +636,7 @@ let test_dimacs_load_solve () =
 let suite =
   [
     ("vec push/pop", `Quick, test_vec_push_pop);
-    ("vec swap_remove", `Quick, test_vec_swap_remove);
-    ("vec grow_to", `Quick, test_vec_grow_to);
     ("vec bounds", `Quick, test_vec_bounds);
-    ("poly filter_in_place", `Quick, test_poly_filter);
     vec_roundtrip;
     ("lit basics", `Quick, test_lit_basic);
     ("lit dimacs", `Quick, test_lit_dimacs);

@@ -1,9 +1,9 @@
 (* The service layer: boundary validation, the JSON wire format,
-   content hashing, retry/backoff, admission control, the crash-safe
-   result cache and the daemon end-to-end.
+   content hashing, admission control, the crash-safe result cache and
+   the daemon end-to-end.
 
-   Everything here is deterministic: retries are driven by injected
-   sleep recorders (never the wall clock), faults by Qxm_sat.Fault
+   Everything here is deterministic: overload is staged by blocking a
+   completion callback (never the wall clock), faults by Qxm_sat.Fault
    schedules, and cache corruption by direct byte surgery on the
    persisted entries. *)
 
@@ -11,11 +11,11 @@ open Test_util
 module Validate = Qxm_svc.Validate
 module Sjson = Qxm_json.Sjson
 module Chash = Qxm_svc.Chash
-module Backoff = Qxm_svc.Backoff
 module Admission = Qxm_svc.Admission
 module Cache = Qxm_svc.Cache
 module Daemon = Qxm_svc.Daemon
 module Fault = Qxm_sat.Fault
+module Trace = Qxm_obs.Trace
 module Portfolio = Qxm_exact.Portfolio
 module Certify = Qxm_exact.Certify
 module Strategy = Qxm_exact.Strategy
@@ -48,9 +48,6 @@ let test_validate_accepts () =
   Alcotest.(check (result int string))
     "pos_int ok" (Ok 3)
     (Validate.pos_int ~flag:"--jobs" 3);
-  Alcotest.(check (result int string))
-    "non_neg_int accepts zero" (Ok 0)
-    (Validate.non_neg_int ~flag:"--retries" 0);
   Alcotest.(check (result (float 0.0) string))
     "parse_pos_float ok" (Ok 0.25)
     (Validate.parse_pos_float ~flag:"--budget" ~unit:"seconds" "0.25")
@@ -79,9 +76,6 @@ let test_validate_rejects () =
     (Validate.parse_pos_float ~flag:"--timeout" ~unit:"seconds" "soon")
     "'soon'";
   expect_err "pos_int zero" (Validate.pos_int ~flag:"--jobs" 0) "--jobs";
-  expect_err "non_neg_int negative"
-    (Validate.non_neg_int ~flag:"--retries" (-2))
-    "--retries";
   expect_err "parse_pos_int junk"
     (Validate.parse_pos_int ~flag:"--jobs" "many")
     "'many'"
@@ -167,74 +161,10 @@ let test_chash () =
   Alcotest.(check bool) "empty input hashes" true
     (String.length (Chash.digest "") = 32)
 
-(* -- backoff ------------------------------------------------------------- *)
-
-let test_backoff_deterministic_schedule () =
-  let p = { Backoff.default with seed = 7 } in
-  List.iter
-    (fun attempt ->
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "attempt %d reproducible" attempt)
-        (Backoff.delay p ~attempt) (Backoff.delay p ~attempt))
-    [ 1; 2; 3; 4 ];
-  Alcotest.(check bool) "seed changes the jitter" true
-    (Backoff.delay p ~attempt:1
-    <> Backoff.delay { p with seed = 8 } ~attempt:1)
-
-let test_backoff_growth_and_cap () =
-  let p =
-    {
-      Backoff.max_attempts = 10;
-      base = 0.05;
-      factor = 4.0;
-      max_delay = 2.0;
-      jitter = 0.0;
-      seed = 1;
-    }
-  in
-  Alcotest.(check (float 1e-9)) "first" 0.05 (Backoff.delay p ~attempt:1);
-  Alcotest.(check (float 1e-9)) "second" 0.2 (Backoff.delay p ~attempt:2);
-  Alcotest.(check (float 1e-9)) "third" 0.8 (Backoff.delay p ~attempt:3);
-  Alcotest.(check (float 1e-9)) "capped" 2.0 (Backoff.delay p ~attempt:4);
-  Alcotest.(check (float 1e-9)) "stays capped" 2.0 (Backoff.delay p ~attempt:9)
-
-let test_backoff_retry_recovers () =
-  let p = { Backoff.default with max_attempts = 5; seed = 3 } in
-  let slept = ref [] in
-  let sleep d = slept := d :: !slept in
-  let calls = ref 0 in
-  let result =
-    Backoff.retry ~sleep p (fun ~attempt ->
-        incr calls;
-        if attempt < 3 then Error "transient" else Ok (attempt * 10))
-  in
-  Alcotest.(check (result int string)) "succeeds on third try" (Ok 30) result;
-  Alcotest.(check int) "three calls" 3 !calls;
-  Alcotest.(check (list (float 1e-9)))
-    "slept exactly the policy's delays"
-    [ Backoff.delay p ~attempt:1; Backoff.delay p ~attempt:2 ]
-    (List.rev !slept)
-
-let test_backoff_retry_exhausts () =
-  let p = { Backoff.default with max_attempts = 3 } in
-  let slept = ref 0 in
-  let retries = ref 0 in
-  let result =
-    Backoff.retry
-      ~sleep:(fun _ -> incr slept)
-      p
-      ~on_retry:(fun ~attempt:_ ~delay:_ -> incr retries)
-      (fun ~attempt:_ -> Error "still down")
-  in
-  Alcotest.(check (result int string))
-    "last error surfaces" (Error "still down") result;
-  Alcotest.(check int) "two sleeps for three attempts" 2 !slept;
-  Alcotest.(check int) "on_retry fired per sleep" 2 !retries
-
 (* -- admission control --------------------------------------------------- *)
 
 let test_admission_watermark () =
-  let a = Admission.create ~retry_after:0.1 ~watermark:2 () in
+  let a = Admission.create ~watermark:2 in
   Alcotest.(check bool) "first admitted" true (Admission.try_admit a = Admitted);
   Alcotest.(check bool) "second admitted" true
     (Admission.try_admit a = Admitted);
@@ -254,7 +184,7 @@ let test_admission_burst_shed () =
   (* A burst of 10 arrivals against a watermark of 3: exactly 3 are
      admitted, 7 shed, and after releasing everything the gate is
      clean for the retry wave. *)
-  let a = Admission.create ~watermark:3 () in
+  let a = Admission.create ~watermark:3 in
   let verdicts = List.init 10 (fun _ -> Admission.try_admit a) in
   let admitted =
     List.length (List.filter (fun v -> v = Admission.Admitted) verdicts)
@@ -272,7 +202,7 @@ let test_admission_burst_shed () =
 let test_admission_invalid_watermark () =
   Alcotest.check_raises "zero watermark"
     (Invalid_argument "Admission.create: watermark must be positive")
-    (fun () -> ignore (Admission.create ~watermark:0 ()))
+    (fun () -> ignore (Admission.create ~watermark:0))
 
 (* -- cache: memory tier -------------------------------------------------- *)
 
@@ -459,14 +389,7 @@ let request ?(id = "t") ?(budget = None) ?(use_cache = true)
 let unroutable_request ?id () =
   request ?id ~circuit:unroutable_circuit ~device:unroutable_device ()
 
-let fast_config =
-  {
-    Daemon.default_config with
-    jobs = 1;
-    watchdog_period = 0.01;
-    (* retries off by default: failure tests opt back in explicitly *)
-    retry = { Backoff.default with max_attempts = 1 };
-  }
+let fast_config = { Daemon.default_config with jobs = 1 }
 
 let expect_done name = function
   | Daemon.Done p -> p
@@ -479,12 +402,10 @@ let test_daemon_solves_and_caches () =
   Fun.protect ~finally:(fun () -> Daemon.shutdown d) @@ fun () ->
   let p1 = expect_done "cold" (Daemon.submit d (request ())) in
   Alcotest.(check bool) "cold miss" false p1.cached;
-  Alcotest.(check bool) "attempts counted" true (p1.attempts >= 1);
   Alcotest.(check int) "Ex. 7 optimum" 4 p1.f_cost;
   Alcotest.(check bool) "optimal" true p1.optimal;
   let p2 = expect_done "warm" (Daemon.submit d (request ())) in
   Alcotest.(check bool) "warm hit" true p2.cached;
-  Alcotest.(check int) "hit costs no attempts" 0 p2.attempts;
   Alcotest.(check int) "same answer" p1.f_cost p2.f_cost;
   Alcotest.(check string) "same circuit" p1.qasm p2.qasm;
   (* cache opt-out per request *)
@@ -572,61 +493,55 @@ let test_daemon_deadline_note_reaches_response () =
       Alcotest.(check bool) "certified incumbent" true
         (Certify.compliance ~arch:Devices.qx4 mapped = Ok ()))
 
-let test_daemon_retries_transient_failures () =
-  (* An input nothing can route: each attempt fails fast ("transient"),
-     the retry loop walks the whole deterministic backoff schedule
-     through the injected sleep recorder, then reports Failed honestly. *)
-  let policy = { Backoff.default with max_attempts = 3; seed = 11 } in
-  let slept = ref [] in
-  let config =
-    {
-      fast_config with
-      use_cache = false;
-      retry = policy;
-      sleep = (fun d -> slept := d :: !slept);
-    }
-  in
-  let d = Daemon.create ~config () in
+let test_daemon_unroutable_runs_once () =
+  (* Under the default configuration an input nothing can route runs
+     the portfolio exactly once and fails with the portfolio's own
+     Exhausted message: no second run can route it, and no deadline
+     text may replace the real reason. *)
+  Trace.reset ();
+  Trace.enable ();
+  Fun.protect ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ())
+  @@ fun () ->
+  let d = Daemon.create () in
   Fun.protect ~finally:(fun () -> Daemon.shutdown d) @@ fun () ->
   (match Daemon.submit d (unroutable_request ()) with
   | Daemon.Failed msg ->
-      Alcotest.(check bool) "reason surfaces" true (String.length msg > 0)
+      Alcotest.(check bool)
+        (Printf.sprintf "portfolio's Exhausted text (got %S)" msg)
+        true
+        (String.starts_with ~prefix:"every portfolio stage failed" msg)
   | _ -> Alcotest.fail "expected Failed on an unroutable input");
-  Alcotest.(check (list (float 1e-9)))
-    "slept the policy's exact schedule"
-    [ Backoff.delay policy ~attempt:1; Backoff.delay policy ~attempt:2 ]
-    (List.rev !slept)
+  let exact_lanes =
+    List.filter
+      (fun (e : Trace.event) -> e.ph = `B && e.name = "portfolio.exact_lane")
+      (Trace.events ())
+  in
+  Alcotest.(check int) "one portfolio run" 1 (List.length exact_lanes)
 
 let test_daemon_sheds_past_watermark () =
-  (* Deterministic overload: the only worker wedges inside the injected
-     retry sleep (blocked on a condvar, not the wall clock), so the
-     watermark of 1 is occupied when the second request arrives. *)
+  (* Deterministic overload: the only worker wedges inside a blocking
+     completion callback (on a condvar, not the wall clock), and
+     submit_async releases the admission slot only after the callback
+     returns, so the watermark of 1 is occupied when the second request
+     arrives. *)
   let m = Mutex.create () in
   let cv = Condition.create () in
   let entered = ref false in
   let released = ref false in
-  let blocking_sleep _ =
-    Mutex.lock m;
-    entered := true;
-    Condition.broadcast cv;
-    while not !released do
-      Condition.wait cv m
-    done;
-    Mutex.unlock m
-  in
-  let config =
-    {
-      fast_config with
-      use_cache = false;
-      watermark = 1;
-      retry = { Backoff.default with max_attempts = 2 };
-      sleep = blocking_sleep;
-    }
-  in
+  let config = { fast_config with use_cache = false; watermark = 1 } in
   let d = Daemon.create ~config () in
   let async_response = Atomic.make None in
-  Daemon.submit_async d (unroutable_request ~id:"wedged" ()) (fun r ->
-      Atomic.set async_response (Some r));
+  Daemon.submit_async d (request ~id:"wedged" ()) (fun r ->
+      Atomic.set async_response (Some r);
+      Mutex.lock m;
+      entered := true;
+      Condition.broadcast cv;
+      while not !released do
+        Condition.wait cv m
+      done;
+      Mutex.unlock m);
   Mutex.lock m;
   while not !entered do
     Condition.wait cv m
@@ -644,8 +559,9 @@ let test_daemon_sheds_past_watermark () =
   Mutex.unlock m;
   Daemon.drain d;
   (match Atomic.get async_response with
-  | Some (Daemon.Failed _) -> ()
-  | Some _ -> Alcotest.fail "wedged request should have failed (unroutable)"
+  | Some (Daemon.Done p) ->
+      Alcotest.(check int) "wedged request solved" 4 p.f_cost
+  | Some _ -> Alcotest.fail "wedged request should have been solved"
   | None -> Alcotest.fail "async callback never fired");
   Daemon.shutdown d
 
@@ -661,7 +577,6 @@ let test_daemon_response_json_shapes () =
       notes = [ "deadline_expired" ];
       runtime = 0.25;
       cached = true;
-      attempts = 0;
     }
   in
   let j = Daemon.response_json ~id:"r1" (Daemon.Done p) in
@@ -671,6 +586,8 @@ let test_daemon_response_json_shapes () =
     (get "status" Sjson.to_string_opt);
   Alcotest.(check (option bool)) "cached" (Some true)
     (get "cached" Sjson.to_bool_opt);
+  Alcotest.(check bool) "no attempts field" true
+    (Sjson.member "attempts" j = None);
   (match Sjson.member "notes" j with
   | Some (Sjson.List [ Sjson.Str "deadline_expired" ]) -> ()
   | _ -> Alcotest.fail "notes list missing");
@@ -776,11 +693,6 @@ let suite =
     ("sjson: malformed input rejected", `Quick, test_sjson_rejects);
     ("sjson: accessors", `Quick, test_sjson_accessors);
     ("chash: digest shape and stability", `Quick, test_chash);
-    ("backoff: deterministic schedule", `Quick,
-     test_backoff_deterministic_schedule);
-    ("backoff: growth and cap", `Quick, test_backoff_growth_and_cap);
-    ("backoff: retry recovers", `Quick, test_backoff_retry_recovers);
-    ("backoff: retry exhausts honestly", `Quick, test_backoff_retry_exhausts);
     ("admission: watermark and release", `Quick, test_admission_watermark);
     ("admission: burst shed", `Quick, test_admission_burst_shed);
     ("admission: invalid watermark", `Quick, test_admission_invalid_watermark);
@@ -805,8 +717,8 @@ let suite =
     ("daemon: degrades under fault", `Quick, test_daemon_degrades_under_fault);
     ("daemon: deadline note reaches response", `Quick,
      test_daemon_deadline_note_reaches_response);
-    ("daemon: transient failures retried with backoff", `Quick,
-     test_daemon_retries_transient_failures);
+    ("daemon: unroutable request runs once", `Quick,
+     test_daemon_unroutable_runs_once);
     ("daemon: sheds past watermark", `Quick, test_daemon_sheds_past_watermark);
     ("daemon: response JSON shapes", `Quick, test_daemon_response_json_shapes);
     ("daemon: payload round trip", `Quick, test_daemon_payload_roundtrip);
