@@ -28,8 +28,10 @@ module Solver = Qxm_sat.Solver
 module Lit = Qxm_sat.Lit
 module Cnf = Qxm_encode.Cnf
 module Amo = Qxm_encode.Amo
+module Trace = Qxm_obs.Trace
 module Timeseries = Qxm_obs.Timeseries
 module Flight = Qxm_obs.Flight
+module Profile = Qxm_profile.Profile
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: regeneration                                                 *)
@@ -155,6 +157,10 @@ let emit_json ~suite ?flight_prefix file =
                 ~path:(Printf.sprintf "%s-%s.flight.ndjson" prefix e.name)
                 ())
             flight_prefix;
+          (* the stage columns are folded from this row's trace *)
+          Trace.reset ();
+          Trace.enable ();
+          let t0_us = Trace.now_us () in
           let t0 = Unix.gettimeofday () in
           (* the strategy is recorded as actually used (after
              defaulting), not as requested, so a record is sufficient to
@@ -169,9 +175,14 @@ let emit_json ~suite ?flight_prefix file =
               jobs wall rest
           in
           let record, timed_out =
-            match Mapper.run ~options ~arch:Devices.qx4 e.circuit with
+            let result = Mapper.run ~options ~arch:Devices.qx4 e.circuit in
+            Trace.disable ();
+            match result with
             | Ok r ->
                 let wall = Unix.gettimeofday () -. t0 in
+                let phases =
+                  (Profile.fold_run ~t0_us (Trace.events ())).u_phases
+                in
                 let st = r.sat_stats in
                 (* flat per-stage wall-clock fields, so the gate
                    (qxm_prof BASE NEW) can attribute a regression to the
@@ -181,7 +192,7 @@ let emit_json ~suite ?flight_prefix file =
                     (List.map
                        (fun (name, s) ->
                          Printf.sprintf "\"stage_%s_s\": %.3f" name s)
-                       r.phase_seconds)
+                       phases)
                 in
                 (* propagation throughput over the solve stage (falling
                    back to total wall time when the stage breakdown is
@@ -189,7 +200,7 @@ let emit_json ~suite ?flight_prefix file =
                    is gated on: minor-heap words per propagation should
                    stay near zero *)
                 let solve_s =
-                  match List.assoc_opt "solve" r.phase_seconds with
+                  match List.assoc_opt "solve" phases with
                   | Some s when s > 0.0 -> s
                   | _ -> wall
                 in

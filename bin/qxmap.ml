@@ -30,6 +30,8 @@ module Metrics = Qxm_obs.Metrics
 module Timeseries = Qxm_obs.Timeseries
 module Flight = Qxm_obs.Flight
 module Validate = Qxm_svc.Validate
+module Profile = Qxm_profile.Profile
+module Sjson = Qxm_json.Sjson
 
 (* Numeric flags funnel through Qxm_svc.Validate — the same checks the
    qxmapd request parser applies — so a zero, negative, NaN or infinite
@@ -156,161 +158,178 @@ let print_sat_stats (s : Solver.stats) =
 
 (* -- machine-readable report ---------------------------------------------- *)
 
-(* Minimal JSON construction.  Everything qxmap prints on stdout in
-   --json mode is exactly one object built from these, so
-   `qxmap map --json … | jq` always parses: all human-facing summaries,
-   progress lines and diagnostics go to stderr. *)
-module Json = struct
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
+(* Everything qxmap prints on stdout in --json mode is exactly one
+   object, so `qxmap map --json … | jq` always parses: all human-facing
+   summaries, progress lines and diagnostics go to stderr. *)
 
-  let str s = Printf.sprintf "\"%s\"" (escape s)
-  let int = string_of_int
-  let float f = Printf.sprintf "%.6f" f
-  let bool = string_of_bool
-
-  let opt f = function None -> "null" | Some v -> f v
-  let arr items = "[" ^ String.concat ", " items ^ "]"
-
-  let obj fields =
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (escape k) v) fields)
-    ^ "}"
-end
+let num_int i = Sjson.Num (float_of_int i)
+let opt_bool = function None -> Sjson.Null | Some b -> Sjson.Bool b
 
 let json_sat_stats stats =
-  Json.obj
-    (List.map (fun (k, v) -> (k, Json.int v)) (Solver.stats_counters stats))
+  Sjson.Obj
+    (List.map (fun (k, v) -> (k, num_int v)) (Solver.stats_counters stats))
 
-let json_trajectory traj =
-  Json.arr
-    (List.map
-       (fun (t, c) -> Json.arr [ Json.float t; Json.int c ])
-       traj)
+(* The per-run fields folded from the call's trace events: seconds per
+   mapper phase and the objective trajectory. *)
+let json_run (u : Profile.run) =
+  [
+    ( "trajectory",
+      Sjson.List
+        (List.map
+           (fun (t, c) -> Sjson.List [ Sjson.Num t; num_int c ])
+           u.u_trajectory) );
+    ( "phase_seconds",
+      Sjson.Obj (List.map (fun (k, v) -> (k, Sjson.Num v)) u.u_phases) );
+  ]
 
 (* The common tail of both report shapes: QASM inline unless it went to
    a file. *)
 let json_payload ~output elementary =
   match output with
-  | Some path -> [ ("output", Json.str path) ]
-  | None -> [ ("qasm", Json.str (Qasm.to_string elementary)) ]
+  | Some path -> [ ("output", Sjson.Str path) ]
+  | None -> [ ("qasm", Sjson.Str (Qasm.to_string elementary)) ]
 
-let mapper_json ~input ~output (r : Mapper.report) =
-  Json.obj
+let mapper_json ~input ~output ~run (r : Mapper.report) =
+  Sjson.Obj
     ([
-       ("mode", Json.str "exact");
-       ("input", Json.str input);
-       ("strategy", Json.str r.strategy_name);
-       ("f_cost", Json.int r.f_cost);
-       ("objective_cost", Json.int r.objective_cost);
-       ("total_gates", Json.int r.total_gates);
-       ("optimal", Json.bool r.optimal);
-       ("verified", Json.opt Json.bool r.verified);
-       ("runtime_s", Json.float r.runtime);
-       ("solves", Json.int r.solves);
-       ("subsets_tried", Json.int r.subsets_tried);
-       ("workers", Json.int r.workers);
-       ("pruned_by_incumbent", Json.int r.pruned_by_incumbent);
-       ("trajectory", json_trajectory r.trajectory);
-       ( "phase_seconds",
-         Json.obj
-           (List.map (fun (k, v) -> (k, Json.float v)) r.phase_seconds) );
-       ("sat_stats", json_sat_stats r.sat_stats);
+       ("mode", Sjson.Str "exact");
+       ("input", Sjson.Str input);
+       ("strategy", Sjson.Str r.strategy_name);
+       ("f_cost", num_int r.f_cost);
+       ("objective_cost", num_int r.objective_cost);
+       ("total_gates", num_int r.total_gates);
+       ("optimal", Sjson.Bool r.optimal);
+       ("verified", opt_bool r.verified);
+       ("runtime_s", Sjson.Num r.runtime);
+       ("solves", num_int r.solves);
+       ("subsets_tried", num_int r.subsets_tried);
+       ("workers", num_int r.workers);
+       ("pruned_by_incumbent", num_int r.pruned_by_incumbent);
      ]
+    @ json_run run
+    @ [ ("sat_stats", json_sat_stats r.sat_stats) ]
     @ json_payload ~output r.elementary)
 
 let json_stages stages =
-  Json.arr
+  Sjson.List
     (List.map
        (fun (s : Portfolio.stage) ->
-         Json.obj
+         Sjson.Obj
            [
-             ("stage", Json.str s.stage);
-             ("spent_s", Json.float s.spent);
-             ("solves", Json.int s.solves);
-             ("outcome", Json.str s.outcome);
+             ("stage", Sjson.Str s.stage);
+             ("spent_s", Sjson.Num s.spent);
+             ("solves", num_int s.solves);
+             ("outcome", Sjson.Str s.outcome);
            ])
        stages)
 
-let portfolio_json ~input ~output (r : Portfolio.report) =
-  Json.obj
+let portfolio_json ~input ~output ~run (r : Portfolio.report) =
+  Sjson.Obj
     ([
-       ("mode", Json.str "portfolio");
-       ("input", Json.str input);
-       ("strategy", Json.str r.strategy_name);
-       ("f_cost", Json.int r.f_cost);
-       ("total_gates", Json.int r.total_gates);
-       ("provenance", Json.str (Portfolio.provenance_string r.provenance));
-       ("notes", Json.arr (List.map Json.str r.notes));
-       ("optimal", Json.bool r.optimal);
-       ("verified", Json.opt Json.bool r.verified);
-       ("runtime_s", Json.float r.runtime);
-       ("solves", Json.int r.solves);
+       ("mode", Sjson.Str "portfolio");
+       ("input", Sjson.Str input);
+       ("strategy", Sjson.Str r.strategy_name);
+       ("f_cost", num_int r.f_cost);
+       ("total_gates", num_int r.total_gates);
+       ( "provenance",
+         Sjson.Str (Portfolio.provenance_string r.provenance) );
+       ("notes", Sjson.List (List.map (fun n -> Sjson.Str n) r.notes));
+       ("optimal", Sjson.Bool r.optimal);
+       ("verified", opt_bool r.verified);
+       ("runtime_s", Sjson.Num r.runtime);
+       ("solves", num_int r.solves);
        ("stages", json_stages r.stages);
-       ("trajectory", json_trajectory r.trajectory);
-       ("sat_stats", json_sat_stats r.sat_stats);
      ]
+    @ json_run run
+    @ [ ("sat_stats", json_sat_stats r.sat_stats) ]
     @ json_payload ~output r.elementary)
 
 (* The --json report of a failed run: what was asked, why it failed, and
    whatever the failure still carries (solver counters, stage list). *)
 let failure_json ~mode ~input ~strategy ~error extra =
-  Json.obj
+  Sjson.Obj
     ([
-       ("mode", Json.str mode);
-       ("input", Json.str input);
-       ("strategy", Json.str (Strategy.name strategy));
-       ("error", Json.str error);
+       ("mode", Sjson.Str mode);
+       ("input", Sjson.Str input);
+       ("strategy", Sjson.Str (Strategy.name strategy));
+       ("error", Sjson.Str error);
      ]
     @ extra)
 
+let print_json v = print_endline (Sjson.print v)
+
 (* -- live progress -------------------------------------------------------- *)
 
-(* One carriage-returned status line on stderr, refreshed at most ~10×
-   a second.  Fired concurrently from solver domains, hence the lock;
-   conflicts/s is measured between consecutive printed samples. *)
-let make_progress_printer () =
+(* A trace sink that keeps one carriage-returned status line on stderr,
+   refreshed at most ~10× a second on the events that move it: the
+   stage from portfolio.stage and mapper.<phase> begins, the best cost
+   from minimize.incumbent, conflicts and restarts from solver.restart
+   (each carries the conflicts of its own round, so the sum over
+   concurrent solvers is exact).  Events arrive from every solving
+   domain, hence the lock; conflicts/s is measured between consecutive
+   printed lines.  Every event is also offered to the flight recorder,
+   which only keeps it while armed. *)
+let progress_sink () =
   let lock = Mutex.create () in
-  let last_print = ref 0.0 in
-  let last_conflicts = ref 0 in
-  let printed = ref false in
-  let on_progress (p : Mapper.progress) =
+  let start = Unix.gettimeofday () in
+  let stage = ref None and phase = ref "start" and best = ref max_int in
+  let conflicts = ref 0 and restarts = ref 0 in
+  let last_print = ref 0.0 and last_conflicts = ref 0 and printed = ref false in
+  let int_arg k (ev : Trace.event) =
+    match List.assoc_opt k ev.args with Some (Trace.Int i) -> i | _ -> 0
+  in
+  (* fold one event into the status; true when it moved it *)
+  let update (ev : Trace.event) =
+    match (ev.ph, ev.name) with
+    | `B, "portfolio.stage" ->
+        (match List.assoc_opt "stage" ev.args with
+        | Some (Trace.Str st) -> stage := Some st
+        | _ -> ());
+        true
+    | `B, name -> (
+        match String.split_on_char '.' name with
+        | [ "mapper"; p ] when List.mem p Profile.mapper_phases ->
+            phase := p;
+            true
+        | _ -> false)
+    | `I, "minimize.incumbent" ->
+        best := min !best (int_arg "cost" ev);
+        true
+    | `I, "solver.restart" ->
+        conflicts := !conflicts + int_arg "conflicts" ev;
+        incr restarts;
+        true
+    | _ -> false
+  in
+  let print now =
+    let rate =
+      if !last_print > 0.0 then
+        float_of_int (!conflicts - !last_conflicts) /. (now -. !last_print)
+      else 0.0
+    in
+    last_print := now;
+    last_conflicts := !conflicts;
+    printed := true;
+    Printf.eprintf
+      "\r[%7.1fs] %-14s best=%-6s conflicts=%-9d (%7.0f/s) restarts=%d   %!"
+      (now -. start)
+      (Option.value ~default:!phase !stage)
+      (if !best = max_int then "-" else string_of_int !best)
+      !conflicts rate !restarts
+  in
+  let sink ev =
+    Flight.record ev;
     Mutex.lock lock;
-    let now = Unix.gettimeofday () in
-    if now -. !last_print >= 0.1 then begin
-      let rate =
-        if !last_print > 0.0 && now > !last_print then
-          float_of_int (p.p_conflicts - !last_conflicts)
-          /. (now -. !last_print)
-        else 0.0
-      in
-      last_print := now;
-      last_conflicts := p.p_conflicts;
-      printed := true;
-      Printf.eprintf
-        "\r[%7.1fs] %-14s best=%-6s conflicts=%-9d (%7.0f/s) restarts=%d   %!"
-        p.p_elapsed p.p_phase
-        (match p.p_best with Some c -> string_of_int c | None -> "-")
-        p.p_conflicts rate p.p_restarts
-    end;
+    (if update ev then
+       let now = Unix.gettimeofday () in
+       if now -. !last_print >= 0.1 then print now);
     Mutex.unlock lock
   in
-  let finish () = if !printed then prerr_newline () in
-  (on_progress, finish)
+  let finish () =
+    Trace.set_sink (if Flight.enabled () then Some Flight.record else None);
+    if !printed then prerr_newline ()
+  in
+  (sink, finish)
 
 (* Fault-injection knob for exercising degradation paths from the shell;
    the grammar is Fault.of_string's. *)
@@ -633,7 +652,8 @@ let map_cmd =
       output draw =
     let jobs = max 1 jobs in
     if sanitize then Solver.set_sanitize_all true;
-    if trace <> None || events <> None then Trace.enable ();
+    (* --json folds its per-run fields from the trace buffer *)
+    if trace <> None || events <> None || json then Trace.enable ();
     (* The sampler rides along whenever any observability output is
        requested: samples land in --trace/--events as counter events and
        in the flight dump as the solve trajectory. *)
@@ -658,11 +678,14 @@ let map_cmd =
                 (Metrics.render_text (Metrics.snapshot ()))))
         metrics_out
     in
-    let on_progress, finish_progress =
-      if progress then
-        let cb, fin = make_progress_printer () in
-        (Some cb, fin)
-      else (None, Fun.id)
+    (* installed after the flight recorder, whose ring it feeds *)
+    let finish_progress =
+      if progress then begin
+        let sink, finish = progress_sink () in
+        Trace.set_sink (Some sink);
+        finish
+      end
+      else Fun.id
     in
     let circuit = load input in
     (match lint with
@@ -691,6 +714,8 @@ let map_cmd =
           end
     in
     Option.iter Fault.arm inject;
+    let t0_us = Trace.now_us () in
+    let run_summary () = Profile.fold_run ~t0_us (Trace.events ()) in
     if portfolio then begin
       let options =
         {
@@ -709,7 +734,7 @@ let map_cmd =
           jobs;
         }
       in
-      match Portfolio.run ~options ?on_progress ~arch:device circuit with
+      match Portfolio.run ~options ~arch:device circuit with
       | Ok r ->
           finish_progress ();
           write_observability ();
@@ -730,7 +755,7 @@ let map_cmd =
             certificate;
           if json then begin
             Option.iter (fun path -> Qasm.write_file path r.elementary) output;
-            print_endline (portfolio_json ~input ~output r)
+            print_json (portfolio_json ~input ~output ~run:(run_summary ()) r)
           end
           else emit output r.elementary;
           if r.verified = Some false then exit 1
@@ -740,7 +765,7 @@ let map_cmd =
           flight_dump "failure";
           Format.eprintf "mapping failed: %a@." Portfolio.pp_failure e;
           if json then
-            print_endline
+            print_json
               (failure_json ~mode:"portfolio" ~input ~strategy
                  ~error:(Format.asprintf "%a" Portfolio.pp_failure e)
                  (match e with
@@ -761,7 +786,7 @@ let map_cmd =
           certificate = certificate <> None;
         }
       in
-      match Mapper.run ~options ?on_progress ~arch:device circuit with
+      match Mapper.run ~options ~arch:device circuit with
       | Ok r ->
           finish_progress ();
           write_observability ();
@@ -779,7 +804,7 @@ let map_cmd =
             certificate;
           if json then begin
             Option.iter (fun path -> Qasm.write_file path r.elementary) output;
-            print_endline (mapper_json ~input ~output r)
+            print_json (mapper_json ~input ~output ~run:(run_summary ()) r)
           end
           else emit output r.elementary;
           if r.verified = Some false then exit 1
@@ -796,7 +821,7 @@ let map_cmd =
           in
           if solver_stats then Option.iter print_sat_stats stats;
           if json then
-            print_endline
+            print_json
               (failure_json ~mode:"exact" ~input ~strategy
                  ~error:(Format.asprintf "%a" Mapper.pp_failure e)
                  (match stats with

@@ -107,17 +107,7 @@ type report = {
   pruned_by_incumbent : int;
   sat_stats : Solver.stats;
   strategy_name : string;
-  trajectory : (float * int) list;
-  phase_seconds : (string * float) list;
   witness : witness option;
-}
-
-type progress = {
-  p_phase : string;
-  p_best : int option;
-  p_conflicts : int;
-  p_restarts : int;
-  p_elapsed : float;
 }
 
 type failure =
@@ -232,18 +222,6 @@ let dp_seed ~(options : options) ~built inst =
              Encoding.routing_assumptions built ~layouts:r.layouts
                ~flips:r.flips ))
 
-(* Observation hooks threaded from [run] into each candidate solve:
-   [obs_phase] times (and spans) a pipeline stage under its name,
-   [obs_incumbent] receives every candidate-local incumbent cost, and
-   [obs_solver] attaches the in-search progress callback to each fresh
-   solver.  A record with a polymorphic field so one wrapper serves
-   stages of any return type. *)
-type obs = {
-  obs_phase : 'a. string -> (unit -> 'a) -> 'a;
-  obs_incumbent : int -> unit;
-  obs_solver : Solver.t -> unit;
-}
-
 (* -- ladder sessions ----------------------------------------------------- *)
 
 (* Per-candidate incremental state for the portfolio's conflict-limit
@@ -298,7 +276,7 @@ let session_slot se ~options ~index =
   Mutex.unlock se.se_lock;
   slot
 
-let solve_instance ~(options : options) ~obs ~cancel ~deadline ~bound ?session
+let solve_instance ~(options : options) ~cancel ~deadline ~bound ?session
     ~index inst =
   let cached =
     match session with
@@ -308,19 +286,19 @@ let solve_instance ~(options : options) ~obs ~cancel ~deadline ~bound ?session
   let fresh () =
     let solver = Solver.create ~capacity:(Encoding.var_capacity_hint inst) () in
     if options.certificate then Solver.enable_proof solver;
-    obs.obs_solver solver;
     (match cancel with
     | Some c -> Solver.set_stop solver (Some (Cancel.flag c))
     | None -> ());
     let cnf = Cnf.create solver in
     let built =
-      obs.obs_phase "encode" (fun () ->
+      Trace.with_span ~name:"mapper.encode" (fun () ->
           Encoding.build ~amo:options.amo ~costs:options.costs
             ~symmetry:(effective_symmetry options) cnf inst)
     in
     let seed =
       if options.warm_start then
-        obs.obs_phase "warm_start" (fun () -> dp_seed ~options ~built inst)
+        Trace.with_span ~name:"mapper.warm_start" (fun () ->
+            dp_seed ~options ~built inst)
       else None
     in
     {
@@ -336,9 +314,8 @@ let solve_instance ~(options : options) ~obs ~cancel ~deadline ~bound ?session
     match cached with
     | Some (Some sl) ->
         (* resumed rung — the clause-reuse fast path: re-attach the
-           per-call hooks, keep solver and encoding *)
+           per-call stop flag, keep solver and encoding *)
         Metrics.incr ladder_reuse_hits;
-        obs.obs_solver sl.sl_solver;
         Solver.set_stop sl.sl_solver (Option.map Cancel.flag cancel);
         sl
     | Some None ->
@@ -359,12 +336,11 @@ let solve_instance ~(options : options) ~obs ~cancel ~deadline ~bound ?session
     | seed, _ -> Option.map snd seed
   in
   let outcome =
-    obs.obs_phase "solve" (fun () ->
+    Trace.with_span ~name:"mapper.solve" (fun () ->
         Minimize.minimize ~session:sl.sl_min
           ?deadline:(Option.map Fun.id deadline)
           ~conflict_limit:options.conflict_limit ?upper_bound:bound
-          ?warm_start
-          ~on_incumbent:obs.obs_incumbent ~cnf:sl.sl_cnf
+          ?warm_start ~cnf:sl.sl_cnf
           ~objective:(Encoding.objective sl.sl_built) ())
   in
   let stats =
@@ -409,87 +385,8 @@ type candidate_outcome =
       stats : Solver.stats;
     }
 
-let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
-    =
+let run ?(options = default) ?session ?pool ?cancel ~arch circuit =
   let start = Unix.gettimeofday () in
-  (* Observation state shared by all candidate racers.  Everything here
-     is either atomic or guarded by [obs_lock]; the callbacks run on
-     whichever domain is solving. *)
-  let obs_lock = Mutex.create () in
-  let phases : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let rev_traj = ref [] in
-  let best_seen = ref max_int in
-  let total_conflicts = Atomic.make 0 in
-  let total_restarts = Atomic.make 0 in
-  let fire_progress phase =
-    match on_progress with
-    | None -> ()
-    | Some cb ->
-        Mutex.lock obs_lock;
-        let best = !best_seen in
-        Mutex.unlock obs_lock;
-        cb
-          {
-            p_phase = phase;
-            p_best = (if best = max_int then None else Some best);
-            p_conflicts = Atomic.get total_conflicts;
-            p_restarts = Atomic.get total_restarts;
-            p_elapsed = Unix.gettimeofday () -. start;
-          }
-  in
-  let obs =
-    {
-      obs_phase =
-        (fun name f ->
-          fire_progress name;
-          let t0 = Unix.gettimeofday () in
-          Fun.protect
-            ~finally:(fun () ->
-              let dt = Unix.gettimeofday () -. t0 in
-              Mutex.lock obs_lock;
-              let prev = Option.value ~default:0.0 (Hashtbl.find_opt phases name) in
-              Hashtbl.replace phases name (prev +. dt);
-              Mutex.unlock obs_lock)
-            (fun () -> Trace.with_span ~name:("mapper." ^ name) f));
-      obs_incumbent =
-        (fun cost ->
-          let improved =
-            Mutex.lock obs_lock;
-            let better = cost < !best_seen in
-            if better then begin
-              best_seen := cost;
-              rev_traj := (Unix.gettimeofday (), cost) :: !rev_traj
-            end;
-            Mutex.unlock obs_lock;
-            better
-          in
-          if improved then begin
-            Trace.instant
-              ~args:[ ("cost", Trace.Int cost) ]
-              "mapper.incumbent";
-            fire_progress "solve"
-          end);
-      obs_solver =
-        (fun solver ->
-          if on_progress <> None then begin
-            (* per-solver watermarks: each callback publishes its delta
-               into the shared totals *)
-            let last_c = ref 0 and last_r = ref 0 in
-            Solver.set_on_progress solver
-              (Some
-                 (fun pr ->
-                   ignore
-                     (Atomic.fetch_and_add total_conflicts
-                        (pr.Solver.pr_conflicts - !last_c));
-                   ignore
-                     (Atomic.fetch_and_add total_restarts
-                        (pr.Solver.pr_restarts - !last_r));
-                   last_c := pr.Solver.pr_conflicts;
-                   last_r := pr.Solver.pr_restarts;
-                   fire_progress "solve"))
-          end)
-    }
-  in
   (* Reserve a slice of the budget for reconstruction and verification:
      solving stops early enough that an incumbent found near the deadline
      still becomes a full report instead of a late [Timeout]. *)
@@ -568,7 +465,7 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
             C_unsat { via_incumbent; stats = Solver.zero_stats }
         | _ -> (
             match
-              solve_instance ~options ~obs ~cancel ~deadline ~bound ?session
+              solve_instance ~options ~cancel ~deadline ~bound ?session
                 ~index (inst_of sub_arch)
             with
             | `Unsat stats -> C_unsat { via_incumbent; stats }
@@ -678,7 +575,7 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
           else
             match
               Trace.with_span ~name:"mapper.canonical_resolve" (fun () ->
-                  solve_instance ~options ~obs ~cancel ~deadline
+                  solve_instance ~options ~cancel ~deadline
                     ~bound:(Some best_cost) ~index:best_index
                     (inst_of sub_arch))
             with
@@ -699,12 +596,12 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
         in
         let m_inst = Coupling.num_qubits sub_arch in
         let mapped_inst, init_l, final_l, init_full, final_full =
-          obs.obs_phase "reconstruct" (fun () ->
+          Trace.with_span ~name:"mapper.reconstruct" (fun () ->
               reconstruct s.s_built s.s_model circuit m_inst)
         in
         let verified =
           if options.verify then
-            obs.obs_phase "verify" (fun () ->
+            Trace.with_span ~name:"mapper.verify" (fun () ->
                 verify_mapping ~arch_inst:sub_arch ~original:circuit
                   ~mapped:mapped_inst ~init_full ~final_full)
           else None
@@ -767,14 +664,6 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
             pruned_by_incumbent = !pruned;
             sat_stats = !sat_stats;
             strategy_name = Strategy.name options.strategy;
-            trajectory =
-              List.rev_map (fun (t, c) -> (t -. start, c)) !rev_traj;
-            phase_seconds =
-              List.map
-                (fun name ->
-                  ( name,
-                    Option.value ~default:0.0 (Hashtbl.find_opt phases name) ))
-                [ "encode"; "warm_start"; "solve"; "reconstruct"; "verify" ];
             witness;
           }
         in

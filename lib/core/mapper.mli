@@ -205,28 +205,9 @@ type report = {
   strategy_name : string;
       (** Name of the permutation-spot strategy actually used, after
           defaulting ({!Strategy.name}). *)
-  trajectory : (float * int) list;
-      (** Objective trajectory of the whole candidate race: one
-          [(seconds-since-start, cost)] entry per global incumbent
-          improvement, in time order with strictly decreasing costs.
-          The last entry's cost equals the winning model's cost. *)
-  phase_seconds : (string * float) list;
-      (** Wall-clock seconds summed per pipeline stage across every
-          candidate: [encode], [warm_start], [solve], [reconstruct],
-          [verify] (always all five, zero when unused).  With parallel
-          candidates the stage sums can exceed [runtime]. *)
   witness : witness option;
       (** Raw optimality evidence, present iff [options.certificate]
           was set. *)
-}
-
-(** A live progress sample, delivered while {!run} is working. *)
-type progress = {
-  p_phase : string;  (** pipeline stage, e.g. ["encode"] or ["solve"] *)
-  p_best : int option;  (** best objective cost published so far *)
-  p_conflicts : int;  (** SAT conflicts, summed over all solvers *)
-  p_restarts : int;  (** solver restarts, summed over all solvers *)
-  p_elapsed : float;  (** seconds since the call started *)
 }
 
 type failure =
@@ -245,7 +226,6 @@ val run :
   ?session:session ->
   ?pool:Qxm_par.Pool.t ->
   ?cancel:Qxm_par.Cancel.t ->
-  ?on_progress:(progress -> unit) ->
   arch:Qxm_arch.Coupling.t ->
   Qxm_circuit.Circuit.t ->
   (report, failure) result
@@ -263,10 +243,10 @@ val run :
     (via [Solver.set_stop]); once cancelled, the call winds down quickly
     and reports whatever it can ([Timeout] when nothing was found).
 
-    [?on_progress] is invoked from inside the run — at stage
-    transitions, on every incumbent improvement, and on the solvers'
-    64-conflict progress tick.  With parallel candidates it fires
-    concurrently from several domains, so the callback must be
-    thread-safe and fast; conflict/restart counts are cumulative over
-    all solvers of this call.
+    The run reports progress only through the trace stream: each
+    pipeline stage runs in a [mapper.<phase>] span ([encode],
+    [warm_start], [solve], [reconstruct], [verify]), each candidate in
+    a [mapper.candidate] span, and every incumbent the descent finds is
+    a [minimize.incumbent] instant.  [Qxm_profile.Profile.fold_run]
+    folds them into per-phase seconds and the objective trajectory.
     @raise Invalid_argument on SWAP gates in the input. *)

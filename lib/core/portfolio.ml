@@ -57,7 +57,6 @@ type report = {
   stages : stage list;
   sat_stats : Solver.stats;
   strategy_name : string;
-  trajectory : (float * int) list;
   notes : string list;
   witness : Mapper.witness option;
 }
@@ -73,7 +72,7 @@ let pp_failure fmt = function
   | Exhausted stages ->
       Format.fprintf fmt "every portfolio stage failed:";
       List.iter
-        (fun s -> Format.fprintf fmt "@ [%s: %s]" s.stage s.outcome)
+        (fun s -> Format.fprintf fmt " [%s: %s]" s.stage s.outcome)
         stages
 
 (* A stage result awaiting the final provenance decision. *)
@@ -95,7 +94,7 @@ let certified ~arch c =
   | Ok (), Some false -> Error "rejected: equivalence check failed"
   | Ok (), (None | Some true) -> Ok c
 
-let run ?(options = default) ?cancel ?on_progress ~arch circuit =
+let run ?(options = default) ?cancel ~arch circuit =
   let start = Unix.gettimeofday () in
   let m = Coupling.num_qubits arch in
   let n = Circuit.num_qubits circuit in
@@ -129,28 +128,10 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
     in
     (* Best exact result so far (optimal or anytime incumbent). *)
     let best_exact : Mapper.report option ref = ref None in
-    (* Objective trajectory across all exact stages, in absolute time;
-       normalized to a monotone run-relative series in the report. *)
-    let raw_traj : (float * int) list ref = ref [] in
-    let note_exact ~t0 (r : Mapper.report) =
-      List.iter
-        (fun (t, c) -> raw_traj := (t0 +. t, c) :: !raw_traj)
-        r.trajectory;
-      (match !best_exact with
+    let note_exact (r : Mapper.report) =
+      match !best_exact with
       | Some prev when prev.f_cost <= r.f_cost -> ()
-      | _ -> best_exact := Some r)
-    in
-    let final_trajectory () =
-      let pts =
-        List.sort (fun (a, _) (b, _) -> compare a b) !raw_traj
-      in
-      let _, rev =
-        List.fold_left
-          (fun (best, acc) (t, c) ->
-            if c < best then (c, (t -. start, c) :: acc) else (best, acc))
-          (max_int, []) pts
-      in
-      List.rev rev
+      | _ -> best_exact := Some r
     in
     let proved_optimal = ref false in
     (* Set whenever the exact deadline cut the pipeline short: a rung
@@ -164,19 +145,6 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
        [Solver.set_stop], and is checked again between stages. *)
     let cancelled () =
       match cancel with Some c -> Cancel.cancelled c | None -> false
-    in
-    (* Forward mapper progress under the portfolio stage's name, with
-       elapsed time rebased to the portfolio's own start. *)
-    let stage_progress stage =
-      Option.map
-        (fun cb (p : Mapper.progress) ->
-          cb
-            {
-              p with
-              Mapper.p_phase = stage;
-              p_elapsed = Unix.gettimeofday () -. start;
-            })
-        on_progress
     in
     (* One ladder rung, seeded with the best incumbent's objective value. *)
     let run_exact ?pool ?session ~stage ~conflict_limit () =
@@ -220,12 +188,11 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
           in
           let seeded = upper_bound <> options.exact.upper_bound in
           (match
-             Mapper.run ~options:opts ?session ?pool ?cancel
-               ?on_progress:(stage_progress stage) ~arch circuit
+             Mapper.run ~options:opts ?session ?pool ?cancel ~arch circuit
            with
           | Ok r ->
               note_stats r.sat_stats;
-              note_exact ~t0 r;
+              note_exact r;
               if r.optimal then proved_optimal := true
               else if
                 (* A deadline-bearing unlimited rung can only come back
@@ -389,7 +356,6 @@ let run ?(options = default) ?cancel ?on_progress ~arch circuit =
             stages = List.rev !stages;
             sat_stats = !sat_stats;
             strategy_name = Strategy.name options.exact.strategy;
-            trajectory = final_trajectory ();
             witness = c.c_witness;
             notes =
               (if !deadline_hit && c.c_provenance <> Exact_optimal then

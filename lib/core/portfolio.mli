@@ -104,11 +104,6 @@ type report = {
   strategy_name : string;
       (** Name of the exact strategy actually targeted, after
           defaulting ({!Strategy.name} of [options.exact.strategy]). *)
-  trajectory : (float * int) list;
-      (** Objective trajectory merged over all exact stages: one
-          [(seconds-since-start, cost)] entry per global incumbent
-          improvement, time-ordered with strictly decreasing costs.
-          Empty when no exact stage found a model. *)
   notes : string list;
       (** Provenance qualifiers. ["deadline_expired"]: the exact
           deadline cut the pipeline (a rung was skipped for spent
@@ -140,7 +135,6 @@ val pp_failure : Format.formatter -> failure -> unit
 val run :
   ?options:options ->
   ?cancel:Qxm_par.Cancel.t ->
-  ?on_progress:(Mapper.progress -> unit) ->
   arch:Qxm_arch.Coupling.t ->
   Qxm_circuit.Circuit.t ->
   (report, failure) result
@@ -155,7 +149,7 @@ val run :
     certified candidate found so far (with a ["cancelled"] note), or
     [Exhausted] when nothing was certified yet.
 
-    [?on_progress] receives the exact stages' live progress samples with
-    [p_phase] set to the portfolio stage name (e.g. ["exact:4000"]) and
-    [p_elapsed] rebased to this call's start.  Same thread-safety
-    contract as {!Mapper.run}'s [?on_progress]. *)
+    Each exact rung runs in a [portfolio.stage] span whose [stage]
+    argument names it (e.g. ["exact:4000"]), around the {!Mapper.run}
+    spans and instants it contains; the trace stream is the only live
+    view of the run. *)

@@ -1,7 +1,7 @@
 (** Search telemetry: a lock-free per-domain time-series sampler.
 
-    The SAT solver feeds one {!sample} per progress tick (its existing
-    64-conflict cadence, see [Qxm_sat.Solver.set_on_progress]) with the
+    The SAT solver feeds one {!sample} every 64 conflicts (the cadence
+    of its budget clock poll, see [Qxm_sat.Solver]) with the
     search-state quantities a trajectory diagnosis needs: conflict,
     decision and propagation totals, trail depth, learnt-clause tiers,
     running mean LBD and arena words.  The optimisation layers above the
@@ -14,7 +14,7 @@
 
     - {b Disabled means free}: {!enabled} is one atomic load, and the
       solver gates its sampling call on it, so the off path costs one
-      load and branch per progress tick.
+      load and branch per 64-conflict tick.
     - {b No cross-worker contention}: each domain records into its own
       ring, discovered through domain-local storage; the registry lock
       is taken once per domain and at export.

@@ -57,7 +57,7 @@ let cost_of_model objective model =
     0 objective
 
 let minimize ?session ?(deadline = 0.0) ?(conflict_limit = -1) ?upper_bound
-    ?warm_start ?on_incumbent ~cnf ~objective () =
+    ?warm_start ~cnf ~objective () =
   let solver = Cnf.solver cnf in
   let sn = match session with Some sn -> sn | None -> new_session () in
   match sn.s_finished with
@@ -85,7 +85,9 @@ let minimize ?session ?(deadline = 0.0) ?(conflict_limit = -1) ?upper_bound
         pb_cap = session_cap sn;
       }
   | None -> (
-      let note cost = Option.iter (fun cb -> cb cost) on_incumbent in
+      let note cost =
+        Trace.instant ~args:[ ("cost", Trace.Int cost) ] "minimize.incumbent"
+      in
       (* Phase seeding: bias the search toward cost 0 on the objective
          literals.  Phases steer branching order only, so this cannot
          change which costs are reachable — only how fast the descent

@@ -62,7 +62,6 @@ val minimize :
   ?conflict_limit:int ->
   ?upper_bound:int ->
   ?warm_start:Qxm_sat.Lit.t list ->
-  ?on_incumbent:(int -> unit) ->
   cnf:Qxm_encode.Cnf.t ->
   objective:(int * Qxm_sat.Lit.t) list ->
   unit ->
@@ -94,11 +93,11 @@ val minimize :
     Later calls of a session ignore it.
     Objective literals are always phase-seeded toward cost 0.
 
-    [on_incumbent] fires synchronously each time a new best-cost model
-    is found, so the costs it sees strictly decrease and the last one
-    equals the outcome's [cost] — the live progress hook behind
-    [qxmap map --progress] and the source of the mapper's report
-    trajectory. *)
+    Each new best-cost model records a [minimize.incumbent] trace
+    instant with a [cost] argument, so within one call the costs
+    strictly decrease and the last one equals the outcome's [cost].
+    [Qxm_profile.Profile.fold_run] min-filters these instants into a
+    run's objective trajectory. *)
 
 val cost_of_model : (int * Qxm_sat.Lit.t) list -> bool array -> int
 (** Evaluate an objective on a model. *)

@@ -559,6 +559,69 @@ let analyze = function
   | Trace_events events -> analyze_events ~source:"trace" events
   | Bench_rows _ -> invalid_arg "Profile.analyze: bench input; use gate"
 
+let s_of_us us = us /. 1e6
+
+(* -- run summary ------------------------------------------------------------ *)
+
+let mapper_phases = [ "encode"; "warm_start"; "solve"; "reconstruct"; "verify" ]
+
+(* An in-process event, in the shape the parser produces from its JSON. *)
+let of_trace_event (ev : Qxm_obs.Trace.event) =
+  let arg : Qxm_obs.Trace.arg -> Sjson.t = function
+    | Int i -> Num (float_of_int i)
+    | Float f -> Num f
+    | Bool b -> Bool b
+    | Str s -> Str s
+  in
+  {
+    e_name = ev.name;
+    e_ph = (match ev.ph with `B -> "B" | `E -> "E" | `I -> "i" | `C -> "C");
+    e_ts = ev.ts_us;
+    e_tid = ev.tid;
+    e_args = Obj (List.map (fun (k, v) -> (k, arg v)) ev.args);
+  }
+
+type run = {
+  u_phases : (string * float) list;
+  u_trajectory : (float * int) list;
+}
+
+let fold_run ~t0_us trace_events =
+  let events = List.map of_trace_event trace_events in
+  let slices =
+    match
+      List.find_opt
+        (fun d -> d.d_name = "phase")
+        (analyze_events ~source:"run" events).r_dims
+    with
+    | Some d -> d.d_slices
+    | None -> []
+  in
+  let incumbents =
+    List.filter_map
+      (fun ev ->
+        if ev.e_ph = "i" && ev.e_name = "minimize.incumbent" then
+          Option.map (fun c -> (ev.e_ts, c)) (int_mem "cost" ev.e_args)
+        else None)
+      events
+    |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+  in
+  let _, improvements =
+    List.fold_left
+      (fun (best, acc) (ts, c) ->
+        if c < best then (c, (s_of_us (ts -. t0_us), c) :: acc)
+        else (best, acc))
+      (max_int, []) incumbents
+  in
+  {
+    u_phases =
+      List.map
+        (fun p ->
+          (p, s_of_us (Option.value ~default:0.0 (List.assoc_opt p slices))))
+        mapper_phases;
+    u_trajectory = List.rev improvements;
+  }
+
 (* -- trace check ----------------------------------------------------------- *)
 
 type check = { c_events : int; c_workers : int; c_errors : string list }
@@ -809,8 +872,6 @@ let gate base fresh =
   | _ -> Error "the gate needs two bench JSON files (BASE NEW)"
 
 (* -- rendering ------------------------------------------------------------- *)
-
-let s_of_us us = us /. 1e6
 
 let render_text ?(top = 10) r =
   let buf = Buffer.create 4096 in

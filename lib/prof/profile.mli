@@ -106,6 +106,34 @@ val analyze : input -> report
 val render_text : ?top:int -> report -> string
 val render_json : ?top:int -> report -> string
 
+(** {1 Run summary}
+
+    The fold behind the per-run fields of [qxmap map --json] and
+    [bench/main.ml]'s stage columns: one pass over the trace events a
+    single mapping call recorded. *)
+
+val mapper_phases : string list
+(** The mapper's pipeline stages, in order: [encode], [warm_start],
+    [solve], [reconstruct], [verify] — each traced as a [mapper.<phase>]
+    span. *)
+
+type run = {
+  u_phases : (string * float) list;
+      (** seconds per {!mapper_phases} entry (all five, in that order,
+          zero when unused), from the phase dimension {!analyze}
+          attributes; with parallel candidates the sums can exceed the
+          wall time *)
+  u_trajectory : (float * int) list;
+      (** [(seconds since t0, cost)] for each [minimize.incumbent]
+          instant that beat every earlier one: time-ordered, costs
+          strictly decreasing *)
+}
+
+val fold_run : t0_us:float -> Qxm_obs.Trace.event list -> run
+(** [fold_run ~t0_us events] summarises one call whose events are
+    [events]; [t0_us] is the call's start on the {!Qxm_obs.Trace.now_us}
+    timebase. *)
+
 (** {1 Trace check} *)
 
 type check = {

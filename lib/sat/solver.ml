@@ -146,18 +146,6 @@ let stats_counters st =
     ("arena_relocations", st.arena_relocations);
   ]
 
-type progress = {
-  pr_conflicts : int;
-  pr_decisions : int;
-  pr_propagations : int;
-  pr_restarts : int;
-  pr_trail : int;
-  pr_learnts : int;
-  pr_learnt_core : int;
-  pr_mean_lbd : float;
-  pr_arena_words : int;
-}
-
 type t = {
   mutable nvars : int;
   mutable assign : Bytes.t; (* per var: 0 undef, 1 true, 2 false *)
@@ -216,8 +204,7 @@ type t = {
   mutable clock_polls : int;
   mutable last_clock_poll : int; (* conflict count at the last clock poll *)
   mutable budget_hit : bool; (* latched by out_of_budget until next solve *)
-  mutable on_progress : (progress -> unit) option;
-  mutable last_progress : int; (* conflict count at the last progress tick *)
+  mutable last_sample : int; (* conflict count at the last telemetry tick *)
   mutable last_flushed : stats; (* registry watermark; see flush_metrics *)
 }
 
@@ -360,8 +347,7 @@ let create ?(capacity = 0) () =
       clock_polls = 0;
       last_clock_poll = 0;
       budget_hit = false;
-      on_progress = None;
-      last_progress = 0;
+      last_sample = 0;
       last_flushed = zero_stats;
     }
   in
@@ -369,7 +355,6 @@ let create ?(capacity = 0) () =
   s
 
 let set_stop s flag = s.stop <- flag
-let set_on_progress s cb = s.on_progress <- cb
 
 let sanitize_all = ref false
 let set_sanitize_all b = sanitize_all := b
@@ -1415,40 +1400,21 @@ let search s ~nof_conflicts ~conflict_limit ~deadline =
       else begin
         if out_of_budget s ~conflict_limit ~deadline then
           raise (Result Unknown);
-        (* progress hook and telemetry sampler: same 64-conflict cadence
-           as the clock poll, so enabling either adds no extra clock
-           reads.  [Timeseries.enabled] is one atomic load. *)
-        (if
-           s.conflicts - s.last_progress >= 64
-           && (s.on_progress <> None || Timeseries.enabled ())
-         then begin
-           s.last_progress <- s.conflicts;
-           let mean_lbd =
-             if s.conflicts = 0 then 0.0
-             else float_of_int s.lbd_sum /. float_of_int s.conflicts
-           in
-           if Timeseries.enabled () then
-             Timeseries.sample ~conflicts:s.conflicts ~decisions:s.decisions
-               ~propagations:s.propagations ~restarts:s.restarts
-               ~trail:s.trail_size
-               ~learnts:(Vec.Int.size s.learnts) ~learnt_core:s.num_core
-               ~mean_lbd ~arena_words:(Arena.top s.arena);
-           match s.on_progress with
-           | Some cb ->
-               cb
-                 {
-                   pr_conflicts = s.conflicts;
-                   pr_decisions = s.decisions;
-                   pr_propagations = s.propagations;
-                   pr_restarts = s.restarts;
-                   pr_trail = s.trail_size;
-                   pr_learnts = Vec.Int.size s.learnts;
-                   pr_learnt_core = s.num_core;
-                   pr_mean_lbd = mean_lbd;
-                   pr_arena_words = Arena.top s.arena;
-                 }
-           | None -> ()
-         end);
+        (* telemetry sampler: same 64-conflict cadence as the clock
+           poll, so enabling it adds no extra clock reads.
+           [Timeseries.enabled] is one atomic load. *)
+        if s.conflicts - s.last_sample >= 64 && Timeseries.enabled () then begin
+          s.last_sample <- s.conflicts;
+          let mean_lbd =
+            if s.conflicts = 0 then 0.0
+            else float_of_int s.lbd_sum /. float_of_int s.conflicts
+          in
+          Timeseries.sample ~conflicts:s.conflicts ~decisions:s.decisions
+            ~propagations:s.propagations ~restarts:s.restarts
+            ~trail:s.trail_size
+            ~learnts:(Vec.Int.size s.learnts) ~learnt_core:s.num_core
+            ~mean_lbd ~arena_words:(Arena.top s.arena)
+        end;
         if nof_conflicts >= 0 && !conflict_c >= nof_conflicts then
           raise Restart;
         if decision_level s = 0 then remove_satisfied s s.learnts;
@@ -1490,7 +1456,9 @@ let search s ~nof_conflicts ~conflict_limit ~deadline =
   | Restart ->
       cancel_until s 0;
       s.restarts <- s.restarts + 1;
-      Trace.instant ~args:[ ("conflicts", Trace.Int s.conflicts) ]
+      (* conflicts of this restart round, so summing the instants of
+         concurrent solvers counts each conflict once *)
+      Trace.instant ~args:[ ("conflicts", Trace.Int !conflict_c) ]
         "solver.restart";
       Unknown
 
@@ -1523,8 +1491,8 @@ let solve_raw ?(assumptions = []) ?(conflict_limit = -1) ?(deadline = 0.0) s =
         (* force a clock poll on the first budget check of this call, so an
            already-expired deadline is noticed before any conflict *)
         s.last_clock_poll <- s.conflicts - 64;
-        (* same rewind for the progress hook: fire once early in this call *)
-        s.last_progress <- s.conflicts - 64;
+        (* same rewind for the sampler: sample once early in this call *)
+        s.last_sample <- s.conflicts - 64;
         s.assumptions <- Array.of_list assumptions;
         Array.iter
           (fun l ->

@@ -140,33 +140,12 @@ val arena_words : t -> int
     published to the registry as [solver.arena_words] on each stats
     flush). *)
 
-(** A progress tick: cumulative search totals plus instantaneous search
-    state — current trail depth, live learnt clauses and how many sit in
-    the core (glue ≤ 2) tier, the running mean LBD over all conflicts,
-    and the clause-arena high-water mark in words.  New fields append at
-    the end. *)
-type progress = {
-  pr_conflicts : int;
-  pr_decisions : int;
-  pr_propagations : int;
-  pr_restarts : int;
-  pr_trail : int;
-  pr_learnts : int;
-  pr_learnt_core : int;
-  pr_mean_lbd : float;
-  pr_arena_words : int;
-}
-
-val set_on_progress : t -> (progress -> unit) option -> unit
-(** Install (or clear) a progress callback.  It fires on the same
-    64-conflict cadence as the budget clock poll (plus once near the
-    start of each [solve] call), so enabling it adds no extra clock
-    reads to the inner loop.  The callback runs on the solving domain
-    and must be fast and exception-free.
-
-    On the same cadence — independently of any callback — the solver
-    feeds one [Qxm_obs.Timeseries] sample per tick while that sampler is
-    enabled; the disabled path costs one atomic load and branch. *)
+(** Every 64 conflicts (plus once near the start of each [solve] call)
+    the solver feeds one [Qxm_obs.Timeseries] sample while that sampler
+    is enabled, on the same cadence as the budget clock poll, so it adds
+    no clock reads; the disabled path costs one atomic load and branch.
+    Each restart records a [solver.restart] trace instant carrying the
+    conflicts of the round it ends. *)
 
 val set_phase : t -> int -> bool -> unit
 (** [set_phase s v b] seeds variable [v]'s saved phase: the next time the

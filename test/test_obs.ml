@@ -1,9 +1,10 @@
 (* Tests for the observability layer: the metrics registry (snapshot /
    diff / merge algebra, and its agreement with [Solver.add_stats]-style
    aggregation), the span tracer (per-worker well-nested events, Chrome
-   export shape, disabled-mode cost), and the live progress hooks (the
-   solver's 64-conflict cadence and the minimizer's objective
-   trajectory). *)
+   export shape, disabled-mode cost), and the stream as the only
+   progress channel (the solver's 64-conflict telemetry cadence, the
+   minimizer's incumbent instants, and the run summary folded from a
+   traced mapping). *)
 
 open Test_util
 module Trace = Qxm_obs.Trace
@@ -20,6 +21,7 @@ module Strategy = Qxm_exact.Strategy
 module Devices = Qxm_arch.Devices
 module Examples = Qxm_benchmarks.Examples
 module Suite = Qxm_benchmarks.Suite
+module Profile = Qxm_profile.Profile
 
 (* -- stats monoid --------------------------------------------------------- *)
 
@@ -428,7 +430,7 @@ let test_chrome_export_shape () =
 
 (* A disabled observability layer must be close to free: the
    instrumented warm paths (one span per solve / candidate / task, one
-   sampler call per 64-conflict progress tick) stay out of the
+   sampler call per 64-conflict tick) stay out of the
    benchmarks.  The wrapped closure mirrors the solver's actual hot
    path: span entry/exit, a sampler call gated on [Timeseries.enabled]
    (so argument evaluation is skipped), context labelling, and the
@@ -714,43 +716,61 @@ let test_metrics_quantile () =
     && contains_substring text "p90="
     && contains_substring text "p99=")
 
-(* -- progress hooks ------------------------------------------------------- *)
+(* -- the event stream as the only progress channel ------------------------- *)
 
+(* [f ()] with the tracer recording from a clean buffer: its result, the
+   trace clock at its start, and the events it recorded. *)
+let traced f =
+  Trace.reset ();
+  Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ())
+    (fun () ->
+      let t0_us = Trace.now_us () in
+      let r = f () in
+      (r, t0_us, Trace.events ()))
+
+(* The solver's telemetry tick: one sample per 64 conflicts at most,
+   with plausible search-state fields, and none once sampling is off. *)
 let test_solver_progress_cadence () =
   let s = php 5 in
-  let samples_ref = ref [] in
-  Solver.set_on_progress s (Some (fun p -> samples_ref := p :: !samples_ref));
+  Timeseries.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Timeseries.disable ();
+      Timeseries.reset ())
+  @@ fun () ->
   (match Solver.solve s with
   | Solver.Unsat -> ()
   | _ -> Alcotest.fail "pigeonhole must be unsatisfiable");
-  let samples = List.rev !samples_ref in
-  Alcotest.(check bool) "several samples delivered" true
+  let samples = Timeseries.samples () in
+  Alcotest.(check bool) "several samples recorded" true
     (List.length samples >= 2);
   ignore
     (List.fold_left
-       (fun prev (p : Solver.progress) ->
+       (fun prev (p : Timeseries.sample) ->
          Alcotest.(check bool) "cadence of at least 64 conflicts" true
-           (prev < 0 || p.pr_conflicts - prev >= 64);
+           (prev < 0 || p.conflicts - prev >= 64);
          Alcotest.(check bool) "counters are non-negative" true
-           (p.pr_conflicts >= 0 && p.pr_decisions >= 0
-          && p.pr_propagations >= 0 && p.pr_restarts >= 0);
+           (p.conflicts >= 0 && p.decisions >= 0 && p.propagations >= 0
+          && p.restarts >= 0);
          Alcotest.(check bool) "extended search-state fields plausible" true
-           (p.pr_trail >= 0 && p.pr_learnts >= 0
-          && p.pr_learnt_core >= 0
-          && p.pr_learnt_core <= p.pr_learnts
-          && p.pr_mean_lbd >= 0.0 && p.pr_arena_words >= 0);
-         p.pr_conflicts)
+           (p.trail >= 0 && p.learnts >= 0 && p.learnt_core >= 0
+          && p.learnt_core <= p.learnts
+          && p.mean_lbd >= 0.0 && p.arena_words >= 0);
+         p.conflicts)
        (-1) samples);
   let final = Solver.stats s in
   let last = List.nth samples (List.length samples - 1) in
   Alcotest.(check bool) "samples never overshoot the final stats" true
-    (last.pr_conflicts <= final.Solver.conflicts);
-  (* clearing the hook stops delivery *)
-  Solver.set_on_progress s None;
-  let before = List.length !samples_ref in
-  ignore (Solver.solve s);
-  Alcotest.(check int) "no samples after clearing" before
-    (List.length !samples_ref)
+    (last.conflicts <= final.Solver.conflicts);
+  (* disabling the sampler stops recording *)
+  Timeseries.disable ();
+  ignore (Solver.solve (php 5));
+  Alcotest.(check int) "no samples after disabling" (List.length samples)
+    (List.length (Timeseries.samples ()))
 
 let minimize_trajectory =
   qtest ~count:40 "minimize trajectory decreases strictly and ends at cost"
@@ -763,41 +783,50 @@ let minimize_trajectory =
       let cnf = Cnf.create s in
       List.iter (Cnf.add cnf) clauses;
       let objective = List.mapi (fun v w -> (w, Lit.pos v)) weights in
-      let fired = ref [] in
-      let outcome =
-        Minimize.minimize ~cnf ~objective
-          ~on_incumbent:(fun c -> fired := c :: !fired)
-          ()
+      let outcome, _, events =
+        traced (fun () -> Minimize.minimize ~cnf ~objective ())
+      in
+      let fired =
+        List.filter_map
+          (fun (e : Trace.event) ->
+            match (e.ph, e.name, e.args) with
+            | `I, "minimize.incumbent", [ ("cost", Trace.Int c) ] -> Some c
+            | _ -> None)
+          events
       in
       let rec strictly_decreasing = function
         | a :: (b :: _ as tl) -> a > b && strictly_decreasing tl
         | _ -> true
       in
       (* the stream is empty iff there is no model, else ends at [cost] *)
-      strictly_decreasing (List.rev !fired)
+      strictly_decreasing fired
       &&
-      match (outcome.model, outcome.cost, !fired) with
+      match (outcome.model, outcome.cost, List.rev fired) with
       | Some _, Some c, last :: _ -> last = c
       | None, _, [] -> true
       | _ -> false)
 
 (* -- mapper reports ------------------------------------------------------- *)
 
+(* The per-run fields of [qxmap map --json], folded from a traced run. *)
 let test_mapper_report_observability () =
-  match Mapper.run ~arch:Devices.qx4 Examples.fig1a with
-  | Error e -> Alcotest.failf "mapper failed: %a" Mapper.pp_failure e
-  | Ok r ->
+  match traced (fun () -> Mapper.run ~arch:Devices.qx4 Examples.fig1a) with
+  | Error e, _, _ -> Alcotest.failf "mapper failed: %a" Mapper.pp_failure e
+  | Ok r, t0_us, events ->
       Alcotest.(check bool) "strategy name recorded" true
         (String.length r.strategy_name > 0);
+      let u = Profile.fold_run ~t0_us events in
+      Alcotest.(check (list string)) "all five phases, in order"
+        [ "encode"; "warm_start"; "solve"; "reconstruct"; "verify" ]
+        (List.map fst u.u_phases);
       List.iter
-        (fun name ->
-          match List.assoc_opt name r.phase_seconds with
-          | Some v ->
-              Alcotest.(check bool) (name ^ " time non-negative") true
-                (v >= 0.0)
-          | None -> Alcotest.failf "phase %S missing from phase_seconds" name)
-        [ "encode"; "warm_start"; "solve"; "reconstruct"; "verify" ];
-      Alcotest.(check bool) "trajectory recorded" true (r.trajectory <> []);
+        (fun (name, v) ->
+          Alcotest.(check bool) (name ^ " time non-negative") true (v >= 0.0))
+        u.u_phases;
+      Alcotest.(check bool) "encode and solve took time" true
+        (List.assoc "encode" u.u_phases > 0.0
+        && List.assoc "solve" u.u_phases > 0.0);
+      Alcotest.(check bool) "trajectory recorded" true (u.u_trajectory <> []);
       let rec check prev_t prev_c = function
         | [] -> ()
         | (t, c) :: tl ->
@@ -807,8 +836,10 @@ let test_mapper_report_observability () =
               (c < prev_c);
             check t c tl
       in
-      check 0.0 max_int r.trajectory;
-      let _, last_cost = List.nth r.trajectory (List.length r.trajectory - 1) in
+      check 0.0 max_int u.u_trajectory;
+      let _, last_cost =
+        List.nth u.u_trajectory (List.length u.u_trajectory - 1)
+      in
       Alcotest.(check bool) "trajectory ends at or above the emitted cost"
         true
         (last_cost >= r.objective_cost)

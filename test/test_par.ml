@@ -22,6 +22,7 @@ module Swap_count = Qxm_arch.Swap_count
 module Examples = Qxm_benchmarks.Examples
 module Suite = Qxm_benchmarks.Suite
 module Generator = Qxm_benchmarks.Generator
+module Trace = Qxm_obs.Trace
 
 (* -- pool ----------------------------------------------------------------- *)
 
@@ -408,15 +409,25 @@ let test_portfolio_race_budgeted () =
    it mid-ladder on an instance whose unlimited rung would run for a long
    time ends the run promptly, with the first rung's certified incumbent.
    On qe_qft_4 the [exact:4000] rung always ends unproven, so the
-   unlimited rung always starts and reports progress. *)
+   unlimited rung always starts; a trace sink cancels on its
+   [portfolio.stage] span. *)
 let test_portfolio_supervisor_cancel () =
   let e = Option.get (Suite.by_name "qe_qft_4") in
   let cancel = Cancel.create () in
-  let on_progress (p : Mapper.progress) =
-    if p.p_phase = "exact:unlimited" then Cancel.cancel cancel
-  in
+  Trace.set_sink
+    (Some
+       (fun (ev : Trace.event) ->
+         if
+           ev.ph = `B && ev.name = "portfolio.stage"
+           && List.assoc_opt "stage" ev.args
+              = Some (Trace.Str "exact:unlimited")
+         then Cancel.cancel cancel));
   let t0 = Unix.gettimeofday () in
-  match Portfolio.run ~cancel ~on_progress ~arch:Devices.qx4 e.circuit with
+  match
+    Fun.protect
+      ~finally:(fun () -> Trace.set_sink None)
+      (fun () -> Portfolio.run ~cancel ~arch:Devices.qx4 e.circuit)
+  with
   | Ok r ->
       Alcotest.(check bool) "returns promptly" true
         (Unix.gettimeofday () -. t0 < 10.0);

@@ -511,7 +511,10 @@ let test_daemon_unroutable_runs_once () =
       Alcotest.(check bool)
         (Printf.sprintf "portfolio's Exhausted text (got %S)" msg)
         true
-        (String.starts_with ~prefix:"every portfolio stage failed" msg)
+        (String.starts_with ~prefix:"every portfolio stage failed" msg);
+      Alcotest.(check bool)
+        (Printf.sprintf "one-line failure text (got %S)" msg)
+        false (String.contains msg '\n')
   | _ -> Alcotest.fail "expected Failed on an unroutable input");
   let exact_lanes =
     List.filter
