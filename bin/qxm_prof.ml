@@ -1,15 +1,11 @@
-(* qxm_prof — read a trace or bench artifact and report on it.
+(* qxm_prof — read a trace artifact and report on it.
 
-   One input file: a Chrome trace or NDJSON event stream (qxmap
-   --trace/--events), or a flight-recorder dump (qxmapd/qxmap/bench
+   The input is a Chrome trace or NDJSON event stream (qxmap
+   --trace/--events), or a flight-recorder dump (qxmapd/qxmap
    --flight-record).  Prints wall-time attribution (phase, portfolio
    stage, candidate, rung), top-k hot spans with interpolated
    p50/p90/p99, and the objective-bound trajectory.  With --check it
-   validates the trace instead (exit 1 on any violation).
-
-   Two input files: BASE.json and NEW.json bench records
-   (bench/main.ml --json); the regression gate prints one verdict line
-   per baseline row and exits 1 on a regression.  See
+   validates the trace instead (exit 1 on any violation).  See
    doc/OBSERVABILITY.md. *)
 
 open Cmdliner
@@ -20,18 +16,15 @@ let files_arg =
     non_empty
     & pos_all file []
     & info [] ~docv:"FILE"
-        ~doc:
-          "Input artifact(s).  One file: trace / events / flight dump \
-           to analyze or check.  Two files: BASE.json and NEW.json \
-           bench records to gate.")
+        ~doc:"The trace, event stream or flight dump to analyze or check.")
 
 let json_arg =
   Arg.(
     value & flag
     & info [ "json" ]
         ~doc:
-          "Emit the one-file report as one machine-readable JSON object \
-           instead of text.")
+          "Emit the report as one machine-readable JSON object instead \
+           of text.")
 
 let top_arg =
   Arg.(
@@ -87,11 +80,6 @@ let fail msg =
   Printf.eprintf "qxm_prof: %s\n" msg;
   exit 2
 
-let load f =
-  match Profile.parse_file f with
-  | Error e -> fail (f ^ ": " ^ e)
-  | Ok input -> input
-
 let check file ~min_workers ~require ~samples ~request_ids =
   let c =
     match Profile.parse_file file with
@@ -116,28 +104,15 @@ let run files json top check_mode min_workers require samples request_ids =
   | [ file ] when check_mode ->
       check file ~min_workers ~require ~samples ~request_ids
   | [ file ] -> (
-      match load file with
-      | Profile.Bench_rows _ ->
-          fail
-            (file
-           ^ ": bench JSON input — the gate needs two files (BASE NEW)")
-      | input ->
+      match Profile.parse_file file with
+      | Error e -> fail (file ^ ": " ^ e)
+      | Ok input ->
           let report = Profile.analyze input in
           print_string
             (if json then Profile.render_json ~top report ^ "\n"
              else Profile.render_text ~top report))
-  | [ base; fresh ] when not check_mode -> (
-      match Profile.gate (load base) (load fresh) with
-      | Error e -> fail e
-      | Ok g ->
-          List.iter print_endline g.g_lines;
-          if g.g_regressions > 0 then begin
-            Printf.printf "qxm_prof: %d regression(s) against %s\n"
-              g.g_regressions base;
-            exit 1
-          end;
-          print_endline "qxm_prof: no regressions")
-  | _ -> fail "expected one artifact, or two bench JSON files to gate"
+  | _ ->
+      fail (Printf.sprintf "expected one artifact, got %d" (List.length files))
 
 let () =
   let info =
@@ -145,8 +120,8 @@ let () =
       ~doc:
         "Offline reports for qxmap/qxmapd observability artifacts: \
          wall-time attribution (phase, stage, rung), hot spans with \
-         p50/p90/p99 and the objective trajectory; trace checks; and \
-         the bench regression gate.  See doc/OBSERVABILITY.md."
+         p50/p90/p99 and the objective trajectory; and trace checks.  \
+         See doc/OBSERVABILITY.md."
   in
   exit
     (Cmd.eval

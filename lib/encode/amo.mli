@@ -3,8 +3,8 @@
     Equation (1) of the paper demands that each logical qubit sits on
     exactly one physical qubit and each physical qubit carries at most one
     logical qubit — a grid of AMO/EO constraints, so their encoding matters.
-    Three classic encodings are provided; the ablation bench compares
-    them.
+    Three classic encodings are provided; the mapper's [amo] option
+    selects one.
 
     Every constraint is emitted inside a {!Cnf.scope} ([amo-pairwise],
     [amo-sequential], [amo-commander], [alo], [eo]) so the lint layer can

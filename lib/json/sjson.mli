@@ -1,7 +1,7 @@
 (** Minimal JSON values for the daemon wire protocol.
 
-    The repository emits JSON by hand in several places ([qxmap --json],
-    the bench records); the daemon also has to {e read} it, because
+    The repository emits JSON in several places ([qxmap --json],
+    [table1 --json]); the daemon also has to {e read} it, because
     [qxmapd] requests arrive as one JSON object per line.  This module
     is a small, dependency-free value type with a strict recursive
     descent parser and a printer that round-trips through it.

@@ -43,6 +43,7 @@ let registry_lock = Mutex.create ()
 let registry : buffer list ref = ref []
 
 let enabled () = Atomic.get flags land flag_buffer <> 0
+let recording () = Atomic.get flags <> 0
 
 let rebase () =
   Mutex.lock registry_lock;
@@ -100,7 +101,7 @@ let emit ev =
   if fl land flag_sink <> 0 then !sink_fn ev
 
 let with_span ?(args = []) ~name f =
-  if Atomic.get flags = 0 then f ()
+  if not (recording ()) then f ()
   else begin
     let tid = (Domain.self () :> int) in
     emit { ph = `B; name; ts_us = now_us (); tid; args };
@@ -111,7 +112,7 @@ let with_span ?(args = []) ~name f =
   end
 
 let instant ?(args = []) name =
-  if Atomic.get flags <> 0 then
+  if recording () then
     emit { ph = `I; name; ts_us = now_us (); tid = (Domain.self () :> int); args }
 
 (* Merge two event streams, both grouped by tid with monotone timestamps

@@ -26,10 +26,11 @@
     object. *)
 type arg = Int of int | Str of string | Float of float | Bool of bool
 
-val enabled : unit -> bool
-(** Is the tracer currently recording into its in-memory buffers?
-    (The flight-recorder sink installed via {!set_sink} is gated
-    independently.) *)
+val recording : unit -> bool
+(** Does any recorder observe events: the in-memory buffers ({!enable})
+    or a sink installed via {!set_sink}?  The gate {!with_span} and
+    {!instant} use; callers that build span arguments test it first, so
+    a run with no recorder builds none. *)
 
 val enable : unit -> unit
 (** Start recording.  Also rebases the clock: timestamps are microseconds

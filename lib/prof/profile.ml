@@ -1,8 +1,8 @@
 (* Offline analysis of the observability artifacts: ingest a trace
-   (Chrome JSON or NDJSON), a flight-recorder dump, or a bench JSON
-   stream; explain where the time went, check a trace's well-formedness,
-   and gate a bench run against its baseline.  This is the only reader
-   of these formats in the repository, so the event schema lives here.
+   (Chrome JSON or NDJSON) or a flight-recorder dump; explain where the
+   time went and check a trace's well-formedness.  This is the only
+   reader of these formats in the repository, so the event schema lives
+   here.
 
    The analysis leans on two complementary signals:
 
@@ -32,20 +32,9 @@ type event = {
   e_args : Sjson.t;
 }
 
-type bench_row = {
-  b_key : string; (* "[suite/]benchmark -jN": the gate's join key and tag *)
-  b_wall : float;
-  b_optimal : bool;
-  b_failed : bool;
-  b_timed_out : bool option; (* None: a baseline predating the field *)
-  b_stages : (string * float) list; (* stage name -> seconds *)
-  b_counters : (string * float) list;
-}
-
 type input =
   | Flight of { f_reason : string; f_dropped : int; f_events : event list }
   | Trace_events of event list
-  | Bench_rows of bench_row list
 
 let str_mem k j = Option.bind (Sjson.member k j) Sjson.to_string_opt
 let num_mem k j = Option.bind (Sjson.member k j) Sjson.to_float_opt
@@ -82,54 +71,6 @@ let events_of ~where items =
   in
   go [] items
 
-let stage_prefix = "stage_"
-let stage_suffix = "_s"
-
-let bench_row_of_json j =
-  match (str_mem "benchmark" j, int_mem "jobs" j, num_mem "wall_s" j) with
-  | Some name, Some jobs, Some b_wall ->
-      let fields = match j with Sjson.Obj kvs -> kvs | _ -> [] in
-      let stages, counters =
-        List.fold_left
-          (fun (stages, counters) (k, v) ->
-            match v with
-            | Sjson.Num f ->
-                let pl = String.length stage_prefix
-                and sl = String.length stage_suffix in
-                if
-                  String.length k > pl + sl
-                  && String.sub k 0 pl = stage_prefix
-                  && String.sub k (String.length k - sl) sl = stage_suffix
-                then
-                  let stage =
-                    String.sub k pl (String.length k - pl - sl)
-                  in
-                  ((stage, f) :: stages, counters)
-                else if k = "wall_s" then (stages, counters)
-                else (stages, (k, f) :: counters)
-            | _ -> (stages, counters))
-          ([], []) fields
-      in
-      let flag k = Option.bind (Sjson.member k j) Sjson.to_bool_opt in
-      (* a missing suite is "quick", the only suite older baselines
-         had; jobs is part of the key because the quick suite emits
-         each benchmark at two worker counts *)
-      let suite = Option.value ~default:"quick" (str_mem "suite" j) in
-      Some
-        {
-          b_key =
-            Printf.sprintf "%s%s -j%d"
-              (if suite = "quick" then "" else suite ^ "/")
-              name jobs;
-          b_wall;
-          b_optimal = flag "optimal" = Some true;
-          b_failed = flag "failed" = Some true;
-          b_timed_out = flag "timed_out";
-          b_stages = List.rev stages;
-          b_counters = List.rev counters;
-        }
-  | _ -> None
-
 (* Every non-empty line with its 1-based line number, parsed; the first
    line that is not JSON fails the whole input. *)
 let json_lines content =
@@ -145,12 +86,16 @@ let json_lines content =
   in
   go [] 1 (String.split_on_char '\n' content)
 
-(* Input auto-detection.  A Chrome trace and a bench emission are both
-   single JSON documents (an object wrapper and an array of rows; bench
-   rows carry trailing commas that defeat line-at-a-time parsing), so
-   the whole document is tried first; otherwise the input is a line
-   stream whose first line is a flight header, a trace event, or a
-   bench record. *)
+let unrecognised =
+  Error
+    "unrecognised input: expected a Chrome trace, a flight dump or an \
+     NDJSON event stream"
+
+(* Input auto-detection.  A Chrome trace is a single JSON document (an
+   object wrapper), so the whole document is tried first; a document
+   that is an array is nothing this reader knows.  Otherwise the input
+   is a line stream whose first line is a flight header or a trace
+   event. *)
 let parse_string content =
   match
     Result.map
@@ -162,8 +107,7 @@ let parse_string content =
         (fun evs -> Trace_events evs)
         (events_of ~where:"event" (List.mapi (fun i j -> (i + 1, j)) evs))
   | Ok (Some _, _) -> Error "traceEvents is not a list"
-  | Ok (None, Sjson.List rows) ->
-      Ok (Bench_rows (List.filter_map bench_row_of_json rows))
+  | Ok (None, Sjson.List _) -> unrecognised
   | _ -> (
       match json_lines content with
       | Error e -> Error e
@@ -185,14 +129,7 @@ let parse_string content =
             Result.map
               (fun evs -> Trace_events evs)
               (events_of ~where:"line" lines)
-          else if Sjson.member "benchmark" first <> None then
-            Ok
-              (Bench_rows
-                 (List.filter_map (fun (_, j) -> bench_row_of_json j) lines))
-          else
-            Error
-              "unrecognised input: expected a Chrome trace, a flight dump, \
-               an NDJSON event stream, or bench JSON lines")
+          else unrecognised)
 
 let parse_file path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -557,7 +494,6 @@ let analyze = function
       analyze_events ~source:"flight dump" ~reason:f_reason
         ~dropped:f_dropped f_events
   | Trace_events events -> analyze_events ~source:"trace" events
-  | Bench_rows _ -> invalid_arg "Profile.analyze: bench input; use gate"
 
 let s_of_us us = us /. 1e6
 
@@ -634,9 +570,7 @@ let check ?(min_workers = 0) ?(require = []) ?(samples = false)
   let errors = ref [] in
   let error fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   let events =
-    match input with
-    | Trace_events evs | Flight { f_events = evs; _ } -> evs
-    | Bench_rows _ -> []
+    match input with Trace_events evs | Flight { f_events = evs; _ } -> evs
   in
   (* per tid: open span names (innermost first) and the last timestamp *)
   let workers : (int, string list ref * float ref) Hashtbl.t =
@@ -713,163 +647,12 @@ let check ?(min_workers = 0) ?(require = []) ?(samples = false)
            svc.request span"
           n name id)
     (List.rev !id_refs);
-  (match input with
-  | Bench_rows _ -> error "bench JSON holds no trace events"
-  | _ -> if events = [] then error "no trace events found");
+  if events = [] then error "no trace events found";
   {
     c_events = List.length events;
     c_workers = nworkers;
     c_errors = List.rev !errors;
   }
-
-(* -- bench gate ------------------------------------------------------------ *)
-
-(* Absolute minor-words-per-propagation ceiling used when the baseline
-   predates the allocation counters.  The arena solver sits well under
-   one word per propagation on every quick-suite row; 8 leaves room for
-   noise while still catching a boxed hot loop (tens of words/prop). *)
-let absolute_words_per_prop = 8.0
-
-(* Rows below this much propagation work are too noisy to gate on
-   throughput or allocation. *)
-let min_gated_propagations = 100_000.0
-
-(* Counters whose growth plausibly explains a slowdown; gate noise like
-   seeds or qubit counts out of the blame list. *)
-let blameable_counter name =
-  match name with
-  | "conflicts" | "decisions" | "propagations" | "binary_propagations"
-  | "restarts" | "minor_words" | "solves" | "subsets_tried" ->
-      true
-  | _ ->
-      (* learned-clause maintenance counters are also fair game *)
-      List.exists
-        (fun prefix -> has_prefix prefix name)
-        [ "glue_"; "minimized" ]
-
-(* The entry of [fresh] whose [score] against its [base] value is
-   highest (the first such on ties): the stage or counter that grew
-   most.  Entries missing from [base] are skipped. *)
-let biggest_growth ~score base fresh =
-  List.fold_left
-    (fun acc (name, nv) ->
-      match List.assoc_opt name base with
-      | None -> acc
-      | Some bv -> (
-          match (score name bv nv, acc) with
-          | Some s, Some (_, _, _, best) when s <= best -> acc
-          | Some s, _ -> Some (name, bv, nv, s)
-          | None, _ -> acc))
-    None fresh
-
-type gate = { g_lines : string list; g_regressions : int }
-
-let gate_rows base fresh =
-  let lines = ref [] and regressions = ref 0 in
-  let line fmt = Printf.ksprintf (fun l -> lines := l :: !lines) fmt in
-  let fail fmt =
-    incr regressions;
-    line fmt
-  in
-  let counter r k = List.assoc_opt k r.b_counters in
-  List.iter
-    (fun b ->
-      let tag = b.b_key in
-      let fresh_row = List.find_opt (fun f -> f.b_key = b.b_key) fresh in
-      if (not b.b_optimal) || b.b_timed_out = Some true then
-        (* informational: the baseline itself was an anytime row, whose
-           cost and wall time are timing-dependent — but a row that
-           newly finishes within budget is worth reporting *)
-        match fresh_row with
-        | Some f when f.b_optimal && f.b_timed_out <> Some true ->
-            line
-              "improved   %-24s newly finishes within budget (%.3fs, was \
-               timing out)"
-              tag f.b_wall
-        | _ -> line "unstable   %-24s baseline not optimal, not gated" tag
-      else
-        match fresh_row with
-        | None -> fail "REGRESSED  %-24s missing from fresh run" tag
-        | Some f when f.b_failed ->
-            fail "REGRESSED  %-24s was optimal, now failed" tag
-        | Some f when f.b_timed_out = Some true ->
-            fail "REGRESSED  %-24s newly times out (was %.3fs)" tag b.b_wall
-        | Some f when not f.b_optimal ->
-            fail "REGRESSED  %-24s optimal flipped true -> false" tag
-        | Some f ->
-            let allowed = (b.b_wall *. 1.25) +. 0.25 in
-            if f.b_wall > allowed then begin
-              fail
-                "REGRESSED  %-24s wall %.3fs > allowed %.3fs (baseline \
-                 %.3fs)"
-                tag f.b_wall allowed b.b_wall;
-              (match
-                 biggest_growth b.b_stages f.b_stages
-                   ~score:(fun _ bv nv -> Some (nv -. bv))
-               with
-              | Some (stage, _, _, d) when d > 0.0 ->
-                  line "           %-24s biggest stage growth: %s (+%.3fs)"
-                    tag stage d
-              | _ -> ());
-              match
-                biggest_growth b.b_counters f.b_counters
-                  ~score:(fun name bv nv ->
-                    if blameable_counter name && bv > 0.0 && nv > bv then
-                      Some (nv /. bv)
-                    else None)
-              with
-              | Some (name, bv, nv, ratio) ->
-                  line
-                    "           %-24s biggest counter growth: %s x%.2f (%.0f \
-                     -> %.0f)"
-                    tag name ratio bv nv
-              | None -> ()
-            end
-            else
-              line "ok         %-24s %.3fs (baseline %.3fs)" tag f.b_wall
-                b.b_wall;
-            let gated =
-              match (counter b "propagations", counter f "propagations") with
-              | Some bn, Some fn ->
-                  bn >= min_gated_propagations && fn >= min_gated_propagations
-              | _ -> false
-            in
-            if gated then begin
-              (match (counter b "props_per_sec", counter f "props_per_sec") with
-              | Some bp, Some fp when bp > 0.0 ->
-                  if fp < bp /. 1.5 then
-                    fail
-                      "REGRESSED  %-24s props/sec %.2fM < %.2fM (baseline \
-                       %.2fM / 1.5)"
-                      tag (fp /. 1e6) (bp /. 1.5 /. 1e6) (bp /. 1e6)
-                  else
-                    line "           %-24s props/sec %.2fx baseline" tag
-                      (fp /. bp)
-              | _ -> ());
-              match (counter f "minor_words", counter f "propagations") with
-              | Some mw, Some props when props > 0.0 ->
-                  let words = mw /. props in
-                  let allowed, origin =
-                    match
-                      (counter b "minor_words", counter b "propagations")
-                    with
-                    | Some bmw, Some bprops when bprops > 0.0 ->
-                        ((bmw /. bprops *. 1.5) +. 0.5, "baseline * 1.5 + 0.5")
-                    | _ -> (absolute_words_per_prop, "absolute ceiling")
-                  in
-                  if words > allowed then
-                    fail "REGRESSED  %-24s minor words/prop %.2f > %.2f (%s)"
-                      tag words allowed origin
-              | _ -> ()
-            end)
-    base;
-  { g_lines = List.rev !lines; g_regressions = !regressions }
-
-let gate base fresh =
-  match (base, fresh) with
-  | Bench_rows [], _ -> Error "no bench records in the baseline"
-  | Bench_rows base, Bench_rows fresh -> Ok (gate_rows base fresh)
-  | _ -> Error "the gate needs two bench JSON files (BASE NEW)"
 
 (* -- rendering ------------------------------------------------------------- *)
 

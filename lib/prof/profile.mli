@@ -1,16 +1,15 @@
 (** Offline analysis behind [qxm_prof], and the repository's only reader
-    of its observability artifacts: parse a recorded trace, flight dump
-    or bench emission once, then explain where the time went, check a
-    trace's well-formedness, or gate a bench run against its baseline.
+    of its observability artifacts: parse a recorded trace or flight
+    dump once, then explain where the time went or check the trace's
+    well-formedness.
 
-    Three input shapes are auto-detected:
+    Two input shapes are auto-detected:
 
     - a Chrome trace object ([{"traceEvents": [...]}]) or the same
       events as NDJSON, as written by [qxmap --trace/--events];
     - a flight-recorder dump (NDJSON with a [{"flight": 1, ...}] header
       line), as written by [qxmapd --flight-record] or a timed-out
-      [qxmap --flight-record] run;
-    - bench JSON ([bench/main.ml --json]), read by the gate.
+      [qxmap --flight-record] run.
 
     Attribution combines exact span durations (B/E pairs that completed
     inside the window) with counter-sample gap attribution: each
@@ -30,31 +29,17 @@ type event = {
   e_args : Qxm_json.Sjson.t;
 }
 
-type bench_row = {
-  b_key : string;
-      (** ["[suite/]benchmark -jN"] (suite omitted when ["quick"], the
-          default for records without one): the gate's join key and
-          row tag *)
-  b_wall : float;
-  b_optimal : bool;
-  b_failed : bool;
-  b_timed_out : bool option;  (** [None]: a record without the field *)
-  b_stages : (string * float) list;  (** stage name -> seconds *)
-  b_counters : (string * float) list;  (** every other numeric field *)
-}
-
 type input =
   | Flight of { f_reason : string; f_dropped : int; f_events : event list }
   | Trace_events of event list
-  | Bench_rows of bench_row list
 
 val parse_string : string -> (input, string) result
 (** Trace events must carry a string [name] and [ph], a numeric [ts]
     and an integer [tid], and [ph] must be one of B, E, i, I, C; the
     first event that does not rejects the whole input with its position
     (["event N"] in a Chrome trace, ["line N"] in NDJSON), as does an
-    NDJSON line that is not JSON.  Bench records without a [benchmark],
-    integer [jobs] or [wall_s] are skipped. *)
+    NDJSON line that is not JSON.  Any other document or line stream
+    is rejected as unrecognised. *)
 
 val parse_file : string -> (input, string) result
 
@@ -100,17 +85,15 @@ type report = {
 }
 
 val analyze : input -> report
-(** Analyze a trace or flight input.
-    @raise Invalid_argument on bench input — use {!gate}. *)
+(** Analyze a trace or flight input. *)
 
 val render_text : ?top:int -> report -> string
 val render_json : ?top:int -> report -> string
 
 (** {1 Run summary}
 
-    The fold behind the per-run fields of [qxmap map --json] and
-    [bench/main.ml]'s stage columns: one pass over the trace events a
-    single mapping call recorded. *)
+    The fold behind the per-run fields of [qxmap map --json]: one pass
+    over the trace events a single mapping call recorded. *)
 
 val mapper_phases : string list
 (** The mapper's pipeline stages, in order: [encode], [warm_start],
@@ -152,7 +135,7 @@ val check :
 (** Well-formedness of a parsed trace or flight dump.  Per tid, every E
     closes the innermost open B of the same name, timestamps never go
     backwards (C events included), and no span is left open at the end.
-    An input without events (or a bench input) fails.
+    An input without events fails.
 
     - [min_workers]: at least this many distinct tids.
     - [require]: each prefix names at least one event.
@@ -162,25 +145,3 @@ val check :
       and every [request] arg of an [svc.*] event resolves to the [id]
       of an [svc.request] B event.  Needs a complete trace: a flight
       ring may have evicted the registering span. *)
-
-(** {1 Bench gate} *)
-
-type gate = {
-  g_lines : string list;
-      (** one verdict line per baseline row — [REGRESSED], [ok],
-          [unstable] or [improved], then the tag — plus indented
-          attribution lines *)
-  g_regressions : int;
-}
-
-val gate : input -> input -> (gate, string) result
-(** [gate base fresh] joins bench rows on {!bench_row.b_key}.  A row the
-    baseline proved optimal regresses when it goes missing, fails, newly
-    times out or loses [optimal], or when its wall time exceeds
-    base × 1.25 + 0.25 s (the stage and solver counter that grew most are
-    then named).  On rows with at least 100k propagations in both runs,
-    [props_per_sec] must stay at least base / 1.5, and minor words per
-    propagation at most base × 1.5 + 0.5 (8 when the baseline lacks the
-    counters).  Non-optimal baseline rows are informational: [improved]
-    when they newly finish, [unstable] otherwise.
-    [Error] unless both inputs are bench JSON and the baseline has rows. *)

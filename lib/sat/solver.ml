@@ -1543,7 +1543,7 @@ let solve_raw ?(assumptions = []) ?(conflict_limit = -1) ?(deadline = 0.0) s =
   end
 
 let solve ?assumptions ?conflict_limit ?deadline s =
-  if not (Trace.enabled ()) then
+  if not (Trace.recording ()) then
     solve_raw ?assumptions ?conflict_limit ?deadline s
   else
     Trace.with_span ~name:"solver.solve"

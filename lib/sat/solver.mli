@@ -102,8 +102,8 @@ type stats = {
       (** OCaml minor-heap words allocated inside [solve] calls (measured
           via [Gc.minor_words] deltas).  With the flat clause arena the
           search loop allocates almost nothing, so
-          [minor_words / propagations] should stay near zero — the bench
-          gate holds it there. *)
+          [minor_words / propagations] should stay near zero — a tier-1
+          test holds it under 8 words per propagation. *)
   arena_collections : int;
       (** Copying collections of the clause arena (triggered when a
           quarter of it is garbage). *)

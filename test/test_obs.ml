@@ -682,6 +682,28 @@ let test_flight_dump_roundtrip () =
           Alcotest.(check bool) "second dump overwrote the first" true
             (contains_substring header "second"))
 
+(* A sink alone (the flight recorder's and the progress line's shape,
+   buffers off) must see each solve's span: the solver gates its span on
+   any recorder, not on the buffers only. *)
+let test_sink_sees_solver_spans () =
+  Trace.disable ();
+  Trace.reset ();
+  let seen = ref [] in
+  Trace.set_sink
+    (Some
+       (fun (e : Trace.event) ->
+         if e.name = "solver.solve" then seen := e.ph :: !seen));
+  Fun.protect
+    ~finally:(fun () -> Trace.set_sink None)
+    (fun () ->
+      match Solver.solve (php 3) with
+      | Solver.Unsat -> ()
+      | _ -> Alcotest.fail "pigeonhole must be unsatisfiable");
+  Alcotest.(check bool) "sink saw solver.solve B then E" true
+    (List.rev !seen = [ `B; `E ]);
+  Alcotest.(check int) "buffers stayed empty" 0
+    (List.length (Trace.events ()))
+
 let test_flight_disabled_dump_is_none () =
   Flight.disable ();
   Alcotest.(check bool) "dump without enable returns None" true
@@ -888,6 +910,8 @@ let suite =
       test_flight_dump_roundtrip;
     Alcotest.test_case "flight: disabled dump is None" `Quick
       test_flight_disabled_dump_is_none;
+    Alcotest.test_case "trace: sink-only recorder sees solver spans" `Quick
+      test_sink_sees_solver_spans;
     Alcotest.test_case "metrics: interpolated quantiles" `Quick
       test_metrics_quantile;
     Alcotest.test_case "solver: progress cadence" `Quick

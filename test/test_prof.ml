@@ -1,8 +1,7 @@
 (* Tests for the offline profiler behind qxm_prof: input auto-detection
-   (Chrome trace / NDJSON events / flight dump / bench JSON), span and
-   sample-gap attribution, trajectory extraction, the trace check, and
-   the bench gate's verdicts, including the stage and counter it names
-   behind a regression. *)
+   (Chrome trace / NDJSON events / flight dump, and the rejection of
+   anything else), span and sample-gap attribution, trajectory
+   extraction, and the trace check. *)
 
 open Test_util
 module Profile = Qxm_profile.Profile
@@ -44,32 +43,6 @@ let flight =
   "{\"flight\": 1, \"reason\": \"unit timeout\", \"dumped_ts_us\": 2000.0, \
    \"dropped\": 3, \"events\": 7}\n" ^ ndjson
 
-(* One bench record as bench/main.ml writes it; [timed_out] and
-   [suite] are left out when [None], as in records that predate them. *)
-let bench_row ?(suite = Some "quick") ?(jobs = 1) ?(wall = 1.2)
-    ?(optimal = true) ?(failed = false) ?(timed_out = Some false)
-    ?(stage_solve = 1.0) ?(conflicts = 1000) ?propagations
-    ?(props_per_sec = 1e6) ?minor_words ?(counters = []) name =
-  let propagations = Option.value ~default:(conflicts * 100) propagations in
-  let field k = Option.fold ~none:"" ~some:(Printf.sprintf "\"%s\": %s, " k) in
-  Printf.sprintf
-    "  {%s\"benchmark\": \"%s\", \"device\": \"qx4\", \"strategy\": \
-     \"minimal\", \"jobs\": %d, \"wall_s\": %.3f, %s\"optimal\": %b, \
-     %s\"stage_encode_s\": 0.100, \"stage_solve_s\": %.3f, \"conflicts\": \
-     %d, \"propagations\": %d, \"props_per_sec\": %.0f%s%s}"
-    (field "suite" (Option.map (Printf.sprintf "%S") suite))
-    name jobs wall
-    (if failed then "\"failed\": true, " else "")
-    optimal
-    (field "timed_out" (Option.map string_of_bool timed_out))
-    stage_solve conflicts propagations props_per_sec
-    (Option.fold ~none:"" ~some:(Printf.sprintf ", \"minor_words\": %d")
-       minor_words)
-    (String.concat ""
-       (List.map (fun (k, v) -> Printf.sprintf ", \"%s\": %d" k v) counters))
-
-let bench_doc rows = "[\n" ^ String.concat ",\n" rows ^ "\n]\n"
-
 (* -- parsing -------------------------------------------------------------- *)
 
 let parse s =
@@ -92,10 +65,22 @@ let test_autodetect () =
       Alcotest.(check int) "flight dropped" 3 f_dropped;
       Alcotest.(check int) "flight events" 7 (List.length f_events)
   | _ -> Alcotest.fail "flight dump not detected");
-  match parse (bench_doc [ bench_row "a"; bench_row "b" ]) with
-  | Profile.Bench_rows rows ->
-      Alcotest.(check int) "bench rows" 2 (List.length rows)
-  | _ -> Alcotest.fail "bench JSON not detected"
+  (* neither a top-level array nor a line stream of other records is
+     a trace *)
+  let record = "{\"benchmark\": \"a\", \"wall_s\": 1.0}" in
+  List.iter
+    (fun (label, content) ->
+      match Profile.parse_string content with
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s rejected as unrecognised (got %S)" label e)
+            true
+            (contains_substring e "unrecognised input")
+      | Ok _ -> Alcotest.failf "%s must be rejected" label)
+    [
+      ("a top-level array", "[\n  " ^ record ^ "\n]\n");
+      ("a benchmark NDJSON line", record ^ "\n");
+    ]
 
 (* -- attribution ---------------------------------------------------------- *)
 
@@ -187,11 +172,6 @@ let test_renderers_run () =
       Alcotest.(check (option string)) "json carries the source"
         (Some "flight dump")
         Qxm_json.Sjson.(Option.bind (member "source" doc) to_string_opt)
-
-let test_analyze_rejects_bench () =
-  match Profile.analyze (parse (bench_doc [ bench_row "a" ])) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "analyze must reject bench rows"
 
 (* -- trace check ----------------------------------------------------------- *)
 
@@ -300,149 +280,8 @@ let test_check_defects () =
     (check_errors ~require:[ "svc." ] ndjson);
   fails "empty trace" "no trace events found"
     (check_errors "{\"traceEvents\": []}\n");
-  fails "bench input" "bench JSON holds no trace events"
-    (check_errors (bench_doc [ bench_row "a" ]))
-
-(* -- bench gate ------------------------------------------------------------ *)
-
-let gate_lines base fresh =
-  match Profile.gate (parse (bench_doc base)) (parse (bench_doc fresh)) with
-  | Error e -> Alcotest.failf "gate failed: %s" e
-  | Ok g -> g
-
-(* The verdict line for [tag]: the first line that names it. *)
-let verdict (g : Profile.gate) tag =
-  match
-    List.find_opt (fun l -> contains_substring l (" " ^ tag ^ " ")) g.g_lines
-  with
-  | Some l -> l
-  | None -> Alcotest.failf "no line for %s" tag
-
-let test_diff_names_the_stage () =
-  (* "slow" triples its solve stage and grows its conflicts 9x; "steady"
-     is unchanged; "gone" exists only in the base run *)
-  let g =
-    gate_lines
-      [ bench_row "slow" ~stage_solve:1.0 ~conflicts:1000 ~wall:1.2;
-        bench_row "steady"; bench_row "gone" ]
-      [ bench_row "slow" ~stage_solve:3.0 ~conflicts:9000 ~wall:3.2;
-        bench_row "steady" ]
-  in
-  Alcotest.(check int) "two regressions" 2 g.g_regressions;
-  Alcotest.(check string) "wall regression line"
-    "REGRESSED  slow -j1                 wall 3.200s > allowed 1.750s \
-     (baseline 1.200s)"
-    (verdict g "slow -j1");
-  Alcotest.(check bool) "stage that grew is named" true
-    (List.mem
-       "           slow -j1                 biggest stage growth: solve \
-        (+2.000s)"
-       g.g_lines);
-  Alcotest.(check bool) "counter that grew is named" true
-    (List.exists
-       (fun l ->
-         contains_substring l "biggest counter growth: conflicts x9.00")
-       g.g_lines);
-  Alcotest.(check bool) "missing row named" true
-    (contains_substring (verdict g "gone -j1") "missing from fresh run");
-  Alcotest.(check bool) "steady row ok" true
-    (contains_substring (verdict g "steady -j1") "ok ")
-
-let test_gate_verdicts () =
-  let starts prefix l =
-    String.length l >= String.length prefix
-    && String.sub l 0 (String.length prefix) = prefix
-  in
-  (* each case: a one-row baseline and fresh run, the expected verdict
-     prefix and a fragment of the line *)
-  let big = 200_000 in
-  let cases =
-    [
-      ("ok", bench_row "r", bench_row "r" ~wall:1.7, "ok         ", "1.700s");
-      ("missing", bench_row "r", bench_row "other", "REGRESSED  ",
-       "missing from fresh run");
-      ("failed", bench_row "r", bench_row "r" ~optimal:false ~failed:true,
-       "REGRESSED  ", "was optimal, now failed");
-      ("newly times out", bench_row "r",
-       bench_row "r" ~timed_out:(Some true), "REGRESSED  ",
-       "newly times out (was 1.200s)");
-      ("optimal flipped", bench_row "r", bench_row "r" ~optimal:false,
-       "REGRESSED  ", "optimal flipped true -> false");
-      ("wall", bench_row "r", bench_row "r" ~wall:1.76, "REGRESSED  ",
-       "wall 1.760s > allowed 1.750s");
-      ("props/sec", bench_row "r" ~propagations:big,
-       bench_row "r" ~propagations:big ~props_per_sec:6.6e5, "REGRESSED  ",
-       "props/sec 0.66M < 0.67M");
-      ("minor words vs baseline",
-       bench_row "r" ~propagations:big ~minor_words:big,
-       bench_row "r" ~propagations:big ~minor_words:(2 * big + 1),
-       "REGRESSED  ", "minor words/prop 2.00 > 2.00 (baseline * 1.5 + 0.5)");
-      ("minor words, absolute ceiling", bench_row "r" ~propagations:big,
-       bench_row "r" ~propagations:big ~minor_words:(9 * big), "REGRESSED  ",
-       "minor words/prop 9.00 > 8.00 (absolute ceiling)");
-      ("unstable", bench_row "r" ~optimal:false ~timed_out:(Some true),
-       bench_row "r" ~optimal:false ~timed_out:(Some true), "unstable   ",
-       "baseline not optimal, not gated");
-      ("optimal but timed out is not gated",
-       bench_row "r" ~timed_out:(Some true), bench_row "other",
-       "unstable   ", "not gated");
-      ("improved", bench_row "r" ~optimal:false ~timed_out:(Some true),
-       bench_row "r" ~wall:0.5, "improved   ",
-       "newly finishes within budget (0.500s, was timing out)");
-      ("suite is part of the key", bench_row "r",
-       bench_row "r" ~suite:(Some "hard"), "REGRESSED  ",
-       "missing from fresh run");
-      ("jobs is part of the key", bench_row "r", bench_row "r" ~jobs:2,
-       "REGRESSED  ", "missing from fresh run");
-      ("missing suite reads as quick", bench_row "r" ~suite:None,
-       bench_row "r", "ok         ", "r -j1");
-      ("missing timed_out is unknown", bench_row "r" ~timed_out:None,
-       bench_row "r" ~timed_out:None, "ok         ", "r -j1");
-      (* baselines written while the solver had inprocessing carry its
-         two counters; fresh rows no longer do *)
-      ("retired counters only in the baseline",
-       bench_row "r"
-         ~counters:[ ("subsumed_clauses", 12); ("vivified_clauses", 34) ],
-       bench_row "r", "ok         ", "r -j1");
-    ]
-  in
-  List.iter
-    (fun (label, base, fresh, prefix, fragment) ->
-      let g = gate_lines [ base ] [ fresh ] in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: a line starts %S and has %S" label prefix
-           fragment)
-        true
-        (List.exists
-           (fun l -> starts prefix l && contains_substring l fragment)
-           g.g_lines);
-      Alcotest.(check int) (label ^ ": regression count")
-        (if prefix = "REGRESSED  " then 1 else 0)
-        g.g_regressions)
-    cases;
-  (* throughput within bounds prints its ratio, and small rows skip the
-     solver gates altogether *)
-  let g =
-    gate_lines [ bench_row "r" ~propagations:big ]
-      [ bench_row "r" ~propagations:big ~props_per_sec:2e6 ]
-  in
-  Alcotest.(check bool) "ratio line" true
-    (List.exists (fun l -> contains_substring l "props/sec 2.00x baseline")
-       g.g_lines);
-  let g =
-    gate_lines [ bench_row "r" ~propagations:99_999 ]
-      [ bench_row "r" ~propagations:99_999 ~props_per_sec:1.0
-          ~minor_words:max_int ]
-  in
-  Alcotest.(check int) "under 100k propagations not gated" 0 g.g_regressions;
-  (match
-     Profile.gate (parse (bench_doc [])) (parse (bench_doc [ bench_row "r" ]))
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "an empty baseline must be rejected");
-  match Profile.gate (parse ndjson) (parse (bench_doc [ bench_row "r" ])) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a trace is not a baseline"
+  fails "bench input" "unrecognised input"
+    (check_errors "{\"benchmark\": \"a\", \"wall_s\": 1.0}\n")
 
 let test_span_quantile () =
   (* ten completed 100us spans: every quantile interpolates inside the
@@ -475,13 +314,7 @@ let suite =
       test_open_span_censored;
     Alcotest.test_case "renderers produce text and JSON" `Quick
       test_renderers_run;
-    Alcotest.test_case "analyze rejects bench rows" `Quick
-      test_analyze_rejects_bench;
-    Alcotest.test_case "diff names stage and counter" `Quick
-      test_diff_names_the_stage;
     Alcotest.test_case "check: clean traces pass" `Quick test_check_clean;
     Alcotest.test_case "check: every defect fails" `Quick test_check_defects;
-    Alcotest.test_case "gate: one input per verdict" `Quick
-      test_gate_verdicts;
     Alcotest.test_case "span quantiles in seconds" `Quick test_span_quantile;
   ]

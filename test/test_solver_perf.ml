@@ -91,11 +91,11 @@ let test_counters_fire () =
    place.  What still allocates is deliberate, periodic maintenance —
    clause-database reduction — which amounts to a few words per
    propagation on a deep search.  Pigeonhole 8 does about 200,000
-   propagations, enough work to measure.  The budget below
-   (the same 8 words/prop ceiling the bench regression guard uses)
-   leaves room for that while failing loudly if a boxed representation
-   (tens of words per propagation, as with polymorphic compare in the
-   branching heap) ever creeps back into the search path. *)
+   propagations, enough work to measure.  The budget below, 8 words
+   per propagation, leaves room for that while failing loudly if a
+   boxed representation (tens of words per propagation, as with
+   polymorphic compare in the branching heap) ever creeps back into the
+   search path. *)
 let test_allocation_free_hot_loop () =
   let s = Solver.create () in
   pigeonhole s 8;
