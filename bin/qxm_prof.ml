@@ -4,9 +4,9 @@
    --trace/--events), or a flight-recorder dump (qxmapd/qxmap
    --flight-record).  Prints wall-time attribution (phase, portfolio
    stage, candidate, rung), top-k hot spans with interpolated
-   p50/p90/p99, and the objective-bound trajectory.  With --check it
-   validates the trace instead (exit 1 on any violation).  See
-   doc/OBSERVABILITY.md. *)
+   p50/p90/p99 clamped to the observed range, and the objective-bound
+   trajectory.  With --check it validates the trace instead (exit 1 on
+   any violation).  See doc/OBSERVABILITY.md. *)
 
 open Cmdliner
 module Profile = Qxm_profile.Profile
@@ -65,7 +65,10 @@ let samples_arg =
     & info [ "samples" ]
         ~doc:
           "With --check: require solver.sample counter events, each \
-           with a conflicts arg.")
+           with a conflicts arg.  The solver records one every 64 \
+           conflicts whenever any trace recorder is on (--trace, \
+           --events, --json, --flight-record or --progress); a flight \
+           dump holds only those still in its ring.")
 
 let request_ids_arg =
   Arg.(

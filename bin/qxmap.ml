@@ -2,7 +2,7 @@
 
    Subcommands:
      map        exact SAT-based mapping (the paper's method)
-     heuristic  stochastic-swap / A* baselines
+     heuristic  stochastic-swap / SABRE baselines
      devices    list known coupling maps
      stats      show circuit statistics and layering info
      lint       static analysis of circuits and encodings *)
@@ -27,7 +27,6 @@ module Circuit_lint = Qxm_lint.Circuit_lint
 module Cnf_lint = Qxm_lint.Cnf_lint
 module Trace = Qxm_obs.Trace
 module Metrics = Qxm_obs.Metrics
-module Timeseries = Qxm_obs.Timeseries
 module Flight = Qxm_obs.Flight
 module Validate = Qxm_svc.Validate
 module Profile = Qxm_profile.Profile
@@ -595,10 +594,10 @@ let map_cmd =
       & opt (some string) None
       & info [ "flight-record" ] ~docv:"FILE"
           ~doc:
-            "Keep a fixed-size in-memory ring of recent trace events \
-             plus decimated solver telemetry samples, and dump it to \
-             FILE (NDJSON, written atomically) if the run times out or \
-             fails.  Analyse the dump with $(b,qxm_prof).  See \
+            "Keep a fixed-size in-memory ring of recent trace events, \
+             the solver's search-state samples among them, and dump it \
+             to FILE (NDJSON, written atomically) if the run times out \
+             or fails.  Analyse the dump with $(b,qxm_prof).  See \
              doc/OBSERVABILITY.md.")
   in
   let progress_arg =
@@ -654,11 +653,6 @@ let map_cmd =
     if sanitize then Solver.set_sanitize_all true;
     (* --json folds its per-run fields from the trace buffer *)
     if trace <> None || events <> None || json then Trace.enable ();
-    (* The sampler rides along whenever any observability output is
-       requested: samples land in --trace/--events as counter events and
-       in the flight dump as the solve trajectory. *)
-    if trace <> None || events <> None || flight_record <> None then
-      Timeseries.enable ();
     Option.iter (fun path -> Flight.enable ~path ()) flight_record;
     let flight_dump reason =
       if flight_record <> None then
@@ -668,9 +662,8 @@ let map_cmd =
     in
     let write_observability () =
       Trace.disable ();
-      let extra = Timeseries.to_events () in
-      Option.iter (fun p -> Trace.write_chrome ~extra p) trace;
-      Option.iter (fun p -> Trace.write_ndjson ~extra p) events;
+      Option.iter Trace.write_chrome trace;
+      Option.iter Trace.write_ndjson events;
       Option.iter
         (fun path ->
           Out_channel.with_open_text path (fun oc ->
@@ -771,7 +764,8 @@ let map_cmd =
                  (match e with
                  | Portfolio.Exhausted stages ->
                      [ ("stages", json_stages stages) ]
-                 | Portfolio.Too_many_logical _ -> []));
+                 | Portfolio.Too_many_logical _ | Portfolio.Disconnected _ ->
+                     []));
           exit 1
     end
     else begin
@@ -817,7 +811,7 @@ let map_cmd =
           let stats =
             match e with
             | Mapper.Timeout st | Mapper.Unmappable st -> Some st
-            | Mapper.Too_many_logical _ -> None
+            | Mapper.Too_many_logical _ | Mapper.Disconnected _ -> None
           in
           if solver_stats then Option.iter print_sat_stats stats;
           if json then
@@ -847,14 +841,11 @@ let heuristic_cmd =
     Arg.(
       value
       & opt
-          (enum
-             [ ("stochastic", `Stochastic); ("astar", `Astar);
-               ("sabre", `Sabre) ])
+          (enum [ ("stochastic", `Stochastic); ("sabre", `Sabre) ])
           `Stochastic
       & info [ "a"; "algorithm" ] ~docv:"ALGO"
           ~doc:
-            "stochastic (Qiskit-0.4-style), astar (Zulehner-style) or \
-             sabre (Li-Ding-Xie-style).")
+            "stochastic (Qiskit-0.4-style) or sabre (Li-Ding-Xie-style).")
   in
   let times_arg =
     Arg.(
@@ -872,9 +863,6 @@ let heuristic_cmd =
             Qxm_heuristic.Stochastic_swap.run_best ~times ~arch:device
               circuit
           in
-          (r.total_gates, r.f_cost, r.elementary, r.verified)
-      | `Astar ->
-          let r = Qxm_heuristic.Astar_mapper.run ~arch:device circuit in
           (r.total_gates, r.f_cost, r.elementary, r.verified)
       | `Sabre ->
           let r = Qxm_heuristic.Sabre.run ~arch:device circuit in

@@ -21,7 +21,6 @@ module Daemon = Qxm_svc.Daemon
 module Sjson = Qxm_json.Sjson
 module Validate = Qxm_svc.Validate
 module Fault = Qxm_sat.Fault
-module Timeseries = Qxm_obs.Timeseries
 module Flight = Qxm_obs.Flight
 
 (* cmdliner converters that funnel through Qxm_svc.Validate, so the
@@ -119,10 +118,10 @@ let flight_record_arg =
     & opt (some string) None
     & info [ "flight-record" ] ~docv:"FILE"
         ~doc:
-          "Keep a fixed-size in-memory ring of recent trace events and \
-           solver telemetry samples, and dump it to FILE (NDJSON, \
-           written atomically) when a request is force-cancelled by the \
-           watchdog, fails, or the process takes a fatal signal.  \
+          "Keep a fixed-size in-memory ring of recent trace events, \
+           solver search-state samples among them, and dump it to FILE \
+           (NDJSON, written atomically) when a request is force-cancelled \
+           by the watchdog, fails, or the process takes a fatal signal.  \
            Analyse the dump with qxm_prof.  See doc/OBSERVABILITY.md.")
 
 let inject_arg =
@@ -144,11 +143,10 @@ let serve cache_dir cache_mem no_cache certificates jobs watermark budget
   (match flight_record with
   | None -> ()
   | Some path ->
-      (* Flight recorder: Trace events flow into the ring via the sink,
-         solver samples via the time-series decimator; a fatal signal
-         dumps whatever is in flight before the process dies. *)
+      (* Flight recorder: trace events, the solver's samples among
+         them, flow into the ring via the sink; a fatal signal dumps
+         whatever is in flight before the process dies. *)
       Flight.enable ~path ();
-      Timeseries.enable ();
       let dump_and_die signal =
         let name =
           if signal = Sys.sigterm then "SIGTERM"

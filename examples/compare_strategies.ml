@@ -1,6 +1,6 @@
 (* Compare the paper's permutation strategies (Secs. 3 and 4.2) on a
    benchmark circuit: cost, |G'|, runtime, and optimality, side by side
-   with the heuristic baselines.
+   with the Qiskit-style heuristic baseline.
 
    Run with:  dune exec examples/compare_strategies.exe [benchmark]
    (default benchmark: ham3_102) *)
@@ -51,12 +51,7 @@ let () =
   in
   Printf.printf "%-10s %5s %6d %6d %9s %9s\n" "ibm-style" "-" stoch.f_cost
     stoch.total_gates "-" "heuristic";
-  let astar = Qxm_heuristic.Astar_mapper.run ~arch circuit in
-  Printf.printf "%-10s %5s %6d %6d %9s %9s\n" "a-star" "-" astar.f_cost
-    astar.total_gates "-" "heuristic";
   if !fmin < max_int && !fmin > 0 then
     Printf.printf
-      "\nheuristic overhead vs the exact minimum: ibm-style +%.0f%%, a-star \
-       +%.0f%%\n"
+      "\nheuristic overhead vs the exact minimum: ibm-style +%.0f%%\n"
       (100.0 *. (float_of_int stoch.f_cost /. float_of_int !fmin -. 1.0))
-      (100.0 *. (float_of_int astar.f_cost /. float_of_int !fmin -. 1.0))

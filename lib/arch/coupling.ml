@@ -62,6 +62,21 @@ let subset_connected cm subset =
 let is_connected cm =
   subset_connected cm (List.init cm.num_qubits Fun.id)
 
+let largest_component cm =
+  let seen = Array.make cm.num_qubits false in
+  let rec size q =
+    if seen.(q) then 0
+    else begin
+      seen.(q) <- true;
+      List.fold_left (fun acc p -> acc + size p) 1 (neighbors cm q)
+    end
+  in
+  let best = ref 0 in
+  for q = 0 to cm.num_qubits - 1 do
+    best := max !best (size q)
+  done;
+  !best
+
 let induce cm subset =
   let sorted = List.sort_uniq compare subset in
   if List.length sorted <> List.length subset then

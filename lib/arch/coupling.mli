@@ -34,6 +34,11 @@ val degree : t -> int -> int
 val is_connected : t -> bool
 (** Whole architecture connected (undirected sense). *)
 
+val largest_component : t -> int
+(** Qubit count of the largest connected component (undirected sense):
+    the device has a connected set of [n] physical qubits iff [n] is at
+    most this. *)
+
 val subset_connected : t -> int list -> bool
 (** Is the induced undirected subgraph on these qubits connected?  The
     empty subset counts as connected. *)

@@ -16,7 +16,6 @@ module Incumbent = Qxm_par.Incumbent
 module Cancel = Qxm_par.Cancel
 module Trace = Qxm_obs.Trace
 module Metrics = Qxm_obs.Metrics
-module Timeseries = Qxm_obs.Timeseries
 
 type options = {
   strategy : Strategy.t;
@@ -112,6 +111,7 @@ type report = {
 
 type failure =
   | Too_many_logical of { logical : int; physical : int }
+  | Disconnected of { logical : int; largest : int }
   | Unmappable of Solver.stats
   | Timeout of Solver.stats
 
@@ -119,6 +119,11 @@ let pp_failure fmt = function
   | Too_many_logical { logical; physical } ->
       Format.fprintf fmt "circuit needs %d qubits, device has %d" logical
         physical
+  | Disconnected { logical; largest } ->
+      Format.fprintf fmt
+        "device has no connected set of %d qubits (largest connected part: \
+         %d)"
+        logical largest
   | Unmappable _ -> Format.fprintf fmt "no valid mapping under this strategy"
   | Timeout _ -> Format.fprintf fmt "time budget exhausted before any solution"
 
@@ -397,7 +402,9 @@ let run ?(options = default) ?session ?pool ?cancel ~arch circuit =
   in
   let m = Coupling.num_qubits arch in
   let n = Circuit.num_qubits circuit in
+  let largest = Coupling.largest_component arch in
   if n > m then Error (Too_many_logical { logical = n; physical = m })
+  else if n > largest then Error (Disconnected { logical = n; largest })
   else begin
     let cnots = Array.of_list (Circuit.cnots circuit) in
     let spots = Strategy.spots options.strategy (Array.to_list cnots) in
@@ -435,9 +442,6 @@ let run ?(options = default) ?session ?pool ?cancel ~arch circuit =
             ("index", Trace.Int index);
             ("qubits", Trace.Int (Coupling.num_qubits sub_arch));
           ]
-      @@ fun () ->
-      (* telemetry: samples from this racer carry its candidate index *)
-      Timeseries.with_label (Printf.sprintf "cand=%d" index)
       @@ fun () ->
       let give_up =
         (match deadline with

@@ -212,6 +212,10 @@ type report = {
 
 type failure =
   | Too_many_logical of { logical : int; physical : int }
+  | Disconnected of { logical : int; largest : int }
+      (** the device has no connected set of [logical] physical qubits
+          (its largest connected component has [largest]), so nothing
+          can route the circuit; rejected before any stage runs *)
   | Unmappable of Qxm_sat.Solver.stats
       (** no valid mapping under the chosen strategy; carries the solver
           work spent finding that out, as {!report.sat_stats} would *)

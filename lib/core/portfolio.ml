@@ -6,7 +6,6 @@ module Cancel = Qxm_par.Cancel
 module Solver = Qxm_sat.Solver
 module Trace = Qxm_obs.Trace
 module Metrics = Qxm_obs.Metrics
-module Timeseries = Qxm_obs.Timeseries
 
 let ladder_budget = Metrics.histogram "portfolio.ladder_conflict_budget"
 
@@ -63,12 +62,14 @@ type report = {
 
 type failure =
   | Too_many_logical of { logical : int; physical : int }
+  | Disconnected of { logical : int; largest : int }
   | Exhausted of stage list
 
 let pp_failure fmt = function
   | Too_many_logical { logical; physical } ->
-      Format.fprintf fmt "circuit needs %d qubits, device has %d" logical
-        physical
+      Mapper.pp_failure fmt (Mapper.Too_many_logical { logical; physical })
+  | Disconnected { logical; largest } ->
+      Mapper.pp_failure fmt (Mapper.Disconnected { logical; largest })
   | Exhausted stages ->
       Format.fprintf fmt "every portfolio stage failed:";
       List.iter
@@ -98,7 +99,9 @@ let run ?(options = default) ?cancel ~arch circuit =
   let start = Unix.gettimeofday () in
   let m = Coupling.num_qubits arch in
   let n = Circuit.num_qubits circuit in
+  let largest = Coupling.largest_component arch in
   if n > m then Error (Too_many_logical { logical = n; physical = m })
+  else if n > largest then Error (Disconnected { logical = n; largest })
   else begin
     let stages = ref [] in
     let solves = ref 0 in
@@ -156,8 +159,6 @@ let run ?(options = default) ?cancel ~arch circuit =
             ("conflict_limit", Trace.Int conflict_limit);
           ]
       @@ fun () ->
-      (* telemetry: samples taken during this stage carry its name *)
-      Timeseries.with_label ("stage=" ^ stage) @@ fun () ->
       Metrics.observe ladder_budget conflict_limit;
       let deadline_spent () =
         match exact_time_left () with Some l -> l <= 0.0 | None -> false
@@ -220,8 +221,10 @@ let run ?(options = default) ?cancel ~arch circuit =
               if seeded && conflict_limit < 0 then proved_optimal := true;
               record ~stage ~t0 ~stage_solves:0
                 (if seeded then "no improvement on incumbent" else "unsat")
-          | Error (Mapper.Too_many_logical _) ->
-              record ~stage ~t0 ~stage_solves:0 "failed: instance too large"
+          | Error ((Mapper.Too_many_logical _ | Mapper.Disconnected _) as e)
+            ->
+              record ~stage ~t0 ~stage_solves:0
+                (Format.asprintf "failed: %a" Mapper.pp_failure e)
           | exception e ->
               record ~stage ~t0 ~stage_solves:0
                 ("failed: " ^ Printexc.to_string e))

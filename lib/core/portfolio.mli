@@ -125,10 +125,13 @@ type report = {
 
 type failure =
   | Too_many_logical of { logical : int; physical : int }
+  | Disconnected of { logical : int; largest : int }
+      (** as {!Mapper.Disconnected}: nothing can route the circuit, and
+          no stage runs *)
   | Exhausted of stage list
-      (** Every stage failed or was rejected; the telemetry says why.
-          With a connected architecture and a sane circuit this cannot
-          happen: SABRE fails only on a device it cannot route. *)
+      (** Every stage failed or was rejected, or the run was cancelled
+          before any stage certified an answer; the telemetry says
+          why. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 

@@ -95,7 +95,7 @@ let dump ~reason () =
           let all =
             List.stable_sort
               (fun (a : Trace.event) b -> compare a.ts_us b.ts_us)
-              (ring_events @ Timeseries.to_events ())
+              ring_events
           in
           let buf = Buffer.create 65536 in
           Buffer.add_string buf

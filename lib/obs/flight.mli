@@ -1,13 +1,13 @@
 (** Crash-safe flight recorder.
 
-    A fixed-size in-memory ring of the most recent trace events (spans
-    and instants, captured through {!Trace.set_sink}) that can be dumped
-    to disk at the moment something goes wrong — a watchdog
-    force-cancel, a failed request, a fatal signal, a CLI timeout —
-    without requiring the unbounded tracer to have been on for the whole
-    run.  The dump also folds in the full (decimated) {!Timeseries}
-    telemetry, so one artifact carries both the recent control flow and
-    the whole-run search trajectory.
+    A fixed-size in-memory ring of the most recent trace events (spans,
+    instants and the solver's counter samples, captured through
+    {!Trace.set_sink}) that can be dumped to disk at the moment
+    something goes wrong — a watchdog force-cancel, a failed request, a
+    fatal signal, a CLI timeout — without requiring the unbounded tracer
+    to have been on for the whole run.  Samples share the ring with the
+    spans, so a dump's search trajectory covers the ring's window, not
+    the whole run.
 
     Dump format: NDJSON.  The first line is a header object
     [{"flight": 1, "reason": "...", "dumped_ts_us": ..., "dropped": N,
@@ -41,8 +41,7 @@ val record : Trace.event -> unit
     directly. *)
 
 val dump : reason:string -> unit -> string option
-(** Write the ring (merged with {!Timeseries.to_events}) to the armed
-    path and return it, or [None] when the recorder is disabled.  Never
+(** Write the ring to the armed path and return it, or [None] when the recorder is disabled.  Never
     raises: I/O failures are swallowed (counted under the
     [obs.flight_dump_errors] metric) — the recorder must not take down
     the process it is documenting. *)

@@ -111,42 +111,14 @@ let with_span ?(args = []) ~name f =
       f
   end
 
-let instant ?(args = []) name =
+let point ph args name =
   if recording () then
-    emit { ph = `I; name; ts_us = now_us (); tid = (Domain.self () :> int); args }
+    emit { ph; name; ts_us = now_us (); tid = (Domain.self () :> int); args }
 
-(* Merge two event streams, both grouped by tid with monotone timestamps
-   within each tid, into one stream grouped by ascending tid and merged
-   by timestamp within a tid.  Used to interleave counter samples
-   ([extra]) with the span buffers at export time. *)
-let merge_events a b =
-  let module M = Map.Make (Int) in
-  let group m evs =
-    List.fold_left
-      (fun m (ev : event) ->
-        M.update ev.tid
-          (fun l -> Some (ev :: Option.value ~default:[] l))
-          m)
-      m evs
-  in
-  let am = group M.empty a and bm = group M.empty b in
-  let rec merge x y =
-    match (x, y) with
-    | [], l | l, [] -> l
-    | (ex : event) :: rx, ey :: ry ->
-        if ex.ts_us <= ey.ts_us then ex :: merge rx y else ey :: merge x ry
-  in
-  let tids =
-    M.fold (fun t _ acc -> t :: acc) am (M.fold (fun t _ acc -> t :: acc) bm [])
-    |> List.sort_uniq compare
-  in
-  List.concat_map
-    (fun tid ->
-      let pick m = List.rev (Option.value ~default:[] (M.find_opt tid m)) in
-      merge (pick am) (pick bm))
-    tids
+let instant ?(args = []) name = point `I args name
+let counter ?(args = []) name = point `C args name
 
-let events ?(extra = []) () =
+let events () =
   Mutex.lock registry_lock;
   let gen = Atomic.get generation in
   let buffers =
@@ -157,7 +129,7 @@ let events ?(extra = []) () =
     List.concat_map (fun b -> List.rev b.rev_events) buffers
   in
   Mutex.unlock registry_lock;
-  match extra with [] -> out | extra -> merge_events out extra
+  out
 
 (* -- JSON rendering ------------------------------------------------------- *)
 
@@ -203,8 +175,8 @@ let event_json ev =
     (json_escape ev.name) (ph_string ev.ph) ev.ts_us ev.tid
     (args_json ev.args)
 
-let to_chrome_string ?extra () =
-  let evs = events ?extra () in
+let to_chrome_string () =
+  let evs = events () in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"traceEvents\": [\n";
   List.iteri
@@ -221,13 +193,13 @@ let write_file path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
-let write_chrome ?extra path = write_file path (to_chrome_string ?extra ())
+let write_chrome path = write_file path (to_chrome_string ())
 
-let write_ndjson ?extra path =
+let write_ndjson path =
   let buf = Buffer.create 4096 in
   List.iter
     (fun ev ->
       Buffer.add_string buf (event_json ev);
       Buffer.add_char buf '\n')
-    (events ?extra ());
+    (events ());
   write_file path (Buffer.contents buf)

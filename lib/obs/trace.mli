@@ -9,7 +9,8 @@
     Design constraints, in order:
 
     - {b Disabled means free.}  When tracing is off — the default —
-      {!with_span} and {!instant} cost a single atomic load and branch.
+      {!with_span}, {!instant} and {!counter} cost a single atomic load
+      and branch.
       Instrumentation can therefore live on warm paths (one span per SAT
       solve, per mapper candidate, per pool task) without showing up in
       benchmarks.
@@ -28,9 +29,9 @@ type arg = Int of int | Str of string | Float of float | Bool of bool
 
 val recording : unit -> bool
 (** Does any recorder observe events: the in-memory buffers ({!enable})
-    or a sink installed via {!set_sink}?  The gate {!with_span} and
-    {!instant} use; callers that build span arguments test it first, so
-    a run with no recorder builds none. *)
+    or a sink installed via {!set_sink}?  The gate {!with_span},
+    {!instant} and {!counter} use; callers that build event arguments
+    test it first, so a run with no recorder builds none. *)
 
 val enable : unit -> unit
 (** Start recording.  Also rebases the clock: timestamps are microseconds
@@ -47,8 +48,8 @@ val reset : unit -> unit
 
 val now_us : unit -> float
 (** Microseconds since the current clock origin — the timebase every
-    exported [ts_us] uses.  Exposed so companion recorders (the
-    {!Timeseries} sampler) can stamp their data on the same axis. *)
+    exported [ts_us] uses.  Exposed so callers can place their own
+    instants (a call's start, a flight dump's time) on the same axis. *)
 
 val with_span : ?args:(string * arg) list -> name:string -> (unit -> 'a) -> 'a
 (** [with_span ~name f] runs [f ()] inside a span: a [B] event before, an
@@ -59,10 +60,15 @@ val with_span : ?args:(string * arg) list -> name:string -> (unit -> 'a) -> 'a
 val instant : ?args:(string * arg) list -> string -> unit
 (** Record a point event (Chrome phase [i]), e.g. a solver restart. *)
 
+val counter : ?args:(string * arg) list -> string -> unit
+(** Record a counter sample (Chrome phase [C]) whose args are the
+    sampled values, e.g. the solver's periodic [solver.sample] of its
+    search state.  A sample belongs to whatever spans are open on its
+    domain when it is taken. *)
+
 (** One recorded event, as exported.  [ts_us] is microseconds since the
     clock rebase; [tid] is the numeric id of the recording domain.
-    Phase [`C] is a counter sample (periodic telemetry, see
-    {!Timeseries}). *)
+    Phase [`C] is a counter sample ({!counter}). *)
 type event = {
   ph : [ `B | `E | `I | `C ];
   name : string;
@@ -79,13 +85,11 @@ val set_sink : (event -> unit) option -> unit
     runs without unbounded buffer growth.  The sink runs inline on the
     recording domain and must be fast and exception-free. *)
 
-val events : ?extra:event list -> unit -> event list
+val events : unit -> event list
 (** All buffered events, merged: grouped by worker (ascending [tid]),
     each worker's events in recording order.  Within one worker the
     [B]/[E] events nest properly; the export never interleaves two
-    workers' events inside a group.  [extra] — counter samples from a
-    companion recorder, grouped by tid with monotone timestamps — is
-    merged into the matching worker groups by timestamp. *)
+    workers' events inside a group. *)
 
 val json_escape : string -> string
 (** JSON string-body escaping, shared with companion emitters (the
@@ -95,14 +99,14 @@ val event_json : event -> string
 (** One event as a single-line Chrome trace-event JSON object — the
     layout [Qxm_profile.Profile] parses (behind [bin/qxm_prof.exe]). *)
 
-val to_chrome_string : ?extra:event list -> unit -> string
+val to_chrome_string : unit -> string
 (** The buffered events as a Chrome trace-event JSON document
     ([{"traceEvents": [...]}]), one event object per line — the layout
     [qxm_prof --check] validates. *)
 
-val write_chrome : ?extra:event list -> string -> unit
+val write_chrome : string -> unit
 (** Write {!to_chrome_string} to a file. *)
 
-val write_ndjson : ?extra:event list -> string -> unit
+val write_ndjson : string -> unit
 (** Write the events as NDJSON: one JSON object per line, no wrapper —
     for [jq]-style streaming consumption. *)

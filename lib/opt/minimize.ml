@@ -4,7 +4,6 @@ module Pb = Qxm_encode.Pb
 module Cnf = Qxm_encode.Cnf
 module Trace = Qxm_obs.Trace
 module Metrics = Qxm_obs.Metrics
-module Timeseries = Qxm_obs.Timeseries
 
 type outcome = {
   cost : int option;
@@ -112,21 +111,6 @@ let minimize ?session ?(deadline = 0.0) ?(conflict_limit = -1) ?upper_bound
         let conflict_limit =
           if conflict_limit < 0 then -1 else before + conflict_limit
         in
-        (* Telemetry context: samples recorded inside this step carry the
-           rung (the bound under attempt), so a trajectory is attributable
-           per rung. *)
-        let run () = Solver.solve ~assumptions ~deadline ~conflict_limit solver in
-        let run =
-          match bound with
-          | None -> run
-          | Some b ->
-              fun () ->
-                Timeseries.set_bound b;
-                Fun.protect
-                  ~finally:(fun () -> Timeseries.set_bound (-1))
-                  (fun () ->
-                    Timeseries.with_label (Printf.sprintf "rung=%d" b) run)
-        in
         let r =
           Trace.with_span ~name:"minimize.step"
             ~args:
@@ -135,7 +119,8 @@ let minimize ?session ?(deadline = 0.0) ?(conflict_limit = -1) ?upper_bound
               (match bound with
               | Some b -> [ ("bound", Trace.Int b) ]
               | None -> []))
-            run
+            (fun () ->
+              Solver.solve ~assumptions ~deadline ~conflict_limit solver)
         in
         Metrics.observe step_conflicts
           ((Solver.stats solver).Solver.conflicts - before);

@@ -10,11 +10,12 @@
      completed inside the recorded window: mapper phases, minimize
      steps, portfolio stages, solver solves.
    - Counter samples ("solver.sample" C events, one per 64 conflicts)
-     carry the active context as a label ("stage=… cand=… rung=…").
-     Attributing each inter-sample gap to the labels of the
-     sample that closes it recovers a wall-time breakdown even when the
-     enclosing spans never closed — which is exactly the shape of a
-     flight dump taken mid-solve or of a run killed by the watchdog.
+     fall inside the spans that were open when they were taken.
+     Attributing each inter-sample gap to the stage, candidate and rung
+     named by the spans open around the sample that closes it recovers
+     a wall-time breakdown even when those spans never closed — which
+     is exactly the shape of a flight dump taken mid-solve or of a run
+     killed by the watchdog.
 
    Durations are histogrammed into the same log2 buckets as
    [Qxm_obs.Metrics] so quantiles come from one shared interpolation. *)
@@ -136,6 +137,34 @@ let parse_file path =
   | exception Sys_error e -> Error e
   | content -> parse_string content
 
+(* -- span replay ------------------------------------------------------------ *)
+
+(* Replay the per-tid B/E streams: [f open_spans ev] sees every event
+   with the B events still open on its tid, innermost first.  A flight
+   ring can evict a B while keeping its E, so an unmatched end is
+   dropped rather than allowed to corrupt the enclosing frames.
+   Returns the spans still open at the end, per tid. *)
+let replay events f =
+  let stacks : (int, event list) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun ev ->
+      let open_spans =
+        Option.value ~default:[] (Hashtbl.find_opt stacks ev.e_tid)
+      in
+      f open_spans ev;
+      match ev.e_ph with
+      | "B" -> Hashtbl.replace stacks ev.e_tid (ev :: open_spans)
+      | "E" when List.exists (fun b -> b.e_name = ev.e_name) open_spans ->
+          let rec drop = function
+            | [] -> []
+            | b :: rest when b.e_name = ev.e_name -> rest
+            | _ :: rest -> drop rest
+          in
+          Hashtbl.replace stacks ev.e_tid (drop open_spans)
+      | _ -> ())
+    events;
+  stacks
+
 (* -- span statistics ------------------------------------------------------- *)
 
 type span_stat = {
@@ -143,6 +172,8 @@ type span_stat = {
   s_count : int; (* completed instances *)
   s_open : int; (* B without a matching E inside the window *)
   s_total_us : float; (* completed + censored-at-window-end time *)
+  s_min_us : float; (* shortest completed instance *)
+  s_max_us : float; (* longest completed instance *)
   s_buckets : int array; (* log2 buckets of completed durations, in us *)
 }
 
@@ -159,15 +190,17 @@ let bucket_of v =
     min !b (nbuckets - 1)
   end
 
+(* Interpolating inside a log2 bucket can land anywhere in it; clamp to
+   the observed range so a report never shows a duration that did not
+   happen (one 9 s span reads 9 s at every quantile). *)
 let span_quantile st q =
   Option.map
-    (fun v -> v /. 1e6)
+    (fun v -> Float.min st.s_max_us (Float.max st.s_min_us v) /. 1e6)
     (Metrics.quantile_of_buckets st.s_buckets q)
 
-(* Replay the per-tid B/E streams.  Spans still open when the window
-   ends are censored: their elapsed time counts toward the total (it
-   was genuinely spent inside the window) but not toward the duration
-   histogram. *)
+(* Spans still open when the window ends are censored: their elapsed
+   time counts toward the total (it was genuinely spent inside the
+   window) but not toward the duration histogram or the range. *)
 let span_stats events ~t1 =
   let stats : (string, span_stat ref) Hashtbl.t = Hashtbl.create 32 in
   let get name =
@@ -181,85 +214,52 @@ let span_stats events ~t1 =
               s_count = 0;
               s_open = 0;
               s_total_us = 0.0;
+              s_min_us = infinity;
+              s_max_us = 0.0;
               s_buckets = Array.make nbuckets 0;
             }
         in
         Hashtbl.add stats name r;
         r
   in
-  let stacks : (int, (string * float) list ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let stack tid =
-    match Hashtbl.find_opt stacks tid with
-    | Some s -> s
-    | None ->
-        let s = ref [] in
-        Hashtbl.add stacks tid s;
-        s
-  in
-  List.iter
-    (fun ev ->
-      match ev.e_ph with
-      | "B" -> (
-          let s = stack ev.e_tid in
-          s := (ev.e_name, ev.e_ts) :: !s)
-      | "E" -> (
-          let s = stack ev.e_tid in
-          (* Pop to the matching begin; a flight ring can evict a B
-             while keeping its E, so an unmatched end is dropped rather
-             than allowed to corrupt the enclosing frames. *)
-          match List.assoc_opt ev.e_name !s with
+  let open_at_end =
+    replay events (fun open_spans ev ->
+        if ev.e_ph = "E" then
+          match List.find_opt (fun b -> b.e_name = ev.e_name) open_spans with
           | None -> ()
-          | Some t_begin ->
-              let rec drop = function
-                | [] -> []
-                | (n, _) :: rest when n = ev.e_name -> rest
-                | _ :: rest -> drop rest
-              in
-              s := drop !s;
+          | Some b ->
               let r = get ev.e_name in
-              let dur = Float.max 0.0 (ev.e_ts -. t_begin) in
+              let dur = Float.max 0.0 (ev.e_ts -. b.e_ts) in
               let st = !r in
-              st.s_buckets.(bucket_of (int_of_float dur)) <-
-                st.s_buckets.(bucket_of (int_of_float dur)) + 1;
+              let k = bucket_of (int_of_float dur) in
+              st.s_buckets.(k) <- st.s_buckets.(k) + 1;
               r :=
                 {
                   st with
                   s_count = st.s_count + 1;
                   s_total_us = st.s_total_us +. dur;
+                  s_min_us = Float.min st.s_min_us dur;
+                  s_max_us = Float.max st.s_max_us dur;
                 })
-      | _ -> ())
-    events;
+  in
   Hashtbl.iter
-    (fun _tid s ->
+    (fun _tid open_spans ->
       List.iter
-        (fun (name, t_begin) ->
-          let r = get name in
+        (fun b ->
+          let r = get b.e_name in
           let st = !r in
           r :=
             {
               st with
               s_open = st.s_open + 1;
-              s_total_us = st.s_total_us +. Float.max 0.0 (t1 -. t_begin);
+              s_total_us = st.s_total_us +. Float.max 0.0 (t1 -. b.e_ts);
             })
-        !s)
-    stacks;
+        open_spans)
+    open_at_end;
   Hashtbl.fold (fun _ r acc -> !r :: acc) stats []
   |> List.sort (fun a b -> compare b.s_total_us a.s_total_us)
 
 (* -- sample attribution ---------------------------------------------------- *)
-
-(* "stage=ladder cand=0 rung=61" -> [(stage, ladder); ...] *)
-let parse_label label =
-  String.split_on_char ' ' label
-  |> List.filter_map (fun kv ->
-         match String.index_opt kv '=' with
-         | Some i when i > 0 ->
-             Some
-               ( String.sub kv 0 i,
-                 String.sub kv (i + 1) (String.length kv - i - 1) )
-         | _ -> None)
 
 type dim = { d_name : string; d_slices : (string * float) list }
 
@@ -267,10 +267,26 @@ let sample_event_name = "solver.sample"
 
 let is_sample ev = ev.e_ph = "C" && ev.e_name = sample_event_name
 
-(* Attribute each inter-sample gap (per tid) to the label components of
-   the closing sample, plus the phase dimension ("solve": samples only
-   fire inside the search loop).  Returns the dimensions and the total
-   attributed time. *)
+(* The search context a sample belongs to: for each dimension, the
+   innermost open span that names it and the argument naming the
+   slice. *)
+let context_spans =
+  [
+    ("stage", "portfolio.stage", "stage");
+    ("cand", "mapper.candidate", "index");
+    ("rung", "minimize.step", "bound");
+  ]
+
+let arg_string k j =
+  match Sjson.member k j with
+  | Some (Sjson.Str s) -> Some s
+  | Some j -> Option.map string_of_int (Sjson.to_int_opt j)
+  | None -> None
+
+(* Attribute each inter-sample gap (per tid) to the phase dimension
+   ("solve": samples only fire inside the search loop) and to the
+   stage, candidate and rung of the spans open around the closing
+   sample.  Returns the dimensions. *)
 let sample_attribution events =
   let dims : (string, (string, float) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 8
@@ -288,43 +304,36 @@ let sample_attribution events =
       (dt +. Option.value ~default:0.0 (Hashtbl.find_opt tbl value))
   in
   let last_sample : (int, float) Hashtbl.t = Hashtbl.create 8 in
-  let total = ref 0.0 in
-  List.iter
-    (fun ev ->
-      if is_sample ev then begin
-        (match Hashtbl.find_opt last_sample ev.e_tid with
-        | Some prev when ev.e_ts > prev ->
-            let dt = ev.e_ts -. prev in
-            total := !total +. dt;
-            add "phase" "solve" dt;
-            let label =
-              Option.value ~default:"" (str_mem "label" ev.e_args)
-            in
-            let kvs = parse_label label in
-            List.iter (fun (k, v) -> add k v dt) kvs;
-            (* A sample inside a minimize step always knows its bound;
-               surface it as the rung dimension even when the label
-               path came from elsewhere. *)
-            if not (List.mem_assoc "rung" kvs) then
-              Option.iter
-                (fun b -> add "rung" (string_of_int b) dt)
-                (int_mem "bound" ev.e_args)
-        | _ -> ());
-        Hashtbl.replace last_sample ev.e_tid ev.e_ts
-      end)
-    events;
-  let dim_list =
-    Hashtbl.fold
-      (fun name tbl acc ->
-        let slices =
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-          |> List.sort (fun (_, a) (_, b) -> compare b a)
-        in
-        { d_name = name; d_slices = slices } :: acc)
-      dims []
-    |> List.sort (fun a b -> compare a.d_name b.d_name)
-  in
-  (dim_list, !total)
+  ignore
+    (replay events (fun open_spans ev ->
+         if is_sample ev then begin
+           (match Hashtbl.find_opt last_sample ev.e_tid with
+           | Some prev when ev.e_ts > prev ->
+               let dt = ev.e_ts -. prev in
+               add "phase" "solve" dt;
+               List.iter
+                 (fun (dim, span, arg) ->
+                   match
+                     List.find_opt (fun b -> b.e_name = span) open_spans
+                   with
+                   | Some b ->
+                       Option.iter
+                         (fun v -> add dim v dt)
+                         (arg_string arg b.e_args)
+                   | None -> ())
+                 context_spans
+           | _ -> ());
+           Hashtbl.replace last_sample ev.e_tid ev.e_ts
+         end));
+  Hashtbl.fold
+    (fun name tbl acc ->
+      let slices =
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+        |> List.sort (fun (_, a) (_, b) -> compare b a)
+      in
+      { d_name = name; d_slices = slices } :: acc)
+    dims []
+  |> List.sort (fun a b -> compare a.d_name b.d_name)
 
 (* -- trajectory ------------------------------------------------------------ *)
 
@@ -334,17 +343,21 @@ type trajectory = {
   t_improvements : int;
   t_last_improvement_us : float;
   t_tail_us : float; (* window time after the last improvement *)
-  t_tail_rung : int option; (* the rung being ground when it ended *)
+  t_tail_rung : int; (* the bound of the last step begun *)
 }
 
+(* The bounds the descent attempted, from its [minimize.step] begins in
+   time order: every step counts, also one that ends before the solver
+   takes a sample. *)
 let trajectory events ~t0 ~t1 =
   let bounds =
     List.filter_map
       (fun ev ->
-        if is_sample ev then
+        if ev.e_ph = "B" && ev.e_name = "minimize.step" then
           Option.map (fun b -> (ev.e_ts, b)) (int_mem "bound" ev.e_args)
         else None)
       events
+    |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
   in
   match bounds with
   | [] -> None
@@ -370,7 +383,7 @@ let trajectory events ~t0 ~t1 =
           t_improvements = !improvements;
           t_last_improvement_us = !last_improvement -. t0;
           t_tail_us = t1 -. !last_improvement;
-          t_tail_rung = Some !last_rung;
+          t_tail_rung = !last_rung;
         }
 
 (* -- the report ------------------------------------------------------------ *)
@@ -411,7 +424,7 @@ let analyze_events ~source ?reason ?(dropped = 0) events =
     IM.fold (fun _ (lo, hi) acc -> acc +. (hi -. lo)) per_tid 0.0
   in
   let spans = span_stats events ~t1 in
-  let dims, sampled = sample_attribution events in
+  let dims = sample_attribution events in
   (* The phase dimension merges both signals: sampled time is "solve"
      by construction; completed mapper phase spans supply the rest
      (encode, warm_start, reconstruct, verify).  mapper.solve spans are
@@ -474,7 +487,6 @@ let analyze_events ~source ?reason ?(dropped = 0) events =
     | Some d -> List.fold_left (fun acc (_, v) -> acc +. v) 0.0 d.d_slices
     | None -> 0.0
   in
-  let _ = sampled in
   {
     r_source = source;
     r_reason = reason;
@@ -679,11 +691,10 @@ let render_text ?(top = 10) r =
         t.t_first_bound t.t_best_bound t.t_improvements
         (if t.t_improvements = 1 then "" else "s")
         (s_of_us t.t_last_improvement_us)
-        (match t.t_tail_rung with
-        | Some rung when t.t_tail_us > 0.0 ->
-            Printf.sprintf ", then %.1fs grinding at rung F=%d"
-              (s_of_us t.t_tail_us) rung
-        | _ -> ""));
+        (if t.t_tail_us > 0.0 then
+           Printf.sprintf ", then %.1fs grinding at rung F=%d"
+             (s_of_us t.t_tail_us) t.t_tail_rung
+         else ""));
   List.iter
     (fun d ->
       pf "\nby %s:\n" d.d_name;
@@ -768,10 +779,7 @@ let json_of_report ?(top = 10) r =
                 ("improvements", Num (float_of_int t.t_improvements));
                 ("last_improvement_s", Num (s_of_us t.t_last_improvement_us));
                 ("tail_s", Num (s_of_us t.t_tail_us));
-                ( "tail_rung",
-                  match t.t_tail_rung with
-                  | Some rung -> Num (float_of_int rung)
-                  | None -> Null );
+                ("tail_rung", Num (float_of_int t.t_tail_rung));
               ] );
       ("dimensions", List (List.map dim r.r_dims));
       ( "spans",

@@ -14,10 +14,12 @@
     Attribution combines exact span durations (B/E pairs that completed
     inside the window) with counter-sample gap attribution: each
     interval between consecutive ["solver.sample"] events on a worker
-    is charged to the labels the closing sample carries ([stage=],
-    [cand=], [rung=]), so a dump whose enclosing spans never
-    closed — the normal shape for a timeout — still yields a full
-    breakdown.  See doc/OBSERVABILITY.md. *)
+    is charged to the spans open around the closing sample — the
+    [stage] of its [portfolio.stage], the [index] of its
+    [mapper.candidate] and the [bound] of its [minimize.step] — so a
+    dump whose enclosing spans never closed (the normal shape for a
+    timeout) still yields a full breakdown, as long as the ring still
+    holds their begins.  See doc/OBSERVABILITY.md. *)
 
 (** {1 Inputs} *)
 
@@ -50,24 +52,29 @@ type span_stat = {
   s_count : int;  (** completed instances *)
   s_open : int;  (** begun but not ended inside the window *)
   s_total_us : float;
+  s_min_us : float;  (** shortest completed instance *)
+  s_max_us : float;  (** longest completed instance *)
   s_buckets : int array;  (** log2 buckets of completed durations, us *)
 }
 
 val span_quantile : span_stat -> float -> float option
 (** Interpolated duration quantile in {e seconds}, from the log2
-    buckets (same interpolation as {!Qxm_obs.Metrics.quantile}). *)
+    buckets (same interpolation as {!Qxm_obs.Metrics.quantile}),
+    clamped to the observed [s_min_us, s_max_us]. *)
 
 type dim = { d_name : string; d_slices : (string * float) list }
 (** One attribution dimension (phase, stage, cand, rung); slices
     are [(value, microseconds)] sorted by descending time. *)
 
+(** The objective bounds the descent attempted, read from the
+    [bound] args of its [minimize.step] begins. *)
 type trajectory = {
   t_first_bound : int;
   t_best_bound : int;
   t_improvements : int;
   t_last_improvement_us : float;
-  t_tail_us : float;
-  t_tail_rung : int option;
+  t_tail_us : float;  (** window time after the last improvement *)
+  t_tail_rung : int;  (** the bound of the last step begun *)
 }
 
 type report = {

@@ -38,7 +38,6 @@
 
 module Trace = Qxm_obs.Trace
 module Metrics = Qxm_obs.Metrics
-module Timeseries = Qxm_obs.Timeseries
 
 type result = Sat | Unsat | Unknown
 
@@ -204,7 +203,7 @@ type t = {
   mutable clock_polls : int;
   mutable last_clock_poll : int; (* conflict count at the last clock poll *)
   mutable budget_hit : bool; (* latched by out_of_budget until next solve *)
-  mutable last_sample : int; (* conflict count at the last telemetry tick *)
+  mutable last_sample : int; (* conflict count at the last solver.sample *)
   mutable last_flushed : stats; (* registry watermark; see flush_metrics *)
 }
 
@@ -1400,20 +1399,28 @@ let search s ~nof_conflicts ~conflict_limit ~deadline =
       else begin
         if out_of_budget s ~conflict_limit ~deadline then
           raise (Result Unknown);
-        (* telemetry sampler: same 64-conflict cadence as the clock
-           poll, so enabling it adds no extra clock reads.
-           [Timeseries.enabled] is one atomic load. *)
-        if s.conflicts - s.last_sample >= 64 && Timeseries.enabled () then begin
+        (* search-state sample: same 64-conflict cadence as the clock
+           poll, so recording it adds no extra clock reads.
+           [Trace.recording] is one atomic load. *)
+        if s.conflicts - s.last_sample >= 64 && Trace.recording () then begin
           s.last_sample <- s.conflicts;
           let mean_lbd =
             if s.conflicts = 0 then 0.0
             else float_of_int s.lbd_sum /. float_of_int s.conflicts
           in
-          Timeseries.sample ~conflicts:s.conflicts ~decisions:s.decisions
-            ~propagations:s.propagations ~restarts:s.restarts
-            ~trail:s.trail_size
-            ~learnts:(Vec.Int.size s.learnts) ~learnt_core:s.num_core
-            ~mean_lbd ~arena_words:(Arena.top s.arena)
+          Trace.counter "solver.sample"
+            ~args:
+              [
+                ("conflicts", Trace.Int s.conflicts);
+                ("decisions", Trace.Int s.decisions);
+                ("propagations", Trace.Int s.propagations);
+                ("restarts", Trace.Int s.restarts);
+                ("trail", Trace.Int s.trail_size);
+                ("learnts", Trace.Int (Vec.Int.size s.learnts));
+                ("learnt_core", Trace.Int s.num_core);
+                ("mean_lbd", Trace.Float mean_lbd);
+                ("arena_words", Trace.Int (Arena.top s.arena));
+              ]
         end;
         if nof_conflicts >= 0 && !conflict_c >= nof_conflicts then
           raise Restart;
@@ -1491,7 +1498,7 @@ let solve_raw ?(assumptions = []) ?(conflict_limit = -1) ?(deadline = 0.0) s =
         (* force a clock poll on the first budget check of this call, so an
            already-expired deadline is noticed before any conflict *)
         s.last_clock_poll <- s.conflicts - 64;
-        (* same rewind for the sampler: sample once early in this call *)
+        (* same rewind for [solver.sample]: sample once early in this call *)
         s.last_sample <- s.conflicts - 64;
         s.assumptions <- Array.of_list assumptions;
         Array.iter

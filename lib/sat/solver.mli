@@ -141,9 +141,10 @@ val arena_words : t -> int
     flush). *)
 
 (** Every 64 conflicts (plus once near the start of each [solve] call)
-    the solver feeds one [Qxm_obs.Timeseries] sample while that sampler
-    is enabled, on the same cadence as the budget clock poll, so it adds
-    no clock reads; the disabled path costs one atomic load and branch.
+    the solver records one [solver.sample] trace counter event of its
+    search state while any [Qxm_obs.Trace] recorder is on, on the same
+    cadence as the budget clock poll, so it adds no clock reads; with no
+    recorder it costs one atomic load and branch.
     Each restart records a [solver.restart] trace instant carrying the
     conflicts of the round it ends. *)
 

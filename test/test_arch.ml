@@ -65,7 +65,12 @@ let test_subset_connected () =
   Alcotest.(check bool) "0,1,3,4 disconnected" false
     (Coupling.subset_connected cm [ 0; 1; 3; 4 ]);
   Alcotest.(check bool) "empty connected" true
-    (Coupling.subset_connected cm [])
+    (Coupling.subset_connected cm []);
+  Alcotest.(check int) "qx4 is one component" 5
+    (Coupling.largest_component cm);
+  Alcotest.(check int) "two edges and an isolated qubit" 2
+    (Coupling.largest_component
+       (Coupling.create ~num_qubits:5 [ (0, 1); (3, 2) ]))
 
 let test_to_dot () =
   let dot = Coupling.to_dot Devices.qx4 in

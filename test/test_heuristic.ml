@@ -1,10 +1,8 @@
-(* Tests for the heuristic baselines: Layout, Stochastic_swap,
-   Astar_mapper. *)
+(* Tests for the heuristic baselines: Layout, Stochastic_swap. *)
 
 open Test_util
 module Layout = Qxm_heuristic.Layout
 module Stochastic = Qxm_heuristic.Stochastic_swap
-module Astar = Qxm_heuristic.Astar_mapper
 module Circuit = Qxm_circuit.Circuit
 module Gate = Qxm_circuit.Gate
 module Coupling = Qxm_arch.Coupling
@@ -95,35 +93,6 @@ let stochastic_works_on_other_devices =
       let ring = Stochastic.run ~seed ~arch:(Devices.ring 5) c in
       line.verified = Some true && ring.verified = Some true)
 
-(* -- A* ------------------------------------------------------------------- *)
-
-let test_astar_fig1a () =
-  let r = Astar.run ~arch:Devices.qx4 Examples.fig1a in
-  Alcotest.(check (option bool)) "verified" (Some true) r.verified;
-  Alcotest.(check bool) "at least the exact optimum" true (r.f_cost >= 4)
-
-let astar_always_verifies =
-  qtest ~count:15 "A* mapping verifies on random circuits"
-    QCheck2.Gen.(int_range 0 10_000)
-    (fun seed ->
-      let c = Generator.random_circuit ~seed ~qubits:4 ~cnots:8 ~singles:3 in
-      let r = Astar.run ~arch:Devices.qx4 c in
-      r.verified = Some true)
-
-let astar_single_cnot_minimal =
-  qtest ~count:50 "A* uses exactly dist-1 swaps for a single CNOT"
-    QCheck2.Gen.(
-      let* c = int_range 0 4 in
-      let* t = int_range 0 4 in
-      return (c, if t = c then (c + 1) mod 5 else t))
-    (fun (c, t) ->
-      let circuit = Circuit.create 5 [ Gate.Cnot (c, t) ] in
-      let r = Astar.run ~arch:Devices.qx4 circuit in
-      let paths = Qxm_arch.Paths.compute Devices.qx4 in
-      Circuit.count_swaps r.mapped
-      = Qxm_arch.Paths.distance paths c t - 1
-      && r.verified = Some true)
-
 let suite =
   [
     ("layout identity", `Quick, test_layout_identity);
@@ -137,7 +106,4 @@ let suite =
      test_stochastic_rejects_oversized);
     stochastic_always_verifies;
     stochastic_works_on_other_devices;
-    ("astar fig1a", `Quick, test_astar_fig1a);
-    astar_always_verifies;
-    astar_single_cnot_minimal;
   ]

@@ -9,6 +9,7 @@ module Qasm = Qxm_circuit.Qasm
 module Optimize = Qxm_circuit.Optimize
 module Unitary = Qxm_circuit.Unitary
 module Mapper = Qxm_exact.Mapper
+module Portfolio = Qxm_exact.Portfolio
 module Strategy = Qxm_exact.Strategy
 module Devices = Qxm_arch.Devices
 module Suite = Qxm_benchmarks.Suite
@@ -92,11 +93,11 @@ let test_heuristics_agree_on_trivial () =
   let exact = Result.get_ok (Mapper.run ~arch:Devices.qx4 c) in
   let stoch = Qxm_heuristic.Stochastic_swap.run ~arch:Devices.qx4 c in
   let sabre = Qxm_heuristic.Sabre.run ~arch:Devices.qx4 c in
-  let astar = Qxm_heuristic.Astar_mapper.run ~arch:Devices.qx4 c in
+  let portfolio = Result.get_ok (Portfolio.run ~arch:Devices.qx4 c) in
   Alcotest.(check int) "exact" 0 exact.f_cost;
   Alcotest.(check int) "stochastic" 0 stoch.f_cost;
   Alcotest.(check int) "sabre" 0 sabre.f_cost;
-  Alcotest.(check int) "astar" 0 astar.f_cost
+  Alcotest.(check int) "portfolio" 0 portfolio.f_cost
 
 let all_mappers_agree_semantically =
   qtest ~count:10 "all four mappers produce equivalent circuits"
@@ -116,11 +117,12 @@ let all_mappers_agree_semantically =
       let sabre =
         (Qxm_heuristic.Sabre.run ~arch:Devices.qx4 c).verified = Some true
       in
-      let astar =
-        (Qxm_heuristic.Astar_mapper.run ~arch:Devices.qx4 c).verified
-        = Some true
+      let portfolio =
+        match Portfolio.run ~arch:Devices.qx4 c with
+        | Ok r -> r.verified = Some true
+        | Error _ -> false
       in
-      exact && stoch && sabre && astar)
+      exact && stoch && sabre && portfolio)
 
 let test_fig1a_qasm_file_roundtrip () =
   (* write → read → map: exercises the file layer *)

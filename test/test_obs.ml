@@ -9,7 +9,6 @@
 open Test_util
 module Trace = Qxm_obs.Trace
 module Metrics = Qxm_obs.Metrics
-module Timeseries = Qxm_obs.Timeseries
 module Flight = Qxm_obs.Flight
 module Solver = Qxm_sat.Solver
 module Lit = Qxm_sat.Lit
@@ -430,16 +429,14 @@ let test_chrome_export_shape () =
 
 (* A disabled observability layer must be close to free: the
    instrumented warm paths (one span per solve / candidate / task, one
-   sampler call per 64-conflict tick) stay out of the
-   benchmarks.  The wrapped closure mirrors the solver's actual hot
-   path: span entry/exit, a sampler call gated on [Timeseries.enabled]
-   (so argument evaluation is skipped), context labelling, and the
-   flight recorder's gate.  Generous allowances keep this a smoke test,
-   not a microbenchmark. *)
+   sample per 64-conflict tick) stay out of the benchmarks.  The
+   wrapped closure mirrors the solver's actual hot path: span
+   entry/exit, a counter sample gated on [Trace.recording] (so argument
+   evaluation is skipped), and the flight recorder's gate.  Generous
+   allowances keep this a smoke test, not a microbenchmark. *)
 let test_trace_disabled_overhead () =
   Trace.disable ();
   Trace.reset ();
-  Timeseries.disable ();
   Flight.disable ();
   let work () =
     let s = ref 0 in
@@ -461,23 +458,18 @@ let test_trace_disabled_overhead () =
   let wrapped =
     time (fun () ->
         Trace.with_span ~name:"overhead" @@ fun () ->
-        Timeseries.with_label "stage=off" @@ fun () ->
-        if Timeseries.enabled () then
-          Timeseries.sample ~conflicts:0 ~decisions:0 ~propagations:0
-            ~restarts:0 ~trail:0 ~learnts:0 ~learnt_core:0 ~mean_lbd:0.0
-            ~arena_words:0;
+        if Trace.recording () then
+          Trace.counter "solver.sample" ~args:[ ("conflicts", Trace.Int 0) ];
         ignore (Sys.opaque_identity (Flight.enabled ()));
         work ())
   in
   Alcotest.(check bool)
     (Printf.sprintf
-       "disabled span+sampler+flight within 10%% + noise (bare %.3fs, \
+       "disabled span+sample+flight within 10%% + noise (bare %.3fs, \
         wrapped %.3fs)"
        bare wrapped)
     true
     (wrapped <= (bare *. 1.10) +. 0.25)
-
-(* -- time-series sampler -------------------------------------------------- *)
 
 (* Pigeonhole formula: n+1 pigeons, n holes — enough conflicts to cross
    the progress cadence many times. *)
@@ -498,92 +490,6 @@ let php n =
     done
   done;
   s
-
-(* The decimating ring's contract under any push count: bounded storage,
-   push order preserved, the first and most recent pushes always
-   survive, and the stride doubles instead of creeping. *)
-let ring_decimation =
-  qtest ~count:200 "Timeseries.Ring: decimation keeps first/last, order, bound"
-    QCheck2.Gen.(pair (int_range 1 40) (int_range 0 600))
-    (fun (capacity, n) ->
-      let r = Timeseries.Ring.create capacity in
-      for i = 1 to n do
-        Timeseries.Ring.push r i
-      done;
-      let contents = Timeseries.Ring.contents r in
-      let capacity = max 4 capacity in
-      let rec ascending = function
-        | a :: (b :: _ as tl) -> a < b && ascending tl
-        | _ -> true
-      in
-      Timeseries.Ring.pushed r = n
-      && List.length contents <= capacity + 1
-      && ascending contents
-      && (Timeseries.Ring.stride r = 1
-         || Timeseries.Ring.stride r mod 2 = 0)
-      &&
-      match contents with
-      | [] -> n = 0
-      | first :: _ ->
-          first = 1 && List.nth contents (List.length contents - 1) = n)
-
-(* End to end through the solver: with the sampler on, a conflict-heavy
-   solve feeds samples at the progress cadence, each carrying the
-   ambient label and bound plus the extended search-state fields. *)
-let test_timeseries_solver_sampling () =
-  Timeseries.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Timeseries.disable ();
-      Timeseries.reset ())
-    (fun () ->
-      Timeseries.with_label "stage=test" (fun () ->
-          Timeseries.set_bound 7;
-          Fun.protect
-            ~finally:(fun () -> Timeseries.set_bound (-1))
-            (fun () ->
-              match Solver.solve (php 5) with
-              | Solver.Unsat -> ()
-              | _ -> Alcotest.fail "pigeonhole must be unsatisfiable"));
-      let samples = Timeseries.samples () in
-      Alcotest.(check bool) "several samples recorded" true
-        (List.length samples >= 2);
-      ignore
-        (List.fold_left
-           (fun (prev_ts, prev_c) (s : Timeseries.sample) ->
-             Alcotest.(check bool) "timestamps monotone" true
-               (s.ts_us >= prev_ts);
-             Alcotest.(check bool) "conflicts non-decreasing" true
-               (s.conflicts >= prev_c);
-             Alcotest.(check string) "ambient label carried" "stage=test"
-               s.label;
-             Alcotest.(check int) "ambient bound carried" 7 s.bound;
-             Alcotest.(check bool) "search-state fields plausible" true
-               (s.trail >= 0 && s.learnts >= 0
-               && s.learnt_core <= s.learnts
-               && s.mean_lbd >= 0.0 && s.arena_words >= 0
-               && s.decisions >= 0 && s.propagations >= 0
-               && s.restarts >= 0);
-             (s.ts_us, s.conflicts))
-           (neg_infinity, -1) samples);
-      (* export shape: every sample becomes a C event named
-         solver.sample, ready to merge into a trace or flight dump *)
-      let events = Timeseries.to_events () in
-      Alcotest.(check int) "one C event per sample" (List.length samples)
-        (List.length events);
-      List.iter
-        (fun (e : Trace.event) ->
-          Alcotest.(check string) "event name" "solver.sample" e.name;
-          Alcotest.(check bool) "counter phase" true (e.ph = `C))
-        events)
-
-let test_timeseries_disabled_records_nothing () =
-  Timeseries.disable ();
-  Timeseries.reset ();
-  Timeseries.sample ~conflicts:1 ~decisions:1 ~propagations:1 ~restarts:0
-    ~trail:0 ~learnts:0 ~learnt_core:0 ~mean_lbd:0.0 ~arena_words:0;
-  Alcotest.(check int) "no samples recorded" 0
-    (List.length (Timeseries.samples ()))
 
 (* -- flight recorder ------------------------------------------------------ *)
 
@@ -620,8 +526,6 @@ let number_field line key =
 let test_flight_dump_roundtrip () =
   Trace.disable ();
   Trace.reset ();
-  Timeseries.disable ();
-  Timeseries.reset ();
   let path = Filename.temp_file "qxm_flight" ".ndjson" in
   Flight.enable ~capacity:16 ~path ();
   Fun.protect
@@ -754,45 +658,111 @@ let traced f =
       let r = f () in
       (r, t0_us, Trace.events ()))
 
-(* The solver's telemetry tick: one sample per 64 conflicts at most,
-   with plausible search-state fields, and none once sampling is off. *)
-let test_solver_progress_cadence () =
+let solve_php5 () =
   let s = php 5 in
-  Timeseries.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Timeseries.disable ();
-      Timeseries.reset ())
-  @@ fun () ->
   (match Solver.solve s with
   | Solver.Unsat -> ()
   | _ -> Alcotest.fail "pigeonhole must be unsatisfiable");
-  let samples = Timeseries.samples () in
+  Solver.stats s
+
+let solver_samples events =
+  List.filter
+    (fun (e : Trace.event) -> e.ph = `C && e.name = "solver.sample")
+    events
+
+let sample_arg k (e : Trace.event) =
+  match List.assoc_opt k e.args with
+  | Some (Trace.Int i) -> i
+  | _ -> Alcotest.failf "solver.sample without an int %s arg" k
+
+(* The solver's time series is the run of [solver.sample] counter events
+   in the trace.  End to end: a conflict-heavy solve inside a labelled
+   span records several samples, each on the span's domain and within
+   its window (so the span's label and bound are the sample's context),
+   with monotone timestamps, rising conflict counts and plausible
+   search-state fields. *)
+let test_timeseries_solver_sampling () =
+  let (), _, events =
+    traced (fun () ->
+        Trace.with_span ~name:"stage=test"
+          ~args:[ ("bound", Trace.Int 7) ]
+          (fun () -> ignore (solve_php5 ())))
+  in
+  let span ph =
+    match
+      List.find_opt
+        (fun (e : Trace.event) -> e.ph = ph && e.name = "stage=test")
+        events
+    with
+    | Some e -> e
+    | None -> Alcotest.fail "labelled span not recorded"
+  in
+  let opened = span `B and closed = span `E in
+  Alcotest.(check bool) "span carries the bound" true
+    (List.assoc_opt "bound" opened.args = Some (Trace.Int 7));
+  let samples = solver_samples events in
   Alcotest.(check bool) "several samples recorded" true
     (List.length samples >= 2);
   ignore
     (List.fold_left
-       (fun prev (p : Timeseries.sample) ->
-         Alcotest.(check bool) "cadence of at least 64 conflicts" true
-           (prev < 0 || p.conflicts - prev >= 64);
-         Alcotest.(check bool) "counters are non-negative" true
-           (p.conflicts >= 0 && p.decisions >= 0 && p.propagations >= 0
-          && p.restarts >= 0);
-         Alcotest.(check bool) "extended search-state fields plausible" true
-           (p.trail >= 0 && p.learnts >= 0 && p.learnt_core >= 0
-          && p.learnt_core <= p.learnts
-          && p.mean_lbd >= 0.0 && p.arena_words >= 0);
-         p.conflicts)
-       (-1) samples);
-  let final = Solver.stats s in
-  let last = List.nth samples (List.length samples - 1) in
+       (fun (prev_ts, prev_c) (e : Trace.event) ->
+         Alcotest.(check bool) "timestamps monotone" true (e.ts_us >= prev_ts);
+         Alcotest.(check bool) "conflicts rising" true
+           (sample_arg "conflicts" e > prev_c);
+         Alcotest.(check int) "sampled on the span's domain" opened.tid e.tid;
+         Alcotest.(check bool) "sample inside the labelled span" true
+           (e.ts_us >= opened.ts_us && e.ts_us <= closed.ts_us);
+         Alcotest.(check bool) "search-state fields plausible" true
+           (sample_arg "decisions" e >= 0
+           && sample_arg "propagations" e >= 0
+           && sample_arg "restarts" e >= 0
+           && sample_arg "trail" e >= 0
+           && sample_arg "arena_words" e >= 0
+           && sample_arg "learnt_core" e <= sample_arg "learnts" e
+           &&
+           match List.assoc_opt "mean_lbd" e.args with
+           | Some (Trace.Float l) -> l >= 0.0
+           | _ -> false);
+         (e.ts_us, sample_arg "conflicts" e))
+       (neg_infinity, -1) samples)
+
+(* With no recorder (tracer off, no sink) neither a direct counter nor a
+   conflict-heavy solve records anything. *)
+let test_timeseries_disabled_records_nothing () =
+  Trace.disable ();
+  Trace.reset ();
+  Trace.counter "solver.sample" ~args:[ ("conflicts", Trace.Int 1) ];
+  ignore (solve_php5 ());
+  Alcotest.(check int) "no events recorded" 0 (List.length (Trace.events ()))
+
+(* PHP(5) solved once with the tracer off and once recording: recording
+   must not perturb the search, each sample is at least 64 conflicts
+   past the previous one, and none overshoots the final stats. *)
+let test_solver_samples_in_trace () =
+  Trace.disable ();
+  Trace.reset ();
+  let plain = solve_php5 () in
+  let recorded, _, events = traced solve_php5 in
+  let search (st : Solver.stats) =
+    [ st.conflicts; st.decisions; st.propagations; st.restarts ]
+  in
+  Alcotest.(check (list int))
+    "conflicts, decisions, propagations, restarts unchanged" (search plain)
+    (search recorded);
+  let samples = solver_samples events in
+  Alcotest.(check bool) "several samples recorded" true
+    (List.length samples >= 2);
+  let last =
+    List.fold_left
+      (fun prev e ->
+        let c = sample_arg "conflicts" e in
+        Alcotest.(check bool) "cadence of at least 64 conflicts" true
+          (prev < 0 || c - prev >= 64);
+        c)
+      (-1) samples
+  in
   Alcotest.(check bool) "samples never overshoot the final stats" true
-    (last.conflicts <= final.Solver.conflicts);
-  (* disabling the sampler stops recording *)
-  Timeseries.disable ();
-  ignore (Solver.solve (php 5));
-  Alcotest.(check int) "no samples after disabling" (List.length samples)
-    (List.length (Timeseries.samples ()))
+    (last <= recorded.conflicts)
 
 let minimize_trajectory =
   qtest ~count:40 "minimize trajectory decreases strictly and ends at cost"
@@ -901,11 +871,6 @@ let suite =
       test_chrome_export_shape;
     Alcotest.test_case "trace: disabled overhead smoke" `Slow
       test_trace_disabled_overhead;
-    ring_decimation;
-    Alcotest.test_case "timeseries: solver feeds the sampler" `Quick
-      test_timeseries_solver_sampling;
-    Alcotest.test_case "timeseries: disabled records nothing" `Quick
-      test_timeseries_disabled_records_nothing;
     Alcotest.test_case "flight: dump roundtrip" `Quick
       test_flight_dump_roundtrip;
     Alcotest.test_case "flight: disabled dump is None" `Quick
@@ -915,7 +880,11 @@ let suite =
     Alcotest.test_case "metrics: interpolated quantiles" `Quick
       test_metrics_quantile;
     Alcotest.test_case "solver: progress cadence" `Quick
-      test_solver_progress_cadence;
+      test_solver_samples_in_trace;
+    Alcotest.test_case "timeseries: solver feeds the sampler" `Quick
+      test_timeseries_solver_sampling;
+    Alcotest.test_case "timeseries: disabled records nothing" `Quick
+      test_timeseries_disabled_records_nothing;
     minimize_trajectory;
     Alcotest.test_case "mapper: report carries observability fields" `Quick
       test_mapper_report_observability;

@@ -14,25 +14,44 @@ let ev ?(args = "") name ph ts tid =
      %d, \"args\": {%s}}"
     name ph ts tid args
 
-let sample ?(extra = "") ts tid conflicts =
+let sample ts tid conflicts =
   ev "solver.sample" "C" ts tid
-    ~args:(Printf.sprintf "\"conflicts\": %d%s" conflicts extra)
+    ~args:(Printf.sprintf "\"conflicts\": %d" conflicts)
 
-(* One worker: 100us of encode, then a 1000us solve whose interior is
-   covered by three samples — the first gap under rung 5, the second
-   under rung 4.  Every microsecond of the window is attributable. *)
+let step ph ts ?bound n =
+  ev "minimize.step" ph ts 1
+    ~args:
+      (match bound with
+      | Some b -> Printf.sprintf "\"step\": %d, \"bound\": %d" n b
+      | None -> "")
+
+(* One worker inside one ladder stage and candidate: 100us of encode,
+   then a 1000us solve whose interior is covered by three samples — the
+   first gap inside the rung-5 step, the second inside the rung-4 step.
+   A last rung-3 step ends before any sample is taken.  Every
+   microsecond of the window is attributable. *)
 let trace_lines =
   [
+    ev "portfolio.stage" "B" 0.0 1 ~args:"\"stage\": \"ladder\"";
+    ev "mapper.candidate" "B" 0.0 1 ~args:"\"index\": 0, \"qubits\": 5";
     ev "mapper.encode" "B" 0.0 1;
     ev "mapper.encode" "E" 100.0 1;
     ev "mapper.solve" "B" 100.0 1;
+    step "B" 100.0 1 ~bound:5;
     sample 100.0 1 0;
-    sample 600.0 1 64
-      ~extra:", \"bound\": 5, \"label\": \"stage=ladder rung=5\"";
-    sample 1100.0 1 128
-      ~extra:", \"bound\": 4, \"label\": \"stage=ladder rung=4\"";
+    sample 600.0 1 64;
+    step "E" 600.0 1;
+    step "B" 600.0 2 ~bound:4;
+    sample 1100.0 1 128;
+    step "E" 1100.0 2;
+    step "B" 1100.0 3 ~bound:3;
+    step "E" 1100.0 3;
     ev "mapper.solve" "E" 1100.0 1;
+    ev "mapper.candidate" "E" 1100.0 1;
+    ev "portfolio.stage" "E" 1100.0 1;
   ]
+
+let nevents = List.length trace_lines
 
 let ndjson = String.concat "\n" trace_lines ^ "\n"
 
@@ -41,7 +60,7 @@ let chrome =
 
 let flight =
   "{\"flight\": 1, \"reason\": \"unit timeout\", \"dumped_ts_us\": 2000.0, \
-   \"dropped\": 3, \"events\": 7}\n" ^ ndjson
+   \"dropped\": 3, \"events\": 17}\n" ^ ndjson
 
 (* -- parsing -------------------------------------------------------------- *)
 
@@ -53,17 +72,17 @@ let parse s =
 let test_autodetect () =
   (match parse ndjson with
   | Profile.Trace_events events ->
-      Alcotest.(check int) "ndjson events" 7 (List.length events)
+      Alcotest.(check int) "ndjson events" nevents (List.length events)
   | _ -> Alcotest.fail "ndjson not detected as events");
   (match parse chrome with
   | Profile.Trace_events events ->
-      Alcotest.(check int) "chrome events" 7 (List.length events)
+      Alcotest.(check int) "chrome events" nevents (List.length events)
   | _ -> Alcotest.fail "chrome doc not detected as events");
   (match parse flight with
   | Profile.Flight { f_reason; f_dropped; f_events } ->
       Alcotest.(check string) "flight reason" "unit timeout" f_reason;
       Alcotest.(check int) "flight dropped" 3 f_dropped;
-      Alcotest.(check int) "flight events" 7 (List.length f_events)
+      Alcotest.(check int) "flight events" nevents (List.length f_events)
   | _ -> Alcotest.fail "flight dump not detected");
   (* neither a top-level array nor a line stream of other records is
      a trace *)
@@ -112,15 +131,18 @@ let test_attribution () =
     (span "mapper.solve").s_total_us;
   Alcotest.(check int) "solve span completed once" 1
     (span "mapper.solve").s_count;
-  (* sample-gap attribution: the two 500us gaps land on their rungs and
-     the ladder stage; the phase dimension merges samples and spans
-     without double counting *)
+  (* sample-gap attribution: the two 500us gaps land on the rungs of
+     their minimize.step spans and on the stage and candidate around
+     them; the phase dimension merges samples and spans without double
+     counting *)
   Alcotest.(check (float 1e-6)) "rung 5 charged its gap" 500.0
     (slice r "rung" "5");
   Alcotest.(check (float 1e-6)) "rung 4 charged its gap" 500.0
     (slice r "rung" "4");
   Alcotest.(check (float 1e-6)) "stage ladder charged both gaps" 1000.0
     (slice r "stage" "ladder");
+  Alcotest.(check (float 1e-6)) "candidate 0 charged both gaps" 1000.0
+    (slice r "cand" "0");
   Alcotest.(check (float 1e-6)) "phase solve not double counted" 1000.0
     (slice r "phase" "solve");
   Alcotest.(check (float 1e-6)) "phase encode from its span" 100.0
@@ -129,14 +151,15 @@ let test_attribution () =
     (Printf.sprintf "coverage within [0.95, 1.05] (got %.3f)" r.r_coverage)
     true
     (r.r_coverage >= 0.95 && r.r_coverage <= 1.05);
-  (* trajectory: first bound 5, improved once to 4 *)
+  (* trajectory from the step spans: first bound 5, improved to 4 and
+     then to 3 by a step that ended before any sample *)
   match r.r_trajectory with
   | None -> Alcotest.fail "trajectory missing"
   | Some t ->
       Alcotest.(check int) "first bound" 5 t.t_first_bound;
-      Alcotest.(check int) "best bound" 4 t.t_best_bound;
-      Alcotest.(check bool) "at least one improvement" true
-        (t.t_improvements >= 1)
+      Alcotest.(check int) "best bound" 3 t.t_best_bound;
+      Alcotest.(check int) "two improvements" 2 t.t_improvements;
+      Alcotest.(check int) "tail rung" 3 t.t_tail_rung
 
 let test_open_span_censored () =
   (* a span that never closes — the normal shape for a timeout — is
@@ -204,7 +227,7 @@ let test_check_clean () =
   | Ok input ->
       let c = Profile.check ?require:all ~samples:true input in
       Alcotest.(check (list string)) "chrome trace passes" [] c.c_errors;
-      Alcotest.(check int) "events counted" 7 c.c_events;
+      Alcotest.(check int) "events counted" nevents c.c_events;
       Alcotest.(check int) "workers counted" 1 c.c_workers);
   Alcotest.(check (list string)) "ndjson passes" []
     (check_errors ?require:all ~samples:true ndjson);
@@ -305,6 +328,24 @@ let test_span_quantile () =
       | None -> Alcotest.fail "no quantile from a populated histogram")
   | spans -> Alcotest.failf "expected one span, got %d" (List.length spans)
 
+let test_span_quantile_clamped () =
+  (* one 9 s span: interpolating inside its [2^23, 2^24) us bucket
+     would read 12.6 s at p50; every quantile is the one observed
+     duration *)
+  let r =
+    Profile.analyze
+      (parse (lines_doc [ ev "s" "B" 0.0 1; ev "s" "E" 9e6 1 ]))
+  in
+  match r.r_spans with
+  | [ s ] ->
+      List.iter
+        (fun q ->
+          Alcotest.(check (option (float 1e-9)))
+            (Printf.sprintf "p%g of one 9 s span" (100.0 *. q))
+            (Some 9.0) (Profile.span_quantile s q))
+        [ 0.5; 0.9; 0.99 ]
+  | spans -> Alcotest.failf "expected one span, got %d" (List.length spans)
+
 let suite =
   [
     Alcotest.test_case "inputs auto-detected" `Quick test_autodetect;
@@ -317,4 +358,6 @@ let suite =
     Alcotest.test_case "check: clean traces pass" `Quick test_check_clean;
     Alcotest.test_case "check: every defect fails" `Quick test_check_defects;
     Alcotest.test_case "span quantiles in seconds" `Quick test_span_quantile;
+    Alcotest.test_case "span quantiles clamped to the observed range" `Quick
+      test_span_quantile_clamped;
   ]

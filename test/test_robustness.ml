@@ -19,6 +19,7 @@ module Mapper = Qxm_exact.Mapper
 module Portfolio = Qxm_exact.Portfolio
 module Strategy = Qxm_exact.Strategy
 module Certify = Qxm_exact.Certify
+module Trace = Qxm_obs.Trace
 module Examples = Qxm_benchmarks.Examples
 module Suite = Qxm_benchmarks.Suite
 
@@ -312,13 +313,47 @@ let test_portfolio_incumbent_path () =
           Alcotest.(check (option bool)) "verified" (Some true) r.verified
       | Error e -> Alcotest.failf "portfolio failed: %a" Portfolio.pp_failure e)
 
-let test_portfolio_exhausted_when_nothing_routes () =
-  match Portfolio.run ~arch:unroutable_device unroutable_circuit with
+(* A run cancelled before its first stage certifies nothing: it ends
+   [Exhausted], and the telemetry still says why. *)
+let test_portfolio_exhausted_when_cancelled () =
+  let cancel = Qxm_par.Cancel.create () in
+  Qxm_par.Cancel.cancel cancel;
+  match Portfolio.run ~cancel ~arch:Devices.qx4 Examples.fig1a with
   | Error (Portfolio.Exhausted stages) ->
-      Alcotest.(check bool) "telemetry survives" true (stages <> [])
-  | Ok _ -> Alcotest.fail "nothing could have produced a result"
+      Alcotest.(check (list (pair string string)))
+        "telemetry survives"
+        [ ("exact", "cancelled"); ("sabre", "skipped: cancelled") ]
+        (List.map (fun (s : Portfolio.stage) -> (s.stage, s.outcome)) stages)
+  | Ok _ -> Alcotest.fail "a cancelled run cannot have produced a result"
   | Error e ->
       Alcotest.failf "expected Exhausted, got %a" Portfolio.pp_failure e
+
+(* A device with no connected set of n physical qubits is a typed
+   error from both entry points, before any stage or encoding runs. *)
+let test_unroutable_device_rejected () =
+  Trace.reset ();
+  Trace.enable ();
+  Fun.protect ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ())
+  @@ fun () ->
+  (match Portfolio.run ~arch:unroutable_device unroutable_circuit with
+  | Error (Portfolio.Disconnected { logical = 4; largest = 2 } as e) ->
+      Alcotest.(check string) "one-line reason"
+        "device has no connected set of 4 qubits (largest connected part: 2)"
+        (Format.asprintf "%a" Portfolio.pp_failure e)
+  | Ok _ -> Alcotest.fail "nothing could have produced a result"
+  | Error e ->
+      Alcotest.failf "expected Disconnected, got %a" Portfolio.pp_failure e);
+  (match Mapper.run ~arch:unroutable_device unroutable_circuit with
+  | Error (Mapper.Disconnected { logical = 4; largest = 2 }) -> ()
+  | Ok _ -> Alcotest.fail "nothing could have produced a result"
+  | Error e ->
+      Alcotest.failf "expected Disconnected, got %a" Mapper.pp_failure e);
+  Alcotest.(check (list string)) "no span recorded: no stage ran" []
+    (List.filter_map
+       (fun (e : Trace.event) -> if e.ph = `B then Some e.name else None)
+       (Trace.events ()))
 
 let test_portfolio_too_many_logical () =
   match Portfolio.run ~arch:(Devices.line 2) (Circuit.empty 3) with
@@ -410,7 +445,9 @@ let suite =
      test_portfolio_degrades_to_heuristic);
     ("portfolio: incumbent path", `Quick, test_portfolio_incumbent_path);
     ("portfolio: exhausted telemetry", `Quick,
-     test_portfolio_exhausted_when_nothing_routes);
+     test_portfolio_exhausted_when_cancelled);
+    ("portfolio: unroutable device rejected", `Quick,
+     test_unroutable_device_rejected);
     ("portfolio: too many logical", `Quick, test_portfolio_too_many_logical);
     ("portfolio: full-suite degradation sweep", `Slow,
      test_portfolio_degrades_on_full_suite);

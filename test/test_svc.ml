@@ -494,10 +494,10 @@ let test_daemon_deadline_note_reaches_response () =
         (Certify.compliance ~arch:Devices.qx4 mapped = Ok ()))
 
 let test_daemon_unroutable_runs_once () =
-  (* Under the default configuration an input nothing can route runs
-     the portfolio exactly once and fails with the portfolio's own
-     Exhausted message: no second run can route it, and no deadline
-     text may replace the real reason. *)
+  (* Under the default configuration an input nothing can route fails
+     once, with the portfolio's own one-line Disconnected message, and
+     before any portfolio stage runs: no deadline text may replace the
+     real reason. *)
   Trace.reset ();
   Trace.enable ();
   Fun.protect ~finally:(fun () ->
@@ -508,20 +508,16 @@ let test_daemon_unroutable_runs_once () =
   Fun.protect ~finally:(fun () -> Daemon.shutdown d) @@ fun () ->
   (match Daemon.submit d (unroutable_request ()) with
   | Daemon.Failed msg ->
-      Alcotest.(check bool)
-        (Printf.sprintf "portfolio's Exhausted text (got %S)" msg)
-        true
-        (String.starts_with ~prefix:"every portfolio stage failed" msg);
-      Alcotest.(check bool)
-        (Printf.sprintf "one-line failure text (got %S)" msg)
-        false (String.contains msg '\n')
+      Alcotest.(check string) "portfolio's Disconnected text"
+        "device has no connected set of 4 qubits (largest connected part: 2)"
+        msg
   | _ -> Alcotest.fail "expected Failed on an unroutable input");
   let exact_lanes =
     List.filter
       (fun (e : Trace.event) -> e.ph = `B && e.name = "portfolio.exact_lane")
       (Trace.events ())
   in
-  Alcotest.(check int) "one portfolio run" 1 (List.length exact_lanes)
+  Alcotest.(check int) "no portfolio stage ran" 0 (List.length exact_lanes)
 
 let test_daemon_sheds_past_watermark () =
   (* Deterministic overload: the only worker wedges inside a blocking

@@ -99,8 +99,8 @@ let contains_substring haystack needle =
   nn = 0 || go 0
 
 (* An input nothing can route: a CNOT chain across a device made of two
-   disconnected edges.  The encoding rejects the device and SABRE stalls,
-   so a portfolio run on it ends [Exhausted]. *)
+   disconnected edges, so no connected set of 4 physical qubits exists
+   and a run on it is rejected before any stage as [Disconnected]. *)
 let unroutable_device = Qxm_arch.Coupling.create ~num_qubits:4 [ (0, 1); (2, 3) ]
 
 let unroutable_circuit =
