@@ -1,4 +1,3 @@
-module Lit = Qxm_sat.Lit
 module Solver = Qxm_sat.Solver
 module Cnf = Qxm_encode.Cnf
 module Amo = Qxm_encode.Amo
@@ -34,7 +33,6 @@ type options = {
 }
 
 let candidates_pruned = Metrics.counter "mapper.candidates_pruned"
-let ladder_reuse_hits = Metrics.counter "mapper.ladder_reuse_hits"
 
 (* [QXM_JOBS] lets a whole process (most usefully: the test suite under
    CI) opt into parallel candidate fan-out without touching call sites. *)
@@ -227,133 +225,37 @@ let dp_seed ~(options : options) ~built inst =
              Encoding.routing_assumptions built ~layouts:r.layouts
                ~flips:r.flips ))
 
-(* -- ladder sessions ----------------------------------------------------- *)
-
-(* Per-candidate incremental state for the portfolio's conflict-limit
-   ladder: solver, encoding, warm-start seed and minimization session
-   survive between [run] calls, so a later rung resumes the previous
-   descent — learnt clauses, saved phases and VSIDS activity intact —
-   instead of re-encoding from scratch.  [sl_reported] is a stats
-   watermark: a reused solver's counters are cumulative over its
-   lifetime, so each rung reports only its delta and per-stage
-   aggregation never double-counts. *)
-type slot = {
-  sl_solver : Solver.t;
-  sl_cnf : Cnf.t;
-  sl_built : Encoding.built;
-  sl_seed : (int * Lit.t list) option;
-  sl_min : Minimize.session;
-  mutable sl_reported : Solver.stats;
-}
-
-type session = {
-  se_lock : Mutex.t;
-  se_slots : (int, slot) Hashtbl.t; (* candidate index -> cached state *)
-  mutable se_key : options option;
-}
-
-let new_session () =
-  { se_lock = Mutex.create (); se_slots = Hashtbl.create 8; se_key = None }
-
-(* Two option records are ladder-compatible when they differ only in
-   budgets and bounds — those the session machinery absorbs (bounds pass
-   through the minimizer's monotone watermark, budgets are per-call).
-   Anything else (another strategy, AMO scheme, cost model, symmetry or
-   warm-start setting, …) would make the cached encoding or solver state
-   wrong, so the session is silently bypassed and the call runs fresh. *)
-let session_key (o : options) =
-  { o with timeout = None; conflict_limit = -1; upper_bound = None; jobs = 1 }
-
-(* [None]: session incompatible, run fresh without caching.
-   [Some None]: usable but no slot yet — cache the fresh state.
-   [Some (Some sl)]: resume [sl]. *)
-let session_slot se ~options ~index =
-  let key = session_key options in
-  Mutex.lock se.se_lock;
-  let usable =
-    match se.se_key with
-    | None ->
-        se.se_key <- Some key;
-        true
-    | Some k -> k = key
+let solve_instance ~(options : options) ~cancel ~deadline ~bound inst =
+  let solver = Solver.create ~capacity:(Encoding.var_capacity_hint inst) () in
+  if options.certificate then Solver.enable_proof solver;
+  (match cancel with
+  | Some c -> Solver.set_stop solver (Some (Cancel.flag c))
+  | None -> ());
+  let cnf = Cnf.create solver in
+  let built =
+    Trace.with_span ~name:"mapper.encode" (fun () ->
+        Encoding.build ~amo:options.amo ~costs:options.costs
+          ~symmetry:(effective_symmetry options) cnf inst)
   in
-  let slot = if usable then Some (Hashtbl.find_opt se.se_slots index) else None in
-  Mutex.unlock se.se_lock;
-  slot
-
-let solve_instance ~(options : options) ~cancel ~deadline ~bound ?session
-    ~index inst =
-  let cached =
-    match session with
-    | None -> None
-    | Some se -> session_slot se ~options ~index
-  in
-  let fresh () =
-    let solver = Solver.create ~capacity:(Encoding.var_capacity_hint inst) () in
-    if options.certificate then Solver.enable_proof solver;
-    (match cancel with
-    | Some c -> Solver.set_stop solver (Some (Cancel.flag c))
-    | None -> ());
-    let cnf = Cnf.create solver in
-    let built =
-      Trace.with_span ~name:"mapper.encode" (fun () ->
-          Encoding.build ~amo:options.amo ~costs:options.costs
-            ~symmetry:(effective_symmetry options) cnf inst)
-    in
-    let seed =
-      if options.warm_start then
-        Trace.with_span ~name:"mapper.warm_start" (fun () ->
-            dp_seed ~options ~built inst)
-      else None
-    in
-    {
-      sl_solver = solver;
-      sl_cnf = cnf;
-      sl_built = built;
-      sl_seed = seed;
-      sl_min = Minimize.new_session ();
-      sl_reported = Solver.zero_stats;
-    }
-  in
-  let sl =
-    match cached with
-    | Some (Some sl) ->
-        (* resumed rung — the clause-reuse fast path: re-attach the
-           per-call stop flag, keep solver and encoding *)
-        Metrics.incr ladder_reuse_hits;
-        Solver.set_stop sl.sl_solver (Option.map Cancel.flag cancel);
-        sl
-    | Some None ->
-        let sl = fresh () in
-        (match session with
-        | Some se ->
-            Mutex.lock se.se_lock;
-            Hashtbl.replace se.se_slots index sl;
-            Mutex.unlock se.se_lock
-        | None -> ());
-        sl
-    | None -> fresh ()
+  let seed =
+    if options.warm_start then
+      Trace.with_span ~name:"mapper.warm_start" (fun () ->
+          dp_seed ~options ~built inst)
+    else None
   in
   (* A seed costlier than the enforced bound would only be refuted. *)
   let warm_start =
-    match (sl.sl_seed, bound) with
+    match (seed, bound) with
     | Some (cost, _), Some b when cost > b -> None
     | seed, _ -> Option.map snd seed
   in
   let outcome =
     Trace.with_span ~name:"mapper.solve" (fun () ->
-        Minimize.minimize ~session:sl.sl_min
-          ?deadline:(Option.map Fun.id deadline)
-          ~conflict_limit:options.conflict_limit ?upper_bound:bound
-          ?warm_start ~cnf:sl.sl_cnf
-          ~objective:(Encoding.objective sl.sl_built) ())
+        Minimize.minimize ?deadline ~conflict_limit:options.conflict_limit
+          ?upper_bound:bound ?warm_start ~cnf
+          ~objective:(Encoding.objective built) ())
   in
-  let stats =
-    let now = Solver.stats sl.sl_solver in
-    let delta = Solver.sub_stats now sl.sl_reported in
-    sl.sl_reported <- now;
-    delta
-  in
+  let stats = Solver.stats solver in
   match outcome with
   | { unsatisfiable = true; _ } -> `Unsat stats
   | { model = Some model; cost = Some cost; optimal; solves; proof; bounds; _ }
@@ -361,7 +263,7 @@ let solve_instance ~(options : options) ~cancel ~deadline ~bound ?session
       `Model
         {
           s_model = model;
-          s_built = sl.sl_built;
+          s_built = built;
           s_cost = cost;
           s_optimal = optimal;
           s_solves = solves;
@@ -390,7 +292,7 @@ type candidate_outcome =
       stats : Solver.stats;
     }
 
-let run ?(options = default) ?session ?pool ?cancel ~arch circuit =
+let run ?(options = default) ?pool ?cancel ~arch circuit =
   let start = Unix.gettimeofday () in
   (* Reserve a slice of the budget for reconstruction and verification:
      solving stops early enough that an incumbent found near the deadline
@@ -416,9 +318,11 @@ let run ?(options = default) ?session ?pool ?cancel ~arch circuit =
        isomorphism preserves every solution's cost, so a class shares
        one optimum; its representative is the lowest-indexed member and
        wins every tie, so the other members could never replace it as
-       the incumbent and inherit its verdict unsolved. *)
+       the incumbent and inherit its verdict unsolved.  A disconnected
+       device has no whole-device encoding, so it always takes this
+       path (then [n <= largest < m]). *)
     let candidates, subsets_tried =
-      if options.use_subsets && n < m then
+      if (options.use_subsets && n < m) || largest < m then
         let classes = Subsets.connected_classes arch n in
         ( List.map (fun (subset, _) -> Coupling.induce arch subset) classes,
           List.fold_left (fun acc (_, size) -> acc + size) 0 classes )
@@ -469,8 +373,8 @@ let run ?(options = default) ?session ?pool ?cancel ~arch circuit =
             C_unsat { via_incumbent; stats = Solver.zero_stats }
         | _ -> (
             match
-              solve_instance ~options ~cancel ~deadline ~bound ?session
-                ~index (inst_of sub_arch)
+              solve_instance ~options ~cancel ~deadline ~bound
+                (inst_of sub_arch)
             with
             | `Unsat stats -> C_unsat { via_incumbent; stats }
             | `Budget stats -> C_budget stats
@@ -580,8 +484,7 @@ let run ?(options = default) ?session ?pool ?cancel ~arch circuit =
             match
               Trace.with_span ~name:"mapper.canonical_resolve" (fun () ->
                   solve_instance ~options ~cancel ~deadline
-                    ~bound:(Some best_cost) ~index:best_index
-                    (inst_of sub_arch))
+                    ~bound:(Some best_cost) (inst_of sub_arch))
             with
             | `Model s2 when s2.s_optimal ->
                 add_stats s2.s_stats;

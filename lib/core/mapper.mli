@@ -17,7 +17,9 @@ type options = {
           device — one per isomorphism class of induced
           sub-architectures ({!Qxm_arch.Subsets.connected_classes}),
           since isomorphic candidates share their optimum and the
-          lowest-indexed one wins every tie. *)
+          lowest-indexed one wins every tie.  A disconnected device is
+          always solved over its connected subsets, whatever this flag
+          says: the whole device has no encoding. *)
   timeout : float option;
       (** Wall-clock seconds for the whole call.  A slice of it (10%,
           at most one second) is reserved for reconstruction and
@@ -103,24 +105,6 @@ val default : options
     on, symmetry breaking on, and [jobs] from the [QXM_JOBS] environment
     variable (default 1). *)
 
-(** {2 Ladder sessions}
-
-    A {!session} carries each candidate's solver, encoding, warm-start
-    seed and minimization state across several {!run} calls, so a
-    conflict-limit ladder (the portfolio's escalation rungs) resumes
-    the previous rung's descent — learnt clauses, saved phases and
-    VSIDS activity intact — instead of re-encoding from scratch.
-    Reuse requires the same architecture, circuit and ladder-compatible
-    options (same strategy, AMO scheme, cost model, symmetry and
-    warm-start settings, …; only budgets and bounds may differ between
-    rungs) — an incompatible call silently bypasses the session and runs
-    fresh.  Sessions pin solver memory until dropped. *)
-
-type session
-
-val new_session : unit -> session
-(** Fresh (empty) session state for threading through {!run}. *)
-
 (** Raw optimality evidence carried by a report when
     [options.certificate] was set: everything instance-local an offline
     auditor needs to re-derive the encoding and replay the proof.
@@ -141,10 +125,8 @@ type witness = {
           UNSAT answer (cost 0). *)
   w_bounds : int list;
       (** bounds permanently enforced on the PB circuit, in call order
-          ({!Qxm_opt.Minimize.outcome.bounds} of the winning solve) —
-          cumulative over the whole minimization session when the
-          winning solve resumed one, so replaying them reproduces the
-          exact input stream of the long-lived solver *)
+          ({!Qxm_opt.Minimize.outcome.bounds} of the winning solve), so
+          replaying them reproduces the solver's exact input stream *)
   w_pb_cap : int option;
       (** the cap the PB circuit was built with
           ({!Qxm_opt.Minimize.outcome.pb_cap}); [w_bounds] replays only
@@ -227,7 +209,6 @@ val pp_failure : Format.formatter -> failure -> unit
 
 val run :
   ?options:options ->
-  ?session:session ->
   ?pool:Qxm_par.Pool.t ->
   ?cancel:Qxm_par.Cancel.t ->
   arch:Qxm_arch.Coupling.t ->
@@ -235,10 +216,6 @@ val run :
   (report, failure) result
 (** Map [circuit] onto [arch].  The input must not contain SWAP gates
     (decompose them first); barriers pass through.
-
-    [?session] resumes a previous call's per-candidate solver state
-    (see {!session}); the caller guarantees the same [arch] and
-    [circuit] across the session's calls.
 
     [?pool] shares an existing worker pool instead of spinning up
     [options.jobs] fresh domains — the portfolio layer passes its own so

@@ -5,9 +5,6 @@ module Pool = Qxm_par.Pool
 module Cancel = Qxm_par.Cancel
 module Solver = Qxm_sat.Solver
 module Trace = Qxm_obs.Trace
-module Metrics = Qxm_obs.Metrics
-
-let ladder_budget = Metrics.histogram "portfolio.ladder_conflict_budget"
 
 type provenance = Exact_optimal | Exact_incumbent | Heuristic
 
@@ -150,7 +147,7 @@ let run ?(options = default) ?cancel ~arch circuit =
       match cancel with Some c -> Cancel.cancelled c | None -> false
     in
     (* One ladder rung, seeded with the best incumbent's objective value. *)
-    let run_exact ?pool ?session ~stage ~conflict_limit () =
+    let run_exact ?pool ~stage ~conflict_limit () =
       let t0 = Unix.gettimeofday () in
       Trace.with_span ~name:"portfolio.stage"
         ~args:
@@ -159,7 +156,6 @@ let run ?(options = default) ?cancel ~arch circuit =
             ("conflict_limit", Trace.Int conflict_limit);
           ]
       @@ fun () ->
-      Metrics.observe ladder_budget conflict_limit;
       let deadline_spent () =
         match exact_time_left () with Some l -> l <= 0.0 | None -> false
       in
@@ -189,7 +185,7 @@ let run ?(options = default) ?cancel ~arch circuit =
           in
           let seeded = upper_bound <> options.exact.upper_bound in
           (match
-             Mapper.run ~options:opts ?session ?pool ?cancel ~arch circuit
+             Mapper.run ~options:opts ?pool ?cancel ~arch circuit
            with
           | Ok r ->
               note_stats r.sat_stats;
@@ -230,22 +226,19 @@ let run ?(options = default) ?cancel ~arch circuit =
                 ("failed: " ^ Printexc.to_string e))
     in
     (* The exact lane: the conflict-limit ladder on the requested
-       strategy.  The rungs thread one {!Mapper.session}, so each rung
-       resumes the previous rung's solvers (learnt clauses, phases,
-       activity, enforced bounds) instead of re-encoding; every solve
-       starts at the permutation DP's optimal routing where that is
-       tractable.  A cancelled run stops between rungs (and, through
-       [Solver.set_stop], mid-solve). *)
+       strategy.  Every rung is a fresh {!Mapper.run}, bounded by the
+       incumbent's objective value and started at the permutation DP's
+       optimal routing where that is tractable.  A cancelled run stops
+       between rungs (and, through [Solver.set_stop], mid-solve). *)
     let exact_lane ?pool () =
       Trace.with_span ~name:"portfolio.exact_lane" @@ fun () ->
       let stopped = ref false in
-      let ladder_session = Mapper.new_session () in
       List.iter
         (fun limit ->
           if not !proved_optimal then
             if cancelled () then stopped := true
             else
-              run_exact ?pool ~session:ladder_session
+              run_exact ?pool
                 ~stage:
                   (Printf.sprintf "exact:%s"
                      (if limit < 0 then "unlimited" else string_of_int limit))

@@ -23,41 +23,18 @@ type outcome = {
   bounds : int list;
       (** Every bound permanently enforced on the PB circuit
           ({!Qxm_encode.Pb.enforce_at_most} arguments, in call order,
-          including the seeded [upper_bound]) — cumulative over the
-          whole {!session} when one is supplied, not just this call.
-          Replaying these calls reproduces the exact solver input
-          stream, which is how an offline auditor re-derives the proof's
-          input clauses; a session's later rungs extend the same stream,
-          so only the cumulative list replays correctly. *)
+          including the seeded [upper_bound]).  Replaying these calls
+          reproduces the exact solver input stream, which is how an
+          offline auditor re-derives the proof's input clauses. *)
   pb_cap : int option;
-      (** The cap the session's PB circuit was built with
-          ({!Qxm_encode.Pb.build}), [None] while no circuit exists.  It is
-          the first bound the session asked for: the seeded
+      (** The cap the PB circuit was built with
+          ({!Qxm_encode.Pb.build}), [None] when no circuit was built.
+          It is the first bound asked of the circuit: the seeded
           [upper_bound], or the first model's cost − 1.  Replaying
           [bounds] needs the circuit rebuilt with this same cap. *)
 }
 
-(** {2 Sessions}
-
-    A {!session} threads minimization state across several [minimize]
-    calls on the {e same} solver: the PB circuit is built once (capped
-    at the first bound asked of it, since later ones only tighten), enforced
-    bounds accumulate behind a watermark (never re-enforced, never
-    loosened), the best model carries over, and a concluded session
-    short-circuits.  This is what lets the mapper's
-    conflict-limit ladder resume a descent instead of re-encoding —
-    learnt clauses, saved phases and VSIDS activity all survive between
-    rungs.  A session must never be shared between different solvers or
-    different objectives. *)
-
-type session
-
-val new_session : unit -> session
-(** Fresh session state.  Supplying it to [minimize] is equivalent to the
-    session-free call; supplying the same value again resumes. *)
-
 val minimize :
-  ?session:session ->
   ?deadline:float ->
   ?conflict_limit:int ->
   ?upper_bound:int ->
@@ -83,14 +60,13 @@ val minimize :
 
     [warm_start] is a seed: literals describing one known solution (the
     mapper passes a DP-optimal routing, [Encoding.routing_assumptions]).
-    The session's first solve runs under them as assumptions, so it
+    The first solve runs under them as assumptions, so it
     lands on that solution at almost no search cost and the descent
     continues from its cost.  If the seed is refuted or that solve runs
     out of budget, the [minimize.seed_rejected] counter is bumped and the
     plain solve runs as though no seed had been given.  Unlike
     [upper_bound] a seed is never enforced: it cannot change the optimum
     or make the problem unsatisfiable, and it adds nothing to [bounds].
-    Later calls of a session ignore it.
     Objective literals are always phase-seeded toward cost 0.
 
     Each new best-cost model records a [minimize.incumbent] trace

@@ -100,26 +100,6 @@ let add_stats a b =
     arena_relocations = a.arena_relocations + b.arena_relocations;
   }
 
-let sub_stats a b =
-  {
-    conflicts = a.conflicts - b.conflicts;
-    decisions = a.decisions - b.decisions;
-    propagations = a.propagations - b.propagations;
-    restarts = a.restarts - b.restarts;
-    learnt_literals = a.learnt_literals - b.learnt_literals;
-    clock_polls = a.clock_polls - b.clock_polls;
-    minimized_lits = a.minimized_lits - b.minimized_lits;
-    binary_propagations = a.binary_propagations - b.binary_propagations;
-    glue_1 = a.glue_1 - b.glue_1;
-    glue_2 = a.glue_2 - b.glue_2;
-    glue_3_4 = a.glue_3_4 - b.glue_3_4;
-    glue_5_8 = a.glue_5_8 - b.glue_5_8;
-    glue_9_plus = a.glue_9_plus - b.glue_9_plus;
-    minor_words = a.minor_words - b.minor_words;
-    arena_collections = a.arena_collections - b.arena_collections;
-    arena_relocations = a.arena_relocations - b.arena_relocations;
-  }
-
 (* Canonical (name, value) enumeration of the counters — the bridge
    between the record (field-wise [add_stats]) and the metrics registry
    (atomic merge).  The two aggregation routes must agree; a test holds

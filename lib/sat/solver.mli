@@ -124,11 +124,6 @@ val add_stats : stats -> stats -> stats
 (** Field-wise sum, for aggregating over several solver instances (e.g.
     the mapper's candidate fan-out). *)
 
-val sub_stats : stats -> stats -> stats
-(** Field-wise difference, for reporting the delta of a long-lived
-    solver since a watermark (e.g. one ladder rung of a reused mapper
-    session, so per-stage aggregates do not double-count). *)
-
 val stats_counters : stats -> (string * int) list
 (** The stats record as an ordered [(field-name, value)] list — the
     canonical field enumeration shared by the metrics registry, JSON

@@ -187,54 +187,48 @@ let test_non_induced_subset () =
   check_rejected ~code:"QA-E002"
     { cert with Certificate.subset = [ 0; 0; 1 ] }
 
-(* -- certificates from the incremental session path ----------------------- *)
+(* -- a certificate with a seeded bound ------------------------------------ *)
 
-(* A conflict-limit ladder over one Mapper session: the first rung is cut
-   off almost immediately, the second resumes the same solvers and
-   concludes.  The emitted certificate's [bounds] are cumulative over the
-   whole session — replaying only the final rung's enforcements would not
-   reproduce the clause stream the proof was logged against.  The warm
-   start is off: seeded with the DP's optimal routing, the descent would
-   reach F* in one rung and leave no ladder to cut. *)
-let session_options =
+(* One call seeded with a loose bound (11, against F* = 4), as a
+   portfolio rung seeded with an incumbent would run.  The seed is the
+   first enforced bound and the descent adds at least the final one
+   below F*, so the certificate carries two or more bounds and only
+   replaying all of them reproduces the clause stream the proof was
+   logged against.  The warm start is off, so the descent passes through
+   several models and the ladder is longer than seed plus final bound. *)
+let seeded_options =
   {
     Mapper.default with
     certificate = true;
-    conflict_limit = -1;
     warm_start = false;
+    upper_bound = Some 11;
   }
 
-let session_cert =
+let seeded_cert =
   lazy
     (let circuit = Qasm.parse_string smoke_qasm in
-     let session = Mapper.new_session () in
-     let rung conflict_limit =
-       let options = { session_options with Mapper.conflict_limit } in
-       Mapper.run ~options ~session ~arch:Devices.qx4 circuit
-     in
-     ignore (rung 1);
-     match rung (-1) with
+     match Mapper.run ~options:seeded_options ~arch:Devices.qx4 circuit with
      | Error f -> Alcotest.failf "mapper failed: %a" Mapper.pp_failure f
      | Ok r -> (
-         if not r.Mapper.optimal then Alcotest.fail "ladder did not conclude";
+         if not r.Mapper.optimal then Alcotest.fail "answer not optimal";
          match
            Emit.of_report ~device_name:"qx4" ~arch:Devices.qx4 ~circuit
-             ~options:session_options r
+             ~options:seeded_options r
          with
          | Error e -> Alcotest.failf "emit failed: %s" e
          | Ok cert -> cert))
 
-let test_session_cert_audits_green () =
-  let cert = Lazy.force session_cert in
+let test_seeded_cert_audits_green () =
+  let cert = Lazy.force seeded_cert in
   Alcotest.(check int) "claimed F*" 4 cert.Certificate.claimed_cost;
   let r = Auditor.run cert in
   if not r.Auditor.ok then
-    Alcotest.failf "session certificate rejected: %s"
+    Alcotest.failf "seeded certificate rejected: %s"
       (String.concat "; " (List.map D.to_string r.Auditor.diagnostics))
 
 (* Stripping the whole ladder leaves a proof that certifies nothing. *)
-let test_session_cert_missing_bounds () =
-  let cert = Lazy.force session_cert in
+let test_seeded_cert_missing_bounds () =
+  let cert = Lazy.force seeded_cert in
   check_rejected ~code:"QA-E014" { cert with Certificate.bounds = [] }
 
 (* Dropping only the tightest rung keeps a plausible-looking ladder, but
@@ -242,8 +236,8 @@ let test_session_cert_missing_bounds () =
    enforcement at F* - 1.  The remaining formula is satisfiable — the
    model itself attains the claimed optimum — so the recorded derivation
    of the empty clause cannot replay: some step must fail the RUP check. *)
-let test_session_cert_dropped_tightest_bound () =
-  let cert = Lazy.force session_cert in
+let test_seeded_cert_dropped_tightest_bound () =
+  let cert = Lazy.force seeded_cert in
   let bounds = cert.Certificate.bounds in
   let b_min = List.fold_left min max_int bounds in
   let weakened = List.filter (fun b -> b <> b_min) bounds in
@@ -414,12 +408,12 @@ let suite =
      test_perturbed_mapped_circuit);
     ("truncated model is QA-E003", `Quick, test_corrupt_model);
     ("non-ascending subset is QA-E002", `Quick, test_non_induced_subset);
-    ("session-ladder certificate audits green", `Quick,
-     test_session_cert_audits_green);
+    ("seeded certificate audits green", `Quick,
+     test_seeded_cert_audits_green);
     ("stripped bound ladder is QA-E014", `Quick,
-     test_session_cert_missing_bounds);
+     test_seeded_cert_missing_bounds);
     ("dropped tightest bound is QA-E007", `Quick,
-     test_session_cert_dropped_tightest_bound);
+     test_seeded_cert_dropped_tightest_bound);
     ("missing symmetry field defaults to false", `Quick,
      test_symmetry_field_defaults_to_false);
     ("cap above the first bound audits green", `Quick,

@@ -282,36 +282,6 @@ let mapper_end_to_end =
           && r.optimal
           && r.f_cost <= h.f_cost)
 
-(* Differential: a conflict-limit ladder whose rungs share one mapper
-   session (long-lived solvers, learnt clauses and descent bounds carried
-   across rungs) must land on exactly the F* and optimality verdict that
-   fresh solvers per rung produce.  Permanent bound clauses carried over
-   and session resume are bookkeeping, never semantics. *)
-let session_ladder_matches_fresh =
-  qtest ~count:8 "session ladder agrees with fresh solvers per rung"
-    QCheck2.Gen.(int_range 0 10_000)
-    (fun seed ->
-      let c =
-        Generator.random_circuit ~seed ~qubits:3 ~cnots:5 ~singles:2
-      in
-      let ladder session =
-        List.fold_left
-          (fun _ conflict_limit ->
-            let options = { Mapper.default with conflict_limit } in
-            match Mapper.run ~options ?session ~arch:Devices.qx4 c with
-            | Ok r -> Some (r.f_cost, r.objective_cost, r.optimal)
-            | Error _ -> None)
-          None
-          [ 50; 500; -1 ]
-      in
-      let fresh = ladder None in
-      let shared = ladder (Some (Mapper.new_session ())) in
-      (* the final rung is unbounded: both ladders must prove the same
-         optimum (intermediate anytime rungs may legitimately differ) *)
-      match (fresh, shared) with
-      | Some (f1, o1, true), Some (f2, o2, true) -> f1 = f2 && o1 = o2
-      | _ -> false)
-
 (* Lex-leader symmetry breaking restricts which witness models survive,
    never the attainable objective values: the proven optimum must be
    identical with the constraints on and off.  The circuits map onto QX2,
@@ -467,7 +437,6 @@ let suite =
     ("initial/final mappings injective", `Quick,
      test_mapper_initial_final_consistent);
     mapper_end_to_end;
-    session_ladder_matches_fresh;
     symmetry_preserves_optimum;
     one_solve_per_class ~count:300
       ~name:"one solve per class = least answer over every subset"

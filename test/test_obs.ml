@@ -120,7 +120,9 @@ let registry_matches_aggregation =
 (* The portfolio's [sat_stats] covers every exact stage, including ladder
    rungs that failed with [Timeout] or [Unmappable]: it equals the
    [solver.*] registry delta of the whole call.  On alu-v1_28 both
-   conflict-limited rungs exhaust their budget. *)
+   conflict-limited rungs exhaust their budget.  Each rung is a fresh
+   solve bounded by the incumbent's objective value and started at the
+   DP's routing, so the second rung lands on the first rung's answer. *)
 let test_portfolio_stats_match_registry () =
   let e = Option.get (Suite.by_name "alu-v1_28") in
   let options =
@@ -136,12 +138,24 @@ let test_portfolio_stats_match_registry () =
   | Error err -> Alcotest.failf "%a" Portfolio.pp_failure err
   | Ok r ->
       let window = Metrics.diff (Metrics.snapshot ()) before in
-      Alcotest.(check int) "conflicts = registry delta"
-        (Metrics.count window "solver.conflicts")
-        r.sat_stats.conflicts;
-      Alcotest.(check int) "propagations = registry delta"
-        (Metrics.count window "solver.propagations")
-        r.sat_stats.propagations
+      List.iter
+        (fun (name, v) ->
+          Alcotest.(check int) (name ^ " = registry delta")
+            (Metrics.count window ("solver." ^ name))
+            v)
+        (Solver.stats_counters r.sat_stats);
+      let exact =
+        List.filter
+          (fun (s : Portfolio.stage) ->
+            String.starts_with ~prefix:"exact:" s.stage)
+          r.stages
+      in
+      Alcotest.(check (list string)) "every rung re-lands on the incumbent"
+        [
+          Printf.sprintf "incumbent F=%d" r.f_cost;
+          Printf.sprintf "incumbent F=%d" r.f_cost;
+        ]
+        (List.map (fun (s : Portfolio.stage) -> s.outcome) exact)
 
 (* -- metrics registry ----------------------------------------------------- *)
 
@@ -158,8 +172,7 @@ let library_handles =
   @ [
       "solver.arena_words"; "pb.outputs"; "pb.clauses";
       "minimize.step_conflicts"; "minimize.seed_rejected";
-      "mapper.candidates_pruned"; "mapper.ladder_reuse_hits";
-      "portfolio.ladder_conflict_budget"; "par.incumbent_updates";
+      "mapper.candidates_pruned"; "par.incumbent_updates";
       "par.pool_queue_depth"; "par.pool_tasks"; "obs.flight_dumps";
       "obs.flight_dump_errors"; "svc.sheds"; "svc.queue_depth";
       "svc.queue_depth_hwm"; "svc.admission_imbalance"; "svc.requests";

@@ -206,104 +206,6 @@ let truncated_minimize_is_sound =
           | None -> false)
       | _ -> false)
 
-(* -- sessions ------------------------------------------------------------ *)
-
-(* A session resumes a cut-off descent on the same solver instead of
-   restarting it: the second rung must reach the brute-force optimum, and
-   its [bounds] list is cumulative over the whole session (a later rung
-   replays the earlier rung's enforcements too, which is what lets an
-   offline auditor reproduce the exact solver input stream). *)
-let test_session_resumes_descent () =
-  let clauses =
-    [
-      [ Lit.pos 0; Lit.pos 1; Lit.pos 2; Lit.pos 3 ];
-      [ Lit.neg_of 0; Lit.pos 2 ];
-      [ Lit.neg_of 1; Lit.pos 3 ];
-    ]
-  in
-  let objective =
-    [ (8, Lit.pos 0); (4, Lit.pos 1); (2, Lit.pos 2); (1, Lit.pos 3) ]
-  in
-  let expected =
-    match brute_min 4 clauses objective with
-    | Some v -> v
-    | None -> Alcotest.fail "instance should be satisfiable"
-  in
-  let s = solver_with 4 in
-  let cnf = Cnf.create s in
-  List.iter (Cnf.add cnf) clauses;
-  let session = Minimize.new_session () in
-  let first =
-    Fault.with_schedule (Fault.After_solves 1) (fun () ->
-        Minimize.minimize ~session ~cnf ~objective ())
-  in
-  Alcotest.(check bool) "first rung cut off" false first.optimal;
-  let second = Minimize.minimize ~session ~cnf ~objective () in
-  Alcotest.(check bool) "second rung optimal" true second.optimal;
-  Alcotest.(check (option int)) "optimum" (Some expected) second.cost;
-  List.iter
-    (fun b ->
-      Alcotest.(check bool) "cumulative bounds" true
-        (List.mem b second.bounds))
-    first.bounds;
-  (* A concluded session short-circuits: a third call must agree without
-     another descent. *)
-  let third = Minimize.minimize ~session ~cnf ~objective () in
-  Alcotest.(check (option int)) "short-circuit cost" (Some expected)
-    third.cost;
-  Alcotest.(check bool) "short-circuit optimal" true third.optimal
-
-(* Sessions never loosen an enforced bound: seeding a later rung with a
-   weaker [upper_bound] must not resurrect models above the watermark. *)
-let test_session_bounds_never_loosen () =
-  let s = solver_with 2 in
-  let cnf = Cnf.create s in
-  Cnf.add cnf [ Lit.pos 0; Lit.pos 1 ];
-  let objective = [ (3, Lit.pos 0); (1, Lit.pos 1) ] in
-  let session = Minimize.new_session () in
-  let first = Minimize.minimize ~session ~cnf ~objective ~upper_bound:2 () in
-  Alcotest.(check (option int)) "tight bound" (Some 1) first.cost;
-  let second =
-    Minimize.minimize ~session ~cnf ~objective ~upper_bound:9 ()
-  in
-  Alcotest.(check (option int)) "still the optimum" (Some 1) second.cost;
-  Alcotest.(check bool) "optimal" true second.optimal
-
-(* The session circuit is capped at the first bound asked of it, and a
-   later call never asks above that cap.  A rung cut off after its first
-   model builds the circuit at that model's cost - 1; a resumed rung
-   seeded with a bound above the model must not try to enforce it. *)
-let test_session_cap () =
-  let clauses = [ [ Lit.pos 0; Lit.pos 1; Lit.pos 2 ] ] in
-  let objective = [ (4, Lit.pos 0); (2, Lit.pos 1); (1, Lit.pos 2) ] in
-  let fresh () =
-    let s = solver_with 3 in
-    let cnf = Cnf.create s in
-    List.iter (Cnf.add cnf) clauses;
-    cnf
-  in
-  let seeded =
-    Minimize.minimize ~cnf:(fresh ()) ~objective ~upper_bound:5 ()
-  in
-  Alcotest.(check (option int)) "capped at the seeded bound" (Some 5)
-    seeded.pb_cap;
-  let cnf = fresh () in
-  let session = Minimize.new_session () in
-  let first =
-    Fault.with_schedule (Fault.After_solves 1) (fun () ->
-        Minimize.minimize ~session ~cnf ~objective ())
-  in
-  let c = Option.get first.cost in
-  Alcotest.(check (option int)) "capped at the first model's cost - 1"
-    (if c > 0 then Some (c - 1) else None)
-    first.pb_cap;
-  let second =
-    Minimize.minimize ~session ~cnf ~objective ~upper_bound:(c + 3) ()
-  in
-  Alcotest.(check (option int)) "optimum" (Some 1) second.cost;
-  Alcotest.(check bool) "optimal" true second.optimal;
-  Alcotest.(check (option int)) "cap unchanged" first.pb_cap second.pb_cap
-
 (* With proof logging on, an optimal descent surfaces the DRUP proof of
    its final UNSAT answer and the bounds it enforced, the two inputs a
    certificate needs. *)
@@ -319,7 +221,20 @@ let test_descent_proof_and_bounds () =
   Alcotest.(check (option int)) "linear cost" (Some 1) outcome.cost;
   Alcotest.(check bool) "linear has proof" true (outcome.proof <> None);
   Alcotest.(check bool) "linear has enforced bounds" true
-    (outcome.bounds <> [])
+    (outcome.bounds <> []);
+  (* A seeded bound builds the circuit at that bound and is the first
+     one enforced; the only model under it costs 1, so the descent then
+     enforces 0 and proves it. *)
+  let s = solver_with 2 in
+  let cnf = Cnf.create s in
+  List.iter (Cnf.add cnf) clauses;
+  let seeded = Minimize.minimize ~cnf ~objective ~upper_bound:2 () in
+  Alcotest.(check (option int)) "capped at the seeded bound" (Some 2)
+    seeded.pb_cap;
+  Alcotest.(check (list int)) "seeded bound enforced first" [ 2; 0 ]
+    seeded.bounds;
+  Alcotest.(check (option int)) "seeded cost" (Some 1) seeded.cost;
+  Alcotest.(check bool) "seeded optimal" true seeded.optimal
 
 let suite =
   [
@@ -335,9 +250,6 @@ let suite =
     ("anytime cost monotone in budget", `Quick,
      test_anytime_cost_monotone_in_budget);
     truncated_minimize_is_sound;
-    ("session resumes descent", `Quick, test_session_resumes_descent);
-    ("session bounds never loosen", `Quick, test_session_bounds_never_loosen);
-    ("session circuit capped at its first bound", `Quick, test_session_cap);
     ("descent proof and enforced bounds", `Quick,
      test_descent_proof_and_bounds);
   ]

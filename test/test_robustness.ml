@@ -355,6 +355,42 @@ let test_unroutable_device_rejected () =
        (fun (e : Trace.event) -> if e.ph = `B then Some e.name else None)
        (Trace.events ()))
 
+(* A disconnected device that can still host the circuit: without
+   subsets the mapper would encode the whole device, which has no
+   encoding, so it solves over the connected subsets anyway and both
+   settings land on the same optimum. *)
+let test_disconnected_device_without_subsets () =
+  let device = Coupling.create ~num_qubits:5 [ (0, 1); (1, 2); (3, 4) ] in
+  let circuit = Circuit.create 2 [ Gate.Cnot (0, 1); Gate.Cnot (1, 0) ] in
+  let map use_subsets =
+    match
+      Mapper.run
+        ~options:{ Mapper.default with use_subsets }
+        ~arch:device circuit
+    with
+    | Ok r -> r
+    | Error e ->
+        Alcotest.failf "use_subsets = %b: %a" use_subsets Mapper.pp_failure
+          e
+  in
+  let subsets = map true and whole = map false in
+  Alcotest.(check int) "F with subsets" 4 subsets.f_cost;
+  Alcotest.(check int) "same F without subsets" subsets.f_cost whole.f_cost;
+  Alcotest.(check bool) "optimal" true whole.optimal;
+  Alcotest.(check (option bool)) "verified" (Some true) whole.verified;
+  let options =
+    {
+      Portfolio.default with
+      exact = { Mapper.default with use_subsets = false };
+    }
+  in
+  match Portfolio.run ~options ~arch:device circuit with
+  | Ok r ->
+      Alcotest.(check string) "provenance" "exact-optimal"
+        (Portfolio.provenance_string r.provenance);
+      Alcotest.(check int) "portfolio F" subsets.f_cost r.f_cost
+  | Error e -> Alcotest.failf "portfolio failed: %a" Portfolio.pp_failure e
+
 let test_portfolio_too_many_logical () =
   match Portfolio.run ~arch:(Devices.line 2) (Circuit.empty 3) with
   | Error (Portfolio.Too_many_logical { logical = 3; physical = 2 }) -> ()
@@ -448,6 +484,8 @@ let suite =
      test_portfolio_exhausted_when_cancelled);
     ("portfolio: unroutable device rejected", `Quick,
      test_unroutable_device_rejected);
+    ("mapper: disconnected device without subsets", `Quick,
+     test_disconnected_device_without_subsets);
     ("portfolio: too many logical", `Quick, test_portfolio_too_many_logical);
     ("portfolio: full-suite degradation sweep", `Slow,
      test_portfolio_degrades_on_full_suite);
