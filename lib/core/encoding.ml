@@ -78,8 +78,10 @@ let segments_of inst =
    strictly less, pairwise none); coupling adds two selectors per
    (edge, gate); each permutation spot adds its ladder, the movement
    indicators (square regime) and at most one selector per reachable
-   permutation. *)
-let var_capacity_hint inst =
+   permutation.  On top comes the PB circuit over the objective, whose
+   weights [build] lists in this order: one switch per gate, then the
+   ladder steps spot by spot. *)
+let var_capacity_hint ?(costs = paper_costs) ?pb_cap inst =
   match
     validate inst;
     Swap_count.compute_cached inst.arch
@@ -92,12 +94,19 @@ let var_capacity_hint inst =
       let _, nseg = segments_of inst in
       let nedges = List.length (Coupling.edges inst.arch) in
       let nperms = List.length (Swap_count.permutations_with_cost table) in
-      let per_spot = Swap_count.max_swaps table + (m * m) + nperms in
+      let max_sw = Swap_count.max_swaps table in
+      let per_spot = max_sw + (m * m) + nperms in
+      let weights w k = if w > 0 then List.init k (fun _ -> w) else [] in
+      let objective =
+        weights costs.flip_weight g
+        @ weights costs.swap_weight ((nseg - 1) * max_sw)
+      in
       (nseg * m * n) + g
       + (2 * nseg * m * n)
       + (2 * nedges * g)
       + ((nseg - 1) * per_spot)
       + 1
+      + Qxm_encode.Pb.output_bound ?cap:pb_cap objective
 
 (* Eq. (1): every logical qubit on exactly one physical qubit; every
    physical qubit holds at most one logical qubit. *)

@@ -49,14 +49,17 @@ val validate : instance -> unit
 
 type built
 
-val var_capacity_hint : instance -> int
+val var_capacity_hint : ?costs:cost_model -> ?pb_cap:int -> instance -> int
 (** Upper-bound estimate of the number of solver variables {!build} will
     allocate for the instance (mapping blocks, switching variables,
-    Tseitin auxiliaries of every constraint family).  Intended as the
-    [?capacity] pre-sizing hint of {!Qxm_sat.Solver.create}, so building
-    never regrows the solver's per-variable storage; over-estimating only
-    wastes a few arrays.  Returns [0] (no hint) on instances that
-    {!validate} would reject. *)
+    Tseitin auxiliaries of every constraint family), plus those of the
+    PB circuit an optimizer builds over its {!objective} under [costs]
+    (default {!paper_costs}) with cap [pb_cap] ({!Qxm_encode.Pb.build};
+    uncapped when absent).  Intended as the [?capacity] pre-sizing hint
+    of {!Qxm_sat.Solver.create}, so building and optimizing never regrow
+    the solver's per-variable storage; over-estimating only wastes a few
+    arrays.  Returns [0] (no hint) on instances that {!validate} would
+    reject. *)
 
 val build :
   ?amo:Qxm_encode.Amo.encoding ->

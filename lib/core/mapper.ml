@@ -209,24 +209,58 @@ type solved = {
   s_pb_cap : int option;
 }
 
-(* The warm-start seed: the DP's optimal routing of the candidate, as
-   assumptions pinning the encoding to it, with its cost.  Relaxed
-   strategies and n < m instances are routed over the same spots and
-   dummies the encoding uses, so the routing is always encodable; under
-   symmetry the DP keeps to lex-leader initial layouts, so the clauses
-   cannot refute it. *)
-let dp_seed ~(options : options) ~built inst =
-  if not (Dp_exact.tractable inst) then None
+(* Whether [inst] gets the warm-start seed: the one predicate behind
+   both [dp_seed] and [seeded], so the portfolio's rung choice cannot
+   drift from the seeding it relies on. *)
+let seeds (options : options) inst =
+  options.warm_start && Dp_exact.tractable inst
+
+(* The candidate with the most physical qubits is the whole device, and
+   [Dp_exact.tractable] only falls as qubits are added, so when the
+   whole-device instance is seeded every candidate is. *)
+let seeded options ~arch circuit =
+  let cnots = Circuit.cnots circuit in
+  seeds options
+    {
+      Encoding.arch;
+      num_logical = Circuit.num_qubits circuit;
+      cnots = Array.of_list cnots;
+      spots = Strategy.spots options.strategy cnots;
+    }
+
+(* The warm-start seed: the DP's optimal routing of the candidate.
+   Relaxed strategies and n < m instances are routed over the same spots
+   and dummies the encoding uses, so the routing is always encodable;
+   under symmetry the DP keeps to lex-leader initial layouts, so the
+   clauses cannot refute it. *)
+let dp_seed ~(options : options) inst =
+  if not (seeds options inst) then None
   else
-    Dp_exact.solve ~costs:options.costs ~symmetry:(effective_symmetry options)
-      inst
-    |> Option.map (fun (r : Dp_exact.routing) ->
-           ( r.cost,
-             Encoding.routing_assumptions built ~layouts:r.layouts
-               ~flips:r.flips ))
+    Trace.with_span ~name:"mapper.warm_start" (fun () ->
+        Dp_exact.solve ~costs:options.costs
+          ~symmetry:(effective_symmetry options) inst)
 
 let solve_instance ~(options : options) ~cancel ~deadline ~bound inst =
-  let solver = Solver.create ~capacity:(Encoding.var_capacity_hint inst) () in
+  (* A seed costlier than the enforced bound would only be refuted. *)
+  let seed =
+    match (dp_seed ~options inst, bound) with
+    | Some (r : Dp_exact.routing), Some b when r.cost > b -> None
+    | seed, _ -> seed
+  in
+  (* The optimizer builds its PB circuit capped at the enforced bound,
+     or else just below the first model's cost, which the seed's cost
+     predicts; the solver is sized for that circuit too. *)
+  let pb_cap =
+    match (bound, seed) with
+    | Some b, _ -> Some b
+    | None, Some r -> Some (r.cost - 1)
+    | None, None -> None
+  in
+  let solver =
+    Solver.create
+      ~capacity:(Encoding.var_capacity_hint ~costs:options.costs ?pb_cap inst)
+      ()
+  in
   if options.certificate then Solver.enable_proof solver;
   (match cancel with
   | Some c -> Solver.set_stop solver (Some (Cancel.flag c))
@@ -237,17 +271,11 @@ let solve_instance ~(options : options) ~cancel ~deadline ~bound inst =
         Encoding.build ~amo:options.amo ~costs:options.costs
           ~symmetry:(effective_symmetry options) cnf inst)
   in
-  let seed =
-    if options.warm_start then
-      Trace.with_span ~name:"mapper.warm_start" (fun () ->
-          dp_seed ~options ~built inst)
-    else None
-  in
-  (* A seed costlier than the enforced bound would only be refuted. *)
   let warm_start =
-    match (seed, bound) with
-    | Some (cost, _), Some b when cost > b -> None
-    | seed, _ -> Option.map snd seed
+    Option.map
+      (fun (r : Dp_exact.routing) ->
+        Encoding.routing_assumptions built ~layouts:r.layouts ~flips:r.flips)
+      seed
   in
   let outcome =
     Trace.with_span ~name:"mapper.solve" (fun () ->

@@ -105,6 +105,15 @@ val default : options
     on, symmetry breaking on, and [jobs] from the [QXM_JOBS] environment
     variable (default 1). *)
 
+val seeded :
+  options -> arch:Qxm_arch.Coupling.t -> Qxm_circuit.Circuit.t -> bool
+(** Whether {!run} starts every candidate of [circuit] on [arch] at the
+    permutation DP's optimal routing: [options.warm_start] is set and
+    {!Dp_exact.tractable} holds on the whole-device instance, the
+    largest candidate [run] can encode.  The same predicate decides
+    the seeding itself, so a caller planning around the seed (the
+    portfolio's rung choice) cannot disagree with it. *)
+
 (** Raw optimality evidence carried by a report when
     [options.certificate] was set: everything instance-local an offline
     auditor needs to re-derive the encoding and replay the proof.

@@ -225,6 +225,15 @@ let run ?(options = default) ?cancel ~arch circuit =
               record ~stage ~t0 ~stage_solves:0
                 ("failed: " ^ Printexc.to_string e))
     in
+    (* With the DP seed, the first model of the first rung is already
+       the optimum, and every rung after it would only retry refuting
+       F*-1 on a fresh encode: the ladder's last rung alone runs. *)
+    let ladder =
+      match List.rev options.ladder with
+      | last :: _ :: _ when Mapper.seeded options.exact ~arch circuit ->
+          [ last ]
+      | _ -> options.ladder
+    in
     (* The exact lane: the conflict-limit ladder on the requested
        strategy.  Every rung is a fresh {!Mapper.run}, bounded by the
        incumbent's objective value and started at the permutation DP's
@@ -243,7 +252,7 @@ let run ?(options = default) ?cancel ~arch circuit =
                   (Printf.sprintf "exact:%s"
                      (if limit < 0 then "unlimited" else string_of_int limit))
                 ~conflict_limit:limit ())
-        options.ladder;
+        ladder;
       if !stopped then
         record ~stage:"exact" ~t0:(Unix.gettimeofday ()) ~stage_solves:0
           "cancelled"

@@ -10,10 +10,11 @@
 
     + the exact pipeline runs under an escalating conflict-limit ladder,
       each rung seeded with the best incumbent so far ([upper_bound]),
-      inside the exact stage's share of the wall-clock budget; every
-      solve starts at the permutation DP's optimal routing where that is
-      tractable, so the first rung normally finds the optimum and the
-      later ones only have to prove it;
+      inside the exact stage's share of the wall-clock budget.  When the
+      run is DP-seeded ({!Mapper.seeded}: every solve starts at the
+      permutation DP's optimal routing), the first model is already the
+      optimum and all that is left is the proof, so only the ladder's
+      last rung runs;
     + on exhaustion the best SAT incumbent (the anytime
       {!Qxm_opt.Minimize.outcome} surfaced through {!Mapper.report}) is
       kept as a candidate and SABRE runs; the cheaper of the two is
@@ -69,7 +70,9 @@ type options = {
   ladder : int list;
       (** Escalating per-solve conflict limits for the exact rungs,
           [-1] = unlimited (default [[4000; -1]]).  [[]] disables the
-          exact stage entirely. *)
+          exact stage entirely.  With a DP seed ({!Mapper.seeded} on
+          [exact]) only the last rung runs: the cheaper rungs before it
+          exist to find an incumbent, which the seed already is. *)
   jobs : int;
       (** Worker domains for the exact stages (default 1).  With
           [jobs > 1] every ladder rung runs on one shared

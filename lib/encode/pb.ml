@@ -103,6 +103,32 @@ let build ?cap cnf terms =
   let root = go 0 (Array.length terms) in
   { root; total = Array.fold_left (fun acc (w, _) -> acc + w) 0 terms; cap }
 
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+(* Mirrors [build]'s tree.  A node's values below [top] are distinct
+   multiples of the gcd [g] of its weights, at most its weight sum [s];
+   above them sits at most the one overflow value. *)
+let output_bound ?cap weights =
+  let w = Array.of_list weights in
+  let top = match cap with Some c -> max c 0 + 1 | None -> max_int in
+  let outputs = ref 0 in
+  (* (outputs, weight sum, weight gcd) of the node over w.(lo .. lo + n - 1) *)
+  let rec go lo n =
+    if n = 1 then (1, w.(lo), w.(lo))
+    else
+      let h = n / 2 in
+      let ca, sa, ga = go lo h and cb, sb, gb = go (lo + h) (n - h) in
+      let s = sa + sb and g = gcd ga gb in
+      let c =
+        min (ca + cb + (ca * cb))
+          ((min s (top - 1) / g) + if s >= top then 1 else 0)
+      in
+      outputs := !outputs + c;
+      (c, s, g)
+  in
+  if Array.length w > 0 then ignore (go 0 (Array.length w));
+  !outputs
+
 let cap t = t.cap
 
 let values t = Array.to_list t.root.sums

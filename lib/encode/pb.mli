@@ -28,6 +28,13 @@ val build : ?cap:int -> Cnf.t -> (int * Qxm_sat.Lit.t) list -> t
 
     @raise Invalid_argument on a non-positive weight. *)
 
+val output_bound : ?cap:int -> int list -> int
+(** [output_bound ?cap weights] is an upper bound on the number of
+    fresh variables [build ?cap] creates for terms with these weights,
+    in this order; the terms' own literals are not counted.  Computed
+    from the weights alone, so a solver can be sized for the circuit
+    before it exists.  Weights must be positive. *)
+
 val cap : t -> int option
 (** The [cap] the circuit was built with ([None]: uncapped). *)
 

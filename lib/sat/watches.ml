@@ -22,7 +22,11 @@ let create ?(capacity = 0) () =
 let grow t n =
   if n > Array.length t.off then begin
     let n = max n (2 * Array.length t.off) in
-    let extend a = Array.append a (Array.make (n - Array.length a) 0) in
+    let extend a =
+      let a' = Array.make n 0 in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    in
     t.off <- extend t.off;
     t.len <- extend t.len;
     t.cap <- extend t.cap

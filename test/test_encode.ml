@@ -238,6 +238,20 @@ let pb_values_are_subset_sums =
       let expected = List.filter (fun v -> v > 0) (sums weights) in
       Pb.values pb = expected)
 
+let pb_output_bound_covers_build =
+  qtest ~count:200 "pb output_bound covers the variables build creates"
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 40) (int_range 1 12))
+        (opt (int_range (-1) 60)))
+    (fun (weights, cap) ->
+      let s = Solver.create () in
+      let cnf = Cnf.create s in
+      let terms = List.map (fun w -> (w, Cnf.fresh cnf)) weights in
+      let before = Solver.nvars s in
+      ignore (Pb.build ?cap cnf terms);
+      Solver.nvars s - before <= Pb.output_bound ?cap weights)
+
 let test_pb_tighten () =
   let s = Solver.create () in
   let cnf = Cnf.create s in
@@ -509,6 +523,7 @@ let suite =
     pb_unit_weights_count;
     pb_bound_sound;
     pb_values_are_subset_sums;
+    pb_output_bound_covers_build;
     pb_matches_reference;
     ("pb tighten/values", `Quick, test_pb_tighten);
     pb_capped_sound;

@@ -406,22 +406,20 @@ let test_portfolio_race_budgeted () =
   check_portfolio_jobs_equivalent ~budget:(Some 60.0)
 
 (* The caller's supervisor token reaches the solvers directly: cancelling
-   it mid-ladder on an instance whose unlimited rung would run for a long
-   time ends the run promptly, with the first rung's certified incumbent.
-   On qe_qft_4 the [exact:4000] rung always ends unproven, so the
-   unlimited rung always starts; a trace sink cancels on its
-   [portfolio.stage] span. *)
+   it mid-solve on an instance whose unlimited rung would run for a long
+   time ends the run promptly, with that rung's certified incumbent.
+   qe_qft_4 is DP-seeded, so its only exact rung is [exact:unlimited],
+   whose first model is the seed and whose refutation of F*-1 runs far
+   past this test; a trace sink cancels on the first
+   [minimize.incumbent] instant, i.e. once the rung holds a model. *)
 let test_portfolio_supervisor_cancel () =
   let e = Option.get (Suite.by_name "qe_qft_4") in
   let cancel = Cancel.create () in
   Trace.set_sink
     (Some
        (fun (ev : Trace.event) ->
-         if
-           ev.ph = `B && ev.name = "portfolio.stage"
-           && List.assoc_opt "stage" ev.args
-              = Some (Trace.Str "exact:unlimited")
-         then Cancel.cancel cancel));
+         if ev.ph = `I && ev.name = "minimize.incumbent" then
+           Cancel.cancel cancel));
   let t0 = Unix.gettimeofday () in
   match
     Fun.protect

@@ -396,6 +396,56 @@ let test_portfolio_too_many_logical () =
   | Error (Portfolio.Too_many_logical { logical = 3; physical = 2 }) -> ()
   | _ -> Alcotest.fail "expected Too_many_logical"
 
+(* On every hard row the DP seed makes the first model of the first rung
+   the optimum, so a seeded portfolio runs only its ladder's last rung
+   and still returns F*; without the seed the whole ladder runs.  The
+   options are the ones the benchmark's anytime workload maps these rows
+   with. *)
+let test_portfolio_seeded_runs_last_rung () =
+  let options warm_start =
+    {
+      Portfolio.default with
+      exact =
+        { Mapper.default with strategy = Strategy.Minimal; jobs = 1; warm_start };
+      ladder = [ 500; 2000 ];
+      jobs = 1;
+    }
+  in
+  let run name warm_start =
+    let e = Option.get (Suite.by_name name) in
+    let options = options warm_start in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: seeded iff warm_start = %b" name warm_start)
+      warm_start
+      (Mapper.seeded options.exact ~arch:Devices.qx4 e.circuit);
+    match Portfolio.run ~options ~arch:Devices.qx4 e.circuit with
+    | Ok r -> r
+    | Error f ->
+        Alcotest.failf "%s: portfolio failed: %a" name Portfolio.pp_failure f
+  in
+  let stage_names (r : Portfolio.report) =
+    List.map (fun (s : Portfolio.stage) -> s.stage) r.stages
+  in
+  List.iter
+    (fun (name, f_star) ->
+      let r = run name true in
+      Alcotest.(check (list string))
+        (name ^ ": the last rung, then SABRE")
+        [ "exact:2000"; "sabre" ] (stage_names r);
+      Alcotest.(check int) (name ^ ": F is the DP's F*") f_star r.f_cost;
+      Alcotest.(check string)
+        (name ^ ": the exact lane's answer")
+        "exact-incumbent"
+        (Portfolio.provenance_string r.provenance);
+      let cold = run name false in
+      Alcotest.(check (list string))
+        (name ^ ": unseeded, both rungs run")
+        [ "exact:500"; "exact:2000" ]
+        (List.filter
+           (String.starts_with ~prefix:"exact:")
+           (stage_names cold)))
+    hard_rows
+
 (* The acceptance sweep: with every exact solve forced to Unknown, the
    portfolio must return a certified heuristic-provenance report for
    every benchmark of the paper's Table 1 — zero crashes, zero timeouts. *)
@@ -487,6 +537,8 @@ let suite =
     ("mapper: disconnected device without subsets", `Quick,
      test_disconnected_device_without_subsets);
     ("portfolio: too many logical", `Quick, test_portfolio_too_many_logical);
+    ("portfolio: a DP seed leaves the last rung", `Quick,
+     test_portfolio_seeded_runs_last_rung);
     ("portfolio: full-suite degradation sweep", `Slow,
      test_portfolio_degrades_on_full_suite);
     ("sanitized mapping sweep", `Quick, test_sanitized_mapping_sweep);

@@ -214,6 +214,40 @@ let test_pinned_seeded_encoding () =
   pinned_counts "4gt11_83 triangle, seeded" (Solver.stats s)
     (1842, 3165, 123106)
 
+(* The mapper sizes each solver once, up front, for its encoding and for
+   the PB circuit the descent builds over the objective.  On the seven
+   hard 5-qubit rows, built the way [Mapper] builds its whole-device
+   candidate (the DP's F* known before the solver exists, the PB circuit
+   capped at F* - 1), the solver never outgrows that size: no
+   per-variable array is regrown after creation. *)
+let test_presized_for_pb_circuit () =
+  let module Encoding = Qxm_exact.Encoding in
+  let module Strategy = Qxm_exact.Strategy in
+  List.iter
+    (fun (name, f_star) ->
+      let entry = Option.get (Qxm_benchmarks.Suite.by_name name) in
+      let cnots = Qxm_circuit.Circuit.cnots entry.circuit in
+      let inst =
+        {
+          Encoding.arch = Qxm_arch.Devices.qx4;
+          num_logical = 5;
+          cnots = Array.of_list cnots;
+          spots = Strategy.spots Strategy.Minimal cnots;
+        }
+      in
+      let pb_cap = f_star - 1 in
+      let capacity = Encoding.var_capacity_hint ~pb_cap inst in
+      let s = Solver.create ~capacity () in
+      let cnf = Cnf.create s in
+      let built =
+        Encoding.build ~symmetry:Qxm_exact.Mapper.default.symmetry cnf inst
+      in
+      ignore (Qxm_encode.Pb.build ~cap:pb_cap cnf (Encoding.objective built));
+      if Solver.nvars s > capacity then
+        Alcotest.failf "%s: %d variables in a solver sized for %d" name
+          (Solver.nvars s) capacity)
+    hard_rows
+
 let test_stats_sum () =
   let s = Solver.create () in
   pigeonhole s 4;
@@ -341,6 +375,8 @@ let suite =
       test_pinned_minimal_encoding;
     Alcotest.test_case "search: pinned counts on a seeded triangle encoding"
       `Quick test_pinned_seeded_encoding;
+    Alcotest.test_case "allocation: sized for the PB circuit up front" `Quick
+      test_presized_for_pb_circuit;
     Alcotest.test_case "stats: zero/add algebra" `Quick test_stats_sum;
     test_warm_start_optimum;
     test_infeasible_seed_falls_back;

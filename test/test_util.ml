@@ -106,3 +106,12 @@ let unroutable_device = Qxm_arch.Coupling.create ~num_qubits:4 [ (0, 1); (2, 3) 
 let unroutable_circuit =
   Qxm_circuit.Circuit.create 4
     Qxm_circuit.Gate.[ Cnot (0, 1); Cnot (1, 2); Cnot (2, 3) ]
+
+(* The seven 5-qubit Table-1 rows no budget here proves minimal (the
+   benchmark's anytime rows), each with its permutation-DP optimum F*
+   on QX4 under the [Minimal] strategy. *)
+let hard_rows =
+  [
+    ("4gt11_82", 32); ("4gt13_92", 55); ("alu-v1_28", 26); ("alu-v1_29", 25);
+    ("alu-v3_34", 26); ("qe_qft_4", 37); ("qe_qft_5", 68);
+  ]
