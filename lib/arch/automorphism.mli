@@ -16,7 +16,17 @@
     to a solution on the other with the same cost, so the two share
     their optimum.  {!Subsets.connected_classes} uses {!isomorphism} to
     let the mapper solve one connected subset per isomorphism class.
-    Both searches run the one degree-pruned backtracker. *)
+
+    Relaxed from "=" to "<=", the argument orders the classes: when an
+    {!embedding} sends every directed edge of [b] onto an edge of [a]
+    (same qubit count), relabelling any mapping on [b] by it gives a
+    mapping on [a] whose CNOTs all sit on coupled pairs in the same
+    direction (a flipped CNOT may even become native) and whose SWAPs
+    all stay on coupled pairs, so [a]'s optimum is at most [b]'s under
+    every strategy and non-negative cost model.
+    {!Subsets.maximal_classes} uses it to drop every class that embeds
+    into another.  All three searches run the one degree-pruned
+    backtracker. *)
 
 val all : ?max_count:int -> Coupling.t -> int array list
 (** The non-identity automorphisms of the coupling graph, as permutation
@@ -38,3 +48,15 @@ val isomorphism : Coupling.t -> Coupling.t -> int array option
     has passed the direct edge-relation check {!is_automorphism} makes.
     When the search's node budget runs out first the answer is [None]:
     treating two graphs as distinct is always safe for its callers. *)
+
+val embedding : Coupling.t -> Coupling.t -> int array option
+(** [embedding sub host] is [Some pi], a bijection with [allows sub i j]
+    implying [allows host (pi i) (pi j)] for all [i <> j] — the
+    lexicographically first such map — or [None] when there is none
+    (other qubit counts, more edges in [sub], or no degree-dominated
+    assignment extends).  Degrees are pruned by "<=" and edges by
+    implication, the relaxation of {!isomorphism}; a returned map has
+    passed a direct edge check.  When the node budget runs out first
+    the answer is [None]: its caller then keeps [sub] as a candidate of
+    its own, which is always safe.  Between graphs with equal edge
+    counts an embedding is an isomorphism. *)

@@ -88,5 +88,29 @@ let connected_classes_uncached cm n =
 
 let connected_classes = memoize connected_classes_uncached
 
+(* A class whose induced graph embeds into another's never beats it.
+   Only a host with strictly more edges drops a class (with equal counts
+   an embedding is an isomorphism its class search missed), so no two
+   classes drop each other and the class with the most edges stays. *)
+let maximal_classes_uncached cm n =
+  let induced =
+    List.map
+      (fun (subset, _) -> (subset, fst (Coupling.induce cm subset)))
+      (connected_classes cm n)
+  in
+  let edges sub = List.length (Coupling.edges sub) in
+  List.filter_map
+    (fun (subset, sub) ->
+      if
+        List.exists
+          (fun (_, host) ->
+            edges host > edges sub && Automorphism.embedding sub host <> None)
+          induced
+      then None
+      else Some subset)
+    induced
+
+let maximal_classes = memoize maximal_classes_uncached
+
 let count_all cm n = List.length (all cm n)
 let count_connected cm n = List.length (connected cm n)

@@ -27,11 +27,22 @@ val connected_classes : Coupling.t -> int -> (int list * int) list
     Representatives come in {!connected} order and each is the
     lowest-indexed subset of its class; the sizes sum to
     {!count_connected}.  Isomorphic sub-architectures share their
-    mapping optimum ({!Automorphism}), so the mapper solves only the
-    representatives.  Subsets are bucketed by edge count and sorted
-    (in, out)-degree multiset, then compared with
-    {!Automorphism.isomorphism}; a pair whose search runs out of budget
-    stays in separate classes.  Memoized like {!connected}. *)
+    mapping optimum ({!Automorphism}), so the mapper solves at most the
+    representatives (only the {!maximal_classes} among them).  Subsets
+    are bucketed by edge count and sorted (in, out)-degree multiset,
+    then compared with {!Automorphism.isomorphism}; a pair whose search
+    runs out of budget stays in separate classes.  Memoized like
+    {!connected}. *)
+
+val maximal_classes : Coupling.t -> int -> int list list
+(** The representatives of {!connected_classes} whose induced coupling
+    graph embeds ({!Automorphism.embedding}) into no other
+    representative's, in {!connected} order.  A class that embeds into
+    another can never have the lower mapping optimum, so the mapper
+    solves only these; at least one always remains, since classes that
+    embed into each other are isomorphic.  A pair whose embedding search
+    runs out of budget counts as not embedding: the class is kept.
+    Memoized like {!connected}. *)
 
 val count_all : Coupling.t -> int -> int
 val count_connected : Coupling.t -> int -> int

@@ -342,18 +342,20 @@ let run ?(options = default) ?pool ?cancel ~arch circuit =
       Strategy.reported_size options.strategy (Array.to_list cnots)
     in
     (* Candidate sub-architectures: (coupling, back-map to device), one
-       per isomorphism class of connected subsets.  Relabelling by an
-       isomorphism preserves every solution's cost, so a class shares
-       one optimum; its representative is the lowest-indexed member and
-       wins every tie, so the other members could never replace it as
-       the incumbent and inherit its verdict unsolved.  A disconnected
-       device has no whole-device encoding, so it always takes this
-       path (then [n <= largest < m]). *)
+       per maximal isomorphism class of connected subsets.  Relabelling
+       by an isomorphism preserves every solution's cost, so a class
+       shares one optimum; its representative is the lowest-indexed
+       member and wins every tie, so the other members could never
+       replace it as the incumbent and inherit its verdict unsolved.  A
+       class whose graph embeds into another's can never be cheaper
+       than it, so it too takes the verdict of a class that contains it
+       (at a tie that class wins, even from a higher index).  A
+       disconnected device has no whole-device encoding, so it always
+       takes this path (then [n <= largest < m]). *)
     let candidates, subsets_tried =
       if (options.use_subsets && n < m) || largest < m then
-        let classes = Subsets.connected_classes arch n in
-        ( List.map (fun (subset, _) -> Coupling.induce arch subset) classes,
-          List.fold_left (fun acc (_, size) -> acc + size) 0 classes )
+        ( List.map (Coupling.induce arch) (Subsets.maximal_classes arch n),
+          Subsets.count_connected arch n )
       else ([ (arch, Array.init m Fun.id) ], 1)
     in
     let ncand = List.length candidates in

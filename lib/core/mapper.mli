@@ -14,12 +14,13 @@ type options = {
   use_subsets : bool;
       (** Sec. 4.1: solve square instances over the connected
           physical-qubit subsets instead of one instance on the whole
-          device — one per isomorphism class of induced
-          sub-architectures ({!Qxm_arch.Subsets.connected_classes}),
-          since isomorphic candidates share their optimum and the
-          lowest-indexed one wins every tie.  A disconnected device is
-          always solved over its connected subsets, whatever this flag
-          says: the whole device has no encoding. *)
+          device — one per maximal isomorphism class of induced
+          sub-architectures ({!Qxm_arch.Subsets.maximal_classes}),
+          since isomorphic candidates share their optimum, the
+          lowest-indexed one wins every tie, and a class that embeds
+          into another is never cheaper than it.  A disconnected device
+          is always solved over its connected subsets, whatever this
+          flag says: the whole device has no encoding. *)
   timeout : float option;
       (** Wall-clock seconds for the whole call.  A slice of it (10%,
           at most one second) is reserved for reconstruction and
@@ -49,12 +50,13 @@ type options = {
           *optimized*, e.g. (1, 1) minimizes the number of insertions. *)
   jobs : int;
       (** Worker domains for the candidate fan-out (one candidate per
-          isomorphism class of connected subsets).  [1] runs candidates
-          inline in index order — the sequential path; higher values
-          race them on a [Qxm_par.Pool].  Whatever the interleaving, the report is
-          deterministic: the shared incumbent breaks cost ties by
-          candidate index and, when the race can fan out, the winner's
-          model is re-derived canonically (see [doc/PARALLEL.md]).
+          maximal isomorphism class of connected subsets).  [1] runs
+          candidates inline in index order — the sequential path; higher
+          values race them on a [Qxm_par.Pool].  Whatever the
+          interleaving, the report is deterministic: the shared
+          incumbent breaks cost ties by candidate index and, when the
+          race can fan out, the winner's model is re-derived canonically
+          (see [doc/PARALLEL.md]).
           Ignored when a [?pool] is supplied; clamped to 1 while a
           {!Qxm_sat.Fault} schedule is armed, and when the instance is
           trivially small (a single candidate, or an encoding cheap
@@ -169,23 +171,25 @@ type report = {
   reported_gprime : int;  (** Table 1's |G'| (permutation points) *)
   subsets_tried : int;
       (** Connected subsets the call covered (Ex. 9's count; 1 without
-          subsets).  Only one per isomorphism class is solved; the
-          others take its verdict. *)
+          subsets).  Only one per maximal isomorphism class is solved
+          ({!Qxm_arch.Subsets.maximal_classes}); every other subset
+          takes the verdict of a class that contains it. *)
   solves : int;  (** SAT solver calls *)
   verified : bool option;  (** [Some true] iff simulation proved equality *)
   workers : int;
       (** Worker domains actually used for the candidate race:
           [min jobs classes], at least 1, where [classes] is the number
-          of solved candidates (isomorphism classes, not
+          of solved candidates (maximal isomorphism classes, not
           [subsets_tried]). *)
   pruned_by_incumbent : int;
-      (** Solved candidates (class representatives) whose search came
-          back UNSAT under a bound supplied by the shared incumbent —
-          i.e. sub-instances the branch-and-bound race discharged
-          without finding their own optimum.  Candidates after an F = 0
-          winner count here too: they are discharged without being
-          encoded.  Class members that are never solved do not count,
-          so this stays below the number of classes. *)
+      (** Solved candidates (maximal class representatives) whose
+          search came back UNSAT under a bound supplied by the shared
+          incumbent — i.e. sub-instances the branch-and-bound race
+          discharged without finding their own optimum.  Candidates
+          after an F = 0 winner count here too: they are discharged
+          without being encoded.  Subsets that are never solved (other
+          class members, and classes that embed into another) do not
+          count, so this stays below the number of maximal classes. *)
   sat_stats : Qxm_sat.Solver.stats;
       (** Field-wise sum of the solver statistics of every SAT search
           this call ran (all candidates, including pruned and dropped

@@ -334,6 +334,114 @@ let test_class_counts () =
   Alcotest.(check bool) "memoized" true
     (a == Subsets.connected_classes Devices.qx4 3)
 
+(* Brute force: does some relabelling send every edge of [sub] onto an
+   edge of [host] (same qubit count)? *)
+let brute_embeds sub host =
+  List.exists
+    (fun pi ->
+      List.for_all
+        (fun (i, j) -> Coupling.allows host pi.(i) pi.(j))
+        (Coupling.edges sub))
+    (Permutation.all (Coupling.num_qubits sub))
+
+(* The brute-force partition's representatives that embed into no other
+   representative, in [connected] order. *)
+let test_maximal_classes_match_brute_force () =
+  List.iter
+    (fun (name, cm, max_n) ->
+      for n = 1 to min 5 max_n do
+        let reps =
+          List.map
+            (fun (subset, _) -> (subset, fst (Coupling.induce cm subset)))
+            (brute_classes cm n)
+        in
+        let maximal =
+          List.filter_map
+            (fun (subset, sub) ->
+              if
+                List.exists
+                  (fun (other, host) ->
+                    other <> subset && brute_embeds sub host)
+                  reps
+              then None
+              else Some subset)
+            reps
+        in
+        Alcotest.(check (list (list int)))
+          (Printf.sprintf "%s n=%d: maximal classes" name n)
+          maximal
+          (Subsets.maximal_classes cm n)
+      done)
+    class_devices
+
+let test_maximal_class_counts () =
+  let check name cm n classes =
+    Alcotest.(check int)
+      (Printf.sprintf "%s n=%d maximal classes" name n)
+      classes
+      (List.length (Subsets.maximal_classes cm n))
+  in
+  (* the chain 3 -> 2 -> 0 embeds into the transitive triangle *)
+  Alcotest.(check (list (list int))) "qx4 n=3" [ [ 0; 1; 2 ] ]
+    (Subsets.maximal_classes Devices.qx4 3);
+  check "qx4" Devices.qx4 4 2;
+  check "qx2" Devices.qx2 3 1;
+  check "qx5" Devices.qx5 4 7;
+  check "qx5" Devices.qx5 5 13;
+  check "tokyo" Devices.tokyo 4 1;
+  check "tokyo" Devices.tokyo 5 3;
+  let a = Subsets.maximal_classes Devices.qx4 4 in
+  Alcotest.(check bool) "memoized" true
+    (a == Subsets.maximal_classes Devices.qx4 4)
+
+let test_embedding () =
+  let graph k edges = Coupling.create ~num_qubits:k edges in
+  let embeds sub host =
+    match Automorphism.embedding sub host with
+    | None -> false
+    | Some pi ->
+        Alcotest.(check bool) "a permutation" true
+          (Permutation.is_valid pi);
+        List.iter
+          (fun (i, j) ->
+            Alcotest.(check bool) "edge carried onto an edge" true
+              (Coupling.allows host pi.(i) pi.(j)))
+          (Coupling.edges sub);
+        true
+  in
+  let chain = graph 3 [ (0, 1); (1, 2) ]
+  and in_star = graph 3 [ (0, 1); (2, 1) ]
+  and transitive = graph 3 [ (0, 1); (1, 2); (0, 2) ]
+  and cyclic = graph 3 [ (0, 1); (1, 2); (2, 0) ] in
+  Alcotest.(check bool) "chain into transitive triangle" true
+    (embeds chain transitive);
+  Alcotest.(check bool) "in-star not into cyclic triangle" false
+    (embeds in_star cyclic);
+  Alcotest.(check bool) "in-star into transitive triangle" true
+    (embeds in_star transitive);
+  Alcotest.(check bool) "triangle not into a chain" false
+    (embeds transitive chain);
+  (* One undirected 4-cycle, two orientations: only the one holding the
+     directed path 3 -> 2 -> 1 -> 0 hosts the 4-chain. *)
+  let chain4 = graph 4 [ (0, 1); (1, 2); (2, 3) ] in
+  let three_one = graph 4 [ (1, 0); (2, 1); (3, 2); (3, 0) ]
+  and two_two = graph 4 [ (1, 0); (2, 1); (2, 3); (3, 0) ] in
+  Alcotest.(check bool) "orientation: holds the path" true
+    (embeds chain4 three_one);
+  Alcotest.(check bool) "orientation: no directed 3-path" false
+    (embeds chain4 two_two);
+  (* An isomorphism is an embedding, both ways. *)
+  let rev = graph 3 [ (1, 0); (2, 1); (0, 2) ] in
+  Alcotest.(check bool) "isomorphic" true
+    (embeds cyclic rev && embeds rev cyclic);
+  (* Equal edge counts, not isomorphic: neither embeds. *)
+  Alcotest.(check bool) "chain not into in-star" false (embeds chain in_star);
+  Alcotest.(check bool) "in-star not into chain" false (embeds in_star chain);
+  Alcotest.(check bool) "3-path not into 2+2 split" false
+    (embeds three_one two_two);
+  Alcotest.(check bool) "other qubit count" false
+    (embeds chain (Devices.line 4))
+
 let test_isomorphism () =
   let path edges = Coupling.create ~num_qubits:3 edges in
   (* 0 -> 1 -> 2 and 2 -> 0 -> 1 are the same directed path *)
@@ -490,6 +598,10 @@ let suite =
     ("classes match brute force", `Quick, test_classes_match_brute_force);
     ("class counts", `Quick, test_class_counts);
     ("isomorphism", `Quick, test_isomorphism);
+    ("embedding", `Quick, test_embedding);
+    ("maximal classes match brute force", `Quick,
+      test_maximal_classes_match_brute_force);
+    ("maximal class counts", `Quick, test_maximal_class_counts);
     ("paths qx4", `Quick, test_paths_qx4);
     ("cnot cost", `Quick, test_cnot_cost);
     ("swap path", `Quick, test_swap_path);

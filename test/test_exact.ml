@@ -317,8 +317,8 @@ let symmetry_preserves_optimum =
 (* Oracle for the subset race that shares none of its class merging:
    map on every connected subset's induced sub-architecture on its own
    and take the (cost, index)-least answer.  [Mapper.run] solves one
-   subset per isomorphism class; it must return the same costs and
-   verdict.  Returns [None] when they agree, else both answers. *)
+   subset per maximal isomorphism class; it must return the same costs
+   and verdict.  Returns [None] when they agree, else both answers. *)
 let class_merge_disagreement ~options arch c =
   let summary ~options arch =
     match Mapper.run ~options ~arch c with
@@ -449,7 +449,9 @@ let suite =
       ];
     (* On the four small devices above, a merge by degrees alone changes
        no class.  QX5 at 4 qubits has 65 connected subsets in 11 classes,
-       several of them non-isomorphic with equal degrees. *)
+       several of them non-isomorphic with equal degrees, and 7 maximal
+       classes; there a dominated class can come before the class that
+       contains it, so a tie may go to the higher index. *)
     one_solve_per_class ~count:20
       ~name:"one solve per class on qx5 (65 subsets, 11 classes)"
       ~qubits:(4, 4) ~cnots:(3, 4)

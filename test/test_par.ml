@@ -245,8 +245,8 @@ let check_jobs_equivalent ?(strategy = Mapper.default.strategy)
     [ 2; 4 ]
 
 (* Above the inline threshold (cnots * n^2 = 272 > 256) with 4
-   connected subsets in 2 isomorphism classes on QX4: jobs 2 and 4
-   really fan out. *)
+   connected subsets in 2 maximal isomorphism classes on QX4: jobs 2
+   and 4 really fan out. *)
 let fan_out_circuit =
   Generator.random_circuit ~seed:4 ~qubits:4 ~cnots:17 ~singles:2
 
@@ -330,9 +330,11 @@ let test_zero_cost_prunes_before_encoding () =
          (fun (e : Trace.event) -> e.ph = `B && e.name = "mapper.encode")
          (Trace.events ()))
   in
-  (* 1 -> 0 and 2 -> 1 are QX4 edges: F = 0 on the first subset *)
+  (* 1 -> 0, 2 -> 1 and 3 -> 2 are QX4 edges: F = 0 on the first
+     subset.  At n = 4 QX4 has two maximal classes (at n = 3 only one,
+     which leaves nothing to prune). *)
   let circuit =
-    Circuit.create 3 [ Gate.Cnot (1, 0); Gate.Cnot (2, 1); Gate.Cnot (2, 0) ]
+    Circuit.create 4 [ Gate.Cnot (1, 0); Gate.Cnot (2, 1); Gate.Cnot (3, 2) ]
   in
   Trace.reset ();
   Trace.enable ();
@@ -350,10 +352,13 @@ let test_zero_cost_prunes_before_encoding () =
           Alcotest.(check bool) "several candidates" true
             (r.subsets_tried > 1);
           Alcotest.(check int) "only the winner is encoded" 1 (encodes ());
-          (* one candidate per isomorphism class is solved; the other
-             members take the winner's class verdict unsolved *)
+          Alcotest.(check int) "two maximal classes" 2
+            (List.length (Subsets.maximal_classes Devices.qx4 4));
+          (* one candidate per maximal class is solved; the other
+             subsets take the verdict of a class that contains them
+             unsolved *)
           Alcotest.(check int) "every other class pruned"
-            (List.length (Subsets.connected_classes Devices.qx4 3) - 1)
+            (List.length (Subsets.maximal_classes Devices.qx4 4) - 1)
             r.pruned_by_incumbent)
 
 (* Property: incumbent pruning never changes the optimum — pruning off
