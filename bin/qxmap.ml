@@ -136,7 +136,9 @@ let report_summary (r : Mapper.report) =
   Printf.eprintf
     "mapped: %d gates (overhead F = %d), %s%s\n"
     r.total_gates r.f_cost
-    (if r.optimal then "provably minimal" else "not proven minimal")
+    (if r.optimal then "provably minimal"
+     else if r.dp_incumbent then "DP routing, not proven minimal"
+     else "not proven minimal")
     (match r.verified with
     | Some true -> ", equivalence verified"
     | Some false -> ", VERIFICATION FAILED"
@@ -198,6 +200,7 @@ let mapper_json ~input ~output ~run (r : Mapper.report) =
        ("objective_cost", num_int r.objective_cost);
        ("total_gates", num_int r.total_gates);
        ("optimal", Sjson.Bool r.optimal);
+       ("dp_incumbent", Sjson.Bool r.dp_incumbent);
        ("verified", opt_bool r.verified);
        ("runtime_s", Sjson.Num r.runtime);
        ("solves", num_int r.solves);
@@ -488,19 +491,12 @@ let map_cmd =
       value & flag
       & info [ "portfolio" ]
           ~doc:
-            "Resilient portfolio mode: staged exact solving with \
-             graceful degradation to SABRE.  Never fails with a bare \
-             timeout when SABRE can produce a valid mapping.")
-  in
-  let stage_budget_arg =
-    Arg.(
-      value
-      & opt (some (pos_float_conv ~flag:"--stage-budget" ~unit:"seconds")) None
-      & info [ "stage-budget" ] ~docv:"SECONDS"
-          ~doc:
-            "Portfolio mode: wall-clock budget for the exact stages \
-             (the conflict ladder).  Defaults to 70% of --timeout; \
-             the rest is the reserve for SABRE and verification.")
+            "Resilient portfolio mode: staged exact solving on the whole \
+             --timeout budget, raced against SABRE while optimality is \
+             open.  A DP-seeded search that finds no model answers with \
+             the permutation DP's routing (provenance dp-incumbent), so \
+             it never fails with a bare timeout when a valid mapping \
+             can be produced.")
   in
   let inject_arg =
     Arg.(
@@ -645,8 +641,7 @@ let map_cmd =
              (and still exits 1).  All human-readable output stays on \
              stderr, so piping into jq always works.")
   in
-  let run input device strategy subsets timeout portfolio stage_budget
-      inject lint sanitize solver_stats jobs trace events
+  let run input device strategy subsets timeout portfolio inject lint sanitize solver_stats jobs trace events
       metrics_out flight_record progress no_symmetry certificate json
       output draw =
     let jobs = max 1 jobs in
@@ -723,7 +718,6 @@ let map_cmd =
               certificate = certificate <> None;
             };
           budget = timeout;
-          exact_budget = stage_budget;
           jobs;
         }
       in
@@ -828,10 +822,10 @@ let map_cmd =
     (Cmd.info "map"
        ~doc:
          "Exact SAT-based mapping (minimal SWAP/H cost), optionally as \
-          a resilient portfolio with SABRE as the fallback.")
+          a resilient portfolio raced against SABRE.")
     Term.(
       const run $ input_arg $ device_arg $ strategy_arg $ subsets_arg
-      $ timeout_arg $ portfolio_arg $ stage_budget_arg $ inject_arg $ lint_arg $ sanitize_arg $ solver_stats_arg $ jobs_arg
+      $ timeout_arg $ portfolio_arg $ inject_arg $ lint_arg $ sanitize_arg $ solver_stats_arg $ jobs_arg
       $ trace_arg $ events_arg $ metrics_out_arg $ flight_record_arg
       $ progress_arg $ no_symmetry_arg $ certificate_arg
       $ json_arg $ output_arg $ draw_arg)

@@ -363,31 +363,6 @@ let mapping_of_model b model =
       place)
     b.x
 
-let permutation_at_spot b model s =
-  if s < 1 || s >= b.num_segments then
-    invalid_arg "Encoding.permutation_at_spot";
-  let maps = mapping_of_model b model in
-  let prev = maps.(s - 1) and next = maps.(s) in
-  let m = Coupling.num_qubits b.instance.arch in
-  let partial = Array.make m (-1) in
-  Array.iteri (fun j i -> partial.(i) <- next.(j)) prev;
-  (* cheapest reachable permutation extending the partial movement;
-     [permutations_with_cost] is in BFS (ascending cost) order. *)
-  let consistent pi =
-    let ok = ref true in
-    Array.iteri
-      (fun i target -> if target <> -1 && Permutation.apply pi i <> target then ok := false)
-      partial;
-    !ok
-  in
-  match
-    List.find_opt
-      (fun (pi, _) -> consistent pi)
-      (Swap_count.permutations_with_cost b.table)
-  with
-  | Some (pi, _) -> pi
-  | None -> invalid_arg "Encoding: no consistent permutation (disconnected?)"
-
 (* A routing pins the whole objective: its placements fix every x
    block, its flips every z, and the physical movement between two
    consecutive layouts fixes how many ladder steps of that spot are

@@ -96,15 +96,12 @@ val symmetry : built -> bool
 
 val mapping_of_model : built -> bool array -> int array array
 (** Per segment: array [place] with [place.(j)] = physical qubit hosting
-    logical [j]. *)
+    logical [j < n] — the layouts {!Mapper} rebuilds the circuit from.
+    With n < m they leave the idle positions' movement open; the
+    rebuild completes each spot with the cheapest permutation of the
+    {!swap_table} that moves every occupied position as they say. *)
 
 val swap_table : built -> Qxm_arch.Swap_count.t
-
-val permutation_at_spot :
-  built -> bool array -> int -> Qxm_arch.Permutation.t
-(** [permutation_at_spot b model s] for segment [s >= 1]: the cheapest
-    reachable permutation consistent with the movement of occupied
-    positions between segments [s-1] and [s] (unique when n = m). *)
 
 val routing_assumptions :
   built -> layouts:int array array -> flips:bool array -> Qxm_sat.Lit.t list

@@ -95,6 +95,7 @@ type report = {
   objective_cost : int;
   total_gates : int;
   optimal : bool;
+  dp_incumbent : bool;
   runtime : float;
   reported_gprime : int;
   subsets_tried : int;
@@ -127,14 +128,36 @@ let pp_failure fmt = function
 
 (* -- reconstruction ------------------------------------------------------ *)
 
-(* Replay the original gate list in instance space: single-qubit gates
-   follow their logical qubit, SWAP chains realize the permutation at each
-   spot, CNOTs land on their segment's placement.  Also tracks the full
-   content permutation (wires >= n are the idle extras) for verification. *)
-let reconstruct built model circuit m_inst =
-  let maps = Encoding.mapping_of_model built model in
+(* The cheapest reachable permutation that moves every occupied position
+   of [prev] to its place in [next] ([permutations_with_cost] is in BFS,
+   ascending-cost, order).  With n = m the movement is the permutation
+   itself; with n < m this chooses the cheapest completion over the idle
+   positions. *)
+let permutation_between table m prev next =
+  let partial = Array.make m (-1) in
+  Array.iteri (fun j i -> partial.(i) <- next.(j)) prev;
+  let consistent (pi, _) =
+    let rec from i =
+      i = m
+      || ((partial.(i) = -1 || Permutation.apply pi i = partial.(i))
+         && from (i + 1))
+    in
+    from 0
+  in
+  match List.find_opt consistent (Swap_count.permutations_with_cost table) with
+  | Some (pi, _) -> pi
+  | None -> invalid_arg "Mapper: no consistent permutation (disconnected?)"
+
+(* Replay the original gate list in instance space from per-segment
+   layouts ([layouts.(s).(j)] = position of logical [j < n] during
+   segment [s]), whether a SAT model or the DP produced them: single-
+   qubit gates follow their logical qubit, SWAP chains realize the
+   cheapest movement at each spot, CNOTs land on their segment's
+   placement.  Also tracks the full content permutation (wires >= n are
+   the idle extras) for verification. *)
+let reconstruct built layouts circuit m_inst =
   let n = Circuit.num_qubits circuit in
-  let place = Array.copy maps.(0) in
+  let place = Array.copy layouts.(0) in
   (* full wire -> position map: extras fill the free positions, ascending *)
   let full = Array.make m_inst (-1) in
   Array.iteri (fun j p -> full.(j) <- p) place;
@@ -170,23 +193,26 @@ let reconstruct built model circuit m_inst =
       | Gate.Cnot (c, t) ->
           let s = Encoding.segment_of_gate built !k in
           if !k > 0 && s <> Encoding.segment_of_gate built (!k - 1) then begin
-            let pi = Encoding.permutation_at_spot built model s in
+            let table = Encoding.swap_table built in
+            let pi =
+              permutation_between table m_inst layouts.(s - 1) layouts.(s)
+            in
             List.iter
               (fun (a, b) ->
                 emit (Gate.Swap (a, b));
                 apply_swap a b)
-              (Swap_count.sequence (Encoding.swap_table built) pi);
+              (Swap_count.sequence table pi);
             Array.iteri
               (fun j p ->
-                if p <> maps.(s).(j) then
-                  invalid_arg "Mapper: swap replay diverged from model")
+                if p <> layouts.(s).(j) then
+                  invalid_arg "Mapper: swap replay diverged from the layouts")
               place
           end;
           emit (Gate.Cnot (place.(c), place.(t)));
           incr k)
     (Circuit.gates circuit);
   let mapped = Circuit.create m_inst (List.rev !rev_gates) in
-  (mapped, maps.(0), Array.copy place, init_full, Array.copy full)
+  (mapped, layouts.(0), Array.copy place, init_full, Array.copy full)
 
 (* Unitary proof in instance space:
    U_elementary = P_final · (U_orig ⊗ I) · P_init†. *)
@@ -197,8 +223,11 @@ let verify_mapping ~arch_inst ~original ~mapped ~init_full ~final_full =
 
 (* -- solving one instance ------------------------------------------------ *)
 
+(* One candidate's answer.  [s_model = None] marks the DP floor: the
+   candidate's DP routing, which no SAT model confirmed. *)
 type solved = {
-  s_model : bool array;
+  s_model : bool array option;
+  s_layouts : int array array;  (* per segment, place.(j) for logical j < n *)
   s_built : Encoding.built;
   s_cost : int;
   s_optimal : bool;
@@ -251,10 +280,8 @@ let solve_instance ~(options : options) ~cancel ~deadline ~bound inst =
      or else just below the first model's cost, which the seed's cost
      predicts; the solver is sized for that circuit too. *)
   let pb_cap =
-    match (bound, seed) with
-    | Some b, _ -> Some b
-    | None, Some r -> Some (r.cost - 1)
-    | None, None -> None
+    if bound <> None then bound
+    else Option.map (fun (r : Dp_exact.routing) -> r.cost - 1) seed
   in
   let solver =
     Solver.create
@@ -284,23 +311,39 @@ let solve_instance ~(options : options) ~cancel ~deadline ~bound inst =
           ~objective:(Encoding.objective built) ())
   in
   let stats = Solver.stats solver in
+  let solved ?model ~layouts ~cost ~optimal () =
+    {
+      s_model = model;
+      s_layouts = layouts;
+      s_built = built;
+      s_cost = cost;
+      s_optimal = optimal;
+      s_solves = outcome.solves;
+      s_stats = stats;
+      s_proof = outcome.proof;
+      s_bounds = outcome.bounds;
+      s_pb_cap = outcome.pb_cap;
+    }
+  in
   match outcome with
   | { unsatisfiable = true; _ } -> `Unsat stats
-  | { model = Some model; cost = Some cost; optimal; solves; proof; bounds; _ }
-    ->
+  | { model = Some model; cost = Some cost; optimal; _ } ->
       `Model
-        {
-          s_model = model;
-          s_built = built;
-          s_cost = cost;
-          s_optimal = optimal;
-          s_solves = solves;
-          s_stats = stats;
-          s_proof = proof;
-          s_bounds = bounds;
-          s_pb_cap = outcome.pb_cap;
-        }
-  | _ -> `Budget stats
+        (solved ~model ~layouts:(Encoding.mapping_of_model built model) ~cost
+           ~optimal ())
+  | _ -> (
+      (* The descent ended with no model (a fault, the deadline or a
+         cancel cut it first): the seed is the floor.  Its layouts are
+         cut to the logical qubits, so the replay picks the cheapest
+         movement of the dummies, as for a model. *)
+      match seed with
+      | Some r ->
+          `Model
+            (solved
+               ~layouts:
+                 (Array.map (fun l -> Array.sub l 0 inst.num_logical) r.layouts)
+               ~cost:r.cost ~optimal:false ())
+      | None -> `Budget stats)
 
 (* -- main entry ---------------------------------------------------------- *)
 
@@ -313,12 +356,7 @@ type candidate_outcome =
   | C_unsat of { via_incumbent : bool; stats : Solver.stats }
   | C_budget of Solver.stats
   | C_kept of solved
-  | C_dropped of {
-      cost : int;
-      optimal : bool;
-      solves : int;
-      stats : Solver.stats;
-    }
+  | C_dropped of { optimal : bool; solves : int; stats : Solver.stats }
 
 let run ?(options = default) ?pool ?cancel ~arch circuit =
   let start = Unix.gettimeofday () in
@@ -369,6 +407,12 @@ let run ?(options = default) ?pool ?cancel ~arch circuit =
        means "not better", which preserves the min-over-candidates
        optimum.  Run inline (width 1), the caps replay the sequential
        scan's [prev.s_cost - 1] bounds exactly. *)
+    let stopped () =
+      (match deadline with
+      | Some d -> Unix.gettimeofday () > d
+      | None -> false)
+      || match cancel with Some c -> Cancel.cancelled c | None -> false
+    in
     let run_candidate index (sub_arch, _back) =
       Trace.with_span ~name:"mapper.candidate"
         ~args:
@@ -377,13 +421,7 @@ let run ?(options = default) ?pool ?cancel ~arch circuit =
             ("qubits", Trace.Int (Coupling.num_qubits sub_arch));
           ]
       @@ fun () ->
-      let give_up =
-        (match deadline with
-        | Some d -> Unix.gettimeofday () > d
-        | None -> false)
-        || (match cancel with Some c -> Cancel.cancelled c | None -> false)
-      in
-      if give_up then C_skipped
+      if stopped () then C_skipped
       else begin
         let inc_cap =
           if options.incumbent_pruning then Incumbent.cap incumbent ~index
@@ -414,7 +452,6 @@ let run ?(options = default) ?pool ?cancel ~arch circuit =
                 else
                   C_dropped
                     {
-                      cost = s.s_cost;
                       optimal = s.s_optimal;
                       solves = s.s_solves;
                       stats = s.s_stats;
@@ -502,31 +539,21 @@ let run ?(options = default) ?pool ?cancel ~arch circuit =
            outright: a fresh encode + solve would burn past the budget
            only to be cut mid-descent, and its partial result must not
            overwrite the race's certified status. *)
-        let expired =
-          (match deadline with
-          | Some d -> Unix.gettimeofday () > d
-          | None -> false)
-          || match cancel with Some c -> Cancel.cancelled c | None -> false
-        in
         let s =
-          if sequential || expired then s
+          if sequential || stopped () then s
           else
             match
               Trace.with_span ~name:"mapper.canonical_resolve" (fun () ->
                   solve_instance ~options ~cancel ~deadline
                     ~bound:(Some best_cost) (inst_of sub_arch))
             with
-            | `Model s2 when s2.s_optimal ->
-                add_stats s2.s_stats;
-                solves := !solves + s2.s_solves;
-                s2
             | `Model s2 ->
-                (* deadline cut the re-solve: keep the race model (and the
-                   race's own optimality verdict) instead of adopting a
-                   weaker anytime model *)
                 add_stats s2.s_stats;
                 solves := !solves + s2.s_solves;
-                s
+                (* a re-solve the deadline cut keeps the race model (and
+                   the race's own optimality verdict) instead of adopting
+                   a weaker anytime model *)
+                if s2.s_optimal then s2 else s
             | `Unsat st | `Budget st ->
                 add_stats st;
                 s
@@ -534,7 +561,7 @@ let run ?(options = default) ?pool ?cancel ~arch circuit =
         let m_inst = Coupling.num_qubits sub_arch in
         let mapped_inst, init_l, final_l, init_full, final_full =
           Trace.with_span ~name:"mapper.reconstruct" (fun () ->
-              reconstruct s.s_built s.s_model circuit m_inst)
+              reconstruct s.s_built s.s_layouts circuit m_inst)
         in
         let verified =
           if options.verify then
@@ -565,23 +592,24 @@ let run ?(options = default) ?pool ?cancel ~arch circuit =
            gate overhead; custom weights use different units *)
         assert (options.costs <> Encoding.paper_costs || f_cost <= objective_cost);
         let witness =
-          if options.certificate then
-            Some
-              {
-                w_sub_arch = sub_arch;
-                w_back = back;
-                w_model = s.s_model;
-                w_cost = s.s_cost;
-                w_mapped_inst = mapped_inst;
-                w_init_full = init_full;
-                w_final_full = final_full;
-                w_proof = s.s_proof;
-                w_bounds = s.s_bounds;
-                w_pb_cap = s.s_pb_cap;
-                w_symmetry = Encoding.symmetry s.s_built;
-              }
-          else None
-        in
+          match s.s_model with
+          | Some model when options.certificate ->
+              Some
+                {
+                  w_sub_arch = sub_arch;
+                  w_back = back;
+                  w_model = model;
+                  w_cost = s.s_cost;
+                  w_mapped_inst = mapped_inst;
+                  w_init_full = init_full;
+                  w_final_full = final_full;
+                  w_proof = s.s_proof;
+                  w_bounds = s.s_bounds;
+                  w_pb_cap = s.s_pb_cap;
+                  w_symmetry = Encoding.symmetry s.s_built;
+                }
+          | _ -> None
+          in
         let report =
           {
             mapped;
@@ -592,6 +620,7 @@ let run ?(options = default) ?pool ?cancel ~arch circuit =
             objective_cost;
             total_gates = Circuit.length elementary;
             optimal = !all_optimal && not !any_budget;
+            dp_incumbent = s.s_model = None;
             runtime = Unix.gettimeofday () -. start;
             reported_gprime;
             subsets_tried;

@@ -4,10 +4,12 @@
 
     Pipeline: extract the CNOT skeleton (Fig. 1b) → choose permutation
     spots per {!Strategy} → encode ({!Encoding}) → minimize Eq. (5) by
-    linear descent ({!Qxm_opt.Minimize}) → reconstruct the mapped circuit by replaying the
-    original gate list with SWAP chains at permutation spots and H-flips
-    on direction-violating CNOTs → optionally prove equivalence by
-    unitary simulation. *)
+    linear descent ({!Qxm_opt.Minimize}), starting at the permutation
+    DP's routing ({!Dp_exact}) → reconstruct the mapped circuit from the
+    per-segment layouts (of the SAT model, or of the DP routing when no
+    model was found) by replaying the original gate list with SWAP
+    chains at permutation spots and H-flips on direction-violating
+    CNOTs → optionally prove equivalence by unitary simulation. *)
 
 type options = {
   strategy : Strategy.t;
@@ -30,7 +32,8 @@ type options = {
       (** Per-solve-call conflict budget handed to the optimizer
           ([-1] = unlimited).  The portfolio layer uses this as its
           escalation ladder; exhausting it yields an anytime incumbent
-          ([optimal = false]) or [Timeout] when no model was found. *)
+          ([optimal = false]): a SAT model, else a seeded candidate's DP
+          routing, else [Timeout]. *)
   amo : Qxm_encode.Amo.encoding;
   verify : bool;
       (** Check the mapped circuit against the original by full unitary
@@ -79,8 +82,10 @@ type options = {
           descent one refutation.  A refuted seed falls back to the
           plain solve.  The DP's cost is never enforced as a bound, so
           every [optimal] claim and certificate rests on the SAT proof
-          alone; turning this off recovers the cold solver for
-          measurement. *)
+          alone.  The routing is also the candidate's floor: a descent
+          that ends with no model (a fault, the deadline or a cancel
+          cut it) answers with it ([report.dp_incumbent]).  Turning
+          this off recovers the cold solver for measurement. *)
   certificate : bool;
       (** Record the raw evidence needed for an offline optimality
           certificate (off by default): every solver this call creates
@@ -167,6 +172,11 @@ type report = {
           [upper_bound] (e.g. the portfolio's escalation rungs). *)
   total_gates : int;  (** Table 1's c: gate count of [elementary] *)
   optimal : bool;  (** proven minimal for the chosen strategy *)
+  dp_incumbent : bool;
+      (** The answer is the winning candidate's permutation-DP routing
+          ({!Dp_exact}) and no SAT model confirmed it: its descent ended
+          with no model (a fault, the deadline or a cancel cut it).
+          Never [optimal]; carries no [witness]. *)
   runtime : float;  (** seconds *)
   reported_gprime : int;  (** Table 1's |G'| (permutation points) *)
   subsets_tried : int;
@@ -215,7 +225,9 @@ type failure =
       (** no valid mapping under the chosen strategy; carries the solver
           work spent finding that out, as {!report.sat_stats} would *)
   | Timeout of Qxm_sat.Solver.stats
-      (** budget exhausted before any model was found; carries the solver
+      (** budget exhausted before any answer: no candidate was seeded
+          (the DP seed is every seeded candidate's floor), or none was
+          launched before the deadline or a cancel; carries the solver
           work spent until then *)
 
 val pp_failure : Format.formatter -> failure -> unit
@@ -235,7 +247,8 @@ val run :
     every ladder rung's candidate fan-out draws from one set of workers.
     [?cancel] is polled between candidates and inside every SAT solve
     (via [Solver.set_stop]); once cancelled, the call winds down quickly
-    and reports whatever it can ([Timeout] when nothing was found).
+    and reports whatever it can (a seeded candidate's DP routing, or
+    [Timeout] when nothing was found).
 
     The run reports progress only through the trace stream: each
     pipeline stage runs in a [mapper.<phase>] span ([encode],

@@ -6,18 +6,13 @@ module Cancel = Qxm_par.Cancel
 module Solver = Qxm_sat.Solver
 module Trace = Qxm_obs.Trace
 
-type provenance = Exact_optimal | Exact_incumbent | Heuristic
+type provenance = Exact_optimal | Exact_incumbent | Dp_incumbent | Heuristic
 
 let provenance_string = function
   | Exact_optimal -> "exact-optimal"
   | Exact_incumbent -> "exact-incumbent"
+  | Dp_incumbent -> "dp-incumbent"
   | Heuristic -> "heuristic:sabre"
-
-let pp_provenance fmt p = Format.pp_print_string fmt (provenance_string p)
-
-(* Share of [budget] the exact stages get when [exact_budget] is unset;
-   the rest is the reserve for SABRE, reconstruction and verification. *)
-let exact_fraction = 0.7
 
 type stage = { stage : string; spent : float; solves : int; outcome : string }
 
@@ -106,20 +101,16 @@ let run ?(options = default) ?cancel ~arch circuit =
     let note_stats st = sat_stats := Solver.add_stats !sat_stats st in
     let record ~stage ~t0 ~stage_solves outcome =
       solves := !solves + stage_solves;
-      stages :=
-        {
-          stage;
-          spent = Unix.gettimeofday () -. t0;
-          solves = stage_solves;
-          outcome;
-        }
-        :: !stages
+      let spent = Unix.gettimeofday () -. t0 in
+      stages := { stage; spent; solves = stage_solves; outcome } :: !stages
     in
+    (* One budget: [Mapper.run]'s own reserve (min(10 %, 1 s) of the
+       time it is given) covers reconstruction and verification, and the
+       SABRE stage after it takes milliseconds. *)
     let exact_deadline =
-      match (options.exact_budget, options.budget) with
-      | Some e, _ -> Some (start +. e)
-      | None, Some b -> Some (start +. (exact_fraction *. b))
-      | None, None -> None
+      Option.map
+        (fun b -> start +. b)
+        (match options.exact_budget with None -> options.budget | e -> e)
     in
     let exact_time_left () =
       match exact_deadline with
@@ -156,8 +147,14 @@ let run ?(options = default) ?cancel ~arch circuit =
             ("conflict_limit", Trace.Int conflict_limit);
           ]
       @@ fun () ->
-      let deadline_spent () =
-        match exact_time_left () with Some l -> l <= 0.0 | None -> false
+      (* A deadline-bearing unlimited rung can only end unproven, or
+         empty, because the clock cut it (possibly inside [Mapper]'s
+         reserve, or inside the canonical winner re-solve of a race that
+         could fan out); a limited rung also stops at its conflict limit,
+         so there only a spent deadline counts. *)
+      let cut_by_deadline () =
+        (conflict_limit < 0 && exact_deadline <> None)
+        || match exact_time_left () with Some l -> l <= 0.0 | None -> false
       in
       match exact_time_left () with
       | Some left when left <= 0.0 ->
@@ -165,23 +162,13 @@ let run ?(options = default) ?cancel ~arch circuit =
           record ~stage ~t0 ~stage_solves:0 "skipped: exact budget spent"
       | left ->
           let upper_bound =
-            match
-              ( Option.map
-                  (fun (r : Mapper.report) -> r.objective_cost)
-                  !best_exact,
-                options.exact.upper_bound )
-            with
-            | Some a, Some b -> Some (min a b)
-            | (Some _ as s), None | None, (Some _ as s) -> s
-            | None, None -> None
+            match (!best_exact, options.exact.upper_bound) with
+            | Some r, Some b -> Some (min r.objective_cost b)
+            | Some r, None -> Some r.objective_cost
+            | None, b -> b
           in
           let opts =
-            {
-              options.exact with
-              conflict_limit;
-              timeout = left;
-              upper_bound;
-            }
+            { options.exact with conflict_limit; timeout = left; upper_bound }
           in
           let seeded = upper_bound <> options.exact.upper_bound in
           (match
@@ -191,23 +178,16 @@ let run ?(options = default) ?cancel ~arch circuit =
               note_stats r.sat_stats;
               note_exact r;
               if r.optimal then proved_optimal := true
-              else if
-                (* A deadline-bearing unlimited rung can only come back
-                   unproven because the clock cut it (possibly inside the
-                   canonical winner re-solve of a race that could fan
-                   out, which reserves a slice of the budget and stops
-                   slightly early). *)
-                not r.optimal
-                && ((conflict_limit < 0 && exact_deadline <> None)
-                   || deadline_spent ())
-              then deadline_hit := true;
+              else if cut_by_deadline () then deadline_hit := true;
               record ~stage ~t0 ~stage_solves:r.solves
                 (Printf.sprintf "%s F=%d"
-                   (if r.optimal then "optimal" else "incumbent")
+                   (if r.optimal then "optimal"
+                    else if r.dp_incumbent then "dp-incumbent"
+                    else "incumbent")
                    r.f_cost)
           | Error (Mapper.Timeout st) ->
               note_stats st;
-              if deadline_spent () then deadline_hit := true;
+              if cut_by_deadline () then deadline_hit := true;
               record ~stage ~t0 ~stage_solves:0 "budget exhausted"
           | Error (Mapper.Unmappable st) ->
               note_stats st;
@@ -257,31 +237,27 @@ let run ?(options = default) ?cancel ~arch circuit =
         record ~stage:"exact" ~t0:(Unix.gettimeofday ()) ~stage_solves:0
           "cancelled"
     in
-    (* Assemble (and gate) the exact side's best result once the exact
-       lane has finished. *)
+    (* Assemble the exact side's best result once the exact lane has
+       finished; it must pass the same gate as SABRE's. *)
     let assemble_exact () =
-      let exact_candidate =
-        Option.map
-          (fun (r : Mapper.report) ->
-            {
-              c_mapped = r.mapped;
-              c_elementary = r.elementary;
-              c_initial = r.initial;
-              c_final = r.final;
-              c_f_cost = r.f_cost;
-              c_total = r.total_gates;
-              c_verified = r.verified;
-              c_provenance =
-                (if !proved_optimal then Exact_optimal else Exact_incumbent);
-              c_witness = r.witness;
-            })
-          !best_exact
-      in
-      (* An exact result must pass the same gate as SABRE's. *)
-      match exact_candidate with
-      | None -> None
-      | Some c -> (
-          match certified ~arch c with
+      Option.bind !best_exact (fun (r : Mapper.report) ->
+          match
+            certified ~arch
+              {
+                c_mapped = r.mapped;
+                c_elementary = r.elementary;
+                c_initial = r.initial;
+                c_final = r.final;
+                c_f_cost = r.f_cost;
+                c_total = r.total_gates;
+                c_verified = r.verified;
+                c_provenance =
+                  (if !proved_optimal then Exact_optimal
+                   else if r.dp_incumbent then Dp_incumbent
+                   else Exact_incumbent);
+                c_witness = r.witness;
+              }
+          with
           | Ok c -> Some c
           | Error msg ->
               record ~stage:"certify:exact" ~t0:(Unix.gettimeofday ())

@@ -1,33 +1,22 @@
-(** Resilient portfolio mapper: staged exact solving with graceful
-    degradation to SABRE.
+(** Resilient portfolio mapper: staged exact solving, raced against
+    SABRE while optimality is open.
 
-    The paper's exact formulation is NP-complete, so on large instances
-    the optimizer's budgets (deadline, conflict limit) are routinely
-    exhausted.  {!Mapper.run} alone then reports a bare [Timeout] even
-    though the SABRE heuristic always produces *some* valid mapping on a
-    connected device, fast.  This module turns the exact pipeline into
-    the first stage of a budgeted portfolio:
+    + The exact pipeline runs under an escalating conflict-limit ladder,
+      each rung bounded by the best incumbent so far, on the whole
+      wall-clock budget ({!Mapper.run} keeps its own reserve for
+      reconstruction and verification).  A DP-seeded run
+      ({!Mapper.seeded}) finds the optimum first and has only the proof
+      left, so only the ladder's last rung runs.  A seeded candidate
+      whose search finds no model answers with its DP routing.
+    + Unless the exact lane proved its answer optimal, SABRE runs and
+      the cheaper answer wins: SABRE is not bound to a strategy's
+      permutation spots, so it can beat a restricted strategy's optimum.
+    + Every answer must pass {!Certify.compliance} (and equivalence
+      verification where feasible): it may be suboptimal, never invalid.
 
-    + the exact pipeline runs under an escalating conflict-limit ladder,
-      each rung seeded with the best incumbent so far ([upper_bound]),
-      inside the exact stage's share of the wall-clock budget.  When the
-      run is DP-seeded ({!Mapper.seeded}: every solve starts at the
-      permutation DP's optimal routing), the first model is already the
-      optimum and all that is left is the proof, so only the ladder's
-      last rung runs;
-    + on exhaustion the best SAT incumbent (the anytime
-      {!Qxm_opt.Minimize.outcome} surfaced through {!Mapper.report}) is
-      kept as a candidate and SABRE runs; the cheaper of the two is
-      returned;
-    + every candidate — exact or degraded — must pass
-      {!Certify.compliance} (and equivalence verification where
-      feasible) before it can be returned: a SABRE answer may be
-      suboptimal, never invalid.
-
-    The returned {!report} carries honest provenance, per-stage timings
-    and budget-spend telemetry.  Degradation paths are exercised
-    deterministically by arming {!Qxm_sat.Fault} schedules in the tests
-    and via the [--inject] CLI knob. *)
+    The {!report} carries honest provenance and per-stage telemetry.
+    {!Qxm_sat.Fault} schedules ([--inject] on the CLI) exercise the
+    degradation paths deterministically. *)
 
 type provenance =
   | Exact_optimal
@@ -37,12 +26,18 @@ type provenance =
       (** The returned circuit is a SAT model of the requested
           strategy's encoding, but optimality was not proven before the
           budget (or the caller's cancel token) stopped the ladder. *)
+  | Dp_incumbent
+      (** The returned circuit is the permutation DP's routing of the
+          winning candidate, which no SAT model confirmed (wire string
+          ["dp-incumbent"]): the SAT search faulted, was cancelled or was
+          cut before its first model.  Never [optimal] and never
+          certified, although the DP routing is the candidate's
+          optimum. *)
   | Heuristic
       (** SABRE produced the returned circuit (wire string
           ["heuristic:sabre"]). *)
 
 val provenance_string : provenance -> string
-val pp_provenance : Format.formatter -> provenance -> unit
 
 (** One pipeline stage's telemetry, in execution order. *)
 type stage = {
@@ -50,23 +45,29 @@ type stage = {
   spent : float;  (** wall-clock seconds consumed by the stage *)
   solves : int;  (** SAT solver calls made by the stage *)
   outcome : string;
-      (** ["optimal"], ["incumbent F=…"], ["budget exhausted"],
-          ["skipped: …"], ["rejected: …"], ["failed: …"], ["ok F=…"] *)
+      (** ["optimal"], ["incumbent F=…"], ["dp-incumbent F=…"],
+          ["budget exhausted"], ["skipped: …"], ["rejected: …"],
+          ["failed: …"], ["ok F=…"] *)
 }
 
 type options = {
   exact : Mapper.options;
-      (** Options for the exact stages.  [timeout] is ignored (the
-          portfolio budgets below govern); [conflict_limit] is ignored
-          (the ladder governs); [upper_bound] composes with incumbent
-          seeding (the tighter bound wins). *)
+      (** Options for the exact stages.  [timeout] is ignored ([budget]
+          governs); [conflict_limit] is ignored (the ladder governs);
+          [upper_bound] composes with incumbent seeding (the tighter
+          bound wins). *)
   budget : float option;
-      (** Total wall-clock budget.  [None] (default) lets the final
-          ladder rung run to completion, like the plain exact mapper. *)
+      (** Total wall-clock budget, all of it the exact lane's: its
+          deadline is the run's start plus [budget], and each rung's
+          {!Mapper.run} keeps its own reserve (10 %, at most 1 s) for
+          reconstruction and verification, which also covers the SABRE
+          stage (milliseconds).  [None] (default) lets the final ladder
+          rung run to completion, like the plain exact mapper. *)
   exact_budget : float option;
-      (** Explicit wall-clock budget for the ladder.  [None] (default)
-          gives the exact stages 70% of [budget]; the remainder is the
-          reserve for SABRE, reconstruction and verification. *)
+      (** Overrides the exact lane's share of [budget] when set.  [None]
+          (default) gives it the whole [budget]; no entry point sets it,
+          and it stays only so that record expressions listing every
+          other field still compile. *)
   ladder : int list;
       (** Escalating per-solve conflict limits for the exact rungs,
           [-1] = unlimited (default [[4000; -1]]).  [[]] disables the
@@ -110,10 +111,11 @@ type report = {
   notes : string list;
       (** Provenance qualifiers. ["deadline_expired"]: the exact
           deadline cut the pipeline (a rung was skipped for spent
-          budget, or came back unproven when the clock — possibly
-          during the canonical winner re-solve of a race that could
-          fan out — ran out), so the returned answer is the certified
-          incumbent rather than a finished proof.  ["cancelled"]: the
+          budget, or came back unproven or empty when the clock —
+          possibly during the canonical winner re-solve of a race that
+          could fan out — ran out; under a budget an unlimited rung
+          can end no other way), so the returned answer is the
+          certified incumbent rather than a finished proof.  ["cancelled"]: the
           caller's supervisor token was cancelled during the run.  Empty
           for a run that finished inside its budgets. *)
   witness : Mapper.witness option;

@@ -337,10 +337,10 @@ let solve t ?key (req : request) : response =
           jobs = 1;
         }
       in
-      (* The portfolio falls back to SABRE whenever the exact lane comes
-         back empty, so an [Error] is a property of the input (too many
-         logical qubits, a disconnected device) that a second run would
-         only repeat. *)
+      (* A seeded exact lane falls back to its DP routing, and SABRE
+         answers whenever the exact lane still comes back empty, so an
+         [Error] is a property of the input (too many logical qubits, a
+         disconnected device) that a second run would only repeat. *)
       match Portfolio.run ~options ~cancel:token ~arch:req.device req.circuit with
       | Ok r ->
           if

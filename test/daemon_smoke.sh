@@ -138,9 +138,10 @@ req f1 "$CIRC_A" ',"cache":false' >&3
 wait_for "$OUT3" f1
 [ "$(field "$OUT3" f1 status)" = '"ok"' ] || fail "faulted request did not degrade gracefully"
 [ "$(field "$OUT3" f1 optimal)" = "false" ] || fail "faulted request cannot be optimal"
-# the portfolio absorbs the fault storm on its one run: SABRE answers
-[ "$(field "$OUT3" f1 provenance)" = '"heuristic:sabre"' ] ||
-  fail "faulted request should be answered by SABRE, got $(field "$OUT3" f1 provenance)"
+# the portfolio absorbs the fault storm on its one run: the seeded exact
+# lane answers with its DP routing
+[ "$(field "$OUT3" f1 provenance)" = '"dp-incumbent"' ] ||
+  fail "faulted request should be answered by the DP routing, got $(field "$OUT3" f1 provenance)"
 stop_fifo
 wait "$DAEMON_PID" 2>/dev/null
 DAEMON_PID=

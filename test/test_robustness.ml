@@ -222,12 +222,68 @@ let test_fault_of_string () =
 
 (* -- exact mapper under injected faults ---------------------------------- *)
 
+(* Without the DP seed nothing can stand in for a model, so a run whose
+   every solve faults times out.  Seeded runs answer with their DP
+   routing instead (next test). *)
 let test_mapper_all_unknown_times_out () =
+  let options = { Mapper.default with warm_start = false } in
   Fault.with_schedule Fault.Always_unknown (fun () ->
-      match Mapper.run ~arch:Devices.qx4 Examples.fig1a with
+      match Mapper.run ~options ~arch:Devices.qx4 Examples.fig1a with
       | Error (Mapper.Timeout _) -> ()
       | Ok _ -> Alcotest.fail "solves were forced Unknown, yet Ok?"
       | Error e -> Alcotest.failf "expected Timeout, got %a" Mapper.pp_failure e)
+
+(* The DP floor.  With every solve forced Unknown, a seeded run answers
+   with its DP routing; the unfaulted run's seeded first model is that
+   same routing, so the two answers must agree gate for gate, and only
+   the faulted one is flagged as the DP routing.  The unfaulted run is
+   capped at 2,000 conflicts per solve so the hard rows end quickly. *)
+let floor_rows =
+  List.map fst hard_rows
+  @ [ "3_17_13"; "ex-1_166"; "ham3_102"; "rd32-v0_66"; "rd32-v1_68" ]
+
+let test_mapper_dp_floor_matches_unfaulted () =
+  List.iter
+    (fun name ->
+      let e = Option.get (Suite.by_name name) in
+      List.iter
+        (fun (strategy, use_subsets) ->
+          let label =
+            Printf.sprintf "%s/%s/subsets=%b" name (Strategy.name strategy)
+              use_subsets
+          in
+          let options =
+            {
+              Mapper.default with
+              strategy;
+              use_subsets;
+              conflict_limit = 2000;
+              jobs = 1;
+            }
+          in
+          let run () =
+            match Mapper.run ~options ~arch:Devices.qx4 e.circuit with
+            | Ok r -> r
+            | Error f -> Alcotest.failf "%s: %a" label Mapper.pp_failure f
+          in
+          let clean = run () in
+          let floor = Fault.with_schedule Fault.Always_unknown run in
+          let check_bool what = Alcotest.(check bool) (label ^ ": " ^ what) in
+          check_bool "unfaulted answer is a SAT model" false clean.dp_incumbent;
+          check_bool "faulted answer is the DP routing" true floor.dp_incumbent;
+          check_bool "never optimal" false floor.optimal;
+          Alcotest.(check (option bool))
+            (label ^ ": verified") (Some true) floor.verified;
+          Alcotest.(check int) (label ^ ": F") clean.f_cost floor.f_cost;
+          Alcotest.(check (array int))
+            (label ^ ": initial") clean.initial floor.initial;
+          Alcotest.(check (array int)) (label ^ ": final") clean.final floor.final;
+          check_bool "same mapped gates" true
+            (Circuit.gates clean.mapped = Circuit.gates floor.mapped))
+        (List.concat_map
+           (fun s -> [ (s, true); (s, false) ])
+           Strategy.all))
+    floor_rows
 
 let test_mapper_incumbent_under_budget_cut () =
   (* the first solve of the first subset finds a model; everything after
@@ -286,9 +342,14 @@ let test_portfolio_honest_optimal () =
       Alcotest.(check bool) "stages recorded" true (r.stages <> [])
   | Error e -> Alcotest.failf "portfolio failed: %a" Portfolio.pp_failure e
 
+(* Without the DP seed a fully faulted exact lane comes back empty, and
+   SABRE answers. *)
+let unseeded =
+  { Portfolio.default with exact = { Mapper.default with warm_start = false } }
+
 let test_portfolio_degrades_to_heuristic () =
   Fault.with_schedule Fault.Always_unknown (fun () ->
-      match Portfolio.run ~arch:Devices.qx4 Examples.fig1a with
+      match Portfolio.run ~options:unseeded ~arch:Devices.qx4 Examples.fig1a with
       | Ok r ->
           (match r.provenance with
           | Portfolio.Heuristic -> ()
@@ -307,7 +368,9 @@ let test_portfolio_incumbent_path () =
       | Ok r ->
           Alcotest.(check bool) "degraded provenance" true
             (match r.provenance with
-            | Portfolio.Exact_incumbent | Portfolio.Heuristic -> true
+            | Portfolio.Exact_incumbent | Portfolio.Dp_incumbent
+            | Portfolio.Heuristic ->
+                true
             | Portfolio.Exact_optimal -> false);
           Alcotest.(check bool) "not claiming optimality" false r.optimal;
           Alcotest.(check (option bool)) "verified" (Some true) r.verified
@@ -447,39 +510,54 @@ let test_portfolio_seeded_runs_last_rung () =
     hard_rows
 
 (* The acceptance sweep: with every exact solve forced to Unknown, the
-   portfolio must return a certified heuristic-provenance report for
-   every benchmark of the paper's Table 1 — zero crashes, zero timeouts. *)
+   portfolio must return a certified report for every benchmark of the
+   paper's Table 1 — zero crashes, zero timeouts.  Seeded, the answer is
+   the DP routing (at F* on the hard rows); without the seed it is
+   SABRE's. *)
 let test_portfolio_degrades_on_full_suite () =
   Fault.with_schedule Fault.Always_unknown (fun () ->
       List.iter
         (fun (e : Suite.entry) ->
-          let options =
-            {
-              Portfolio.default with
-              (* the exact stage is faulted anyway: one cheap rung keeps
-                 the sweep fast while still exercising the budget path *)
-              ladder = [ 1000 ];
-            }
-          in
-          match Portfolio.run ~options ~arch:Devices.qx4 e.circuit with
-          | Ok r ->
-              (match r.provenance with
-              | Portfolio.Heuristic -> ()
-              | p ->
-                  Alcotest.failf "%s: expected heuristic provenance, got %s"
-                    e.name
-                    (Portfolio.provenance_string p));
-              if r.verified = Some false then
-                Alcotest.failf "%s: equivalence check failed" e.name;
-              (match Certify.compliance ~arch:Devices.qx4 r.elementary with
-              | Ok () -> ()
-              | Error msg -> Alcotest.failf "%s: %s" e.name msg);
-              Alcotest.(check bool)
-                (e.name ^ ": telemetry present")
-                true (r.stages <> [])
-          | Error f ->
-              Alcotest.failf "%s: portfolio failed: %a" e.name
-                Portfolio.pp_failure f)
+          List.iter
+            (fun (warm_start, expected) ->
+              let options =
+                {
+                  Portfolio.default with
+                  (* with certificates on, only a SAT model could
+                     carry a witness *)
+                  exact = { Mapper.default with warm_start; certificate = true };
+                  (* the exact stage is faulted anyway: one cheap rung
+                     keeps the sweep fast while still exercising the
+                     budget path *)
+                  ladder = [ 1000 ];
+                }
+              in
+              let label = Printf.sprintf "%s (warm_start = %b)" e.name warm_start in
+              match Portfolio.run ~options ~arch:Devices.qx4 e.circuit with
+              | Ok r ->
+                  Alcotest.(check string)
+                    (label ^ ": provenance")
+                    expected
+                    (Portfolio.provenance_string r.provenance);
+                  Alcotest.(check bool) (label ^ ": not optimal") false r.optimal;
+                  Alcotest.(check bool) (label ^ ": no witness") true
+                    (r.witness = None);
+                  (match List.assoc_opt e.name hard_rows with
+                  | Some f_star when warm_start ->
+                      Alcotest.(check int) (label ^ ": F*") f_star r.f_cost
+                  | _ -> ());
+                  if r.verified = Some false then
+                    Alcotest.failf "%s: equivalence check failed" label;
+                  (match Certify.compliance ~arch:Devices.qx4 r.elementary with
+                  | Ok () -> ()
+                  | Error msg -> Alcotest.failf "%s: %s" label msg);
+                  Alcotest.(check bool)
+                    (label ^ ": telemetry present")
+                    true (r.stages <> [])
+              | Error f ->
+                  Alcotest.failf "%s: portfolio failed: %a" label
+                    Portfolio.pp_failure f)
+            [ (true, "dp-incumbent"); (false, "heuristic:sabre") ])
         (Suite.all ()))
 
 (* -- sanitized Table-1 sweep --------------------------------------------- *)
@@ -520,6 +598,8 @@ let suite =
     ("fault: --inject grammar", `Quick, test_fault_of_string);
     ("mapper: all-unknown times out", `Quick,
      test_mapper_all_unknown_times_out);
+    ("mapper: all-unknown answers the DP routing", `Quick,
+     test_mapper_dp_floor_matches_unfaulted);
     ("mapper: budget cut yields incumbent", `Quick,
      test_mapper_incumbent_under_budget_cut);
     ("mapper: zero timeout fails cleanly", `Quick,

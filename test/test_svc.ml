@@ -450,19 +450,34 @@ let test_daemon_corrupt_cache_falls_through () =
   let p2 = expect_done "re-warmed" (Daemon.submit d2 (request ())) in
   Alcotest.(check bool) "warm again" true p2.cached
 
+(* Every exact solve faults.  Seeded (the default), the answer is the
+   DP routing at the optimum F = 4 (Ex. 7); without the seed the exact
+   lane comes back empty and SABRE answers.  Either way the answer
+   certifies against the device and claims no optimality. *)
 let test_daemon_degrades_under_fault () =
   Fault.with_schedule Fault.Always_unknown (fun () ->
-      let d = Daemon.create ~config:fast_config () in
-      Fun.protect ~finally:(fun () -> Daemon.shutdown d) @@ fun () ->
-      let p = expect_done "degraded" (Daemon.submit d (request ())) in
-      Alcotest.(check bool) "not claiming optimality" false p.optimal;
-      Alcotest.(check bool) "heuristic provenance" true
-        (String.length p.provenance >= 9
-        && String.sub p.provenance 0 9 = "heuristic");
-      (* the degraded answer still certifies against the device *)
-      let mapped = Qasm.parse_string p.qasm in
-      Alcotest.(check bool) "compliant" true
-        (Certify.compliance ~arch:Devices.qx4 mapped = Ok ()))
+      List.iter
+        (fun (warm_start, expected) ->
+          let config =
+            {
+              fast_config with
+              portfolio =
+                {
+                  Portfolio.default with
+                  exact = { Qxm_exact.Mapper.default with warm_start };
+                };
+            }
+          in
+          let d = Daemon.create ~config () in
+          Fun.protect ~finally:(fun () -> Daemon.shutdown d) @@ fun () ->
+          let p = expect_done "degraded" (Daemon.submit d (request ())) in
+          Alcotest.(check bool) "not claiming optimality" false p.optimal;
+          Alcotest.(check string) "provenance" expected p.provenance;
+          if warm_start then Alcotest.(check int) "the DP's F*" 4 p.f_cost;
+          let mapped = Qasm.parse_string p.qasm in
+          Alcotest.(check bool) "compliant" true
+            (Certify.compliance ~arch:Devices.qx4 mapped = Ok ()))
+        [ (true, "dp-incumbent"); (false, "heuristic:sabre") ])
 
 let test_daemon_deadline_note_reaches_response () =
   (* After two good solves every exact solve is cut — the budgeted
@@ -678,6 +693,38 @@ let test_portfolio_deadline_expired_note () =
           Alcotest.(check bool) "certified" true
             (Certify.compliance ~arch:Devices.qx4 r.elementary = Ok ()))
 
+(* A budgeted unlimited rung that ends with no answer at all (here:
+   unseeded, every solve after the first faulted) was cut by the clock's
+   stand-in, exactly like one that ends unproven, so it too leaves the
+   deadline_expired note.  The 4000 rung before it found the incumbent. *)
+let test_portfolio_timed_out_rung_notes_deadline () =
+  Fault.with_schedule (Fault.After_solves 1) (fun () ->
+      let options =
+        {
+          Portfolio.default with
+          exact = { Qxm_exact.Mapper.default with warm_start = false };
+          budget = Some 30.0;
+          ladder = [ 4000; -1 ];
+        }
+      in
+      match Portfolio.run ~options ~arch:Devices.qx4 Examples.fig1a with
+      | Error e -> Alcotest.failf "portfolio failed: %a" Portfolio.pp_failure e
+      | Ok r ->
+          Alcotest.(check (list string))
+            "exact stages"
+            [ "exact:4000"; "exact:unlimited" ]
+            (List.filter_map
+               (fun (s : Portfolio.stage) ->
+                 if String.starts_with ~prefix:"exact:" s.stage then
+                   Some s.stage
+                 else None)
+               r.stages);
+          Alcotest.(check string) "the unlimited rung found nothing"
+            "budget exhausted" (List.nth r.stages 1).outcome;
+          Alcotest.(check (list string)) "deadline note" [ "deadline_expired" ]
+            r.notes;
+          Alcotest.(check bool) "no optimality claim" false r.optimal)
+
 let test_portfolio_clean_run_has_no_notes () =
   match Portfolio.run ~arch:Devices.qx4 Examples.fig1a with
   | Ok r -> Alcotest.(check (list string)) "no qualifiers" [] r.notes
@@ -726,6 +773,8 @@ let suite =
     ("metrics text renders", `Quick, test_metrics_text_renders);
     ("portfolio: deadline_expired note (regression)", `Quick,
      test_portfolio_deadline_expired_note);
+    ("portfolio: timed-out rung notes the deadline", `Quick,
+     test_portfolio_timed_out_rung_notes_deadline);
     ("portfolio: clean run has no notes", `Quick,
      test_portfolio_clean_run_has_no_notes);
   ]
